@@ -77,16 +77,23 @@ def _print_verification(report: masking.MaskingReport) -> None:
     print(f"verification: {'PASS' if report.passed else 'FAIL'} (tolerance {report.tol:.1e})")
 
 
+def _verify_and_save(m, out) -> int:
+    """Print the verification block; write the masker only when it passes."""
+    report = masking.verify_masking(m)
+    _print_verification(report)
+    if not report.passed:
+        return 1
+    if out:
+        save_masker(m, out)
+        print(f"wrote masker to {out}")
+    return 0
+
+
 def _cmd_mask_det(args) -> int:
     inputs = _load_input_states(args)
     m = masking.build_deterministic(inputs, args.dim)
-    report = masking.verify_masking(m)
     print(f"deterministic masker: {len(inputs)} states, dimension {m.dim}")
-    _print_verification(report)
-    if args.out:
-        save_masker(m, args.out)
-        print(f"wrote masker to {args.out}")
-    return 0 if report.passed else 1
+    return _verify_and_save(m, args.out)
 
 
 def _cmd_mask_prob(args) -> int:
@@ -118,10 +125,7 @@ def _cmd_mask_prob(args) -> int:
     print("gammas:", " ".join(_format(g) for g in gammas))
     print(f"Prob(M): {_format(prob)}")
     print(f"feasibility margin (min eigenvalue): {_format(margin)}")
-    if args.out:
-        save_masker(m, args.out)
-        print(f"wrote masker to {args.out}")
-    return 0
+    return _verify_and_save(m, args.out)
 
 
 def _cmd_simulate(args) -> int:

@@ -2,11 +2,19 @@
 
 Complex numbers are stored as two-element [re, im] arrays throughout, so
 files are locale- and format-unambiguous and round-trip bit exactly
-through Python's float repr.
+through Python's float repr. Files are written as compact, unindented
+JSON (an indent would force CPython's pure-Python encoder); indented
+files with the same schema load through the same parser.
+
+Loading converts each array of pairs with one numpy call and checks its
+shape, its numeric type and that it holds no JSON booleans. Only when
+that check fails is the array walked pair by pair, so the error names
+the offending field, e.g. ``unitary[3][7]``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Sequence
@@ -26,16 +34,14 @@ def _require(condition: bool, field: str, detail: str) -> None:
         raise FileFormatError(f"field '{field}': {detail}")
 
 
-def _complex_to_json(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
+def _pairs_to_json(values: np.ndarray) -> list:
+    """Nested lists of [re, im] Python floats, which keep their exact repr."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], -1).tolist()
 
 
-def _vector_to_json(vector: np.ndarray) -> list[list[float]]:
-    return [_complex_to_json(v) for v in vector]
-
-
-def _matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [_vector_to_json(row) for row in matrix]
+def _write_json(path, document: dict) -> None:
+    Path(path).write_text(json.dumps(document, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def _complex_from_json(value, field: str) -> complex:
@@ -48,16 +54,43 @@ def _complex_from_json(value, field: str) -> complex:
     return complex(value[0], value[1])
 
 
+def _complex_array(data: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``data`` as a complex array of ``shape`` in one numpy pass.
+
+    Returns None unless ``data`` is exactly nested lists of [re, im] JSON
+    number pairs; the caller then walks it to name the fault.
+    """
+    try:
+        pairs = np.asarray(data)
+    except ValueError:  # ragged nesting
+        return None
+    if pairs.shape != (*shape, 2) or pairs.dtype.kind not in "if":
+        return None
+    leaves = data
+    for _ in shape:
+        leaves = itertools.chain.from_iterable(leaves)
+    # np.asarray turns a JSON true among numbers into 1 without complaint
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
 def _vector_from_json(data, field: str, length: int | None = None) -> np.ndarray:
     _require(isinstance(data, list) and data, field, "expected a nonempty list of [re, im] pairs")
     if length is not None:
         _require(len(data) == length, field, f"has length {len(data)}, expected {length}")
+    vector = _complex_array(data, (len(data),))
+    if vector is not None:
+        return vector
     return np.array([_complex_from_json(v, f"{field}[{i}]") for i, v in enumerate(data)])
 
 
 def _matrix_from_json(data, field: str, size: int) -> np.ndarray:
     _require(isinstance(data, list) and len(data) == size, field,
              f"expected {size} matrix rows")
+    matrix = _complex_array(data, (size, size))
+    if matrix is not None:
+        return matrix
     return np.array([_vector_from_json(row, f"{field}[{i}]", size) for i, row in enumerate(data)])
 
 
@@ -88,7 +121,7 @@ def state_set_to_json(
 ) -> dict:
     document = {
         "dims": [int(d) for d in dims],
-        "states": [_vector_to_json(np.asarray(v, dtype=complex)) for v in vectors],
+        "states": [_pairs_to_json(v) for v in vectors],
     }
     if labels is not None:
         document["labels"] = list(labels)
@@ -138,10 +171,7 @@ def load_state_set(
 
 
 def save_state_set(path, dims, vectors, labels=None) -> None:
-    Path(path).write_text(
-        json.dumps(state_set_to_json(dims, vectors, labels), indent=1) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(path, state_set_to_json(dims, vectors, labels))
 
 
 def _ancilla_index(ancilla: StateVector) -> int:
@@ -160,7 +190,7 @@ def masker_to_json(m) -> dict:
     d = m.dim
     document = {
         "dims": [d, d],
-        "unitary": _matrix_to_json(m.unitary.entries),
+        "unitary": _pairs_to_json(m.unitary.entries),
         "targets": state_set_to_json(
             (d, d), [s.amplitudes for s in m.targets.states]
         ),
@@ -243,4 +273,4 @@ def load_masker(path):
 
 def save_masker(m, path) -> None:
     """Write a masker to ``path`` as JSON; round-trips losslessly."""
-    Path(path).write_text(json.dumps(masker_to_json(m), indent=1) + "\n", encoding="utf-8")
+    _write_json(path, masker_to_json(m))

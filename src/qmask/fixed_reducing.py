@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import (
     NORM_TOL,
@@ -222,6 +221,7 @@ def build_general_spectrum(
     if np.any(np.diff(spectrum) > 0):
         raise ValueError("alphas must be sorted in non-increasing order")
     sizes = _multiplicities(spectrum)
+    starts = np.cumsum([0, *sizes[:-1]])
     states = []
     for k, blocks in enumerate(block_unitaries):
         blocks = list(blocks)
@@ -230,11 +230,11 @@ def build_general_spectrum(
                 f"block_unitaries[{k}] supplies {len(blocks)} blocks for "
                 f"{len(sizes)} distinct eigenvalues of sizes {sizes}"
             )
-        checked = [
-            _unitary_matrix(block, size, f"block_unitaries[{k}][{j}]")
-            for j, (block, size) in enumerate(zip(blocks, sizes))
-        ]
-        v = scipy.linalg.block_diag(*checked)
+        v = np.zeros((spectrum.size, spectrum.size), dtype=complex)
+        for j, (block, size, start) in enumerate(zip(blocks, sizes, starts)):
+            v[start:start + size, start:start + size] = _unitary_matrix(
+                block, size, f"block_unitaries[{k}][{j}]"
+            )
         states.append(_state_from_b_unitary(spectrum, v))
     if not states:
         raise ValueError("need block unitaries for at least one state")

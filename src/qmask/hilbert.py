@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 NORM_TOL = 1e-10
 OP_TOL = 1e-10
@@ -339,6 +338,12 @@ def hermitian_sqrt(matrix, *, op_tol: float = OP_TOL) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
+def _complement(frame: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of an orthonormal frame's span."""
+    q, _ = np.linalg.qr(frame, mode="complete")
+    return q[:, frame.shape[1]:]
+
+
 def unitary_completion(
     inputs: Sequence[State],
     outputs: Sequence[State],
@@ -377,8 +382,8 @@ def unitary_completion(
     weights = eigvecs[:, kept] / np.sqrt(eigvals[kept])
     frame_in = src @ weights
     frame_out = dst @ weights
-    basis_in = np.hstack([frame_in, scipy.linalg.null_space(frame_in.conj().T)])
-    basis_out = np.hstack([frame_out, scipy.linalg.null_space(frame_out.conj().T)])
+    basis_in = np.hstack([frame_in, _complement(frame_in)])
+    basis_out = np.hstack([frame_out, _complement(frame_out)])
     raw = basis_out @ basis_in.conj().T
     # project onto the nearest unitary so tolerance slack in the Gram match
     # never leaks into U itself

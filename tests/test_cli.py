@@ -1,15 +1,42 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmask
+from qmask import fileio, masker as masking
 from qmask.cli import main
-from qmask.fileio import load_masker, save_masker
+from qmask.fileio import (
+    load_masker, load_state_set, masker_to_json, save_masker, save_state_set,
+)
 from qmask.fixed_reducing import cyclic_targets
-from qmask.hilbert import StateVector, basis_state
-from qmask.masker import build_probabilistic, verify_masking
+from qmask.hilbert import Operator, StateVector, basis_state
+from qmask.masker import build_deterministic, build_probabilistic, verify_masking
 
 INV2 = 1.0 / np.sqrt(2)
+# floats whose repr round trip is easy to break: signed zero, subnormal, near overflow, inexact sum
+AWKWARD = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2]
+
+
+def complex_array(real, imag):
+    """Complex array assembled part by part, so signed zeros survive."""
+    values = np.empty(np.shape(real), dtype=complex)
+    values.real, values.imag = real, imag
+    return values
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+def canonical(document) -> str:
+    # float repr tells -0.0 from 0.0, where == does not
+    return json.dumps(document, sort_keys=True)
 
 
 def write_state_set(path, dims, vectors):
@@ -161,6 +188,40 @@ class TestMaskProb:
         assert code == 1
         assert "2 targets" in capsys.readouterr().err
 
+    def test_prints_verification_block(self, overlap_pair_file, tmp_path, capsys):
+        out_path = tmp_path / "masker.json"
+        code = main([
+            "mask-prob", overlap_pair_file,
+            "--target-overlap", "0", "--gammas", "0.1,0.1", "--out", str(out_path),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "success probabilities: 0.1 0.1" in out
+        assert "verification: PASS" in out
+        assert out_path.exists()
+
+    def test_failed_verification_exits_one_and_writes_nothing(
+        self, overlap_pair_file, tmp_path, capsys, monkeypatch
+    ):
+        build = masking.build_probabilistic
+
+        def broken_build(*args, **kwargs):
+            # the identity is unitary, so the masker is well formed, but it masks nothing
+            built = build(*args, **kwargs)
+            return dataclasses.replace(
+                built, unitary=Operator(np.eye(built.unitary.dim, dtype=complex))
+            )
+
+        monkeypatch.setattr(masking, "build_probabilistic", broken_build)
+        out_path = tmp_path / "masker.json"
+        code = main([
+            "mask-prob", overlap_pair_file,
+            "--target-overlap", "0", "--gammas", "0.1,0.1", "--out", str(out_path),
+        ])
+        assert code == 1
+        assert "verification: FAIL" in capsys.readouterr().out
+        assert not out_path.exists()
+
     def test_declared_dim_mismatch_is_input_error(self, overlap_pair_file, capsys):
         code = main([
             "mask-prob", overlap_pair_file, "--dim", "3",
@@ -237,3 +298,90 @@ class TestMaskerFiles:
         path.write_text(json.dumps({"kind": "other"}))
         assert main(["simulate", str(path)]) == 2
         assert "kind" in capsys.readouterr().err
+
+    def test_pair_codec_is_bit_exact_on_awkward_floats(self):
+        vector = complex_array(AWKWARD, np.roll(AWKWARD, 1))
+        matrix = np.stack([np.roll(vector, k) for k in range(vector.size)])
+        decoded_vector = fileio._vector_from_json(
+            json.loads(json.dumps(fileio._pairs_to_json(vector))), "states[0]")
+        decoded_matrix = fileio._matrix_from_json(
+            json.loads(json.dumps(fileio._pairs_to_json(matrix))), "unitary", vector.size)
+        assert np.array_equal(bits(decoded_vector), bits(vector))
+        assert np.array_equal(bits(decoded_matrix), bits(matrix))
+        # the per-pair walk, kept for error reporting, is the reference decoder
+        walked = [fileio._complex_from_json(pair, "x") for pair in fileio._pairs_to_json(vector)]
+        assert np.array_equal(bits(walked), bits(decoded_vector))
+
+    def test_state_set_round_trip_is_bit_exact(self, tmp_path):
+        third = np.sqrt(1.0 - (0.1 + 0.2) ** 2)
+        vector = complex_array([-0.0, 0.1 + 0.2, -5e-324], [5e-324, -0.0, third])
+        path = tmp_path / "states.json"
+        save_state_set(path, (3,), [vector], ["awkward"])
+        dims, vectors, labels = load_state_set(path)
+        assert dims == (3,) and labels == ["awkward"]
+        assert np.array_equal(bits(vectors[0]), bits(vector))
+
+    def test_masker_round_trip_is_bit_exact_on_awkward_floats(self, tmp_path):
+        path = tmp_path / "masker.json"
+        save_masker(build_deterministic([basis_state(2, 0), basis_state(2, 1)]), path)
+        document = json.loads(path.read_text())
+        unitary = document["unitary"]
+        assert unitary[0][1] == [0.0, 0.0] and unitary[0][2] == [0.0, 0.0]
+        unitary[0][1] = [-0.0, 5e-324]
+        unitary[0][2] = [-5e-324, -0.0]
+        path.write_text(json.dumps(document))
+        assert canonical(masker_to_json(load_masker(path))) == canonical(document)
+
+        inputs = [basis_state(2, 0), StateVector(np.array([0.1, np.sqrt(0.99)]))]
+        probabilistic = build_probabilistic(inputs, cyclic_targets(2, 2), [0.1 + 0.2, 0.1])
+        save_masker(probabilistic, path)
+        assert "0.30000000000000004" in path.read_text()
+        loaded = load_masker(path)
+        assert np.array_equal(loaded.gammas, probabilistic.gammas)
+        assert np.array_equal(bits(loaded.unitary.entries), bits(probabilistic.unitary.entries))
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda u: u[0][0].__setitem__(0, True), "unitary[0][0]"),
+        # np.asarray would read this false as the 0.0 it replaces
+        (lambda u: u[0][1].__setitem__(0, False), "unitary[0][1]"),
+        (lambda u: u[1][2].__setitem__(1, "0.5"), "unitary[1][2]"),
+        (lambda u: u[2][0].append(0.0), "unitary[2][0]"),
+        (lambda u: u[3].pop(), "unitary[3]"),
+        (lambda u: u.pop(), "'unitary'"),
+    ], ids=["true", "false-at-zero", "string", "three-element-pair", "short-row", "row-count"])
+    def test_malformed_unitary_names_field(self, tmp_path, capsys, edit, field):
+        path = tmp_path / "masker.json"
+        save_masker(build_deterministic([basis_state(2, 0), basis_state(2, 1)]), path)
+        document = json.loads(path.read_text())
+        edit(document["unitary"])
+        path.write_text(json.dumps(document))
+        assert main(["simulate", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_indented_file_from_earlier_versions_loads(self, tmp_path):
+        masker = build_probabilistic(
+            [basis_state(2, 0), StateVector(np.array([INV2, INV2]))],
+            cyclic_targets(2, 2),
+            [0.05, 0.15],
+        )
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(masker_to_json(masker), indent=1) + "\n")
+        loaded = load_masker(legacy)
+        assert np.array_equal(bits(loaded.unitary.entries), bits(masker.unitary.entries))
+        assert np.array_equal(loaded.gammas, masker.gammas)
+        assert verify_masking(loaded) == verify_masking(masker)
+        compact = tmp_path / "compact.json"
+        save_masker(loaded, compact)
+        assert compact.read_text().count("\n") == 1
+        assert compact.stat().st_size < legacy.stat().st_size
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(qmask.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import qmask.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    completed = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=60, check=True)
+    assert completed.stdout.strip() == "[]"

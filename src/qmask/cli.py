@@ -14,7 +14,7 @@ import numpy as np
 from . import fixed_reducing, masker as masking, optimizer
 from .fileio import FileFormatError, load_masker, load_state_set, save_masker
 from .fixed_reducing import MARGINAL_TOL
-from .hilbert import MultipartiteState, StateVector, gram, partial_trace
+from .hilbert import MultipartiteState, StateVector, gram
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -22,6 +22,26 @@ def _comma_floats(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _overlap_magnitude(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"overlap magnitude must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _grid_points(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"number of grid points must be non-negative, got {value}")
+    return value
 
 
 def _format(value: float) -> str:
@@ -39,16 +59,12 @@ def _cmd_verify_fixed_reducing(args) -> int:
         raise FileFormatError(
             f"field 'dims': need exactly 2 subsystems for marginal checks, got {len(dims)}"
         )
-    states = [MultipartiteState(v, dims) for v in vectors]
-    reference_a = partial_trace(states[0], states[0].labels[0]).entries
-    reference_b = partial_trace(states[0], states[0].labels[1]).entries
-    worst = 0.0
-    for k, state in enumerate(states):
-        dev_a = float(np.max(np.abs(partial_trace(state, state.labels[0]).entries - reference_a)))
-        dev_b = float(np.max(np.abs(partial_trace(state, state.labels[1]).entries - reference_b)))
-        deviation = max(dev_a, dev_b)
-        worst = max(worst, deviation)
+    deviations = fixed_reducing.marginal_deviations(
+        [fixed_reducing.marginals(MultipartiteState(v, dims)) for v in vectors]
+    )
+    for k, deviation in enumerate(deviations):
         print(f"state {k}: marginal deviation {deviation:.3e}")
+    worst = max(deviations)
     if worst <= args.tol:
         print(f"PASS (max deviation {worst:.3e}, tolerance {args.tol:.1e})")
         return 0
@@ -144,13 +160,9 @@ def _cmd_simulate(args) -> int:
             f"state {k}: success probability {_format(outcome.success_probability)}, "
             f"fidelity {_format(outcome.fidelity_to_target)}"
         )
-    deviation = 0.0
-    for outcome in outcomes[1:]:
-        deviation = max(
-            deviation,
-            float(np.max(np.abs(outcome.marginal_A.entries - outcomes[0].marginal_A.entries))),
-            float(np.max(np.abs(outcome.marginal_B.entries - outcomes[0].marginal_B.entries))),
-        )
+    deviation = max(
+        fixed_reducing.marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
+    )
     _print_matrix("marginal A", outcomes[0].marginal_A.entries)
     _print_matrix("marginal B", outcomes[0].marginal_B.entries)
     print(f"cross-state marginal deviation: {deviation:.3e}")
@@ -221,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure1",
                        help="emit CSV of the maximum success probability versus target overlap")
-    p.add_argument("--s-values", type=float, nargs="+",
+    p.add_argument("--s-values", type=_overlap_magnitude, nargs="+",
                    default=list(optimizer.DEFAULT_S_VALUES),
                    help="input overlap magnitudes, one curve each (default %(default)s)")
-    p.add_argument("--steps", type=int, default=101,
+    p.add_argument("--steps", type=_grid_points, default=101,
                    help="number of target-overlap grid points (default %(default)s)")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(handler=_cmd_figure1)

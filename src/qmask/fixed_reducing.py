@@ -5,9 +5,13 @@ the same reduced state on A and the same reduced state on B, so neither
 subsystem alone reveals k. Every such family can be written as
 sum_i sqrt(alpha_i) |i>_A (x) (V_k |i>_B) where the alpha_i form the
 shared marginal spectrum and each V_k is a unitary preserving all
-eigenspaces of the common B marginal; the constructors below cover the
-uniform, all-distinct, and general degenerate spectra, plus the two
-target families the masker builders rely on.
+eigenspaces of the common B marginal. ``build_general_spectrum`` is that
+construction; the uniform and all-distinct spectra are calls to it with
+one d x d block or d one-by-one phase blocks per member, and the two
+target families the masker builders rely on are uniform-spectrum calls.
+``marginals`` and ``marginal_deviations`` are the one place where a
+family's marginals are compared, for the checks here, for
+``masker.verify_masking`` and for the CLI.
 """
 
 from __future__ import annotations
@@ -23,19 +27,45 @@ from .hilbert import (
     DensityOperator,
     MultipartiteState,
     partial_trace,
+    square_matrix,
+    unitarity_residual,
 )
 
 MARGINAL_TOL = 1e-9
 
 
-def _unitary_matrix(matrix, dim: int, name: str, tol: float = OP_TOL) -> np.ndarray:
-    mat = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
+def _unitary_matrix(matrix, dim: int, name: str) -> np.ndarray:
+    mat = square_matrix(matrix, name)
     if mat.shape != (dim, dim):
         raise ValueError(f"{name} has shape {mat.shape}, expected ({dim}, {dim})")
-    residual = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
-    if residual > tol:
+    residual = unitarity_residual(mat)
+    if residual > OP_TOL:
         raise ValueError(f"{name} is not unitary: residual {residual:.3e}")
     return mat
+
+
+def marginals(state: MultipartiteState) -> tuple[DensityOperator, DensityOperator]:
+    """Reduced states (rho_A, rho_B) of the two subsystems of a bipartite state."""
+    if len(state.dims) != 2:
+        raise ValueError(f"state is not bipartite: dims {state.dims}")
+    return partial_trace(state, state.labels[0]), partial_trace(state, state.labels[1])
+
+
+def marginal_deviations(
+    pairs: Sequence[tuple[DensityOperator, DensityOperator]],
+    reference: tuple[DensityOperator, DensityOperator] | None = None,
+) -> list[float]:
+    """Largest entrywise gap of each (rho_A, rho_B) pair from ``reference``.
+
+    The reference defaults to the first pair, so a family's first member
+    always reads 0.
+    """
+    ref_a, ref_b = pairs[0] if reference is None else reference
+    return [
+        max(float(np.max(np.abs(rho_a.entries - ref_a.entries))),
+            float(np.max(np.abs(rho_b.entries - ref_b.entries))))
+        for rho_a, rho_b in pairs
+    ]
 
 
 def _state_from_b_unitary(alphas: np.ndarray, v: np.ndarray) -> MultipartiteState:
@@ -74,15 +104,16 @@ class FixedReducingSet:
         for k, state in enumerate(states):
             if state.dims != dims:
                 raise ValueError(f"state {k} has dims {state.dims}, expected {dims}")
-            dev_a = np.max(np.abs(partial_trace(state, state.labels[0]).entries
-                                  - self.common_marginal_A.entries))
-            dev_b = np.max(np.abs(partial_trace(state, state.labels[1]).entries
-                                  - self.common_marginal_B.entries))
-            deviation = float(max(dev_a, dev_b))
-            if deviation > MARGINAL_TOL:
-                raise ValueError(
-                    f"state {k} deviates from the common marginals by {deviation:.3e}"
-                )
+        deviations = marginal_deviations(
+            [marginals(state) for state in states],
+            (self.common_marginal_A, self.common_marginal_B),
+        )
+        worst = int(np.argmax(deviations))
+        if deviations[worst] > MARGINAL_TOL:
+            raise ValueError(
+                f"family is not fixed reducing: state {worst} deviates from the "
+                f"common marginals by {deviations[worst]:.3e}"
+            )
         alphas.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphas", alphas)
@@ -113,28 +144,21 @@ def verify_fixed_reducing(
             raise ValueError(f"state {k} is not bipartite: dims {state.dims}")
         if state.dims != dims:
             raise ValueError(f"state {k} has dims {state.dims}, expected {dims}")
-    reference_a = partial_trace(states[0], states[0].labels[0]).entries
-    reference_b = partial_trace(states[0], states[0].labels[1]).entries
-    worst = 0.0
-    for state in states[1:]:
-        dev_a = np.max(np.abs(partial_trace(state, state.labels[0]).entries - reference_a))
-        dev_b = np.max(np.abs(partial_trace(state, state.labels[1]).entries - reference_b))
-        worst = max(worst, float(dev_a), float(dev_b))
+    worst = max(marginal_deviations([marginals(state) for state in states]))
     return worst <= tol, worst
 
 
-def from_states(
-    states: Sequence[MultipartiteState], tol: float = MARGINAL_TOL
-) -> FixedReducingSet:
-    """Wrap an already fixed-reducing family, recovering marginals and spectrum."""
-    ok, deviation = verify_fixed_reducing(states, tol)
-    if not ok:
-        raise ValueError(
-            f"family is not fixed reducing: max marginal deviation {deviation:.3e}"
-        )
-    marginal_a = partial_trace(states[0], states[0].labels[0])
-    marginal_b = partial_trace(states[0], states[0].labels[1])
-    return FixedReducingSet(tuple(states), marginal_a, marginal_b, marginal_a.eigenvalues())
+def from_states(states: Sequence[MultipartiteState]) -> FixedReducingSet:
+    """Wrap an already fixed-reducing family, recovering marginals and spectrum.
+
+    The family is checked against its first member's marginals by
+    ``FixedReducingSet`` itself.
+    """
+    states = tuple(states)
+    if not states:
+        raise ValueError("a fixed reducing set needs at least one state")
+    marginal_a, marginal_b = marginals(states[0])
+    return FixedReducingSet(states, marginal_a, marginal_b, marginal_a.eigenvalues())
 
 
 def build_uniform_spectrum(d: int, unitaries: Sequence) -> FixedReducingSet:
@@ -147,13 +171,7 @@ def build_uniform_spectrum(d: int, unitaries: Sequence) -> FixedReducingSet:
         raise ValueError("dimension must be positive")
     if not unitaries:
         raise ValueError("need at least one unitary")
-    alphas = np.full(d, 1.0 / d)
-    states = tuple(
-        _state_from_b_unitary(alphas, _unitary_matrix(v, d, f"unitaries[{k}]"))
-        for k, v in enumerate(unitaries)
-    )
-    mixed = DensityOperator(np.eye(d, dtype=complex) / d)
-    return FixedReducingSet(states, mixed, mixed, alphas)
+    return build_general_spectrum(np.full(d, 1.0 / d), [[v] for v in unitaries])
 
 
 def build_distinct_spectrum(
@@ -165,27 +183,20 @@ def build_distinct_spectrum(
     diagonal phases, one row of phases per family member.
     """
     spectrum = np.array(alphas, dtype=float)
-    if spectrum.ndim != 1 or spectrum.size == 0:
-        raise ValueError("alphas must be a nonempty sequence")
     if np.any(spectrum <= 0):
         raise ValueError("alphas must all be positive")
     if np.any(np.diff(spectrum) >= 0):
         raise ValueError("alphas must be strictly decreasing (all eigenvalues distinct)")
-    if abs(float(spectrum.sum()) - 1.0) > NORM_TOL:
-        raise ValueError(f"alphas must sum to 1, got {float(spectrum.sum())!r}")
     d = spectrum.size
-    states = []
+    blocks = []
     for k, row in enumerate(phase_rows):
         phases = np.asarray(row, dtype=float)
         if phases.shape != (d,):
             raise ValueError(f"phase_rows[{k}] has shape {phases.shape}, expected ({d},)")
-        amps = np.zeros(d * d, dtype=complex)
-        amps[np.arange(d) * d + np.arange(d)] = np.sqrt(spectrum) * np.exp(1j * phases)
-        states.append(MultipartiteState(amps, (d, d)))
-    if not states:
+        blocks.append([[[z]] for z in np.exp(1j * phases)])
+    if not blocks:
         raise ValueError("need at least one phase row")
-    diag = DensityOperator(np.diag(spectrum).astype(complex))
-    return FixedReducingSet(tuple(states), diag, diag, spectrum)
+    return build_general_spectrum(spectrum, blocks)
 
 
 def _multiplicities(spectrum: np.ndarray) -> list[int]:

@@ -29,25 +29,39 @@ def _frozen_complex_vector(values) -> np.ndarray:
     return arr
 
 
-def _frozen_complex_matrix(values) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
+def square_matrix(matrix, name: str) -> np.ndarray:
+    """``matrix`` (or its ``entries``) as a nonempty square complex array."""
+    mat = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {mat.shape}")
+    return mat
+
+
+def _frozen_complex_matrix(values, name: str) -> np.ndarray:
+    arr = square_matrix(values, name).copy()
     arr.setflags(write=False)
     return arr
+
+
+def _hermitian_residual(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat - mat.conj().T)))
+
+
+def _check_hermitian(mat: np.ndarray, name: str) -> None:
+    residual = _hermitian_residual(mat)
+    if residual > OP_TOL:
+        raise ValueError(f"{name} is not Hermitian: residual {residual:.3e}")
+
+
+def unitarity_residual(matrix: np.ndarray) -> float:
+    """max |U^dagger U - I| entrywise, zero exactly for a unitary U."""
+    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
 
 
 def _check_normalized(amps: np.ndarray) -> None:
     err = abs(np.linalg.norm(amps) - 1.0)
     if err > NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
-
-
-def _matrix_entries(matrix) -> np.ndarray:
-    mat = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
 
 
 def _default_labels(count: int) -> tuple[str, ...]:
@@ -117,18 +131,17 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_complex_matrix(self.entries))
+        object.__setattr__(self, "entries", _frozen_complex_matrix(self.entries, "operator"))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     def is_unitary(self, tol: float = OP_TOL) -> bool:
-        product = self.entries.conj().T @ self.entries
-        return float(np.max(np.abs(product - np.eye(self.dim)))) <= tol
+        return unitarity_residual(self.entries) <= tol
 
     def is_hermitian(self, tol: float = OP_TOL) -> bool:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= tol
+        return _hermitian_residual(self.entries) <= tol
 
 
 @dataclass(frozen=True)
@@ -138,10 +151,8 @@ class DensityOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_complex_matrix(self.entries)
-        residual = float(np.max(np.abs(mat - mat.conj().T)))
-        if residual > OP_TOL:
-            raise ValueError(f"density operator is not Hermitian: residual {residual:.3e}")
+        mat = _frozen_complex_matrix(self.entries, "density operator")
+        _check_hermitian(mat, "density operator")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > OP_TOL:
             raise ValueError(f"density operator has trace {trace}, expected 1")
@@ -166,10 +177,8 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_complex_matrix(self.entries)
-        residual = float(np.max(np.abs(mat - mat.conj().T)))
-        if residual > OP_TOL:
-            raise ValueError(f"Gram matrix is not Hermitian: residual {residual:.3e}")
+        mat = _frozen_complex_matrix(self.entries, "Gram matrix")
+        _check_hermitian(mat, "Gram matrix")
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < -OP_TOL:
             raise ValueError(f"Gram matrix has negative eigenvalue {lowest:.3e}")
@@ -313,10 +322,8 @@ def linearly_independent(states: Sequence[State], rank_tol: float = RANK_TOL) ->
 
 def psd_check(matrix, tol: float = OP_TOL) -> tuple[bool, float]:
     """Positive-semidefiniteness test: (min eigenvalue >= -tol, min eigenvalue)."""
-    mat = _matrix_entries(matrix)
-    residual = float(np.max(np.abs(mat - mat.conj().T)))
-    if residual > OP_TOL:
-        raise ValueError(f"matrix is not Hermitian: residual {residual:.3e}")
+    mat = square_matrix(matrix, "matrix")
+    _check_hermitian(mat, "matrix")
     lowest = float(np.linalg.eigvalsh(mat)[0])
     return lowest >= -tol, lowest
 
@@ -327,10 +334,8 @@ def hermitian_sqrt(matrix, *, op_tol: float = OP_TOL) -> np.ndarray:
     Eigenvalues in [-op_tol, 0] are treated as numerical zeros; anything
     below -op_tol is rejected.
     """
-    mat = _matrix_entries(matrix)
-    residual = float(np.max(np.abs(mat - mat.conj().T)))
-    if residual > OP_TOL:
-        raise ValueError(f"matrix is not Hermitian: residual {residual:.3e}")
+    mat = square_matrix(matrix, "matrix")
+    _check_hermitian(mat, "matrix")
     eigvals, eigvecs = np.linalg.eigh(mat)
     if float(eigvals[0]) < -op_tol:
         raise ValueError(f"matrix has negative eigenvalue {float(eigvals[0]):.3e}")

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import optimizer
-from .fixed_reducing import FixedReducingSet, cyclic_targets
+from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations
 from .hilbert import (
     OP_TOL,
     RANK_TOL,
@@ -37,6 +37,7 @@ from .hilbert import (
     linearly_independent,
     partial_trace,
     psd_check,
+    unitarity_residual,
     unitary_completion,
 )
 
@@ -90,7 +91,6 @@ class ProbabilisticMasker:
     probe_initial: StateVector
     unitary: Operator
     failure_states: tuple[MultipartiteState, ...]
-    success_projector_rank: int = 1
 
     def __post_init__(self):
         inputs = tuple(self.inputs)
@@ -422,15 +422,10 @@ def verify_masking(masker: Masker, tol: float = 1e-8) -> MaskingReport:
         expected = tuple(float(g) for g in masker.gammas)
     probabilities = tuple(o.success_probability for o in outcomes)
     fidelities = tuple(o.fidelity_to_target for o in outcomes)
-    reference_a = outcomes[0].marginal_A.entries
-    reference_b = outcomes[0].marginal_B.entries
-    marginal_deviation = 0.0
-    for outcome in outcomes[1:]:
-        dev_a = np.max(np.abs(outcome.marginal_A.entries - reference_a))
-        dev_b = np.max(np.abs(outcome.marginal_B.entries - reference_b))
-        marginal_deviation = max(marginal_deviation, float(dev_a), float(dev_b))
-    u = masker.unitary.entries
-    unitarity = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    marginal_deviation = max(
+        marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
+    )
+    unitarity = unitarity_residual(masker.unitary.entries)
     passed = (
         marginal_deviation <= tol
         and max(abs(p - e) for p, e in zip(probabilities, expected)) <= tol

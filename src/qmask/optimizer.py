@@ -13,67 +13,22 @@ efficiencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import OP_TOL, psd_check
+from .hilbert import OP_TOL, psd_check, square_matrix
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-@dataclass(frozen=True)
-class EfficiencyMatrix:
-    """Diagonal of the efficiency matrix Gamma."""
-
-    gammas: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(g) for g in self.gammas)
-        if not values:
-            raise ValueError("need at least one efficiency")
-        if any(g < 0.0 or g > 1.0 for g in values):
-            raise ValueError(f"efficiencies must lie in [0, 1], got {values}")
-        object.__setattr__(self, "gammas", values)
-
-    def __len__(self) -> int:
-        return len(self.gammas)
-
-    def diagonal(self) -> np.ndarray:
-        return np.asarray(self.gammas, dtype=float)
-
-
-@dataclass(frozen=True)
-class TwoStateProblem:
-    """Overlap magnitudes of a two-state masking instance."""
-
-    s: float
-    t: float
-
-    def __post_init__(self):
-        for name, value in (("s", self.s), ("t", self.t)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-    def solve(self) -> tuple[float, tuple[float, float]]:
-        return max_prob_two(self.s, self.t)
-
-
 def _gammas_array(gammas) -> np.ndarray:
-    values = np.asarray(getattr(gammas, "gammas", gammas), dtype=float).reshape(-1)
+    values = np.asarray(gammas, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("need at least one efficiency")
     if np.any(values < 0.0) or np.any(values > 1.0):
         raise ValueError("efficiencies must lie in [0, 1]")
     return values
-
-
-def _square_entries(matrix, name: str) -> np.ndarray:
-    mat = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    return mat
 
 
 def success_probability(gammas) -> float:
@@ -83,8 +38,8 @@ def success_probability(gammas) -> float:
 
 def residual_matrix(A, X_P, gammas) -> np.ndarray:
     """A - sqrt(Gamma) X sqrt(Gamma), the Gram weight left for failure branches."""
-    a = _square_entries(A, "A")
-    x = _square_entries(X_P, "X_P")
+    a = square_matrix(A, "A")
+    x = square_matrix(X_P, "X_P")
     if a.shape != x.shape:
         raise ValueError(f"matrix sizes differ: {a.shape} vs {x.shape}")
     values = _gammas_array(gammas)
@@ -156,8 +111,8 @@ def uniform_feasibility_boundary(
     A, X_P, *, tol: float = OP_TOL, bisect_tol: float = 1e-12
 ) -> float:
     """Largest c for which the uniform efficiencies Gamma = c I are feasible."""
-    a = _square_entries(A, "A")
-    x = _square_entries(X_P, "X_P")
+    a = square_matrix(A, "A")
+    x = square_matrix(X_P, "X_P")
     if a.shape != x.shape:
         raise ValueError(f"matrix sizes differ: {a.shape} vs {x.shape}")
     if float(np.linalg.eigvalsh(a)[0]) <= tol:
@@ -186,7 +141,6 @@ def maximize_general(
     A,
     X_P,
     *,
-    step: float = 1e-4,
     tol: float = OP_TOL,
     bisect_tol: float = 1e-10,
     max_sweeps: int = 64,
@@ -196,12 +150,14 @@ def maximize_general(
     Bisects the uniform scale first, then performs coordinate ascent on
     log gamma_i under the eigenvalue feasibility constraint: each sweep
     pushes one efficiency to its per-coordinate boundary while the others
-    stay fixed. The result is feasible and locally undominated, in that
-    raising any single efficiency by ``step`` breaks feasibility (or
+    stay fixed, to within ``bisect_tol``. Sweeps stop once no efficiency
+    moves by more than ``bisect_tol`` (or after ``max_sweeps``). The result
+    is feasible and locally undominated up to ``bisect_tol``: raising any
+    single efficiency by clearly more than that breaks feasibility (or
     leaves [0, 1]); global optimality is not certified.
     """
-    a = _square_entries(A, "A")
-    x = _square_entries(X_P, "X_P")
+    a = square_matrix(A, "A")
+    x = square_matrix(X_P, "X_P")
     if a.shape != x.shape:
         raise ValueError(f"matrix sizes differ: {a.shape} vs {x.shape}")
     n = a.shape[0]

@@ -84,7 +84,9 @@ class TestVerifyFixedReducing:
             [np.array([1, 0, 0, 1]) / np.sqrt(2), np.array([1, 0, 0, 0])],
         )
         assert main(["verify-fixed-reducing", path]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "state 1: marginal deviation 5.000e-01" in out
+        assert "FAIL" in out
 
     def test_truncated_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "truncated.json"
@@ -239,6 +241,18 @@ class TestSimulate:
         assert main(["simulate", str(masker_path), "--state", "99"]) == 2
         assert "99" in capsys.readouterr().err
 
+    def test_marginal_deviation_matches_verify_masking(self, tmp_path, capsys):
+        m = build_probabilistic(
+            [basis_state(3, 0), StateVector(np.array([0.6, 0.8, 0.0])), basis_state(3, 2)],
+            cyclic_targets(3, 3),
+            [0.3, 0.2, 0.4],
+        )
+        path = tmp_path / "masker.json"
+        save_masker(m, path)
+        assert main(["simulate", str(path)]) == 0
+        expected = f"{verify_masking(load_masker(path)).max_marginal_deviation:.3e}"
+        assert f"cross-state marginal deviation: {expected}" in capsys.readouterr().out
+
 
 class TestFigure1:
     def test_csv_spot_values_and_determinism(self, tmp_path):
@@ -266,6 +280,18 @@ class TestFigure1:
     def test_unwritable_path_is_io_error(self, tmp_path, capsys):
         assert main(["figure1", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--steps", "-1", "non-negative"),
+        ("--s-values", "1.5", "[0, 1]"),
+        ("--s-values", "nan", "[0, 1]"),
+    ])
+    def test_out_of_range_argument_is_input_error(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["figure1", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and message in err
 
 
 class TestMaskerFiles:
@@ -385,3 +411,9 @@ def test_cli_import_loads_no_scipy():
     completed = subprocess.run([sys.executable, "-c", code], env=env,
                                capture_output=True, text=True, timeout=60, check=True)
     assert completed.stdout.strip() == "[]"
+
+
+def test_exports_resolve_without_duplicates():
+    assert len(set(qmask.__all__)) == len(qmask.__all__)
+    for name in qmask.__all__:
+        getattr(qmask, name)

@@ -3,15 +3,20 @@ import pytest
 
 from helpers import haar_unitary
 from qmask.fixed_reducing import (
+    FixedReducingSet,
     build_distinct_spectrum,
     build_general_spectrum,
     build_uniform_spectrum,
     cyclic_targets,
     from_states,
+    marginal_deviations,
+    marginals,
     targets_with_overlap,
     verify_fixed_reducing,
 )
-from qmask.hilbert import MultipartiteState, fidelity, gram, overlap, partial_trace
+from qmask.hilbert import (
+    DensityOperator, MultipartiteState, fidelity, gram, overlap, partial_trace,
+)
 
 INV2 = 1.0 / np.sqrt(2)
 
@@ -60,6 +65,22 @@ class TestVerify:
         family = from_states(bell_family())
         assert np.allclose(family.common_marginal_A.entries, np.eye(2) / 2, atol=1e-12)
         assert np.allclose(family.alphas, [0.5, 0.5], atol=1e-12)
+
+    def test_marginal_deviations_default_and_explicit_reference(self):
+        product = MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))
+        pairs = [marginals(state) for state in bell_family() + [product]]
+        assert marginal_deviations(pairs) == pytest.approx([0.0, 0.0, 0.5], abs=1e-15)
+        assert marginal_deviations(pairs, marginals(product)) == pytest.approx(
+            [0.5, 0.5, 0.0], abs=1e-15
+        )
+
+    def test_set_names_worst_state(self):
+        half = np.eye(2, dtype=complex) / 2
+        partial = MultipartiteState(np.array([np.sqrt(0.8), 0, 0, np.sqrt(0.2)]), (2, 2))
+        product = MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))
+        family = (bell_family()[0], partial, product)
+        with pytest.raises(ValueError, match="fixed reducing: state 2 deviates .* 5.000e-01"):
+            FixedReducingSet(family, DensityOperator(half), DensityOperator(half), [0.5, 0.5])
 
     def test_from_states_rejects_bad_family(self):
         family = [bell_family()[0], MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))]

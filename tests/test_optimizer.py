@@ -8,8 +8,6 @@ from qmask.hilbert import gram
 from qmask.fixed_reducing import cyclic_targets
 from qmask.optimizer import (
     DEFAULT_S_VALUES,
-    EfficiencyMatrix,
-    TwoStateProblem,
     feasible,
     max_prob_grid_oracle,
     max_prob_two,
@@ -27,20 +25,6 @@ def two_state_matrices(s, t):
     return np.array([[1.0, s], [s, 1.0]]), np.array([[1.0, t], [t, 1.0]])
 
 
-class TestEfficiencyTypes:
-    def test_efficiency_matrix_bounds(self):
-        assert EfficiencyMatrix((0.5, 1.0)).diagonal().tolist() == [0.5, 1.0]
-        with pytest.raises(ValueError, match="0, 1"):
-            EfficiencyMatrix((1.2,))
-        with pytest.raises(ValueError, match="0, 1"):
-            EfficiencyMatrix((-0.1, 0.5))
-
-    def test_two_state_problem_bounds(self):
-        assert TwoStateProblem(0.5, 0.5).solve()[0] == 1.0
-        with pytest.raises(ValueError, match="s"):
-            TwoStateProblem(1.5, 0.5)
-
-
 class TestSuccessProbability:
     def test_unit_efficiencies(self):
         assert success_probability((1.0, 1.0)) == 1.0
@@ -50,9 +34,6 @@ class TestSuccessProbability:
 
     def test_equal_optimum_rounding(self):
         assert success_probability((0.2929, 0.2929)) == pytest.approx(0.0858, abs=1e-4)
-
-    def test_accepts_efficiency_matrix(self):
-        assert success_probability(EfficiencyMatrix((0.2, 0.5))) == pytest.approx(0.1)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -201,7 +182,7 @@ class TestMaximizeGeneral:
 
     def test_locally_undominated(self):
         a, x = two_state_matrices(0.5, 0.0)
-        gammas, _ = maximize_general(a, x, step=1e-4)
+        gammas, _ = maximize_general(a, x)
         for i in range(2):
             bumped = gammas.copy()
             bumped[i] = bumped[i] + 1e-4

@@ -17,20 +17,34 @@ from .fixed_reducing import MARGINAL_TOL
 from .hilbert import MultipartiteState, StateVector, gram
 
 
-def _comma_floats(text: str) -> list[float]:
+def _efficiencies(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part]
+        values = [float(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not all(0.0 < g <= 1.0 for g in values):
+        raise argparse.ArgumentTypeError(f"efficiencies must lie in (0, 1], got {text!r}")
+    return values
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
 
 
 def _overlap_magnitude(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    value = _number(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"overlap magnitude must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _target_overlap(text: str) -> float:
+    value = _number(text)
+    if not abs(value) <= 1.0:
+        raise argparse.ArgumentTypeError(f"target overlap must lie in [-1, 1], got {text!r}")
     return value
 
 
@@ -213,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     target_group = p.add_mutually_exclusive_group(required=True)
     target_group.add_argument("--targets", default=None,
                               help="state-set JSON file of bipartite target states")
-    target_group.add_argument("--target-overlap", type=float, default=None,
+    target_group.add_argument("--target-overlap", type=_target_overlap, default=None,
                               help="build two targets with this mutual overlap")
     gamma_group = p.add_mutually_exclusive_group(required=True)
-    gamma_group.add_argument("--gammas", type=_comma_floats, default=None,
+    gamma_group.add_argument("--gammas", type=_efficiencies, default=None,
                              help="comma-separated efficiencies, one per input")
     gamma_group.add_argument("--maximize", action="store_true",
                              help="maximize the success probability first")

@@ -197,7 +197,7 @@ def masker_to_json(m) -> dict:
         "inputs": state_set_to_json((d,), [a.amplitudes for a in m.inputs]),
         "ancilla_index": _ancilla_index(m.ancilla),
     }
-    if isinstance(m, masking.ProbabilisticMasker):
+    if m.probe_dim > 1:
         document["kind"] = "probabilistic"
         document["dims"] = [d, d, m.probe_dim]
         document["gammas"] = [float(g) for g in m.gammas]
@@ -243,27 +243,30 @@ def masker_from_json(document: dict):
     unitary = Operator(_matrix_from_json(document.get("unitary"), "unitary", total))
 
     if kind == "deterministic":
-        return masking.DeterministicMasker(inputs, ancilla_state, targets, unitary)
-
-    probe_dim = document.get("probe_dim")
-    _require(probe_dim == n + 1, "probe_dim", f"expected {n + 1}, got {probe_dim!r}")
-    _require(dims[2] == probe_dim, "dims", f"probe subsystem must have dimension {probe_dim}")
-    raw_gammas = document.get("gammas")
-    _require(
-        isinstance(raw_gammas, list) and len(raw_gammas) == n
-        and all(isinstance(g, (int, float)) and not isinstance(g, bool) for g in raw_gammas),
-        "gammas",
-        f"expected {n} numbers",
-    )
-    gammas = np.asarray(raw_gammas, dtype=float)
-    _require(bool(np.all(gammas > 0)) and bool(np.all(gammas <= 1)), "gammas",
-             "efficiencies must lie in (0, 1]")
-    probe_start = np.zeros(probe_dim, dtype=complex)
-    probe_start[0] = 1.0
-    failures = masking.failure_branches(unitary, inputs, ancilla_state, targets, gammas)
-    return masking.ProbabilisticMasker(
-        inputs, ancilla_state, targets, gammas, StateVector(probe_start), unitary, failures
-    )
+        gammas = np.ones(n)
+    else:
+        probe_dim = document.get("probe_dim")
+        _require(probe_dim == n + 1, "probe_dim", f"expected {n + 1}, got {probe_dim!r}")
+        _require(dims[2] == probe_dim, "dims", f"probe subsystem must have dimension {probe_dim}")
+        raw_gammas = document.get("gammas")
+        _require(
+            isinstance(raw_gammas, list) and len(raw_gammas) == n
+            and all(isinstance(g, (int, float)) and not isinstance(g, bool) for g in raw_gammas),
+            "gammas",
+            f"expected {n} numbers",
+        )
+        gammas = np.asarray(raw_gammas, dtype=float)
+        _require(bool(np.all(gammas > 0)) and bool(np.all(gammas <= 1)), "gammas",
+                 "efficiencies must lie in (0, 1]")
+    m = masking.Masker(inputs, ancilla_state, targets, gammas, unitary)
+    # the only check that the efficiencies and targets belong to the unitary
+    try:
+        masking.failure_branches(m)
+    except ValueError as exc:
+        raise FileFormatError(
+            f"field 'gammas': disagrees with the unitary and targets at {exc}"
+        ) from exc
+    return m
 
 
 def load_masker(path):

@@ -9,6 +9,7 @@ everything here is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -137,8 +138,13 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def unitarity_residual(self) -> float:
+        """max |U^dagger U - I| of the entries, evaluated once per operator."""
+        return unitarity_residual(self.entries)
+
     def is_unitary(self, tol: float = OP_TOL) -> bool:
-        return unitarity_residual(self.entries) <= tol
+        return self.unitarity_residual <= tol
 
     def is_hermitian(self, tol: float = OP_TOL) -> bool:
         return _hermitian_residual(self.entries) <= tol

@@ -2,28 +2,33 @@
 
 A masker hides which member of a known state family was supplied: it
 unitarily spreads |a_k>_A (x) |b>_B over both subsystems so that every
-output has identical marginals on A and on B. Mutually orthogonal
-families admit a plain unitary masker. Families that are merely linearly
-independent need a probe: the joint unitary sends each prepared input to
-sqrt(gamma_k) |Psi_k>|P_0> plus a failure branch supported on probe
-states orthogonal to |P_0>, and post-selecting the probe on |P_0>
+output has identical marginals on A and on B. Families that are merely
+linearly independent need a probe: the joint unitary sends each prepared
+input to sqrt(gamma_k) |Psi_k>|P_0> plus a failure branch supported on
+probe states orthogonal to |P_0>, and post-selecting the probe on |P_0>
 completes the masking with per-input success probability gamma_k. The
 efficiencies are admissible exactly when the residual matrix
 A - sqrt(Gamma) X sqrt(Gamma) built from the input and target Gram
 matrices is positive semidefinite; its normalized form fixes the Gram
 matrix of the failure branches.
+
+One ``Masker`` type covers both cases. A mutually orthogonal family
+admits the deterministic masker: no probe, a unitary on A (x) B alone and
+every gamma_k = 1. The failure branches are not stored; ``failure_branches``
+derives them from the unitary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations
 from .hilbert import (
+    NORM_TOL,
     OP_TOL,
     RANK_TOL,
     DensityOperator,
@@ -37,50 +42,24 @@ from .hilbert import (
     linearly_independent,
     partial_trace,
     psd_check,
-    unitarity_residual,
     unitary_completion,
 )
 
-Masker = Union["DeterministicMasker", "ProbabilisticMasker"]
+# |weight - (1 - gamma)| allowed for a failure branch: the bound a unit-norm
+# check on the branch rescaled by 1/sqrt(1 - gamma) gives at 1 - gamma = 1,
+# held fixed so that rounding is not amplified as gamma approaches 1
+FAILURE_WEIGHT_TOL = 2 * NORM_TOL
 
 
 @dataclass(frozen=True)
-class DeterministicMasker:
-    """Unitary on A (x) B sending each |a_k>|b> to its masked target."""
+class Masker:
+    """Unitary masking each input with efficiency gamma_k.
 
-    inputs: tuple[StateVector, ...]
-    ancilla: StateVector
-    targets: FixedReducingSet
-    unitary: Operator
-
-    def __post_init__(self):
-        inputs = tuple(self.inputs)
-        d = self.ancilla.dim
-        if not inputs or any(a.dim != d for a in inputs):
-            raise ValueError("inputs and ancilla must share one dimension")
-        if self.targets.dim != d or self.targets.n != len(inputs):
-            raise ValueError("targets do not match the input family")
-        if self.unitary.dim != d * d:
-            raise ValueError(f"unitary must act on dimension {d * d}")
-        if not self.unitary.is_unitary():
-            raise ValueError("masker operator is not unitary")
-        object.__setattr__(self, "inputs", inputs)
-
-    @property
-    def n(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def dim(self) -> int:
-        return self.ancilla.dim
-
-
-@dataclass(frozen=True)
-class ProbabilisticMasker:
-    """Unitary on A (x) B (x) P masking each input with efficiency gamma_k.
-
-    The probe has dimension n + 1; basis state 0 carries every success
-    branch and is the rank-one post-selection outcome, basis states 1..n
+    The probe dimension is read off the unitary. A unitary on A (x) B
+    (dimension d^2) means no probe, and every gamma_k must be 1: the
+    deterministic masker. A unitary on A (x) B (x) P (dimension
+    d^2 (n + 1)) means a probe whose basis state 0 carries every success
+    branch and is the rank-one post-selection outcome; basis states 1..n
     carry the failure branches.
     """
 
@@ -88,9 +67,7 @@ class ProbabilisticMasker:
     ancilla: StateVector
     targets: FixedReducingSet
     gammas: np.ndarray
-    probe_initial: StateVector
     unitary: Operator
-    failure_states: tuple[MultipartiteState, ...]
 
     def __post_init__(self):
         inputs = tuple(self.inputs)
@@ -101,21 +78,17 @@ class ProbabilisticMasker:
         if self.targets.dim != d or self.targets.n != n:
             raise ValueError("targets do not match the input family")
         gammas = np.array(self.gammas, dtype=float)
-        if gammas.shape != (n,) or np.any(gammas <= 0) or np.any(gammas > 1):
+        if gammas.shape != (n,) or not np.all((gammas > 0) & (gammas <= 1)):
             raise ValueError("efficiencies must be n values in (0, 1]")
-        if self.probe_initial.dim != n + 1:
-            raise ValueError(f"probe dimension must be {n + 1}")
-        if self.unitary.dim != d * d * (n + 1):
-            raise ValueError(f"unitary must act on dimension {d * d * (n + 1)}")
+        if self.unitary.dim not in (d * d, d * d * (n + 1)):
+            raise ValueError(f"unitary must act on dimension {d * d} or {d * d * (n + 1)}")
+        if self.unitary.dim == d * d and np.any(gammas < 1):
+            raise ValueError("a masker without a probe needs unit efficiencies")
         if not self.unitary.is_unitary():
             raise ValueError("masker operator is not unitary")
-        failures = tuple(self.failure_states)
-        if len(failures) != n or any(f.dims != (d, d, n + 1) for f in failures):
-            raise ValueError("failure states must be n states on A (x) B (x) P")
         gammas.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "failure_states", failures)
 
     @property
     def n(self) -> int:
@@ -127,7 +100,11 @@ class ProbabilisticMasker:
 
     @property
     def probe_dim(self) -> int:
-        return self.probe_initial.dim
+        return self.unitary.dim // (self.dim * self.dim)
+
+    @property
+    def failure_states(self) -> tuple[MultipartiteState, ...]:
+        return failure_branches(self)
 
 
 @dataclass(frozen=True)
@@ -167,6 +144,23 @@ def _checked_inputs(inputs: Sequence[StateVector], d: int | None) -> tuple[tuple
     return family, inferred
 
 
+def _on_probe_start(vector: np.ndarray, probe_dim: int) -> np.ndarray:
+    """``vector`` (x) |P_0>_P, or ``vector`` itself when there is no probe."""
+    if probe_dim == 1:
+        return vector
+    return np.kron(vector, basis_state(probe_dim, 0).amplitudes)
+
+
+def _prepared(state: StateVector, ancilla: StateVector, probe_dim: int) -> np.ndarray:
+    """The prepared input |a>_A |b>_B |P_0>_P."""
+    return _on_probe_start(np.kron(state.amplitudes, ancilla.amplitudes), probe_dim)
+
+
+def _carried(probe_part: np.ndarray, d: int) -> np.ndarray:
+    """The fixed |0>_A |0>_B product that carries every failure branch, (x) ``probe_part``."""
+    return np.kron(basis_state(d * d, 0).amplitudes, probe_part)
+
+
 def build_deterministic(
     inputs: Sequence[StateVector],
     d: int | None = None,
@@ -174,8 +168,8 @@ def build_deterministic(
     *,
     ancilla: StateVector | None = None,
     op_tol: float = OP_TOL,
-) -> DeterministicMasker:
-    """Masker for a mutually orthogonal family.
+) -> Masker:
+    """Probe-free masker for a mutually orthogonal family.
 
     Defaults the targets to the orthogonal cyclic family and the ancilla
     to the first basis state; explicit targets must reproduce the inputs'
@@ -208,13 +202,10 @@ def build_deterministic(
     elif ancilla.dim != d:
         raise ValueError(f"ancilla dimension {ancilla.dim} does not match d={d}")
 
-    prepared = [
-        MultipartiteState(np.kron(a.amplitudes, ancilla.amplitudes), (d, d))
-        for a in family
-    ]
+    prepared = [MultipartiteState(_prepared(a, ancilla, 1), (d, d)) for a in family]
     # both Gram matrices sit within op_tol of the identity, so allow slack
     unitary = unitary_completion(prepared, targets.states, tol=10 * op_tol)
-    return DeterministicMasker(family, ancilla, targets, unitary)
+    return Masker(family, ancilla, targets, np.ones(n), unitary)
 
 
 def check_deterministic_feasible(
@@ -244,7 +235,7 @@ def build_probabilistic(
     ancilla: StateVector | None = None,
     op_tol: float = OP_TOL,
     rank_tol: float = RANK_TOL,
-) -> ProbabilisticMasker:
+) -> Masker:
     """Masker for a linearly independent family with efficiencies ``gammas``.
 
     Writes A = gram(inputs) and X = gram(targets) and requires the
@@ -301,76 +292,56 @@ def build_probabilistic(
     coefficients = hermitian_sqrt(np.conj(normalized), op_tol=sqrt_tol)
 
     probe_dim = n + 1
-    probe_start = np.zeros(probe_dim, dtype=complex)
-    probe_start[0] = 1.0
-    carrier = np.zeros(d * d, dtype=complex)
-    carrier[0] = 1.0  # fixed |0>_A |0>_B product carrying every failure branch
-
+    dims = (d, d, probe_dim)
     prepared = []
     outputs = []
-    failures = []
     for i in range(n):
-        prepared.append(MultipartiteState(
-            np.kron(np.kron(family[i].amplitudes, ancilla.amplitudes), probe_start),
-            (d, d, probe_dim),
-        ))
+        prepared.append(MultipartiteState(_prepared(family[i], ancilla, probe_dim), dims))
         probe_part = np.zeros(probe_dim, dtype=complex)
         probe_part[1:] = coefficients[i, :]
-        failure = MultipartiteState(np.kron(carrier, probe_part), (d, d, probe_dim))
-        failures.append(failure)
+        # as a state, the failure branch is checked to be normalized
+        failure = MultipartiteState(_carried(probe_part, d), dims)
         amplitude = (
-            np.sqrt(efficiencies[i]) * np.kron(targets.states[i].amplitudes, probe_start)
+            np.sqrt(efficiencies[i]) * _on_probe_start(targets.states[i].amplitudes, probe_dim)
             + np.sqrt(max(1.0 - efficiencies[i], 0.0)) * failure.amplitudes
         )
-        outputs.append(MultipartiteState(amplitude, (d, d, probe_dim)))
+        outputs.append(MultipartiteState(amplitude, dims))
 
     # rows gated at op_tol above can leave a matching op_tol-sized Gram slack
     unitary = unitary_completion(prepared, outputs, tol=max(1e-8, 10 * op_tol))
-    return ProbabilisticMasker(
-        family,
-        ancilla,
-        targets,
-        efficiencies,
-        StateVector(probe_start),
-        unitary,
-        tuple(failures),
-    )
+    return Masker(family, ancilla, targets, efficiencies, unitary)
 
 
-def failure_branches(
-    unitary: Operator,
-    inputs: Sequence[StateVector],
-    ancilla: StateVector,
-    targets: FixedReducingSet,
-    gammas: Sequence[float],
-) -> tuple[MultipartiteState, ...]:
-    """Normalized failure components of each evolved input.
+def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
+    """Normalized failure components of each evolved input, derived from the unitary.
 
-    Recovered from the unitary itself: the evolved input minus its success
-    branch, rescaled by 1/sqrt(1 - gamma). Inputs with gamma = 1 have no
-    failure branch; an arbitrary placeholder on the matching failure probe
-    state is returned for them.
+    The failure component of input k is the evolved input minus its success
+    branch sqrt(gamma_k) |Psi_k>|P_0>; its squared norm must equal
+    1 - gamma_k to within FAILURE_WEIGHT_TOL, else ValueError names the
+    input and the gap. A masker without a probe has no failure branches.
+    Inputs with gamma = 1 have none either; an arbitrary placeholder on the
+    matching failure probe state is returned for them.
     """
-    family = tuple(inputs)
-    n = len(family)
-    d = ancilla.dim
-    probe_dim = n + 1
-    efficiencies = np.asarray(gammas, dtype=float).reshape(-1)
-    probe_start = np.zeros(probe_dim, dtype=complex)
-    probe_start[0] = 1.0
+    d, probe_dim = masker.dim, masker.probe_dim
+    if probe_dim == 1:
+        return ()
     branches = []
-    for i in range(n):
-        if efficiencies[i] >= 1.0:
-            placeholder = np.zeros(probe_dim, dtype=complex)
-            placeholder[i + 1] = 1.0
-            carrier = np.zeros(d * d, dtype=complex)
-            carrier[0] = 1.0
-            branches.append(MultipartiteState(np.kron(carrier, placeholder), (d, d, probe_dim)))
-            continue
-        prepared = np.kron(np.kron(family[i].amplitudes, ancilla.amplitudes), probe_start)
-        evolved = unitary.entries @ prepared
-        success = np.sqrt(efficiencies[i]) * np.kron(targets.states[i].amplitudes, probe_start)
-        branch = (evolved - success) / np.sqrt(1.0 - efficiencies[i])
+    for k, gamma in enumerate(masker.gammas):
+        evolved = masker.unitary.entries @ _prepared(masker.inputs[k], masker.ancilla, probe_dim)
+        branch = evolved - np.sqrt(gamma) * _on_probe_start(
+            masker.targets.states[k].amplitudes, probe_dim
+        )
+        weight = float(np.vdot(branch, branch).real)
+        gap = abs(weight - (1.0 - gamma))
+        if gap > FAILURE_WEIGHT_TOL:
+            raise ValueError(
+                f"input {k}: failure branch weight {weight:.6e} differs from "
+                f"1 - gamma = {1.0 - gamma:.6e} by {gap:.3e}"
+            )
+        if gamma >= 1.0:
+            branch = _carried(basis_state(probe_dim, k + 1).amplitudes, d)
+        else:
+            branch = branch / np.sqrt(weight)
         branches.append(MultipartiteState(branch, (d, d, probe_dim)))
     return tuple(branches)
 
@@ -378,24 +349,16 @@ def failure_branches(
 def simulate(masker: Masker, k: int) -> MaskingOutcome:
     """Mask input k and post-select the probe on the success outcome.
 
-    The success probability is the squared norm of the projected branch:
-    1 for a deterministic masker, gamma_k for a probabilistic one.
+    The success probability is the squared norm of the projected branch,
+    gamma_k (1 for a masker without a probe).
     """
     n = len(masker.inputs)
     if not 0 <= k < n:
         raise IndexError(f"state index {k} outside range 0..{n - 1}")
     d = masker.dim
-    if isinstance(masker, DeterministicMasker):
-        prepared = np.kron(masker.inputs[k].amplitudes, masker.ancilla.amplitudes)
-        branch = masker.unitary.entries @ prepared
-    else:
-        prepared = np.kron(
-            np.kron(masker.inputs[k].amplitudes, masker.ancilla.amplitudes),
-            masker.probe_initial.amplitudes,
-        )
-        evolved = masker.unitary.entries @ prepared
-        # probe basis index 0 is the rank-one success outcome
-        branch = evolved.reshape(d * d, masker.probe_dim)[:, 0]
+    evolved = masker.unitary.entries @ _prepared(masker.inputs[k], masker.ancilla, masker.probe_dim)
+    # probe basis index 0 is the rank-one success outcome
+    branch = evolved.reshape(d * d, masker.probe_dim)[:, 0]
     probability = float(np.vdot(branch, branch).real)
     post_selected = MultipartiteState(branch / np.sqrt(probability), (d, d))
     return MaskingOutcome(
@@ -410,22 +373,19 @@ def simulate(masker: Masker, k: int) -> MaskingOutcome:
 def verify_masking(masker: Masker, tol: float = 1e-8) -> MaskingReport:
     """Simulate every input and aggregate the masking checks.
 
-    Passes when all success probabilities match their expected values
-    (1 or gamma_k), every post-selected state reaches its target up to
+    Passes when all success probabilities match their efficiencies
+    gamma_k, every post-selected state reaches its target up to
     1 - tol in fidelity, the marginals agree across inputs entrywise, and
     the stored operator is unitary, all within ``tol``.
     """
     outcomes = [simulate(masker, k) for k in range(len(masker.inputs))]
-    if isinstance(masker, DeterministicMasker):
-        expected = tuple(1.0 for _ in outcomes)
-    else:
-        expected = tuple(float(g) for g in masker.gammas)
+    expected = tuple(float(g) for g in masker.gammas)
     probabilities = tuple(o.success_probability for o in outcomes)
     fidelities = tuple(o.fidelity_to_target for o in outcomes)
     marginal_deviation = max(
         marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
     )
-    unitarity = unitarity_residual(masker.unitary.entries)
+    unitarity = masker.unitary.unitarity_residual
     passed = (
         marginal_deviation <= tol
         and max(abs(p - e) for p, e in zip(probabilities, expected)) <= tol

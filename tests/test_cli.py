@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,9 +16,10 @@ from qmask.cli import main
 from qmask.fileio import (
     load_masker, load_state_set, masker_to_json, save_masker, save_state_set,
 )
-from qmask.fixed_reducing import cyclic_targets
+from qmask.fixed_reducing import cyclic_targets, targets_with_overlap
 from qmask.hilbert import Operator, StateVector, basis_state
 from qmask.masker import build_deterministic, build_probabilistic, verify_masking
+from qmask.optimizer import max_prob_two
 
 INV2 = 1.0 / np.sqrt(2)
 # floats whose repr round trip is easy to break: signed zero, subnormal, near overflow, inexact sum
@@ -190,6 +193,12 @@ class TestMaskProb:
         assert code == 1
         assert "2 targets" in capsys.readouterr().err
 
+    def test_negative_target_overlap_is_valid(self, overlap_pair_file):
+        code = main([
+            "mask-prob", overlap_pair_file, "--target-overlap", "-0.5", "--gammas", "0.1,0.1",
+        ])
+        assert code == 0
+
     def test_prints_verification_block(self, overlap_pair_file, tmp_path, capsys):
         out_path = tmp_path / "masker.json"
         code = main([
@@ -285,10 +294,23 @@ class TestFigure1:
         ("--steps", "-1", "non-negative"),
         ("--s-values", "1.5", "[0, 1]"),
         ("--s-values", "nan", "[0, 1]"),
+        ("--gammas", "1.5,0.1", "(0, 1]"),
+        ("--gammas", "0,0.1", "(0, 1]"),
+        ("--gammas", "nan,0.1", "(0, 1]"),
+        ("--target-overlap", "2", "[-1, 1]"),
+        ("--target-overlap", "nan", "[-1, 1]"),
     ])
-    def test_out_of_range_argument_is_input_error(self, flag, value, message, capsys):
+    def test_out_of_range_argument_is_input_error(
+        self, flag, value, message, overlap_pair_file, capsys
+    ):
+        # the mask-prob flags need an input file and the other required flag
+        mask_prob = {"--gammas": ["--target-overlap", "0"], "--target-overlap": ["--gammas", "0.1"]}
+        if flag in mask_prob:
+            argv = ["mask-prob", overlap_pair_file, *mask_prob[flag], flag, value]
+        else:
+            argv = ["figure1", flag, value]
         with pytest.raises(SystemExit) as exited:
-            main(["figure1", flag, value])
+            main(argv)
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and message in err
@@ -318,6 +340,35 @@ class TestMaskerFiles:
         save_masker(masker, first)
         save_masker(load_masker(first), second)
         assert first.read_text() == second.read_text()
+
+    @pytest.mark.parametrize("s, gap", [(0.3, 1e-11), (0.3, 1e-13), (0.9, 1e-13)])
+    def test_round_trip_near_unit_efficiency(self, tmp_path, s, gap):
+        # 1 - gamma is ~1e-11 here: the failure branch weight, not its rescaled norm, is checked
+        _, gammas = max_prob_two(s, s - gap)
+        inputs = [basis_state(2, 0), StateVector(np.array([s, np.sqrt(1 - s * s)]))]
+        masker = build_probabilistic(inputs, targets_with_overlap(2, s - gap), gammas)
+        assert verify_masking(masker).passed
+        path = tmp_path / "masker.json"
+        save_masker(masker, path)
+        assert verify_masking(load_masker(path)) == verify_masking(masker)
+        assert main(["simulate", str(path)]) == 0
+
+    @pytest.mark.parametrize("edit, index", [
+        (lambda document: document["gammas"].__setitem__(1, 0.15), 1),
+        (lambda document: document["targets"]["states"].reverse(), 0),
+    ], ids=["edited-gamma", "swapped-targets"])
+    def test_gammas_disagreeing_with_unitary_are_input_error(
+        self, tmp_path, capsys, edit, index
+    ):
+        inputs = [basis_state(2, 0), StateVector(np.array([INV2, INV2]))]
+        path = tmp_path / "masker.json"
+        save_masker(build_probabilistic(inputs, cyclic_targets(2, 2), [0.1, 0.1]), path)
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'gammas'" in err and f"input {index}" in err
 
     def test_corrupt_kind_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -417,3 +468,14 @@ def test_exports_resolve_without_duplicates():
     assert len(set(qmask.__all__)) == len(qmask.__all__)
     for name in qmask.__all__:
         getattr(qmask, name)
+
+
+def test_traced_functions_resolve():
+    # the benchmark traces these by name; a rename would silently zero its metrics
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attribute in spans.TRACED_FUNCTIONS.values():
+        assert callable(getattr(importlib.import_module(module), attribute, None)), attribute
+    assert callable(Operator.__dict__.get("is_unitary"))

@@ -1,9 +1,12 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import haar_unitary, random_independent, random_orthonormal, random_state
+from qmask import hilbert
+from qmask.fileio import load_masker, save_masker
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap, verify_fixed_reducing
 from qmask.hilbert import (
     MultipartiteState,
@@ -14,11 +17,9 @@ from qmask.hilbert import (
     gram,
 )
 from qmask.masker import (
-    DeterministicMasker,
     build_deterministic,
     build_probabilistic,
     check_deterministic_feasible,
-    failure_branches,
     simulate,
     verify_masking,
 )
@@ -163,18 +164,17 @@ class TestBuildProbabilistic:
             )
             assert np.max(np.abs(reconstructed - a)) <= 1e-9
 
-    def test_failure_branches_recoverable_from_unitary(self, rng):
+    def test_failure_branches_recoverable_from_unitary(self, rng, tmp_path):
         inputs = random_independent(2, 3, rng)
         targets = cyclic_targets(2, 3)
         boundary = uniform_feasibility_boundary(
             gram(inputs).entries, gram(targets.states).entries
         )
         masker = build_probabilistic(inputs, targets, np.full(2, boundary / 2))
-        recovered = failure_branches(
-            masker.unitary, masker.inputs, masker.ancilla, masker.targets, masker.gammas
-        )
-        for stored, rebuilt in zip(masker.failure_states, recovered):
-            assert fidelity(stored, rebuilt) == pytest.approx(1.0, abs=1e-9)
+        path = tmp_path / "masker.json"
+        save_masker(masker, path)
+        for built, loaded in zip(masker.failure_states, load_masker(path).failure_states):
+            assert fidelity(built, loaded) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSimulate:
@@ -223,7 +223,7 @@ class TestSimulate:
         prepared = [
             np.kron(
                 np.kron(a.amplitudes, masker.ancilla.amplitudes),
-                masker.probe_initial.amplitudes,
+                basis_state(3, 0).amplitudes,
             )
             for a in inputs
         ]
@@ -234,6 +234,20 @@ class TestSimulate:
 
 
 class TestVerifyMasking:
+    def test_unitarity_residual_evaluated_once(self, monkeypatch):
+        targets = cyclic_targets(2, 2)
+        calls = []
+        residual = hilbert.unitarity_residual
+        # count it wherever a qmask module binds it
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qmask" and vars(module).get("unitarity_residual") is residual:
+                monkeypatch.setattr(
+                    module, "unitarity_residual", lambda m: calls.append(1) or residual(m)
+                )
+        report = verify_masking(build_probabilistic(overlap_pair(), targets, [0.1, 0.1]))
+        assert report.passed and report.unitarity_residual <= 1e-10
+        assert len(calls) == 1
+
     def test_deterministic_masker_passes(self, rng):
         masker = build_deterministic(random_orthonormal(3, 4, rng))
         report = verify_masking(masker)

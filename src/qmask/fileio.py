@@ -6,10 +6,22 @@ through Python's float repr. Files are written as compact, unindented
 JSON (an indent would force CPython's pure-Python encoder); indented
 files with the same schema load through the same parser.
 
+A masker file carries ``"version": 2`` and its unitary in factored form,
+U = I - Q Q^dagger + Q W Q^dagger: ``span_basis`` is Q (D rows of k
+pairs, k <= 2n), an orthonormal basis of the only subspace U moves, and
+``unitary`` is W (k x k), U written in that basis. The file grows as
+O(D n) rather than O(D^2). Files without a version (version 1) have no
+``span_basis``: their ``unitary`` is written in the standard basis, the
+dense D x D matrix. They still load, and a masker with a dense unitary
+is written back in that layout. On load Q must be orthonormal, W
+unitary, the targets fixed reducing and every failure branch weight
+equal to 1 - gamma_k; any failure is a ``FileFormatError`` naming the
+field.
+
 Loading converts each array of pairs with one numpy call and checks its
 shape, its numeric type and that it holds no JSON booleans. Only when
 that check fails is the array walked pair by pair, so the error names
-the offending field, e.g. ``unitary[3][7]``.
+the offending field, e.g. ``span_basis[3][7]``.
 """
 
 from __future__ import annotations
@@ -22,7 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from . import fixed_reducing, masker as masking
-from .hilbert import NORM_TOL, MultipartiteState, Operator, StateVector
+from .hilbert import NORM_TOL, OP_TOL, FactoredUnitary, MultipartiteState, Operator, StateVector
+
+MASKER_VERSION = 2
 
 
 class FileFormatError(ValueError):
@@ -85,13 +99,14 @@ def _vector_from_json(data, field: str, length: int | None = None) -> np.ndarray
     return np.array([_complex_from_json(v, f"{field}[{i}]") for i, v in enumerate(data)])
 
 
-def _matrix_from_json(data, field: str, size: int) -> np.ndarray:
-    _require(isinstance(data, list) and len(data) == size, field,
-             f"expected {size} matrix rows")
-    matrix = _complex_array(data, (size, size))
+def _matrix_from_json(data, field: str, rows: int, cols: int | None = None) -> np.ndarray:
+    cols = rows if cols is None else cols
+    _require(isinstance(data, list) and len(data) == rows, field,
+             f"expected {rows} matrix rows")
+    matrix = _complex_array(data, (rows, cols))
     if matrix is not None:
         return matrix
-    return np.array([_vector_from_json(row, f"{field}[{i}]", size) for i, row in enumerate(data)])
+    return np.array([_vector_from_json(row, f"{field}[{i}]", cols) for i, row in enumerate(data)])
 
 
 def _dims_from_json(data, field: str) -> tuple[int, ...]:
@@ -188,9 +203,17 @@ def _ancilla_index(ancilla: StateVector) -> int:
 def masker_to_json(m) -> dict:
     """Serializable form of a masker; inverse of masker_from_json."""
     d = m.dim
+    if isinstance(m.unitary, FactoredUnitary):
+        unitary = {
+            "version": MASKER_VERSION,
+            "span_basis": _pairs_to_json(m.unitary.span_basis),
+            "unitary": _pairs_to_json(m.unitary.span_unitary.entries),
+        }
+    else:
+        unitary = {"unitary": _pairs_to_json(m.unitary.entries)}
     document = {
         "dims": [d, d],
-        "unitary": _pairs_to_json(m.unitary.entries),
+        **unitary,
         "targets": state_set_to_json(
             (d, d), [s.amplitudes for s in m.targets.states]
         ),
@@ -205,6 +228,30 @@ def masker_to_json(m) -> dict:
     else:
         document["kind"] = "deterministic"
     return document
+
+
+def _unitary_from_json(document: dict, total: int, n: int):
+    """The masker unitary: W in the basis ``span_basis`` (version 2), or dense (version 1)."""
+    version = document.get("version", 1)
+    _require(version in (1, MASKER_VERSION) and not isinstance(version, bool), "version",
+             f"expected 1 or {MASKER_VERSION}, got {version!r}")
+    size, basis = total, None
+    if version == MASKER_VERSION:
+        raw_basis = document.get("span_basis")
+        _require(isinstance(raw_basis, list) and raw_basis and isinstance(raw_basis[0], list)
+                 and 0 < len(raw_basis[0]) <= min(2 * n, total),
+                 "span_basis", f"expected {total} rows of k <= {min(2 * n, total)} [re, im] pairs")
+        size = len(raw_basis[0])
+        basis = _matrix_from_json(raw_basis, "span_basis", total, size)
+    unitary = Operator(_matrix_from_json(document.get("unitary"), "unitary", size))
+    _require(unitary.unitarity_residual <= OP_TOL, "unitary",
+             f"is not unitary: residual {unitary.unitarity_residual:.3e}")
+    if basis is None:
+        return unitary
+    factored = FactoredUnitary(basis, unitary)
+    _require(factored.isometry_residual <= OP_TOL, "span_basis",
+             f"columns are not orthonormal: residual {factored.isometry_residual:.3e}")
+    return factored
 
 
 def masker_from_json(document: dict):
@@ -226,9 +273,12 @@ def masker_from_json(document: dict):
     target_dims, target_vectors, _ = state_set_from_json(document.get("targets") or {}, "targets")
     _require(target_dims == (d, d), "targets.dims", f"expected [{d}, {d}], got {list(target_dims)}")
     _require(len(target_vectors) == n, "targets.states", f"expected {n} target states")
-    targets = fixed_reducing.from_states(
-        [MultipartiteState(v, (d, d)) for v in target_vectors]
-    )
+    try:
+        targets = fixed_reducing.from_states(
+            [MultipartiteState(v, (d, d)) for v in target_vectors]
+        )
+    except ValueError as exc:
+        raise FileFormatError(f"field 'targets': {exc}") from exc
 
     ancilla_index = document.get("ancilla_index")
     _require(
@@ -239,8 +289,7 @@ def masker_from_json(document: dict):
     )
     ancilla_state = StateVector(np.eye(d, dtype=complex)[ancilla_index])
 
-    total = int(np.prod(dims))
-    unitary = Operator(_matrix_from_json(document.get("unitary"), "unitary", total))
+    unitary = _unitary_from_json(document, int(np.prod(dims)), n)
 
     if kind == "deterministic":
         gammas = np.ones(n)

@@ -68,6 +68,20 @@ def marginal_deviations(
     ]
 
 
+def _family_dims(states: Sequence[MultipartiteState]) -> tuple[int, int]:
+    """The (d_A, d_B) shared by every member of a nonempty bipartite family."""
+    if not states:
+        raise ValueError("a state family needs at least one state")
+    dims = states[0].dims
+    for k, state in enumerate(states):
+        if len(state.dims) != 2 or state.dims != dims:
+            raise ValueError(
+                f"state {k} has dims {state.dims}; family members must be bipartite "
+                f"with the dims of state 0, {dims}"
+            )
+    return dims
+
+
 def _state_from_b_unitary(alphas: np.ndarray, v: np.ndarray) -> MultipartiteState:
     # sum_i sqrt(alpha_i) |i>_A (x) V|i>_B has amplitude matrix diag(sqrt(alpha)) V^T
     matrix = np.sqrt(alphas)[:, None] * v.T
@@ -85,11 +99,9 @@ class FixedReducingSet:
 
     def __post_init__(self):
         states = tuple(self.states)
-        if not states:
-            raise ValueError("a fixed reducing set needs at least one state")
-        dims = states[0].dims
-        if len(dims) != 2 or dims[0] != dims[1]:
-            raise ValueError(f"states must be bipartite with equal local dimensions, got {dims}")
+        dims = _family_dims(states)
+        if dims[0] != dims[1]:
+            raise ValueError(f"a fixed reducing set needs equal local dimensions, got {dims}")
         alphas = np.array(self.alphas, dtype=float)
         if alphas.shape != (dims[0],):
             raise ValueError(f"alphas must have length {dims[0]}")
@@ -101,9 +113,6 @@ class FixedReducingSet:
             spectrum = marginal.eigenvalues()
             if float(np.max(np.abs(spectrum - alphas))) > 1e-8:
                 raise ValueError(f"alphas do not match the spectrum of marginal {which}")
-        for k, state in enumerate(states):
-            if state.dims != dims:
-                raise ValueError(f"state {k} has dims {state.dims}, expected {dims}")
         deviations = marginal_deviations(
             [marginals(state) for state in states],
             (self.common_marginal_A, self.common_marginal_B),
@@ -136,14 +145,7 @@ def verify_fixed_reducing(
     absolute entry difference between any state's marginal and the first
     state's marginal on the same side.
     """
-    if not states:
-        raise ValueError("cannot verify an empty state family")
-    dims = states[0].dims
-    for k, state in enumerate(states):
-        if len(state.dims) != 2:
-            raise ValueError(f"state {k} is not bipartite: dims {state.dims}")
-        if state.dims != dims:
-            raise ValueError(f"state {k} has dims {state.dims}, expected {dims}")
+    _family_dims(states)
     worst = max(marginal_deviations([marginals(state) for state in states]))
     return worst <= tol, worst
 

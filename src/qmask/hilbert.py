@@ -1,9 +1,11 @@
-"""Dense complex linear algebra for finite-dimensional pure states.
+"""Complex linear algebra for finite-dimensional pure states.
 
 Value types (states, operators, density matrices, Gram matrices) are
 immutable after construction and validated against their defining
 invariants. Every operation is a pure function returning new values, so
-everything here is safe to call concurrently.
+everything here is safe to call concurrently. Operators are dense except
+``FactoredUnitary``, which stores a unitary by its action on a small
+subspace; both act on vectors through ``apply``.
 """
 
 from __future__ import annotations
@@ -55,8 +57,13 @@ def _check_hermitian(mat: np.ndarray, name: str) -> None:
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
-    """max |U^dagger U - I| entrywise, zero exactly for a unitary U."""
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
+    """max |U^dagger U - I| entrywise, zero exactly for a unitary (or isometric) U."""
+    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
+
+
+def gram_gap(first: np.ndarray, second: np.ndarray) -> float:
+    """max |G_1 - G_2| entrywise between two Gram matrices."""
+    return float(np.max(np.abs(first - second)))
 
 
 def _check_normalized(amps: np.ndarray) -> None:
@@ -148,6 +155,75 @@ class Operator:
 
     def is_hermitian(self, tol: float = OP_TOL) -> bool:
         return _hermitian_residual(self.entries) <= tol
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """The operator times ``vectors`` (one vector, or one per column)."""
+        return self.entries @ vectors
+
+
+@dataclass(frozen=True)
+class FactoredUnitary:
+    """Unitary U = I - Q Q^dagger + Q W Q^dagger on dimension D.
+
+    The k orthonormal columns of Q (``span_basis``, D x k) span the only
+    subspace U moves, and W (``span_unitary``, k x k) is U written in that
+    basis; U is the identity on the orthogonal complement. Storage and
+    ``apply`` cost O(D k), the unitarity check O(D k^2); the dense
+    ``entries`` are formed only when read.
+    """
+
+    span_basis: np.ndarray
+    span_unitary: Operator
+
+    def __post_init__(self):
+        # one memory layout, so built and reloaded maskers round identically
+        basis = np.array(self.span_basis, dtype=complex, order="C")
+        if basis.ndim != 2 or not 0 < basis.shape[1] <= basis.shape[0]:
+            raise ValueError(f"span basis must be a D x k matrix with 0 < k <= D, got {basis.shape}")
+        if self.span_unitary.dim != basis.shape[1]:
+            raise ValueError(
+                f"span unitary has dimension {self.span_unitary.dim}, "
+                f"the span basis has {basis.shape[1]} columns"
+            )
+        basis.setflags(write=False)
+        object.__setattr__(self, "span_basis", basis)
+
+    @property
+    def dim(self) -> int:
+        return self.span_basis.shape[0]
+
+    @cached_property
+    def isometry_residual(self) -> float:
+        """max |Q^dagger Q - I| of the span basis, evaluated once per operator."""
+        return unitarity_residual(self.span_basis)
+
+    @property
+    def unitarity_residual(self) -> float:
+        """The larger of max |Q^dagger Q - I| and max |W^dagger W - I|.
+
+        Zero exactly when U is unitary, but not max |U^dagger U - I|
+        itself: that can exceed W's residual by up to a factor of about k.
+        """
+        return max(self.isometry_residual, self.span_unitary.unitarity_residual)
+
+    def is_unitary(self, tol: float = OP_TOL) -> bool:
+        # U is unitary exactly when Q is an isometry and W is unitary
+        return self.isometry_residual <= tol and self.span_unitary.is_unitary(tol)
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """U times ``vectors`` (one vector, or one per column) without forming U."""
+        basis = self.span_basis
+        coordinates = basis.conj().T @ vectors
+        return vectors + basis @ (self.span_unitary.entries @ coordinates - coordinates)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense D x D matrix, built on first read."""
+        basis = self.span_basis
+        moved = self.span_unitary.entries - np.eye(basis.shape[1])
+        dense = np.eye(self.dim, dtype=complex) + basis @ moved @ basis.conj().T
+        dense.setflags(write=False)
+        return dense
 
 
 @dataclass(frozen=True)
@@ -349,10 +425,10 @@ def hermitian_sqrt(matrix, *, op_tol: float = OP_TOL) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-def _complement(frame: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of an orthonormal frame's span."""
+def _completed(frame: np.ndarray) -> np.ndarray:
+    """An orthonormal frame extended to a basis of its whole space."""
     q, _ = np.linalg.qr(frame, mode="complete")
-    return q[:, frame.shape[1]:]
+    return np.hstack([frame, q[:, frame.shape[1]:]])
 
 
 def unitary_completion(
@@ -361,17 +437,19 @@ def unitary_completion(
     tol: float = OP_TOL,
     *,
     rank_tol: float = RANK_TOL,
-) -> Operator:
+) -> FactoredUnitary:
     """Unitary U with U|input_i> = |output_i> for every i.
 
     Such a U exists exactly when the two families share their Gram matrix.
     The shared Gram is eigendecomposed once and both families are
     contracted against the same eigenvector weights, which yields two
     orthonormal frames in exact correspondence even for linearly dependent
-    families (eigenvalues at or below ``rank_tol`` are dropped). Each frame
-    is completed to a full basis and the basis change between the
-    completions is returned; its action outside the span of the inputs is
-    an arbitrary isometric completion.
+    families (eigenvalues at or below ``rank_tol`` are dropped). An SVD of
+    the two frames side by side gives an orthonormal basis Q of their
+    joint span, again dropping directions at or below ``rank_tol``. Inside
+    that span, of dimension k <= 2n, each frame is completed to a basis
+    and the basis change between the completions is W; outside it U is
+    the identity. Nothing of size D x D is formed.
     """
     src = _stack(inputs)
     dst = _stack(outputs)
@@ -381,7 +459,7 @@ def unitary_completion(
         )
     gram_in = src.conj().T @ src
     gram_out = dst.conj().T @ dst
-    mismatch = float(np.max(np.abs(gram_in - gram_out)))
+    mismatch = gram_gap(gram_in, gram_out)
     if mismatch > tol:
         raise ValueError(
             f"Gram matrices differ by {mismatch:.3e} (tolerance {tol:.1e}); "
@@ -393,10 +471,11 @@ def unitary_completion(
     weights = eigvecs[:, kept] / np.sqrt(eigvals[kept])
     frame_in = src @ weights
     frame_out = dst @ weights
-    basis_in = np.hstack([frame_in, _complement(frame_in)])
-    basis_out = np.hstack([frame_out, _complement(frame_out)])
-    raw = basis_out @ basis_in.conj().T
+    span, singular, _ = np.linalg.svd(np.hstack([frame_in, frame_out]), full_matrices=False)
+    basis = span[:, singular > rank_tol]
+    to_span = basis.conj().T
+    raw = _completed(to_span @ frame_out) @ _completed(to_span @ frame_in).conj().T
     # project onto the nearest unitary so tolerance slack in the Gram match
     # never leaks into U itself
     left, _, right = np.linalg.svd(raw)
-    return Operator(left @ right)
+    return FactoredUnitary(basis, Operator(left @ right))

@@ -15,7 +15,9 @@ matrix of the failure branches.
 One ``Masker`` type covers both cases. A mutually orthogonal family
 admits the deterministic masker: no probe, a unitary on A (x) B alone and
 every gamma_k = 1. The failure branches are not stored; ``failure_branches``
-derives them from the unitary.
+derives them from the unitary. The builders return the unitary in factored
+form (``hilbert.FactoredUnitary``), so nothing here forms a D x D matrix;
+a dense ``Operator`` works as a masker unitary just the same.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ from .hilbert import (
     OP_TOL,
     RANK_TOL,
     DensityOperator,
+    FactoredUnitary,
     MultipartiteState,
     Operator,
     StateVector,
     basis_state,
     fidelity,
     gram,
+    gram_gap,
     hermitian_sqrt,
     linearly_independent,
     partial_trace,
@@ -67,7 +71,7 @@ class Masker:
     ancilla: StateVector
     targets: FixedReducingSet
     gammas: np.ndarray
-    unitary: Operator
+    unitary: FactoredUnitary | Operator
 
     def __post_init__(self):
         inputs = tuple(self.inputs)
@@ -192,7 +196,7 @@ def build_deterministic(
     else:
         if targets.n != n or targets.dim != d:
             raise ValueError("targets do not match the input family's size and dimension")
-        mismatch = float(np.max(np.abs(gram(targets.states).entries - g)))
+        mismatch = gram_gap(gram(targets.states).entries, g)
         if mismatch > op_tol:
             raise ValueError(
                 f"targets' Gram matrix deviates from the inputs' by {mismatch:.3e}"
@@ -222,9 +226,7 @@ def check_deterministic_feasible(
     target_states = getattr(targets, "states", targets)
     if len(tuple(inputs)) != len(tuple(target_states)):
         return False
-    a = gram(tuple(inputs)).entries
-    x = gram(tuple(target_states)).entries
-    return float(np.max(np.abs(a - x))) <= op_tol
+    return gram_gap(gram(tuple(inputs)).entries, gram(tuple(target_states)).entries) <= op_tol
 
 
 def build_probabilistic(
@@ -290,6 +292,15 @@ def build_probabilistic(
     # the congruence scaling can amplify the tolerated negative dust in M
     sqrt_tol = op_tol * (1.0 + float(np.max(scale)) ** 2)
     coefficients = hermitian_sqrt(np.conj(normalized), op_tol=sqrt_tol)
+    # clipping that dust shortens the rows, most near the admissible boundary
+    norms = np.linalg.norm(coefficients, axis=1)
+    worst = int(np.argmax(np.abs(norms - 1.0)))
+    if abs(norms[worst] - 1.0) > sqrt_tol:
+        raise ValueError(
+            f"efficiency {worst}: failure coefficients miss unit norm by "
+            f"{abs(norms[worst] - 1.0):.3e}; residual matrix has min eigenvalue {lowest:.6e}"
+        )
+    coefficients = coefficients / norms[:, None]
 
     probe_dim = n + 1
     dims = (d, d, probe_dim)
@@ -327,7 +338,7 @@ def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
         return ()
     branches = []
     for k, gamma in enumerate(masker.gammas):
-        evolved = masker.unitary.entries @ _prepared(masker.inputs[k], masker.ancilla, probe_dim)
+        evolved = masker.unitary.apply(_prepared(masker.inputs[k], masker.ancilla, probe_dim))
         branch = evolved - np.sqrt(gamma) * _on_probe_start(
             masker.targets.states[k].amplitudes, probe_dim
         )
@@ -356,7 +367,7 @@ def simulate(masker: Masker, k: int) -> MaskingOutcome:
     if not 0 <= k < n:
         raise IndexError(f"state index {k} outside range 0..{n - 1}")
     d = masker.dim
-    evolved = masker.unitary.entries @ _prepared(masker.inputs[k], masker.ancilla, masker.probe_dim)
+    evolved = masker.unitary.apply(_prepared(masker.inputs[k], masker.ancilla, masker.probe_dim))
     # probe basis index 0 is the rank-one success outcome
     branch = evolved.reshape(d * d, masker.probe_dim)[:, 0]
     probability = float(np.vdot(branch, branch).real)

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from qmask.fileio import (
     load_masker, load_state_set, masker_to_json, save_masker, save_state_set,
 )
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap
-from qmask.hilbert import Operator, StateVector, basis_state
+from qmask.hilbert import FactoredUnitary, Operator, StateVector, basis_state
 from qmask.masker import build_deterministic, build_probabilistic, verify_masking
 from qmask.optimizer import max_prob_two
 
@@ -40,6 +41,42 @@ def bits(values):
 def canonical(document) -> str:
     # float repr tells -0.0 from 0.0, where == does not
     return json.dumps(document, sort_keys=True)
+
+
+def dense_document(masker) -> dict:
+    """The masker in the version-1 layout earlier versions wrote: no version, a dense unitary."""
+    document = masker_to_json(masker)
+    for key in ("version", "span_basis"):
+        del document[key]
+    document["unitary"] = [
+        [[float(z.real), float(z.imag)] for z in row] for row in masker.unitary.entries
+    ]
+    return document
+
+
+def overlap_pair_masker():
+    inputs = [basis_state(2, 0), StateVector(np.array([INV2, INV2]))]
+    return build_probabilistic(inputs, cyclic_targets(2, 2), [0.1, 0.1])
+
+
+def saved(tmp_path, masker, layout) -> tuple[Path, dict]:
+    """Write ``masker`` as a factored (version 2) or dense (version 1) file."""
+    document = masker_to_json(masker) if layout == "factored" else dense_document(masker)
+    path = tmp_path / f"{layout}.json"
+    path.write_text(json.dumps(document))
+    return path, document
+
+
+def rewrite(path, document) -> None:
+    path.write_text(json.dumps(document))
+
+
+def perturb_first_entry(rows) -> None:
+    rows[0][0][0] += 1e-6
+
+
+def product_second_target(document) -> None:
+    document["targets"]["states"][1] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
 
 
 def write_state_set(path, dims, vectors):
@@ -360,15 +397,13 @@ class TestMaskerFiles:
     def test_gammas_disagreeing_with_unitary_are_input_error(
         self, tmp_path, capsys, edit, index
     ):
-        inputs = [basis_state(2, 0), StateVector(np.array([INV2, INV2]))]
-        path = tmp_path / "masker.json"
-        save_masker(build_probabilistic(inputs, cyclic_targets(2, 2), [0.1, 0.1]), path)
-        document = json.loads(path.read_text())
-        edit(document)
-        path.write_text(json.dumps(document))
-        assert main(["simulate", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "'gammas'" in err and f"input {index}" in err
+        for layout in ("factored", "dense"):
+            path, document = saved(tmp_path, overlap_pair_masker(), layout)
+            edit(document)
+            rewrite(path, document)
+            assert main(["simulate", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "'gammas'" in err and f"input {index}" in err
 
     def test_corrupt_kind_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -399,14 +434,13 @@ class TestMaskerFiles:
         assert np.array_equal(bits(vectors[0]), bits(vector))
 
     def test_masker_round_trip_is_bit_exact_on_awkward_floats(self, tmp_path):
-        path = tmp_path / "masker.json"
-        save_masker(build_deterministic([basis_state(2, 0), basis_state(2, 1)]), path)
-        document = json.loads(path.read_text())
+        path, document = saved(
+            tmp_path, build_deterministic([basis_state(2, 0), basis_state(2, 1)]), "dense")
         unitary = document["unitary"]
         assert unitary[0][1] == [0.0, 0.0] and unitary[0][2] == [0.0, 0.0]
         unitary[0][1] = [-0.0, 5e-324]
         unitary[0][2] = [-5e-324, -0.0]
-        path.write_text(json.dumps(document))
+        rewrite(path, document)
         assert canonical(masker_to_json(load_masker(path))) == canonical(document)
 
         inputs = [basis_state(2, 0), StateVector(np.array([0.1, np.sqrt(0.99)]))]
@@ -427,13 +461,104 @@ class TestMaskerFiles:
         (lambda u: u.pop(), "'unitary'"),
     ], ids=["true", "false-at-zero", "string", "three-element-pair", "short-row", "row-count"])
     def test_malformed_unitary_names_field(self, tmp_path, capsys, edit, field):
-        path = tmp_path / "masker.json"
-        save_masker(build_deterministic([basis_state(2, 0), basis_state(2, 1)]), path)
-        document = json.loads(path.read_text())
+        path, document = saved(
+            tmp_path, build_deterministic([basis_state(2, 0), basis_state(2, 1)]), "dense")
         edit(document["unitary"])
-        path.write_text(json.dumps(document))
+        rewrite(path, document)
         assert main(["simulate", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, field", [
+        ("span_basis", lambda q: q[0][0].__setitem__(0, True), "span_basis[0][0]"),
+        ("span_basis", lambda q: q[2][1].__setitem__(1, "0.5"), "span_basis[2][1]"),
+        ("span_basis", lambda q: q[3].pop(), "span_basis[3]"),
+        ("span_basis", lambda q: q.pop(), "'span_basis'"),
+        ("unitary", lambda w: w[1][0].__setitem__(0, False), "unitary[1][0]"),
+        ("unitary", lambda w: w[0].__setitem__(1, "x"), "unitary[0][1]"),
+        ("unitary", lambda w: w[2].pop(), "unitary[2]"),
+        # one row and one column fewer: a k that disagrees with the span basis
+        ("unitary", lambda w: [row.pop() for row in w] and w.pop(), "'unitary'"),
+    ], ids=["basis-true", "basis-string", "basis-short-row", "basis-row-count",
+            "unitary-false", "unitary-string", "unitary-short-row", "unitary-wrong-k"])
+    def test_malformed_span_factors_name_field(self, tmp_path, capsys, name, edit, field):
+        path, document = saved(tmp_path, overlap_pair_masker(), "factored")
+        edit(document[name])
+        rewrite(path, document)
+        assert main(["simulate", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layout, edit, field", [
+        ("dense", lambda doc: perturb_first_entry(doc["unitary"]), "'unitary'"),
+        ("factored", lambda doc: perturb_first_entry(doc["span_basis"]), "'span_basis'"),
+        ("factored", lambda doc: perturb_first_entry(doc["unitary"]), "'unitary'"),
+        ("dense", product_second_target, "'targets'"),
+        ("factored", product_second_target, "'targets'"),
+    ], ids=["dense-not-unitary", "basis-not-isometric", "factored-not-unitary",
+            "dense-targets-not-fixed-reducing", "factored-targets-not-fixed-reducing"])
+    def test_invalid_masker_file_is_input_error(self, tmp_path, capsys, layout, edit, field):
+        path, document = saved(tmp_path, overlap_pair_masker(), layout)
+        edit(document)
+        rewrite(path, document)
+        assert main(["simulate", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_unknown_version_is_input_error(self, tmp_path, capsys):
+        path, document = saved(tmp_path, overlap_pair_masker(), "factored")
+        document["version"] = 3
+        rewrite(path, document)
+        assert main(["simulate", str(path)]) == 2
+        assert "'version'" in capsys.readouterr().err
+
+    def test_identity_unitary_loads_and_masks_nothing(self, tmp_path, capsys):
+        path, document = saved(
+            tmp_path, build_deterministic([basis_state(3, k) for k in range(3)]), "factored")
+        size = len(document["unitary"])
+        document["unitary"] = [[[float(i == j), 0.0] for j in range(size)] for i in range(size)]
+        rewrite(path, document)
+        # W = I makes U = I: a valid unitary, so the file loads, but no input is masked
+        assert main(["simulate", str(path), "--state", "1"]) == 0
+        fidelity = re.search(r"^fidelity to target: (\S+)$", capsys.readouterr().out, re.M)
+        assert float(fidelity.group(1)) < 0.5
+
+    def test_dense_file_simulates_like_factored_and_resaves(self, tmp_path, capsys):
+        masker = build_probabilistic(
+            [basis_state(3, 0), StateVector(np.array([0.6, 0.8, 0.0])), basis_state(3, 2)],
+            cyclic_targets(3, 3),
+            [0.3, 0.2, 0.4],
+        )
+        factored, _ = saved(tmp_path, masker, "factored")
+        dense, document = saved(tmp_path, masker, "dense")
+        printed = []
+        for path in (factored, dense):
+            assert main(["simulate", str(path)]) == 0
+            printed.append(capsys.readouterr().out.splitlines())
+        # probabilities and fidelities print identically; the marginals' rounding dust,
+        # ~1e-16, depends on how U is applied
+        assert [l for l in printed[0] if l.startswith("state")] == \
+            [l for l in printed[1] if l.startswith("state")]
+        assert len(printed[0]) == len(printed[1])
+        for lines in printed:
+            assert float(lines[-1].split(":")[1]) <= 1e-12
+        loaded = load_masker(dense)
+        assert isinstance(loaded.unitary, Operator)
+        assert verify_masking(loaded).passed
+        resaved = tmp_path / "resaved.json"
+        save_masker(loaded, resaved)
+        assert canonical(json.loads(resaved.read_text())) == canonical(document)
+
+    def test_file_size_is_linear_in_dimension(self, tmp_path):
+        def size(d, n):
+            tilted = (np.eye(d) + 0.2 * np.roll(np.eye(d), 1, axis=1))[:n]
+            inputs = [StateVector(row / np.linalg.norm(row)) for row in tilted]
+            masker = build_probabilistic(inputs, cyclic_targets(n, d), np.full(n, 0.05))
+            assert masker.unitary.dim == d * d * (n + 1)
+            path = tmp_path / f"masker-{d}-{n}.json"
+            save_masker(masker, path)
+            return path.stat().st_size
+
+        # (d, n) = (8, 5) is D = 384; at n = 4, D grows 4x from (4, 4) to (8, 4)
+        assert size(8, 5) < 200_000
+        assert size(8, 4) / size(4, 4) < 1.5 * 4
 
     def test_indented_file_from_earlier_versions_loads(self, tmp_path):
         masker = build_probabilistic(
@@ -451,6 +576,20 @@ class TestMaskerFiles:
         save_masker(loaded, compact)
         assert compact.read_text().count("\n") == 1
         assert compact.stat().st_size < legacy.stat().st_size
+
+
+def test_pipeline_never_forms_the_dense_unitary(
+    overlap_pair_file, basis_pair_file, tmp_path, monkeypatch
+):
+    def dense(self):
+        raise AssertionError("dense masker unitary formed")
+
+    monkeypatch.setattr(FactoredUnitary, "entries", property(dense))
+    out_path = tmp_path / "masker.json"
+    for build in (["mask-prob", overlap_pair_file, "--target-overlap", "0", "--maximize"],
+                  ["mask-det", basis_pair_file]):
+        assert main([*build, "--out", str(out_path)]) == 0
+        assert main(["simulate", str(out_path)]) == 0
 
 
 def test_cli_import_loads_no_scipy():

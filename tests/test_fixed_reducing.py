@@ -54,12 +54,15 @@ class TestVerify:
         assert ok
 
     def test_dims_mismatch_rejected(self):
-        family = [
-            MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2)),
+        first = MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))
+        # the verifier and the set constructor share one shape check and message
+        for second in (
             MultipartiteState(np.eye(9)[0].astype(complex), (3, 3)),
-        ]
-        with pytest.raises(ValueError, match="dims"):
-            verify_fixed_reducing(family)
+            MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2, 1)),
+        ):
+            for check in (verify_fixed_reducing, from_states):
+                with pytest.raises(ValueError, match=r"state 1 has dims .* bipartite with the dims"):
+                    check([first, second])
 
     def test_from_states_recovers_structure(self):
         family = from_states(bell_family())

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import haar_unitary, random_state
 from qmask.hilbert import (
     DensityOperator,
+    FactoredUnitary,
     GramMatrix,
     MultipartiteState,
     Operator,
@@ -248,6 +249,32 @@ class TestUnitaryCompletion:
         u = unitary_completion(inputs, outputs)
         assert u.is_unitary()
         assert np.linalg.norm(u.entries @ np.eye(2)[0] - np.eye(2)[1]) <= 1e-9
+
+    def test_factored_form_moves_only_the_joint_span(self, rng):
+        dim, n = 24, 3
+        inputs = [random_state(dim, rng) for _ in range(n)]
+        w = haar_unitary(dim, rng)
+        outputs = [StateVector(w @ s.amplitudes) for s in inputs]
+        u = unitary_completion(inputs, outputs)
+        assert isinstance(u, FactoredUnitary)
+        assert u.dim == dim and u.span_basis.shape[1] <= 2 * n
+        assert u.is_unitary() and u.unitarity_residual <= 1e-12
+        vectors = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
+        assert np.allclose(u.apply(vectors), u.entries @ vectors, atol=1e-12)
+        assert np.allclose(u.apply(vectors[:, 0]), u.entries @ vectors[:, 0], atol=1e-12)
+        # identity on everything orthogonal to the inputs and outputs
+        span = np.column_stack([s.amplitudes for s in inputs + outputs])
+        outside = vectors - span @ np.linalg.lstsq(span, vectors, rcond=None)[0]
+        assert np.allclose(u.apply(outside), outside, atol=1e-12)
+
+    def test_factored_shapes_checked(self):
+        with pytest.raises(ValueError, match="span basis"):
+            FactoredUnitary(np.eye(3)[:, :0], Operator(np.eye(1)))
+        with pytest.raises(ValueError, match="span unitary has dimension 3"):
+            FactoredUnitary(np.eye(4)[:, :2], Operator(np.eye(3)))
+        u = FactoredUnitary(np.eye(4)[:, :2], Operator(np.array([[0, 1], [1, 0]])))
+        assert np.array_equal(u.entries, np.eye(4)[[1, 0, 2, 3]])
+        assert not FactoredUnitary(2 * np.eye(4)[:, :2], Operator(np.eye(2))).is_unitary()
 
     def test_gram_mismatch_rejected(self):
         inputs = [basis_state(2, 0), basis_state(2, 1)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import haar_unitary, random_independent, random_orthonormal, random_state
-from qmask import hilbert
+from qmask import hilbert, masker as masker_module
 from qmask.fileio import load_masker, save_masker
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap, verify_fixed_reducing
 from qmask.hilbert import (
@@ -23,7 +23,7 @@ from qmask.masker import (
     simulate,
     verify_masking,
 )
-from qmask.optimizer import residual_matrix, uniform_feasibility_boundary
+from qmask.optimizer import maximize_general, residual_matrix, uniform_feasibility_boundary
 
 INV2 = 1.0 / np.sqrt(2)
 
@@ -140,6 +140,20 @@ class TestBuildProbabilistic:
         with pytest.raises(ValueError, match="dependent"):
             build_probabilistic(inputs, cyclic_targets(2, 2), [0.1, 0.1])
 
+    @pytest.mark.parametrize("s, t", [(0.3, 0.5), (0.9, 0.95)])
+    def test_builds_at_the_admissible_boundary(self, s, t):
+        # the optimizer's efficiencies sit on the boundary, where the residual is singular
+        inputs = [basis_state(2, 0), StateVector(np.array([s, np.sqrt(1 - s * s)]))]
+        targets = targets_with_overlap(2, t)
+        gammas, _ = maximize_general(gram(inputs).entries, gram(targets.states).entries)
+        assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
+
+    def test_failure_coefficients_far_from_unit_norm_rejected(self, monkeypatch):
+        # a square root whose rows miss unit norm by more than its tolerance
+        monkeypatch.setattr(masker_module, "hermitian_sqrt", lambda m, op_tol: 0.9 * np.eye(2))
+        with pytest.raises(ValueError, match="efficiency 0: .* min eigenvalue"):
+            build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [0.1, 0.1])
+
     def test_unit_efficiency_with_residual_rejected(self):
         with pytest.raises(ValueError, match="residual"):
             build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [1.0, 0.1])
@@ -242,11 +256,14 @@ class TestVerifyMasking:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "qmask" and vars(module).get("unitarity_residual") is residual:
                 monkeypatch.setattr(
-                    module, "unitarity_residual", lambda m: calls.append(1) or residual(m)
+                    module, "unitarity_residual", lambda m: calls.append(m.shape) or residual(m)
                 )
-        report = verify_masking(build_probabilistic(overlap_pair(), targets, [0.1, 0.1]))
+        masker = build_probabilistic(overlap_pair(), targets, [0.1, 0.1])
+        report = verify_masking(masker)
         assert report.passed and report.unitarity_residual <= 1e-10
-        assert len(calls) == 1
+        # the factored unitary's two factors: Q's isometry and W's unitarity, once each
+        factors = [masker.unitary.span_basis.shape, masker.unitary.span_unitary.entries.shape]
+        assert sorted(calls) == sorted(factors)
 
     def test_deterministic_masker_passes(self, rng):
         masker = build_deterministic(random_orthonormal(3, 4, rng))

@@ -141,9 +141,12 @@ def _cmd_mask_prob(args) -> int:
         targets = fixed_reducing.targets_with_overlap(d, args.target_overlap)
     if targets.n != n:
         raise ValueError(f"got {targets.n} targets for {n} inputs")
+    if args.gammas is not None and len(args.gammas) != n:
+        print(f"error: --gammas: need {n} efficiencies, got {len(args.gammas)}", file=sys.stderr)
+        return 2
 
-    a = gram(inputs).entries
-    x = gram(targets.states).entries
+    a = gram(inputs)
+    x = gram(targets.states)
     if args.maximize:
         gammas, prob = optimizer.maximize_general(a, x)
     else:

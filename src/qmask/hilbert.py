@@ -1,11 +1,12 @@
 """Complex linear algebra for finite-dimensional pure states.
 
-Value types (states, operators, density matrices, Gram matrices) are
-immutable after construction and validated against their defining
-invariants. Every operation is a pure function returning new values, so
-everything here is safe to call concurrently. Operators are dense except
-``FactoredUnitary``, which stores a unitary by its action on a small
-subspace; both act on vectors through ``apply``.
+Value types (states, operators, density matrices) are immutable after
+construction and validated against their defining invariants. Every
+operation is a pure function returning new values, so everything here
+is safe to call concurrently. Gram matrices are plain Hermitian arrays.
+Operators are dense except ``FactoredUnitary``, which stores a unitary
+by its action on a small subspace; both act on vectors through
+``apply``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 NORM_TOL = 1e-10
 OP_TOL = 1e-10
-RECON_TOL = 1e-9
 RANK_TOL = 1e-10
 
 State = Union["StateVector", "MultipartiteState"]
@@ -33,8 +33,8 @@ def _frozen_complex_vector(values) -> np.ndarray:
 
 
 def square_matrix(matrix, name: str) -> np.ndarray:
-    """``matrix`` (or its ``entries``) as a nonempty square complex array."""
-    mat = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
+    """``matrix`` as a nonempty square complex array."""
+    mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise ValueError(f"{name} must be a nonempty square matrix, got shape {mat.shape}")
     return mat
@@ -46,12 +46,8 @@ def _frozen_complex_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-def _hermitian_residual(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.conj().T)))
-
-
 def _check_hermitian(mat: np.ndarray, name: str) -> None:
-    residual = _hermitian_residual(mat)
+    residual = float(np.max(np.abs(mat - mat.conj().T)))
     if residual > OP_TOL:
         raise ValueError(f"{name} is not Hermitian: residual {residual:.3e}")
 
@@ -95,9 +91,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def overlap(self, other: State) -> complex:
-        return overlap(self, other)
-
 
 @dataclass(frozen=True)
 class MultipartiteState:
@@ -128,9 +121,6 @@ class MultipartiteState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def overlap(self, other: State) -> complex:
-        return overlap(self, other)
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -152,9 +142,6 @@ class Operator:
 
     def is_unitary(self, tol: float = OP_TOL) -> bool:
         return self.unitarity_residual <= tol
-
-    def is_hermitian(self, tol: float = OP_TOL) -> bool:
-        return _hermitian_residual(self.entries) <= tol
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """The operator times ``vectors`` (one vector, or one per column)."""
@@ -252,66 +239,6 @@ class DensityOperator:
         return np.linalg.eigvalsh(self.entries)[::-1]
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Matrix of pairwise inner products of a state family."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = _frozen_complex_matrix(self.entries, "Gram matrix")
-        _check_hermitian(mat, "Gram matrix")
-        lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < -OP_TOL:
-            raise ValueError(f"Gram matrix has negative eigenvalue {lowest:.3e}")
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Expansion of a bipartite pure state over matched orthonormal bases.
-
-    ``coefficients`` holds the non-increasing singular values whose squares
-    are the shared marginal spectrum; the state is the sum of
-    ``coefficients[i] * left_basis[i] (x) right_basis[i]``.
-    """
-
-    coefficients: np.ndarray
-    left_basis: tuple[StateVector, ...]
-    right_basis: tuple[StateVector, ...]
-
-    def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must be a nonempty one-dimensional sequence")
-        if np.any(coeffs < -NORM_TOL):
-            raise ValueError("coefficients must be non-negative")
-        if np.any(np.diff(coeffs) > NORM_TOL):
-            raise ValueError("coefficients must be sorted in non-increasing order")
-        if abs(float(np.sum(coeffs**2)) - 1.0) > NORM_TOL:
-            raise ValueError("squared coefficients must sum to 1")
-        left = tuple(self.left_basis)
-        right = tuple(self.right_basis)
-        if len(left) != coeffs.size or len(right) != coeffs.size:
-            raise ValueError("basis lengths must match the number of coefficients")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "left_basis", left)
-        object.__setattr__(self, "right_basis", right)
-
-    def reconstruct(self) -> MultipartiteState:
-        """Rebuild the decomposed state from coefficients and bases."""
-        amps = sum(
-            c * np.kron(u.amplitudes, v.amplitudes)
-            for c, u, v in zip(self.coefficients, self.left_basis, self.right_basis)
-        )
-        return MultipartiteState(amps, (self.left_basis[0].dim, self.right_basis[0].dim))
-
-
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis vector |index> in dimension ``dim``."""
     if not 0 <= index < dim:
@@ -333,17 +260,6 @@ def fidelity(u: State, v: State) -> float:
     return float(abs(overlap(u, v)) ** 2)
 
 
-def _dims_of(state: State) -> tuple[int, ...]:
-    return state.dims if isinstance(state, MultipartiteState) else (state.dim,)
-
-
-def tensor(u: State, v: State, labels: Sequence[str] | None = None) -> MultipartiteState:
-    """Kronecker product of two states, preserving subsystem structure."""
-    amps = np.kron(u.amplitudes, v.amplitudes)
-    dims = _dims_of(u) + _dims_of(v)
-    return MultipartiteState(amps, dims, None if labels is None else tuple(labels))
-
-
 def partial_trace(state: MultipartiteState, keep: str) -> DensityOperator:
     """Reduced density operator of the subsystem labeled ``keep``."""
     if keep not in state.labels:
@@ -355,31 +271,6 @@ def partial_trace(state: MultipartiteState, keep: str) -> DensityOperator:
     return DensityOperator(rho)
 
 
-def schmidt(state: MultipartiteState, *, recon_tol: float = RECON_TOL) -> SchmidtDecomposition:
-    """Schmidt decomposition of a bipartite pure state.
-
-    Degenerate coefficients leave a basis freedom inside each degenerate
-    block, so only basis-independent quantities (coefficients,
-    reconstructions, projectors) are stable across runs or platforms.
-    """
-    if len(state.dims) != 2:
-        raise ValueError(
-            f"Schmidt decomposition needs a bipartite state, got {len(state.dims)} subsystems"
-        )
-    d_left, d_right = state.dims
-    matrix = state.amplitudes.reshape(d_left, d_right)
-    left_vecs, coeffs, right_vecs = np.linalg.svd(matrix, full_matrices=False)
-    decomposition = SchmidtDecomposition(
-        coeffs,
-        tuple(StateVector(left_vecs[:, i]) for i in range(coeffs.size)),
-        tuple(StateVector(right_vecs[i, :]) for i in range(coeffs.size)),
-    )
-    error = float(np.linalg.norm(decomposition.reconstruct().amplitudes - state.amplitudes))
-    if error > recon_tol:
-        raise ValueError(f"decomposition failed to reconstruct the input: error {error:.3e}")
-    return decomposition
-
-
 def _stack(states: Sequence[State]) -> np.ndarray:
     if not states:
         raise ValueError("state list is empty")
@@ -389,17 +280,16 @@ def _stack(states: Sequence[State]) -> np.ndarray:
     return np.column_stack([s.amplitudes for s in states])
 
 
-def gram(states: Sequence[State]) -> GramMatrix:
-    """Gram matrix with entries <state_i|state_j>."""
+def gram(states: Sequence[State]) -> np.ndarray:
+    """Hermitian Gram matrix with entries <state_i|state_j>."""
     matrix = _stack(states)
     g = matrix.conj().T @ matrix
-    return GramMatrix((g + g.conj().T) / 2.0)
+    return (g + g.conj().T) / 2.0
 
 
 def linearly_independent(states: Sequence[State], rank_tol: float = RANK_TOL) -> bool:
     """True when the family's Gram matrix has no eigenvalue at or below ``rank_tol``."""
-    g = gram(states)
-    return float(np.linalg.eigvalsh(g.entries)[0]) > rank_tol
+    return float(np.linalg.eigvalsh(gram(states))[0]) > rank_tol
 
 
 def psd_check(matrix, tol: float = OP_TOL) -> tuple[bool, float]:

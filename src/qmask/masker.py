@@ -23,6 +23,7 @@ a dense ``Operator`` works as a masker unitary just the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -106,9 +107,15 @@ class Masker:
     def probe_dim(self) -> int:
         return self.unitary.dim // (self.dim * self.dim)
 
-    @property
-    def failure_states(self) -> tuple[MultipartiteState, ...]:
-        return failure_branches(self)
+    @cached_property
+    def evolved(self) -> np.ndarray:
+        """U applied to every prepared input at once: column k is U |a_k>|b>|P_0>."""
+        prepared = np.column_stack(
+            [_prepared(a, self.ancilla, self.probe_dim) for a in self.inputs]
+        )
+        outputs = self.unitary.apply(prepared)
+        outputs.setflags(write=False)
+        return outputs
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,7 @@ def build_deterministic(
     n = len(family)
     if n > d:
         raise ValueError(f"cannot mask {n} states in dimension {d}")
-    g = gram(family).entries
+    g = gram(family)
     off_diagonal = g - np.diag(np.diag(g))
     worst = float(np.max(np.abs(off_diagonal))) if n > 1 else 0.0
     if worst > op_tol:
@@ -196,7 +203,7 @@ def build_deterministic(
     else:
         if targets.n != n or targets.dim != d:
             raise ValueError("targets do not match the input family's size and dimension")
-        mismatch = gram_gap(gram(targets.states).entries, g)
+        mismatch = gram_gap(gram(targets.states), g)
         if mismatch > op_tol:
             raise ValueError(
                 f"targets' Gram matrix deviates from the inputs' by {mismatch:.3e}"
@@ -226,7 +233,7 @@ def check_deterministic_feasible(
     target_states = getattr(targets, "states", targets)
     if len(tuple(inputs)) != len(tuple(target_states)):
         return False
-    return gram_gap(gram(tuple(inputs)).entries, gram(tuple(target_states)).entries) <= op_tol
+    return gram_gap(gram(tuple(inputs)), gram(tuple(target_states))) <= op_tol
 
 
 def build_probabilistic(
@@ -267,8 +274,8 @@ def build_probabilistic(
     elif ancilla.dim != d:
         raise ValueError(f"ancilla dimension {ancilla.dim} does not match d={d}")
 
-    a = gram(family).entries
-    x = gram(targets.states).entries
+    a = gram(family)
+    x = gram(targets.states)
     residual = optimizer.residual_matrix(a, x, efficiencies)
     saturated = efficiencies >= 1.0
     for i in np.flatnonzero(saturated):
@@ -338,8 +345,7 @@ def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
         return ()
     branches = []
     for k, gamma in enumerate(masker.gammas):
-        evolved = masker.unitary.apply(_prepared(masker.inputs[k], masker.ancilla, probe_dim))
-        branch = evolved - np.sqrt(gamma) * _on_probe_start(
+        branch = masker.evolved[:, k] - np.sqrt(gamma) * _on_probe_start(
             masker.targets.states[k].amplitudes, probe_dim
         )
         weight = float(np.vdot(branch, branch).real)
@@ -367,9 +373,8 @@ def simulate(masker: Masker, k: int) -> MaskingOutcome:
     if not 0 <= k < n:
         raise IndexError(f"state index {k} outside range 0..{n - 1}")
     d = masker.dim
-    evolved = masker.unitary.apply(_prepared(masker.inputs[k], masker.ancilla, masker.probe_dim))
     # probe basis index 0 is the rank-one success outcome
-    branch = evolved.reshape(d * d, masker.probe_dim)[:, 0]
+    branch = masker.evolved[:, k].reshape(d * d, masker.probe_dim)[:, 0]
     probability = float(np.vdot(branch, branch).real)
     post_selected = MultipartiteState(branch / np.sqrt(probability), (d, d))
     return MaskingOutcome(

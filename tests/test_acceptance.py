@@ -22,6 +22,7 @@ from qmask.hilbert import MultipartiteState, StateVector, basis_state, gram
 from qmask.masker import (
     build_deterministic,
     build_probabilistic,
+    failure_branches,
     simulate,
     verify_masking,
 )
@@ -126,8 +127,8 @@ def test_criterion_4_probabilistic_property_suite():
         d = int(rng.integers(max(2, n), 5))
         inputs = random_independent(n, d, rng)
         targets = cyclic_targets(n, d)
-        a = gram(inputs).entries
-        x = gram(targets.states).entries
+        a = gram(inputs)
+        x = gram(targets.states)
         gammas = np.full(n, uniform_feasibility_boundary(a, x) / 2)
         try:
             masker = build_probabilistic(inputs, targets, gammas)
@@ -143,7 +144,7 @@ def test_criterion_4_probabilistic_property_suite():
                 )
             if outcome.fidelity_to_target < 1 - 1e-8:
                 failures.append(f"trial {trial}, input {k}: fidelity {outcome.fidelity_to_target}")
-        y_actual = gram(masker.failure_states).entries
+        y_actual = gram(failure_branches(masker))
         root_g = np.sqrt(gammas)
         root_c = np.sqrt(1.0 - gammas)
         reconstructed = np.outer(root_g, root_g) * x + np.outer(root_c, root_c) * y_actual

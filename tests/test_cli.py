@@ -59,6 +59,14 @@ def overlap_pair_masker():
     return build_probabilistic(inputs, cyclic_targets(2, 2), [0.1, 0.1])
 
 
+def three_input_masker():
+    return build_probabilistic(
+        [basis_state(3, 0), StateVector(np.array([0.6, 0.8, 0.0])), basis_state(3, 2)],
+        cyclic_targets(3, 3),
+        [0.3, 0.2, 0.4],
+    )
+
+
 def saved(tmp_path, masker, layout) -> tuple[Path, dict]:
     """Write ``masker`` as a factored (version 2) or dense (version 1) file."""
     document = masker_to_json(masker) if layout == "factored" else dense_document(masker)
@@ -230,6 +238,13 @@ class TestMaskProb:
         assert code == 1
         assert "2 targets" in capsys.readouterr().err
 
+    def test_wrong_gammas_count_is_input_error(self, overlap_pair_file, capsys):
+        code = main([
+            "mask-prob", overlap_pair_file, "--target-overlap", "0", "--gammas", "0.1,0.1,0.1",
+        ])
+        assert code == 2
+        assert "--gammas: need 2 efficiencies, got 3" in capsys.readouterr().err
+
     def test_negative_target_overlap_is_valid(self, overlap_pair_file):
         code = main([
             "mask-prob", overlap_pair_file, "--target-overlap", "-0.5", "--gammas", "0.1,0.1",
@@ -288,16 +303,25 @@ class TestSimulate:
         assert "99" in capsys.readouterr().err
 
     def test_marginal_deviation_matches_verify_masking(self, tmp_path, capsys):
-        m = build_probabilistic(
-            [basis_state(3, 0), StateVector(np.array([0.6, 0.8, 0.0])), basis_state(3, 2)],
-            cyclic_targets(3, 3),
-            [0.3, 0.2, 0.4],
-        )
         path = tmp_path / "masker.json"
-        save_masker(m, path)
+        save_masker(three_input_masker(), path)
         assert main(["simulate", str(path)]) == 0
         expected = f"{verify_masking(load_masker(path)).max_marginal_deviation:.3e}"
         assert f"cross-state marginal deviation: {expected}" in capsys.readouterr().out
+
+    def test_unitary_applied_once_per_loaded_masker(self, tmp_path, monkeypatch):
+        path = tmp_path / "masker.json"
+        save_masker(three_input_masker(), path)
+        calls = []
+        apply = FactoredUnitary.apply
+
+        def counted(self, vectors):
+            calls.append(np.shape(vectors))
+            return apply(self, vectors)
+
+        monkeypatch.setattr(FactoredUnitary, "apply", counted)
+        assert main(["simulate", str(path)]) == 0
+        assert calls == [(9 * 4, 3)]
 
 
 class TestFigure1:

@@ -212,11 +212,11 @@ class TestCyclicTargets:
         family = cyclic_targets(2, 2)
         for state, reference in zip(family.states, bell_family()):
             assert np.allclose(state.amplitudes, reference.amplitudes, atol=1e-12)
-        assert np.allclose(gram(family.states).entries, np.eye(2), atol=1e-12)
+        assert np.allclose(gram(family.states), np.eye(2), atol=1e-12)
 
     def test_n2_d3_orthogonal_with_mixed_marginals(self):
         family = cyclic_targets(2, 3)
-        assert np.allclose(gram(family.states).entries, np.eye(2), atol=1e-12)
+        assert np.allclose(gram(family.states), np.eye(2), atol=1e-12)
         for state in family.states:
             rho_a, rho_b = marginals_by_hand(state)
             assert np.allclose(rho_a, np.eye(3) / 3, atol=1e-12)
@@ -235,7 +235,7 @@ class TestCyclicTargets:
         for d in range(1, 7):
             for n in range(1, d + 1):
                 family = cyclic_targets(n, d)
-                assert np.max(np.abs(gram(family.states).entries - np.eye(n))) <= 1e-10
+                assert np.max(np.abs(gram(family.states) - np.eye(n))) <= 1e-10
 
     def test_rejects_more_states_than_dimension(self):
         with pytest.raises(ValueError, match="n <= d"):

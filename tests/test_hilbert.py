@@ -7,7 +7,6 @@ from helpers import haar_unitary, random_state
 from qmask.hilbert import (
     DensityOperator,
     FactoredUnitary,
-    GramMatrix,
     MultipartiteState,
     Operator,
     StateVector,
@@ -19,8 +18,6 @@ from qmask.hilbert import (
     overlap,
     partial_trace,
     psd_check,
-    schmidt,
-    tensor,
     unitary_completion,
 )
 
@@ -53,38 +50,9 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))
 
-    def test_gram_matrix_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            GramMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
     def test_operator_predicates(self):
         assert Operator(np.eye(3)).is_unitary()
-        assert Operator(np.eye(3)).is_hermitian()
         assert not Operator(np.diag([1.0, 2.0])).is_unitary()
-        assert not Operator(np.array([[0, 1], [0, 0]], dtype=complex)).is_hermitian()
-
-
-class TestTensor:
-    def test_basis_product(self):
-        out = tensor(basis_state(2, 0), basis_state(2, 0))
-        assert np.allclose(out.amplitudes, [1, 0, 0, 0])
-        assert out.dims == (2, 2)
-
-    def test_superposition_product(self):
-        plus = StateVector(np.array([1, 1]) / np.sqrt(2))
-        out = tensor(basis_state(2, 0), plus)
-        assert np.allclose(out.amplitudes, [INV2, INV2, 0, 0])
-
-    def test_norm_multiplicative(self, rng):
-        for _ in range(50):
-            u = random_state(int(rng.integers(2, 5)), rng)
-            v = random_state(int(rng.integers(2, 5)), rng)
-            assert abs(np.linalg.norm(tensor(u, v).amplitudes) - 1.0) <= 1e-12
-
-    def test_three_factor_labels(self):
-        out = tensor(tensor(basis_state(2, 0), basis_state(2, 1)), basis_state(3, 2))
-        assert out.dims == (2, 2, 3)
-        assert out.labels == ("A", "B", "P")
 
 
 class TestPartialTrace:
@@ -95,7 +63,8 @@ class TestPartialTrace:
     def test_product_marginal_is_pure(self, rng):
         u = random_state(3, rng)
         v = random_state(4, rng)
-        rho = partial_trace(tensor(u, v), "A")
+        product = MultipartiteState(np.kron(u.amplitudes, v.amplitudes), (3, 4))
+        rho = partial_trace(product, "A")
         assert np.allclose(rho.entries, np.outer(u.amplitudes, u.amplitudes.conj()), atol=1e-12)
 
     def test_diagonal_spectrum_state(self):
@@ -123,54 +92,15 @@ class TestPartialTrace:
             assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
 
-class TestSchmidt:
-    def test_product_state_is_rank_one(self, rng):
-        state = tensor(random_state(3, rng), random_state(3, rng))
-        decomposition = schmidt(state)
-        assert np.allclose(decomposition.coefficients, [1, 0, 0], atol=1e-10)
-
-    def test_bell_coefficients(self):
-        decomposition = schmidt(bell_state())
-        assert np.allclose(decomposition.coefficients, [INV2, INV2], atol=1e-12)
-
-    def test_random_state_matches_singular_values(self, rng):
-        # independent oracle: singular values of the reshaped amplitude matrix
-        z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        state = MultipartiteState(z / np.linalg.norm(z), (3, 3))
-        expected = np.linalg.svd(state.amplitudes.reshape(3, 3), compute_uv=False) ** 2
-        decomposition = schmidt(state)
-        assert np.allclose(decomposition.coefficients**2, expected, atol=1e-12)
-
-    def test_bases_orthonormal_and_reconstruction(self, rng):
-        for _ in range(20):
-            da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            z = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-            state = MultipartiteState(z / np.linalg.norm(z), (da, db))
-            decomposition = schmidt(state)
-            coeffs = decomposition.coefficients
-            assert np.all(np.diff(coeffs) <= 1e-12)
-            assert abs(np.sum(coeffs**2) - 1.0) <= 1e-10
-            for basis in (decomposition.left_basis, decomposition.right_basis):
-                g = gram(basis).entries
-                assert np.max(np.abs(g - np.eye(len(basis)))) <= 1e-10
-            error = np.linalg.norm(decomposition.reconstruct().amplitudes - state.amplitudes)
-            assert error <= 1e-9
-
-    def test_rejects_non_bipartite(self):
-        state = MultipartiteState(np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=complex), (2, 2, 2))
-        with pytest.raises(ValueError, match="bipartite"):
-            schmidt(state)
-
-
 class TestGram:
     def test_orthonormal_basis_gives_identity(self):
         states = [basis_state(3, i) for i in range(3)]
-        assert np.allclose(gram(states).entries, np.eye(3), atol=1e-12)
+        assert np.allclose(gram(states), np.eye(3), atol=1e-12)
 
     def test_pair_with_known_overlap(self):
         states = [basis_state(2, 0), StateVector(np.array([1, 1]) / np.sqrt(2))]
         expected = np.array([[1, INV2], [INV2, 1]])
-        assert np.allclose(gram(states).entries, expected, atol=1e-12)
+        assert np.allclose(gram(states), expected, atol=1e-12)
 
     def test_gram_is_psd(self, rng):
         for _ in range(25):
@@ -189,7 +119,7 @@ class TestGram:
         states = [random_state(d, rng) for _ in range(n)]
         w = haar_unitary(d, rng)
         rotated = [StateVector(w @ s.amplitudes) for s in states]
-        assert np.max(np.abs(gram(states).entries - gram(rotated).entries)) <= 1e-10
+        assert np.max(np.abs(gram(states) - gram(rotated))) <= 1e-10
 
 
 class TestLinearIndependence:
@@ -240,7 +170,7 @@ class TestUnitaryCompletion:
         outputs = [StateVector(w @ s.amplitudes) for s in inputs]
         u = unitary_completion(inputs, outputs)
         images = [StateVector(u.entries @ s.amplitudes) for s in inputs]
-        assert np.max(np.abs(gram(images).entries - gram(inputs).entries)) <= 1e-10
+        assert np.max(np.abs(gram(images) - gram(inputs))) <= 1e-10
 
     def test_linearly_dependent_family(self):
         # the duplicate direction exercises the eigenvalue cutoff

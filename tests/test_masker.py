@@ -20,6 +20,7 @@ from qmask.masker import (
     build_deterministic,
     build_probabilistic,
     check_deterministic_feasible,
+    failure_branches,
     simulate,
     verify_masking,
 )
@@ -119,7 +120,7 @@ class TestBuildProbabilistic:
         # residual [[0.9, 1/sqrt2], [1/sqrt2, 0.9]] has eigenvalues 0.9 +/- 1/sqrt2
         targets = cyclic_targets(2, 2)
         residual = residual_matrix(
-            gram(overlap_pair()).entries, gram(targets.states).entries, [0.1, 0.1]
+            gram(overlap_pair()), gram(targets.states), [0.1, 0.1]
         )
         expected_eigs = np.array([0.9 - INV2, 0.9 + INV2])
         assert np.allclose(np.linalg.eigvalsh(residual), expected_eigs, atol=1e-12)
@@ -145,7 +146,7 @@ class TestBuildProbabilistic:
         # the optimizer's efficiencies sit on the boundary, where the residual is singular
         inputs = [basis_state(2, 0), StateVector(np.array([s, np.sqrt(1 - s * s)]))]
         targets = targets_with_overlap(2, t)
-        gammas, _ = maximize_general(gram(inputs).entries, gram(targets.states).entries)
+        gammas, _ = maximize_general(gram(inputs), gram(targets.states))
         assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
 
     def test_failure_coefficients_far_from_unit_norm_rejected(self, monkeypatch):
@@ -165,12 +166,12 @@ class TestBuildProbabilistic:
             n = min(n, d)
             inputs = random_independent(n, d, rng)
             targets = cyclic_targets(n, d)
-            a = gram(inputs).entries
-            x = gram(targets.states).entries
+            a = gram(inputs)
+            x = gram(targets.states)
             boundary = uniform_feasibility_boundary(a, x)
             gammas = np.full(n, boundary / 2)
             masker = build_probabilistic(inputs, targets, gammas)
-            y_actual = gram(masker.failure_states).entries
+            y_actual = gram(failure_branches(masker))
             root_g = np.sqrt(gammas)
             root_c = np.sqrt(1 - gammas)
             reconstructed = (
@@ -182,12 +183,12 @@ class TestBuildProbabilistic:
         inputs = random_independent(2, 3, rng)
         targets = cyclic_targets(2, 3)
         boundary = uniform_feasibility_boundary(
-            gram(inputs).entries, gram(targets.states).entries
+            gram(inputs), gram(targets.states)
         )
         masker = build_probabilistic(inputs, targets, np.full(2, boundary / 2))
         path = tmp_path / "masker.json"
         save_masker(masker, path)
-        for built, loaded in zip(masker.failure_states, load_masker(path).failure_states):
+        for built, loaded in zip(failure_branches(masker), failure_branches(load_masker(path))):
             assert fidelity(built, loaded) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -199,7 +200,7 @@ class TestSimulate:
             inputs = random_independent(n, d, rng)
             targets = cyclic_targets(n, d)
             boundary = uniform_feasibility_boundary(
-                gram(inputs).entries, gram(targets.states).entries
+                gram(inputs), gram(targets.states)
             )
             gammas = boundary * rng.uniform(0.2, 0.8, size=n)
             masker = build_probabilistic(inputs, targets, np.minimum(gammas, 1.0))
@@ -214,7 +215,7 @@ class TestSimulate:
         inputs = random_independent(3, 3, rng)
         targets = cyclic_targets(3, 3)
         boundary = uniform_feasibility_boundary(
-            gram(inputs).entries, gram(targets.states).entries
+            gram(inputs), gram(targets.states)
         )
         masker = build_probabilistic(inputs, targets, np.full(3, boundary / 2))
         outcomes = [simulate(masker, k) for k in range(3)]
@@ -244,7 +245,7 @@ class TestSimulate:
         evolved = [
             MultipartiteState(masker.unitary.entries @ p, (3, 3, 3)) for p in prepared
         ]
-        assert np.max(np.abs(gram(evolved).entries - gram(inputs).entries)) <= 1e-10
+        assert np.max(np.abs(gram(evolved) - gram(inputs))) <= 1e-10
 
 
 class TestVerifyMasking:
@@ -275,7 +276,7 @@ class TestVerifyMasking:
         inputs = random_independent(2, 2, rng)
         targets = cyclic_targets(2, 2)
         boundary = uniform_feasibility_boundary(
-            gram(inputs).entries, gram(targets.states).entries
+            gram(inputs), gram(targets.states)
         )
         masker = build_probabilistic(inputs, targets, np.full(2, boundary / 2))
         report = verify_masking(masker)

@@ -45,7 +45,7 @@ class TestFeasible:
         # for vanishing efficiencies the residual tends to the input Gram
         for _ in range(10):
             inputs = random_independent(3, 4, rng)
-            a = gram(inputs).entries
+            a = gram(inputs)
             ok, lowest = feasible(a, np.eye(3), np.full(3, 1e-9))
             assert ok
             assert lowest > 0
@@ -165,8 +165,8 @@ class TestMaximizeGeneral:
 
     def test_three_state_instance_beats_coarse_grid(self, rng):
         inputs = random_independent(3, 3, rng)
-        a = gram(inputs).entries
-        x = gram(cyclic_targets(3, 3).states).entries
+        a = gram(inputs)
+        x = gram(cyclic_targets(3, 3).states)
         gammas, prob = maximize_general(a, x)
         ok, _ = feasible(a, x, gammas)
         assert ok

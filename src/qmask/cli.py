@@ -64,7 +64,9 @@ def _format(value: float) -> str:
 
 def _print_matrix(name: str, entries: np.ndarray) -> None:
     print(f"{name}:")
-    print(np.array_str(entries, precision=9, suppress_small=False))
+    # rounding first, and + 0j to clear signed zeros, keeps dust below the
+    # printed precision from showing as data
+    print(np.array_str(np.round(entries, 9) + 0j, precision=9, suppress_small=True))
 
 
 def _cmd_verify_fixed_reducing(args) -> int:
@@ -137,10 +139,13 @@ def _cmd_mask_prob(args) -> int:
                 f"field 'dims': targets must be bipartite, got {len(t_dims)} subsystems"
             )
         targets = fixed_reducing.from_states([MultipartiteState(v, t_dims) for v in t_vectors])
+        flag = "--targets"
     else:
         targets = fixed_reducing.targets_with_overlap(d, args.target_overlap)
+        flag = "--target-overlap"
     if targets.n != n:
-        raise ValueError(f"got {targets.n} targets for {n} inputs")
+        print(f"error: {flag}: got {targets.n} targets for {n} inputs", file=sys.stderr)
+        return 2
     if args.gammas is not None and len(args.gammas) != n:
         print(f"error: --gammas: need {n} efficiencies, got {len(args.gammas)}", file=sys.stderr)
         return 2

@@ -57,11 +57,6 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
 
 
-def gram_gap(first: np.ndarray, second: np.ndarray) -> float:
-    """max |G_1 - G_2| entrywise between two Gram matrices."""
-    return float(np.max(np.abs(first - second)))
-
-
 def _check_normalized(amps: np.ndarray) -> None:
     err = abs(np.linalg.norm(amps) - 1.0)
     if err > NORM_TOL:
@@ -349,7 +344,7 @@ def unitary_completion(
         )
     gram_in = src.conj().T @ src
     gram_out = dst.conj().T @ dst
-    mismatch = gram_gap(gram_in, gram_out)
+    mismatch = float(np.max(np.abs(gram_in - gram_out)))
     if mismatch > tol:
         raise ValueError(
             f"Gram matrices differ by {mismatch:.3e} (tolerance {tol:.1e}); "

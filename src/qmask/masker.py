@@ -12,12 +12,16 @@ A - sqrt(Gamma) X sqrt(Gamma) built from the input and target Gram
 matrices is positive semidefinite; its normalized form fixes the Gram
 matrix of the failure branches.
 
-One ``Masker`` type covers both cases. A mutually orthogonal family
-admits the deterministic masker: no probe, a unitary on A (x) B alone and
-every gamma_k = 1. The failure branches are not stored; ``failure_branches``
-derives them from the unitary. The builders return the unitary in factored
-form (``hilbert.FactoredUnitary``), so nothing here forms a D x D matrix;
-a dense ``Operator`` works as a masker unitary just the same.
+One ``Masker`` type and one builder cover both cases. The probe exists
+only to carry failure branches, so ``build_probabilistic`` adds one only
+when some gamma_k < 1. A mutually orthogonal family admits the
+deterministic masker: no probe, a unitary on A (x) B alone and every
+gamma_k = 1; ``build_deterministic`` checks that hypothesis and calls
+``build_probabilistic`` with unit efficiencies. The failure branches are
+not stored; ``failure_branches`` derives them from the unitary. The
+builder returns the unitary in factored form
+(``hilbert.FactoredUnitary``), so nothing here forms a D x D matrix; a
+dense ``Operator`` works as a masker unitary just the same.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .hilbert import (
     basis_state,
     fidelity,
     gram,
-    gram_gap,
     hermitian_sqrt,
     linearly_independent,
     partial_trace,
@@ -182,10 +185,12 @@ def build_deterministic(
 ) -> Masker:
     """Probe-free masker for a mutually orthogonal family.
 
-    Defaults the targets to the orthogonal cyclic family and the ancilla
-    to the first basis state; explicit targets must reproduce the inputs'
-    Gram matrix (here the identity), which is the exact existence
-    condition for the connecting unitary.
+    Checks that at most d inputs are mutually orthogonal and defaults the
+    targets to the orthogonal cyclic family; the rest is
+    ``build_probabilistic`` with every efficiency 1, whose unit-efficiency
+    gate requires explicit targets to reproduce the inputs' Gram matrix
+    (here the identity), the exact existence condition for the
+    connecting unitary.
     """
     family, d = _checked_inputs(inputs, d)
     n = len(family)
@@ -200,40 +205,7 @@ def build_deterministic(
         )
     if targets is None:
         targets = cyclic_targets(n, d)
-    else:
-        if targets.n != n or targets.dim != d:
-            raise ValueError("targets do not match the input family's size and dimension")
-        mismatch = gram_gap(gram(targets.states), g)
-        if mismatch > op_tol:
-            raise ValueError(
-                f"targets' Gram matrix deviates from the inputs' by {mismatch:.3e}"
-            )
-    if ancilla is None:
-        ancilla = basis_state(d, 0)
-    elif ancilla.dim != d:
-        raise ValueError(f"ancilla dimension {ancilla.dim} does not match d={d}")
-
-    prepared = [MultipartiteState(_prepared(a, ancilla, 1), (d, d)) for a in family]
-    # both Gram matrices sit within op_tol of the identity, so allow slack
-    unitary = unitary_completion(prepared, targets.states, tol=10 * op_tol)
-    return Masker(family, ancilla, targets, np.ones(n), unitary)
-
-
-def check_deterministic_feasible(
-    inputs: Sequence[StateVector],
-    targets,
-    *,
-    op_tol: float = OP_TOL,
-) -> bool:
-    """True when the input and target Gram matrices coincide entrywise.
-
-    With all success probe overlaps equal to 1 this is exactly the
-    condition for a deterministic (unit-efficiency) masker.
-    """
-    target_states = getattr(targets, "states", targets)
-    if len(tuple(inputs)) != len(tuple(target_states)):
-        return False
-    return gram_gap(gram(tuple(inputs)), gram(tuple(target_states))) <= op_tol
+    return build_probabilistic(family, targets, np.ones(n), ancilla=ancilla, op_tol=op_tol)
 
 
 def build_probabilistic(
@@ -256,7 +228,9 @@ def build_probabilistic(
     gives the evolved outputs the same Gram matrix as the prepared inputs
     and hence a connecting unitary. An efficiency of exactly 1 is allowed
     only where the corresponding residual row already vanishes, since the
-    failure normalization is singular there.
+    failure normalization is singular there; such an input gets no
+    failure branch. With every efficiency 1 the gate is the Gram match
+    A = X and there is no probe: the deterministic masker.
     """
     family, d = _checked_inputs(inputs, None)
     n = len(family)
@@ -282,8 +256,8 @@ def build_probabilistic(
         row = float(np.max(np.abs(residual[i, :])))
         if row > op_tol:
             raise ValueError(
-                f"efficiency {i} equals 1 but its residual row has magnitude {row:.3e}; "
-                "unit efficiency needs a vanishing residual"
+                f"efficiency {i} equals 1 but row {i} of the residual has magnitude "
+                f"{row:.3e}: the targets' Gram matrix deviates from the inputs' there"
             )
     ok, lowest = psd_check(residual, tol=op_tol)
     if not ok:
@@ -309,20 +283,22 @@ def build_probabilistic(
         )
     coefficients = coefficients / norms[:, None]
 
-    probe_dim = n + 1
+    # the probe only carries failure branches
+    probe_dim = n + 1 if np.any(free) else 1
     dims = (d, d, probe_dim)
     prepared = []
     outputs = []
     for i in range(n):
         prepared.append(MultipartiteState(_prepared(family[i], ancilla, probe_dim), dims))
-        probe_part = np.zeros(probe_dim, dtype=complex)
-        probe_part[1:] = coefficients[i, :]
-        # as a state, the failure branch is checked to be normalized
-        failure = MultipartiteState(_carried(probe_part, d), dims)
-        amplitude = (
-            np.sqrt(efficiencies[i]) * _on_probe_start(targets.states[i].amplitudes, probe_dim)
-            + np.sqrt(max(1.0 - efficiencies[i], 0.0)) * failure.amplitudes
+        amplitude = np.sqrt(efficiencies[i]) * _on_probe_start(
+            targets.states[i].amplitudes, probe_dim
         )
+        if free[i]:
+            probe_part = np.zeros(probe_dim, dtype=complex)
+            probe_part[1:] = coefficients[i, :]
+            # as a state, the failure branch is checked to be normalized
+            failure = MultipartiteState(_carried(probe_part, d), dims)
+            amplitude = amplitude + np.sqrt(1.0 - efficiencies[i]) * failure.amplitudes
         outputs.append(MultipartiteState(amplitude, dims))
 
     # rows gated at op_tol above can leave a matching op_tol-sized Gram slack

@@ -232,11 +232,36 @@ class TestMaskProb:
         ])
         assert code == 0
 
+    def test_unit_gammas_write_the_deterministic_masker(self, basis_pair_file, tmp_path):
+        targets_path = write_state_set(
+            tmp_path / "targets.json", (2, 2), [s.amplitudes for s in cyclic_targets(2, 2).states]
+        )
+        paths = [tmp_path / "prob.json", tmp_path / "det.json"]
+        assert main([
+            "mask-prob", basis_pair_file,
+            "--targets", targets_path, "--gammas", "1,1", "--out", str(paths[0]),
+        ]) == 0
+        assert main(["mask-det", basis_pair_file, "--out", str(paths[1])]) == 0
+        documents = [json.loads(path.read_text()) for path in paths]
+        assert documents[0]["kind"] == "deterministic"
+        assert documents[0] == documents[1]
+
     def test_overlap_targets_need_two_inputs(self, tmp_path, capsys):
         path = write_state_set(tmp_path / "triple.json", (3,), np.eye(3))
         code = main(["mask-prob", path, "--target-overlap", "0", "--gammas", "0.1,0.1,0.1"])
-        assert code == 1
-        assert "2 targets" in capsys.readouterr().err
+        assert code == 2
+        assert "--target-overlap: got 2 targets for 3 inputs" in capsys.readouterr().err
+
+    def test_wrong_targets_count_is_input_error(self, tmp_path, capsys):
+        path = write_state_set(tmp_path / "triple.json", (3,), np.eye(3))
+        targets = cyclic_targets(2, 3)
+        targets_path = write_state_set(
+            tmp_path / "targets.json", (3, 3), [s.amplitudes for s in targets.states]
+        )
+        # the count is checked before the optimizer runs
+        code = main(["mask-prob", path, "--targets", targets_path, "--maximize"])
+        assert code == 2
+        assert "--targets: got 2 targets for 3 inputs" in capsys.readouterr().err
 
     def test_wrong_gammas_count_is_input_error(self, overlap_pair_file, capsys):
         code = main([
@@ -556,12 +581,11 @@ class TestMaskerFiles:
         for path in (factored, dense):
             assert main(["simulate", str(path)]) == 0
             printed.append(capsys.readouterr().out.splitlines())
-        # probabilities and fidelities print identically; the marginals' rounding dust,
-        # ~1e-16, depends on how U is applied
-        assert [l for l in printed[0] if l.startswith("state")] == \
-            [l for l in printed[1] if l.startswith("state")]
-        assert len(printed[0]) == len(printed[1])
+        # everything but the deviation prints identically: the marginals' rounding
+        # dust, ~1e-16, depends on how U is applied and stays below the printed digits
+        assert printed[0][:-1] == printed[1][:-1]
         for lines in printed:
+            assert lines[-1].startswith("cross-state marginal deviation")
             assert float(lines[-1].split(":")[1]) <= 1e-12
         loaded = load_masker(dense)
         assert isinstance(loaded.unitary, Operator)

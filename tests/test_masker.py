@@ -6,7 +6,7 @@ import pytest
 
 from helpers import haar_unitary, random_independent, random_orthonormal, random_state
 from qmask import hilbert, masker as masker_module
-from qmask.fileio import load_masker, save_masker
+from qmask.fileio import load_masker, masker_to_json, save_masker
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap, verify_fixed_reducing
 from qmask.hilbert import (
     MultipartiteState,
@@ -19,7 +19,6 @@ from qmask.hilbert import (
 from qmask.masker import (
     build_deterministic,
     build_probabilistic,
-    check_deterministic_feasible,
     failure_branches,
     simulate,
     verify_masking,
@@ -90,24 +89,15 @@ class TestBuildDeterministic:
             build_deterministic(inputs, targets=targets_with_overlap(2, 0.5))
 
 
-class TestCheckDeterministicFeasible:
-    def test_orthonormal_inputs_and_cyclic_targets(self):
-        inputs = [basis_state(2, 0), basis_state(2, 1)]
-        assert check_deterministic_feasible(inputs, cyclic_targets(2, 2))
-
-    def test_matched_overlap(self):
-        assert check_deterministic_feasible(overlap_pair(), targets_with_overlap(2, INV2))
-
-    def test_mismatched_overlap(self):
-        assert not check_deterministic_feasible(overlap_pair(), cyclic_targets(2, 2))
-
-
 class TestBuildProbabilistic:
     def test_unit_efficiencies_reduce_to_deterministic(self):
         inputs = [basis_state(3, 0), basis_state(3, 1)]
         targets = cyclic_targets(2, 3)
         probabilistic = build_probabilistic(inputs, targets, [1.0, 1.0])
         deterministic = build_deterministic(inputs, targets=targets)
+        # no failure branch, so no probe: the very same masker
+        assert probabilistic.probe_dim == 1
+        assert masker_to_json(probabilistic) == masker_to_json(deterministic)
         for k in range(2):
             a = simulate(probabilistic, k)
             b = simulate(deterministic, k)
@@ -115,6 +105,17 @@ class TestBuildProbabilistic:
             assert b.success_probability == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(a.marginal_A.entries - b.marginal_A.entries)) <= 1e-9
             assert np.max(np.abs(a.marginal_B.entries - b.marginal_B.entries)) <= 1e-9
+
+    def test_partial_saturation_keeps_the_probe(self, tmp_path):
+        # residual [[0, 0], [0, 0.64]]: input 0 saturates, input 1 keeps a failure branch
+        inputs = [basis_state(2, 0), StateVector(np.array([0.3, np.sqrt(0.91)]))]
+        masker = build_probabilistic(inputs, targets_with_overlap(2, 0.5), [1.0, 0.36])
+        assert masker.probe_dim == 3
+        report = verify_masking(masker)
+        assert report.passed
+        path = tmp_path / "masker.json"
+        save_masker(masker, path)
+        assert verify_masking(load_masker(path)) == report
 
     def test_feasible_low_efficiency_pair(self):
         # residual [[0.9, 1/sqrt2], [1/sqrt2, 0.9]] has eigenvalues 0.9 +/- 1/sqrt2

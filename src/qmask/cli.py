@@ -7,6 +7,7 @@ infeasible), 2 input or I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -32,6 +33,13 @@ def _number(text: str) -> float:
         return float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+
+
+def _tolerance(text: str) -> float:
+    value = _number(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
+    return value
 
 
 def _overlap_magnitude(text: str) -> float:
@@ -106,7 +114,8 @@ def _print_verification(report: masking.MaskingReport) -> None:
     print("fidelities:", " ".join(_format(f) for f in report.fidelities))
     print(f"max marginal deviation: {report.max_marginal_deviation:.3e}")
     print(f"unitarity residual of the stored factors: {report.unitarity_residual:.3e}")
-    print(f"verification: {'PASS' if report.passed else 'FAIL'} (tolerance {report.tol:.1e})")
+    print(f"verification: {'PASS' if report.passed else 'FAIL'} "
+          f"(tolerance {masking.VERIFY_TOL:.1e})")
 
 
 def _verify_and_save(m, out) -> int:
@@ -145,6 +154,10 @@ def _cmd_mask_prob(args) -> int:
         flag = "--target-overlap"
     if targets.n != n:
         print(f"error: {flag}: got {targets.n} targets for {n} inputs", file=sys.stderr)
+        return 2
+    if targets.dim != d:
+        print(f"error: {flag}: targets have dims ({targets.dim}, {targets.dim}), "
+              f"inputs need ({d}, {d})", file=sys.stderr)
         return 2
     if args.gammas is not None and len(args.gammas) != n:
         print(f"error: --gammas: need {n} efficiencies, got {len(args.gammas)}", file=sys.stderr)
@@ -214,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-fixed-reducing",
                        help="check that a bipartite state set has index-independent marginals")
     p.add_argument("input", help="state-set JSON file with two subsystems")
-    p.add_argument("--tol", type=float, default=MARGINAL_TOL,
+    p.add_argument("--tol", type=_tolerance, default=MARGINAL_TOL,
                    help="entrywise marginal tolerance (default %(default)g)")
     p.add_argument("--renormalize", action="store_true",
                    help="repair unnormalized input vectors instead of rejecting them")

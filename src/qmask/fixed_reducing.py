@@ -9,9 +9,11 @@ eigenspaces of the common B marginal. ``build_general_spectrum`` is that
 construction; the uniform and all-distinct spectra are calls to it with
 one d x d block or d one-by-one phase blocks per member, and the two
 target families the masker builders rely on are uniform-spectrum calls.
-``marginals`` and ``marginal_deviations`` are the one place where a
-family's marginals are compared, for the checks here, for
-``masker.verify_masking`` and for the CLI.
+``FixedReducingSet`` holds only its states: it checks them against its
+first member's marginals, and the shared marginals and spectrum are read
+off any member when needed. ``marginals`` and ``marginal_deviations``
+are the one place where a family's marginals are compared, for the
+checks here, for ``masker.verify_masking`` and for the CLI.
 """
 
 from __future__ import annotations
@@ -48,19 +50,15 @@ def marginals(state: MultipartiteState) -> tuple[DensityOperator, DensityOperato
     """Reduced states (rho_A, rho_B) of the two subsystems of a bipartite state."""
     if len(state.dims) != 2:
         raise ValueError(f"state is not bipartite: dims {state.dims}")
-    return partial_trace(state, state.labels[0]), partial_trace(state, state.labels[1])
+    return partial_trace(state, 0), partial_trace(state, 1)
 
 
-def marginal_deviations(
-    pairs: Sequence[tuple[DensityOperator, DensityOperator]],
-    reference: tuple[DensityOperator, DensityOperator] | None = None,
-) -> list[float]:
-    """Largest entrywise gap of each (rho_A, rho_B) pair from ``reference``.
+def marginal_deviations(pairs: Sequence[tuple[DensityOperator, DensityOperator]]) -> list[float]:
+    """Largest entrywise gap of each (rho_A, rho_B) pair from the first pair.
 
-    The reference defaults to the first pair, so a family's first member
-    always reads 0.
+    A family's first member therefore always reads 0.
     """
-    ref_a, ref_b = pairs[0] if reference is None else reference
+    ref_a, ref_b = pairs[0]
     return [
         max(float(np.max(np.abs(rho_a.entries - ref_a.entries))),
             float(np.max(np.abs(rho_b.entries - ref_b.entries))))
@@ -90,42 +88,27 @@ def _state_from_b_unitary(alphas: np.ndarray, v: np.ndarray) -> MultipartiteStat
 
 @dataclass(frozen=True)
 class FixedReducingSet:
-    """Bipartite state family with index-independent marginals."""
+    """Bipartite state family with index-independent marginals.
+
+    Every member's marginals must match the first member's to within
+    MARGINAL_TOL.
+    """
 
     states: tuple[MultipartiteState, ...]
-    common_marginal_A: DensityOperator
-    common_marginal_B: DensityOperator
-    alphas: np.ndarray
 
     def __post_init__(self):
         states = tuple(self.states)
         dims = _family_dims(states)
         if dims[0] != dims[1]:
             raise ValueError(f"a fixed reducing set needs equal local dimensions, got {dims}")
-        alphas = np.array(self.alphas, dtype=float)
-        if alphas.shape != (dims[0],):
-            raise ValueError(f"alphas must have length {dims[0]}")
-        if np.any(alphas < -NORM_TOL) or abs(float(alphas.sum()) - 1.0) > 1e-8:
-            raise ValueError("alphas must be a non-negative spectrum summing to 1")
-        if np.any(np.diff(alphas) > 1e-12):
-            raise ValueError("alphas must be sorted in non-increasing order")
-        for which, marginal in (("A", self.common_marginal_A), ("B", self.common_marginal_B)):
-            spectrum = marginal.eigenvalues()
-            if float(np.max(np.abs(spectrum - alphas))) > 1e-8:
-                raise ValueError(f"alphas do not match the spectrum of marginal {which}")
-        deviations = marginal_deviations(
-            [marginals(state) for state in states],
-            (self.common_marginal_A, self.common_marginal_B),
-        )
+        deviations = marginal_deviations([marginals(state) for state in states])
         worst = int(np.argmax(deviations))
         if deviations[worst] > MARGINAL_TOL:
             raise ValueError(
                 f"family is not fixed reducing: state {worst} deviates from the "
                 f"common marginals by {deviations[worst]:.3e}"
             )
-        alphas.setflags(write=False)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphas", alphas)
 
     @property
     def n(self) -> int:
@@ -151,16 +134,8 @@ def verify_fixed_reducing(
 
 
 def from_states(states: Sequence[MultipartiteState]) -> FixedReducingSet:
-    """Wrap an already fixed-reducing family, recovering marginals and spectrum.
-
-    The family is checked against its first member's marginals by
-    ``FixedReducingSet`` itself.
-    """
-    states = tuple(states)
-    if not states:
-        raise ValueError("a fixed reducing set needs at least one state")
-    marginal_a, marginal_b = marginals(states[0])
-    return FixedReducingSet(states, marginal_a, marginal_b, marginal_a.eigenvalues())
+    """Wrap an already fixed-reducing family; ``FixedReducingSet`` checks it."""
+    return FixedReducingSet(states)
 
 
 def build_uniform_spectrum(d: int, unitaries: Sequence) -> FixedReducingSet:
@@ -251,8 +226,7 @@ def build_general_spectrum(
         states.append(_state_from_b_unitary(spectrum, v))
     if not states:
         raise ValueError("need block unitaries for at least one state")
-    diag = DensityOperator(np.diag(spectrum).astype(complex))
-    return FixedReducingSet(tuple(states), diag, diag, spectrum)
+    return FixedReducingSet(states)
 
 
 def cyclic_targets(n: int, d: int) -> FixedReducingSet:

@@ -1,27 +1,31 @@
 """Complex linear algebra for finite-dimensional pure states.
 
 Value types (states, operators, density matrices) are immutable after
-construction and validated against their defining invariants. Every
-operation is a pure function returning new values, so everything here
-is safe to call concurrently. Gram matrices are plain Hermitian arrays.
-Operators are dense except ``FactoredUnitary``, which stores a unitary
-by its action on a small subspace; both act on vectors through
-``apply``.
+construction and validated against their defining invariants. There is
+one pure-state type, ``MultipartiteState``: a normalized amplitude
+vector with its subsystem dimensions (one subsystem unless given);
+``StateVector`` names the same class, and ``partial_trace`` addresses a
+subsystem by its index. Every operation is a pure function returning
+new values, so everything here is safe to call concurrently. Gram
+matrices are plain Hermitian arrays. Operators are dense except
+``FactoredUnitary``, which stores a unitary by its action on a small
+subspace; both act on vectors through ``apply``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 NORM_TOL = 1e-10
 OP_TOL = 1e-10
 RANK_TOL = 1e-10
-
-State = Union["StateVector", "MultipartiteState"]
+# largest Gram mismatch unitary_completion accepts; the builder gates its
+# residual rows at OP_TOL, which can leave Gram slack of that size
+GRAM_MATCH_TOL = 1e-8
 
 
 def _frozen_complex_vector(values) -> np.ndarray:
@@ -63,58 +67,32 @@ def _check_normalized(amps: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
 
 
-def _default_labels(count: int) -> tuple[str, ...]:
-    if count == 2:
-        return ("A", "B")
-    if count == 3:
-        return ("A", "B", "P")
-    return tuple(f"S{i}" for i in range(count))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state as a complex amplitude vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = _frozen_complex_vector(self.amplitudes)
-        _check_normalized(amps)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-
 @dataclass(frozen=True)
 class MultipartiteState:
-    """Normalized pure state on a tensor product of labeled subsystems."""
+    """Normalized pure state on a tensor product of subsystems (one by default)."""
 
     amplitudes: np.ndarray
-    dims: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         amps = _frozen_complex_vector(self.amplitudes)
-        dims = tuple(int(d) for d in self.dims)
+        dims = (amps.size,) if self.dims is None else tuple(int(d) for d in self.dims)
         if not dims or any(d <= 0 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
         if int(np.prod(dims)) != amps.size:
             raise ValueError(
                 f"product of dims {dims} does not match amplitude length {amps.size}"
             )
-        labels = _default_labels(len(dims)) if self.labels is None else tuple(self.labels)
-        if len(labels) != len(dims) or len(set(labels)) != len(labels):
-            raise ValueError(f"labels {labels} must be distinct and match dims {dims}")
         _check_normalized(amps)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
+
+
+StateVector = MultipartiteState
 
 
 @dataclass(frozen=True)
@@ -243,30 +221,29 @@ def basis_state(dim: int, index: int) -> StateVector:
     return StateVector(amps)
 
 
-def overlap(u: State, v: State) -> complex:
+def overlap(u: MultipartiteState, v: MultipartiteState) -> complex:
     """Inner product <u|v>."""
     if u.amplitudes.shape != v.amplitudes.shape:
         raise ValueError(f"states have different dimensions: {u.dim} vs {v.dim}")
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
-def fidelity(u: State, v: State) -> float:
+def fidelity(u: MultipartiteState, v: MultipartiteState) -> float:
     """Squared overlap magnitude |<u|v>|^2, the phase-insensitive state match."""
     return float(abs(overlap(u, v)) ** 2)
 
 
-def partial_trace(state: MultipartiteState, keep: str) -> DensityOperator:
-    """Reduced density operator of the subsystem labeled ``keep``."""
-    if keep not in state.labels:
-        raise ValueError(f"unknown subsystem label {keep!r}; state has {state.labels}")
-    axis = state.labels.index(keep)
+def partial_trace(state: MultipartiteState, keep: int) -> DensityOperator:
+    """Reduced density operator of subsystem number ``keep`` (0-based)."""
+    if not 0 <= keep < len(state.dims):
+        raise ValueError(f"subsystem index {keep} outside a state with dims {state.dims}")
     tensor_form = state.amplitudes.reshape(state.dims)
-    traced = tuple(i for i in range(tensor_form.ndim) if i != axis)
+    traced = tuple(i for i in range(tensor_form.ndim) if i != keep)
     rho = np.tensordot(tensor_form, tensor_form.conj(), axes=(traced, traced))
     return DensityOperator(rho)
 
 
-def _stack(states: Sequence[State]) -> np.ndarray:
+def _stack(states: Sequence[MultipartiteState]) -> np.ndarray:
     if not states:
         raise ValueError("state list is empty")
     dims = {s.amplitudes.shape[0] for s in states}
@@ -275,24 +252,24 @@ def _stack(states: Sequence[State]) -> np.ndarray:
     return np.column_stack([s.amplitudes for s in states])
 
 
-def gram(states: Sequence[State]) -> np.ndarray:
+def gram(states: Sequence[MultipartiteState]) -> np.ndarray:
     """Hermitian Gram matrix with entries <state_i|state_j>."""
     matrix = _stack(states)
     g = matrix.conj().T @ matrix
     return (g + g.conj().T) / 2.0
 
 
-def linearly_independent(states: Sequence[State], rank_tol: float = RANK_TOL) -> bool:
-    """True when the family's Gram matrix has no eigenvalue at or below ``rank_tol``."""
-    return float(np.linalg.eigvalsh(gram(states))[0]) > rank_tol
+def linearly_independent(states: Sequence[MultipartiteState]) -> bool:
+    """True when the family's Gram matrix has no eigenvalue at or below RANK_TOL."""
+    return float(np.linalg.eigvalsh(gram(states))[0]) > RANK_TOL
 
 
-def psd_check(matrix, tol: float = OP_TOL) -> tuple[bool, float]:
-    """Positive-semidefiniteness test: (min eigenvalue >= -tol, min eigenvalue)."""
+def psd_check(matrix) -> tuple[bool, float]:
+    """Positive-semidefiniteness test: (min eigenvalue >= -OP_TOL, min eigenvalue)."""
     mat = square_matrix(matrix, "matrix")
     _check_hermitian(mat, "matrix")
     lowest = float(np.linalg.eigvalsh(mat)[0])
-    return lowest >= -tol, lowest
+    return lowest >= -OP_TOL, lowest
 
 
 def hermitian_sqrt(matrix, *, op_tol: float = OP_TOL) -> np.ndarray:
@@ -317,21 +294,18 @@ def _completed(frame: np.ndarray) -> np.ndarray:
 
 
 def unitary_completion(
-    inputs: Sequence[State],
-    outputs: Sequence[State],
-    tol: float = OP_TOL,
-    *,
-    rank_tol: float = RANK_TOL,
+    inputs: Sequence[MultipartiteState], outputs: Sequence[MultipartiteState]
 ) -> FactoredUnitary:
     """Unitary U with U|input_i> = |output_i> for every i.
 
-    Such a U exists exactly when the two families share their Gram matrix.
+    Such a U exists exactly when the two families share their Gram matrix,
+    here to within GRAM_MATCH_TOL.
     The shared Gram is eigendecomposed once and both families are
     contracted against the same eigenvector weights, which yields two
     orthonormal frames in exact correspondence even for linearly dependent
-    families (eigenvalues at or below ``rank_tol`` are dropped). An SVD of
+    families (eigenvalues at or below RANK_TOL are dropped). An SVD of
     the two frames side by side gives an orthonormal basis Q of their
-    joint span, again dropping directions at or below ``rank_tol``. Inside
+    joint span, again dropping directions at or below RANK_TOL. Inside
     that span, of dimension k <= 2n, each frame is completed to a basis
     and the basis change between the completions is W; outside it U is
     the identity. Nothing of size D x D is formed.
@@ -345,19 +319,19 @@ def unitary_completion(
     gram_in = src.conj().T @ src
     gram_out = dst.conj().T @ dst
     mismatch = float(np.max(np.abs(gram_in - gram_out)))
-    if mismatch > tol:
+    if mismatch > GRAM_MATCH_TOL:
         raise ValueError(
-            f"Gram matrices differ by {mismatch:.3e} (tolerance {tol:.1e}); "
+            f"Gram matrices differ by {mismatch:.3e} (tolerance {GRAM_MATCH_TOL:.1e}); "
             "no unitary can map one family onto the other"
         )
     shared = (gram_in + gram_in.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(shared)
-    kept = eigvals > rank_tol
+    kept = eigvals > RANK_TOL
     weights = eigvecs[:, kept] / np.sqrt(eigvals[kept])
     frame_in = src @ weights
     frame_out = dst @ weights
     span, singular, _ = np.linalg.svd(np.hstack([frame_in, frame_out]), full_matrices=False)
-    basis = span[:, singular > rank_tol]
+    basis = span[:, singular > RANK_TOL]
     to_span = basis.conj().T
     raw = _completed(to_span @ frame_out) @ _completed(to_span @ frame_in).conj().T
     # project onto the nearest unitary so tolerance slack in the Gram match

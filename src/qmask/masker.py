@@ -37,7 +37,6 @@ from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviation
 from .hilbert import (
     NORM_TOL,
     OP_TOL,
-    RANK_TOL,
     DensityOperator,
     FactoredUnitary,
     MultipartiteState,
@@ -57,6 +56,8 @@ from .hilbert import (
 # check on the branch rescaled by 1/sqrt(1 - gamma) gives at 1 - gamma = 1,
 # held fixed so that rounding is not amplified as gamma approaches 1
 FAILURE_WEIGHT_TOL = 2 * NORM_TOL
+# every check verify_masking aggregates passes within this tolerance
+VERIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,6 @@ class MaskingReport:
     """Aggregated verification of a masker over all of its inputs."""
 
     passed: bool
-    tol: float
     success_probabilities: tuple[float, ...]
     expected_probabilities: tuple[float, ...]
     fidelities: tuple[float, ...]
@@ -179,9 +179,6 @@ def build_deterministic(
     inputs: Sequence[StateVector],
     d: int | None = None,
     targets: FixedReducingSet | None = None,
-    *,
-    ancilla: StateVector | None = None,
-    op_tol: float = OP_TOL,
 ) -> Masker:
     """Probe-free masker for a mutually orthogonal family.
 
@@ -199,23 +196,17 @@ def build_deterministic(
     g = gram(family)
     off_diagonal = g - np.diag(np.diag(g))
     worst = float(np.max(np.abs(off_diagonal))) if n > 1 else 0.0
-    if worst > op_tol:
+    if worst > OP_TOL:
         raise ValueError(
             f"inputs are not mutually orthogonal: max off-diagonal Gram entry {worst:.6e}"
         )
     if targets is None:
         targets = cyclic_targets(n, d)
-    return build_probabilistic(family, targets, np.ones(n), ancilla=ancilla, op_tol=op_tol)
+    return build_probabilistic(family, targets, np.ones(n))
 
 
 def build_probabilistic(
-    inputs: Sequence[StateVector],
-    targets: FixedReducingSet,
-    gammas: Sequence[float],
-    *,
-    ancilla: StateVector | None = None,
-    op_tol: float = OP_TOL,
-    rank_tol: float = RANK_TOL,
+    inputs: Sequence[StateVector], targets: FixedReducingSet, gammas: Sequence[float]
 ) -> Masker:
     """Masker for a linearly independent family with efficiencies ``gammas``.
 
@@ -230,7 +221,8 @@ def build_probabilistic(
     only where the corresponding residual row already vanishes, since the
     failure normalization is singular there; such an input gets no
     failure branch. With every efficiency 1 the gate is the Gram match
-    A = X and there is no probe: the deterministic masker.
+    A = X and there is no probe: the deterministic masker. The ancilla
+    on B starts in |0>.
     """
     family, d = _checked_inputs(inputs, None)
     n = len(family)
@@ -241,12 +233,9 @@ def build_probabilistic(
         raise ValueError(f"need {n} efficiencies, got {efficiencies.shape}")
     if np.any(efficiencies <= 0) or np.any(efficiencies > 1):
         raise ValueError("efficiencies must lie in (0, 1]")
-    if not linearly_independent(family, rank_tol):
+    if not linearly_independent(family):
         raise ValueError("inputs are linearly dependent; no probabilistic masker exists")
-    if ancilla is None:
-        ancilla = basis_state(d, 0)
-    elif ancilla.dim != d:
-        raise ValueError(f"ancilla dimension {ancilla.dim} does not match d={d}")
+    ancilla = basis_state(d, 0)
 
     a = gram(family)
     x = gram(targets.states)
@@ -254,12 +243,12 @@ def build_probabilistic(
     saturated = efficiencies >= 1.0
     for i in np.flatnonzero(saturated):
         row = float(np.max(np.abs(residual[i, :])))
-        if row > op_tol:
+        if row > OP_TOL:
             raise ValueError(
                 f"efficiency {i} equals 1 but row {i} of the residual has magnitude "
                 f"{row:.3e}: the targets' Gram matrix deviates from the inputs' there"
             )
-    ok, lowest = psd_check(residual, tol=op_tol)
+    ok, lowest = psd_check(residual)
     if not ok:
         raise ValueError(
             f"infeasible efficiencies: residual matrix has min eigenvalue {lowest:.6e}"
@@ -271,7 +260,7 @@ def build_probabilistic(
     normalized = np.outer(scale, scale) * residual
     np.fill_diagonal(normalized, 1.0)
     # the congruence scaling can amplify the tolerated negative dust in M
-    sqrt_tol = op_tol * (1.0 + float(np.max(scale)) ** 2)
+    sqrt_tol = OP_TOL * (1.0 + float(np.max(scale)) ** 2)
     coefficients = hermitian_sqrt(np.conj(normalized), op_tol=sqrt_tol)
     # clipping that dust shortens the rows, most near the admissible boundary
     norms = np.linalg.norm(coefficients, axis=1)
@@ -301,8 +290,7 @@ def build_probabilistic(
             amplitude = amplitude + np.sqrt(1.0 - efficiencies[i]) * failure.amplitudes
         outputs.append(MultipartiteState(amplitude, dims))
 
-    # rows gated at op_tol above can leave a matching op_tol-sized Gram slack
-    unitary = unitary_completion(prepared, outputs, tol=max(1e-8, 10 * op_tol))
+    unitary = unitary_completion(prepared, outputs)
     return Masker(family, ancilla, targets, efficiencies, unitary)
 
 
@@ -357,18 +345,18 @@ def simulate(masker: Masker, k: int) -> MaskingOutcome:
         success_probability=probability,
         post_selected_state=post_selected,
         fidelity_to_target=fidelity(post_selected, masker.targets.states[k]),
-        marginal_A=partial_trace(post_selected, "A"),
-        marginal_B=partial_trace(post_selected, "B"),
+        marginal_A=partial_trace(post_selected, 0),
+        marginal_B=partial_trace(post_selected, 1),
     )
 
 
-def verify_masking(masker: Masker, tol: float = 1e-8) -> MaskingReport:
+def verify_masking(masker: Masker) -> MaskingReport:
     """Simulate every input and aggregate the masking checks.
 
     Passes when all success probabilities match their efficiencies
     gamma_k, every post-selected state reaches its target up to
-    1 - tol in fidelity, the marginals agree across inputs entrywise, and
-    the stored operator is unitary, all within ``tol``.
+    1 - VERIFY_TOL in fidelity, the marginals agree across inputs
+    entrywise, and the stored operator is unitary, all within VERIFY_TOL.
     """
     outcomes = [simulate(masker, k) for k in range(len(masker.inputs))]
     expected = tuple(float(g) for g in masker.gammas)
@@ -379,14 +367,13 @@ def verify_masking(masker: Masker, tol: float = 1e-8) -> MaskingReport:
     )
     unitarity = masker.unitary.unitarity_residual
     passed = (
-        marginal_deviation <= tol
-        and max(abs(p - e) for p, e in zip(probabilities, expected)) <= tol
-        and max(1.0 - f for f in fidelities) <= tol
-        and unitarity <= tol
+        marginal_deviation <= VERIFY_TOL
+        and max(abs(p - e) for p, e in zip(probabilities, expected)) <= VERIFY_TOL
+        and max(1.0 - f for f in fidelities) <= VERIFY_TOL
+        and unitarity <= VERIFY_TOL
     )
     return MaskingReport(
         passed=passed,
-        tol=tol,
         success_probabilities=probabilities,
         expected_probabilities=expected,
         fidelities=fidelities,

@@ -49,9 +49,9 @@ def residual_matrix(A, X_P, gammas) -> np.ndarray:
     return a - np.outer(root, root) * x
 
 
-def feasible(A, X_P, gammas, tol: float = OP_TOL) -> tuple[bool, float]:
+def feasible(A, X_P, gammas) -> tuple[bool, float]:
     """Whether the efficiencies are admissible, plus the residual's min eigenvalue."""
-    return psd_check(residual_matrix(A, X_P, gammas), tol=tol)
+    return psd_check(residual_matrix(A, X_P, gammas))
 
 
 def _ratio_squared(numerator: float, denominator: float) -> float:
@@ -107,15 +107,13 @@ def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
     return float(np.max(np.where(feasible_points, product, 0.0)))
 
 
-def uniform_feasibility_boundary(
-    A, X_P, *, tol: float = OP_TOL, bisect_tol: float = 1e-12
-) -> float:
+def uniform_feasibility_boundary(A, X_P, *, bisect_tol: float = 1e-12) -> float:
     """Largest c for which the uniform efficiencies Gamma = c I are feasible."""
     a = square_matrix(A, "A")
     x = square_matrix(X_P, "X_P")
     if a.shape != x.shape:
         raise ValueError(f"matrix sizes differ: {a.shape} vs {x.shape}")
-    if float(np.linalg.eigvalsh(a)[0]) <= tol:
+    if float(np.linalg.eigvalsh(a)[0]) <= OP_TOL:
         raise ValueError(
             "inputs' Gram matrix is singular: no positive efficiencies are feasible "
             "(the input states are not linearly independent)"
@@ -123,7 +121,7 @@ def uniform_feasibility_boundary(
     n = a.shape[0]
 
     def ok(c: float) -> bool:
-        return feasible(a, x, np.full(n, c), tol=tol)[0]
+        return feasible(a, x, np.full(n, c))[0]
 
     if ok(1.0):
         return 1.0
@@ -138,12 +136,7 @@ def uniform_feasibility_boundary(
 
 
 def maximize_general(
-    A,
-    X_P,
-    *,
-    tol: float = OP_TOL,
-    bisect_tol: float = 1e-10,
-    max_sweeps: int = 64,
+    A, X_P, *, bisect_tol: float = 1e-10, max_sweeps: int = 64
 ) -> tuple[np.ndarray, float]:
     """Locally maximal efficiencies for any number of inputs.
 
@@ -165,9 +158,9 @@ def maximize_general(
         raise ValueError("need at least two states to optimize over")
 
     def ok(values: np.ndarray) -> bool:
-        return feasible(a, x, values, tol=tol)[0]
+        return feasible(a, x, values)[0]
 
-    start = uniform_feasibility_boundary(a, x, tol=tol, bisect_tol=bisect_tol)
+    start = uniform_feasibility_boundary(a, x, bisect_tol=bisect_tol)
     gammas = np.full(n, start)
     for _ in range(max_sweeps):
         moved = 0.0

@@ -263,6 +263,19 @@ class TestMaskProb:
         assert code == 2
         assert "--targets: got 2 targets for 3 inputs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gammas", [["--maximize"], ["--gammas", "0.5,0.5"]])
+    def test_wrong_targets_dimension_is_input_error(
+        self, overlap_pair_file, tmp_path, capsys, gammas
+    ):
+        targets = cyclic_targets(2, 3)
+        targets_path = write_state_set(
+            tmp_path / "targets.json", (3, 3), [s.amplitudes for s in targets.states]
+        )
+        # like the count, the dimension is checked before the optimizer runs
+        code = main(["mask-prob", overlap_pair_file, "--targets", targets_path, *gammas])
+        assert code == 2
+        assert "--targets: targets have dims (3, 3), inputs need (2, 2)" in capsys.readouterr().err
+
     def test_wrong_gammas_count_is_input_error(self, overlap_pair_file, capsys):
         code = main([
             "mask-prob", overlap_pair_file, "--target-overlap", "0", "--gammas", "0.1,0.1,0.1",
@@ -385,6 +398,9 @@ class TestFigure1:
         ("--gammas", "nan,0.1", "(0, 1]"),
         ("--target-overlap", "2", "[-1, 1]"),
         ("--target-overlap", "nan", "[-1, 1]"),
+        ("--tol", "nan", "finite and non-negative"),
+        ("--tol", "inf", "finite and non-negative"),
+        ("--tol", "-1", "finite and non-negative"),
     ])
     def test_out_of_range_argument_is_input_error(
         self, flag, value, message, overlap_pair_file, capsys
@@ -393,6 +409,8 @@ class TestFigure1:
         mask_prob = {"--gammas": ["--target-overlap", "0"], "--target-overlap": ["--gammas", "0.1"]}
         if flag in mask_prob:
             argv = ["mask-prob", overlap_pair_file, *mask_prob[flag], flag, value]
+        elif flag == "--tol":
+            argv = ["verify-fixed-reducing", overlap_pair_file, flag, value]
         else:
             argv = ["figure1", flag, value]
         with pytest.raises(SystemExit) as exited:

@@ -14,9 +14,7 @@ from qmask.fixed_reducing import (
     targets_with_overlap,
     verify_fixed_reducing,
 )
-from qmask.hilbert import (
-    DensityOperator, MultipartiteState, fidelity, gram, overlap, partial_trace,
-)
+from qmask.hilbert import MultipartiteState, fidelity, gram, overlap
 
 INV2 = 1.0 / np.sqrt(2)
 
@@ -65,25 +63,25 @@ class TestVerify:
                     check([first, second])
 
     def test_from_states_recovers_structure(self):
-        family = from_states(bell_family())
-        assert np.allclose(family.common_marginal_A.entries, np.eye(2) / 2, atol=1e-12)
-        assert np.allclose(family.alphas, [0.5, 0.5], atol=1e-12)
+        states = bell_family()
+        family = from_states(states)
+        assert all(a is b for a, b in zip(family.states, states)) and (family.n, family.dim) == (2, 2)
+        marginal_a, _ = marginals(family.states[0])
+        assert np.allclose(marginal_a.entries, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(marginal_a.eigenvalues(), [0.5, 0.5], atol=1e-12)
 
-    def test_marginal_deviations_default_and_explicit_reference(self):
+    def test_marginal_deviations_measure_from_first_pair(self):
         product = MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))
         pairs = [marginals(state) for state in bell_family() + [product]]
         assert marginal_deviations(pairs) == pytest.approx([0.0, 0.0, 0.5], abs=1e-15)
-        assert marginal_deviations(pairs, marginals(product)) == pytest.approx(
-            [0.5, 0.5, 0.0], abs=1e-15
-        )
+        assert marginal_deviations(pairs[::-1]) == pytest.approx([0.0, 0.5, 0.5], abs=1e-15)
 
     def test_set_names_worst_state(self):
-        half = np.eye(2, dtype=complex) / 2
         partial = MultipartiteState(np.array([np.sqrt(0.8), 0, 0, np.sqrt(0.2)]), (2, 2))
         product = MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))
         family = (bell_family()[0], partial, product)
         with pytest.raises(ValueError, match="fixed reducing: state 2 deviates .* 5.000e-01"):
-            FixedReducingSet(family, DensityOperator(half), DensityOperator(half), [0.5, 0.5])
+            FixedReducingSet(family)
 
     def test_from_states_rejects_bad_family(self):
         family = [bell_family()[0], MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))]
@@ -104,7 +102,8 @@ class TestUniformSpectrum:
             family = build_uniform_spectrum(d, [haar_unitary(d, rng) for _ in range(3)])
             ok, deviation = verify_fixed_reducing(family.states)
             assert ok and deviation <= 1e-12
-            assert np.allclose(family.common_marginal_A.entries, np.eye(d) / d, atol=1e-12)
+            marginal_a, _ = marginals(family.states[0])
+            assert np.allclose(marginal_a.entries, np.eye(d) / d, atol=1e-12)
 
     def test_d3_cyclic_shift_marginals(self):
         shift = np.roll(np.eye(3), 1, axis=0)

@@ -37,6 +37,12 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             StateVector(np.array([]))
 
+    def test_one_state_type_with_one_subsystem_by_default(self):
+        assert StateVector is MultipartiteState
+        state = StateVector(np.array([0.6, 0.8j]))
+        assert state.dims == (2,) and state.dim == 2
+        assert np.allclose(partial_trace(state, 0).entries, [[0.36, -0.48j], [0.48j, 0.64]])
+
     def test_multipartite_dims_must_match_length(self):
         with pytest.raises(ValueError, match="dims"):
             MultipartiteState(np.array([1, 0, 0]) / 1.0, (2, 2))
@@ -57,14 +63,14 @@ class TestStateTypes:
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
-        rho = partial_trace(bell_state(), "A")
+        rho = partial_trace(bell_state(), 0)
         assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
     def test_product_marginal_is_pure(self, rng):
         u = random_state(3, rng)
         v = random_state(4, rng)
         product = MultipartiteState(np.kron(u.amplitudes, v.amplitudes), (3, 4))
-        rho = partial_trace(product, "A")
+        rho = partial_trace(product, 0)
         assert np.allclose(rho.entries, np.outer(u.amplitudes, u.amplitudes.conj()), atol=1e-12)
 
     def test_diagonal_spectrum_state(self):
@@ -72,12 +78,13 @@ class TestPartialTrace:
         amps = np.zeros(4, dtype=complex)
         amps[0] = np.sqrt(0.7)
         amps[3] = np.sqrt(0.3)
-        rho = partial_trace(MultipartiteState(amps, (2, 2)), "A")
+        rho = partial_trace(MultipartiteState(amps, (2, 2)), 0)
         assert np.allclose(rho.entries, np.diag([0.7, 0.3]), atol=1e-12)
 
-    def test_unknown_label(self):
-        with pytest.raises(ValueError, match="label"):
-            partial_trace(bell_state(), "C")
+    def test_subsystem_index_out_of_range(self):
+        for keep in (2, -1):
+            with pytest.raises(ValueError, match="subsystem index"):
+                partial_trace(bell_state(), keep)
 
     def test_bulk_marginals_are_density_operators(self):
         rng = np.random.default_rng(7)
@@ -85,7 +92,7 @@ class TestPartialTrace:
             da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             z = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
             state = MultipartiteState(z / np.linalg.norm(z), (da, db))
-            keep = "A" if rng.integers(2) else "B"
+            keep = 0 if rng.integers(2) else 1
             rho = partial_trace(state, keep).entries
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
             assert abs(np.trace(rho) - 1.0) <= 1e-10

@@ -24,7 +24,6 @@ from .hilbert import (
     NORM_TOL,
     OP_TOL,
     RANK_TOL,
-    DensityOperator,
     FactoredUnitary,
     MultipartiteState,
     Operator,
@@ -67,7 +66,6 @@ __all__ = [
     "NORM_TOL",
     "OP_TOL",
     "RANK_TOL",
-    "DensityOperator",
     "FactoredUnitary",
     "FixedReducingSet",
     "Masker",

@@ -143,10 +143,10 @@ def _cmd_mask_prob(args) -> int:
     d = inputs[0].dim
     if args.targets is not None:
         t_dims, t_vectors, _ = load_state_set(args.targets, renormalize=args.renormalize)
-        if len(t_dims) != 2:
-            raise FileFormatError(
-                f"field 'dims': targets must be bipartite, got {len(t_dims)} subsystems"
-            )
+        if t_dims != (d, d):
+            print(f"error: --targets: targets have dims {t_dims}, inputs need {(d, d)}",
+                  file=sys.stderr)
+            return 2
         targets = fixed_reducing.from_states([MultipartiteState(v, t_dims) for v in t_vectors])
         flag = "--targets"
     else:
@@ -154,10 +154,6 @@ def _cmd_mask_prob(args) -> int:
         flag = "--target-overlap"
     if targets.n != n:
         print(f"error: {flag}: got {targets.n} targets for {n} inputs", file=sys.stderr)
-        return 2
-    if targets.dim != d:
-        print(f"error: {flag}: targets have dims ({targets.dim}, {targets.dim}), "
-              f"inputs need ({d}, {d})", file=sys.stderr)
         return 2
     if args.gammas is not None and len(args.gammas) != n:
         print(f"error: --gammas: need {n} efficiencies, got {len(args.gammas)}", file=sys.stderr)
@@ -186,8 +182,8 @@ def _cmd_simulate(args) -> int:
         print(f"state {args.state}:")
         print(f"success probability: {_format(outcome.success_probability)}")
         print(f"fidelity to target: {_format(outcome.fidelity_to_target)}")
-        _print_matrix("marginal A", outcome.marginal_A.entries)
-        _print_matrix("marginal B", outcome.marginal_B.entries)
+        _print_matrix("marginal A", outcome.marginal_A)
+        _print_matrix("marginal B", outcome.marginal_B)
         return 0
     outcomes = [masking.simulate(m, k) for k in range(len(m.inputs))]
     for k, outcome in enumerate(outcomes):
@@ -198,8 +194,8 @@ def _cmd_simulate(args) -> int:
     deviation = max(
         fixed_reducing.marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
     )
-    _print_matrix("marginal A", outcomes[0].marginal_A.entries)
-    _print_matrix("marginal B", outcomes[0].marginal_B.entries)
+    _print_matrix("marginal A", outcomes[0].marginal_A)
+    _print_matrix("marginal B", outcomes[0].marginal_B)
     print(f"cross-state marginal deviation: {deviation:.3e}")
     return 0
 

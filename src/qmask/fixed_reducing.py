@@ -26,7 +26,6 @@ import numpy as np
 from .hilbert import (
     NORM_TOL,
     OP_TOL,
-    DensityOperator,
     MultipartiteState,
     partial_trace,
     square_matrix,
@@ -46,22 +45,21 @@ def _unitary_matrix(matrix, dim: int, name: str) -> np.ndarray:
     return mat
 
 
-def marginals(state: MultipartiteState) -> tuple[DensityOperator, DensityOperator]:
+def marginals(state: MultipartiteState) -> tuple[np.ndarray, np.ndarray]:
     """Reduced states (rho_A, rho_B) of the two subsystems of a bipartite state."""
     if len(state.dims) != 2:
         raise ValueError(f"state is not bipartite: dims {state.dims}")
     return partial_trace(state, 0), partial_trace(state, 1)
 
 
-def marginal_deviations(pairs: Sequence[tuple[DensityOperator, DensityOperator]]) -> list[float]:
+def marginal_deviations(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[float]:
     """Largest entrywise gap of each (rho_A, rho_B) pair from the first pair.
 
     A family's first member therefore always reads 0.
     """
     ref_a, ref_b = pairs[0]
     return [
-        max(float(np.max(np.abs(rho_a.entries - ref_a.entries))),
-            float(np.max(np.abs(rho_b.entries - ref_b.entries))))
+        max(float(np.max(np.abs(rho_a - ref_a))), float(np.max(np.abs(rho_b - ref_b))))
         for rho_a, rho_b in pairs
     ]
 

@@ -1,13 +1,13 @@
 """Complex linear algebra for finite-dimensional pure states.
 
-Value types (states, operators, density matrices) are immutable after
-construction and validated against their defining invariants. There is
-one pure-state type, ``MultipartiteState``: a normalized amplitude
-vector with its subsystem dimensions (one subsystem unless given);
-``StateVector`` names the same class, and ``partial_trace`` addresses a
-subsystem by its index. Every operation is a pure function returning
-new values, so everything here is safe to call concurrently. Gram
-matrices are plain Hermitian arrays. Operators are dense except
+Value types (states, operators) are immutable after construction and
+validated against their defining invariants. There is one pure-state
+type, ``MultipartiteState``: a normalized amplitude vector with its
+subsystem dimensions (one subsystem unless given); ``StateVector`` names
+the same class, and ``partial_trace`` addresses a subsystem by its
+index. Every operation is a pure function returning new values, so
+everything here is safe to call concurrently. Gram matrices and reduced
+density matrices are plain Hermitian arrays. Operators are dense except
 ``FactoredUnitary``, which stores a unitary by its action on a small
 subspace; both act on vectors through ``apply``.
 """
@@ -42,12 +42,6 @@ def square_matrix(matrix, name: str) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise ValueError(f"{name} must be a nonempty square matrix, got shape {mat.shape}")
     return mat
-
-
-def _frozen_complex_matrix(values, name: str) -> np.ndarray:
-    arr = square_matrix(values, name).copy()
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_hermitian(mat: np.ndarray, name: str) -> None:
@@ -102,7 +96,9 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_complex_matrix(self.entries, "operator"))
+        entries = square_matrix(self.entries, "operator").copy()
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -186,32 +182,6 @@ class FactoredUnitary:
         return dense
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, trace-one, positive-semidefinite matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = _frozen_complex_matrix(self.entries, "density operator")
-        _check_hermitian(mat, "density operator")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > OP_TOL:
-            raise ValueError(f"density operator has trace {trace}, expected 1")
-        lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < -OP_TOL:
-            raise ValueError(f"density operator has negative eigenvalue {lowest:.3e}")
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum sorted in non-increasing order."""
-        return np.linalg.eigvalsh(self.entries)[::-1]
-
-
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis vector |index> in dimension ``dim``."""
     if not 0 <= index < dim:
@@ -233,14 +203,17 @@ def fidelity(u: MultipartiteState, v: MultipartiteState) -> float:
     return float(abs(overlap(u, v)) ** 2)
 
 
-def partial_trace(state: MultipartiteState, keep: int) -> DensityOperator:
-    """Reduced density operator of subsystem number ``keep`` (0-based)."""
+def partial_trace(state: MultipartiteState, keep: int) -> np.ndarray:
+    """Reduced density matrix of subsystem number ``keep`` (0-based).
+
+    Hermitian and positive semidefinite by construction (T T^dagger), with
+    trace the squared norm of ``state``.
+    """
     if not 0 <= keep < len(state.dims):
         raise ValueError(f"subsystem index {keep} outside a state with dims {state.dims}")
     tensor_form = state.amplitudes.reshape(state.dims)
     traced = tuple(i for i in range(tensor_form.ndim) if i != keep)
-    rho = np.tensordot(tensor_form, tensor_form.conj(), axes=(traced, traced))
-    return DensityOperator(rho)
+    return np.tensordot(tensor_form, tensor_form.conj(), axes=(traced, traced))
 
 
 def _stack(states: Sequence[MultipartiteState]) -> np.ndarray:

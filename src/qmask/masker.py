@@ -37,7 +37,6 @@ from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviation
 from .hilbert import (
     NORM_TOL,
     OP_TOL,
-    DensityOperator,
     FactoredUnitary,
     MultipartiteState,
     Operator,
@@ -129,8 +128,8 @@ class MaskingOutcome:
     success_probability: float
     post_selected_state: MultipartiteState
     fidelity_to_target: float
-    marginal_A: DensityOperator
-    marginal_B: DensityOperator
+    marginal_A: np.ndarray
+    marginal_B: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,6 @@ class MaskingReport:
 
     passed: bool
     success_probabilities: tuple[float, ...]
-    expected_probabilities: tuple[float, ...]
     fidelities: tuple[float, ...]
     max_marginal_deviation: float
     unitarity_residual: float
@@ -231,7 +229,7 @@ def build_probabilistic(
     efficiencies = np.asarray(gammas, dtype=float).reshape(-1)
     if efficiencies.shape != (n,):
         raise ValueError(f"need {n} efficiencies, got {efficiencies.shape}")
-    if np.any(efficiencies <= 0) or np.any(efficiencies > 1):
+    if not np.all((efficiencies > 0) & (efficiencies <= 1)):
         raise ValueError("efficiencies must lie in (0, 1]")
     if not linearly_independent(family):
         raise ValueError("inputs are linearly dependent; no probabilistic masker exists")
@@ -375,7 +373,6 @@ def verify_masking(masker: Masker) -> MaskingReport:
     return MaskingReport(
         passed=passed,
         success_probabilities=probabilities,
-        expected_probabilities=expected,
         fidelities=fidelities,
         max_marginal_deviation=marginal_deviation,
         unitarity_residual=unitarity,

@@ -20,13 +20,17 @@ import numpy as np
 from .hilbert import OP_TOL, psd_check, square_matrix
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
+# resolution of every bisection for an efficiency boundary
+BISECT_TOL = 1e-10
+# coordinate-ascent sweeps maximize_general runs at most
+MAX_SWEEPS = 64
 
 
 def _gammas_array(gammas) -> np.ndarray:
     values = np.asarray(gammas, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("need at least one efficiency")
-    if np.any(values < 0.0) or np.any(values > 1.0):
+    if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValueError("efficiencies must lie in [0, 1]")
     return values
 
@@ -107,8 +111,28 @@ def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
     return float(np.max(np.where(feasible_points, product, 0.0)))
 
 
-def uniform_feasibility_boundary(A, X_P, *, bisect_tol: float = 1e-12) -> float:
-    """Largest c for which the uniform efficiencies Gamma = c I are feasible."""
+def _largest_feasible(ok, low) -> float:
+    """Largest c in [low, 1] with ok(c), to within BISECT_TOL; ok(low) must hold.
+
+    Tries 1 first, then bisects.
+    """
+    if ok(1.0):
+        return 1.0
+    high = 1.0
+    while high - low > BISECT_TOL:
+        mid = (low + high) / 2.0
+        if ok(mid):
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+def uniform_feasibility_boundary(A, X_P) -> float:
+    """Largest c for which the uniform efficiencies Gamma = c I are feasible.
+
+    Resolved to within BISECT_TOL from below.
+    """
     a = square_matrix(A, "A")
     x = square_matrix(X_P, "X_P")
     if a.shape != x.shape:
@@ -119,35 +143,20 @@ def uniform_feasibility_boundary(A, X_P, *, bisect_tol: float = 1e-12) -> float:
             "(the input states are not linearly independent)"
         )
     n = a.shape[0]
-
-    def ok(c: float) -> bool:
-        return feasible(a, x, np.full(n, c))[0]
-
-    if ok(1.0):
-        return 1.0
-    low, high = 0.0, 1.0
-    while high - low > bisect_tol:
-        mid = (low + high) / 2.0
-        if ok(mid):
-            low = mid
-        else:
-            high = mid
-    return low
+    return _largest_feasible(lambda c: feasible(a, x, np.full(n, c))[0], 0.0)
 
 
-def maximize_general(
-    A, X_P, *, bisect_tol: float = 1e-10, max_sweeps: int = 64
-) -> tuple[np.ndarray, float]:
+def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     """Locally maximal efficiencies for any number of inputs.
 
     Bisects the uniform scale first, then performs coordinate ascent on
     log gamma_i under the eigenvalue feasibility constraint: each sweep
     pushes one efficiency to its per-coordinate boundary while the others
-    stay fixed, to within ``bisect_tol``. Sweeps stop once no efficiency
-    moves by more than ``bisect_tol`` (or after ``max_sweeps``). The result
-    is feasible and locally undominated up to ``bisect_tol``: raising any
-    single efficiency by clearly more than that breaks feasibility (or
-    leaves [0, 1]); global optimality is not certified.
+    stay fixed, to within BISECT_TOL. Sweeps stop once no efficiency
+    moves by more than BISECT_TOL (or after MAX_SWEEPS). The result is
+    feasible and locally undominated up to BISECT_TOL: raising any single
+    efficiency by clearly more than that breaks feasibility (or leaves
+    [0, 1]); global optimality is not certified.
     """
     a = square_matrix(A, "A")
     x = square_matrix(X_P, "X_P")
@@ -157,32 +166,20 @@ def maximize_general(
     if n < 2:
         raise ValueError("need at least two states to optimize over")
 
-    def ok(values: np.ndarray) -> bool:
-        return feasible(a, x, values)[0]
-
-    start = uniform_feasibility_boundary(a, x, bisect_tol=bisect_tol)
-    gammas = np.full(n, start)
-    for _ in range(max_sweeps):
+    gammas = np.full(n, uniform_feasibility_boundary(a, x))
+    for _ in range(MAX_SWEEPS):
         moved = 0.0
         for i in range(n):
             trial = gammas.copy()
-            trial[i] = 1.0
-            if ok(trial):
-                moved = max(moved, 1.0 - gammas[i])
-                gammas = trial
-                continue
-            low, high = gammas[i], 1.0
-            while high - low > bisect_tol:
-                mid = (low + high) / 2.0
-                trial[i] = mid
-                if ok(trial):
-                    low = mid
-                else:
-                    high = mid
-            moved = max(moved, low - gammas[i])
-            trial[i] = low
+
+            def ok(value: float) -> bool:
+                trial[i] = value
+                return feasible(a, x, trial)[0]
+
+            trial[i] = _largest_feasible(ok, gammas[i])
+            moved = max(moved, trial[i] - gammas[i])
             gammas = trial
-        if moved <= bisect_tol:
+        if moved <= BISECT_TOL:
             break
     return gammas, float(np.prod(gammas))
 

@@ -226,8 +226,8 @@ def test_criterion_7_deterministic_as_probabilistic_special_case():
         if abs(b.success_probability - 1.0) > 1e-9:
             failures.append(f"input {k}: deterministic probability {b.success_probability}")
         dev = max(
-            float(np.max(np.abs(a.marginal_A.entries - b.marginal_A.entries))),
-            float(np.max(np.abs(a.marginal_B.entries - b.marginal_B.entries))),
+            float(np.max(np.abs(a.marginal_A - b.marginal_A))),
+            float(np.max(np.abs(a.marginal_B - b.marginal_B))),
         )
         if dev > 1e-9:
             failures.append(f"input {k}: marginal deviation {dev}")

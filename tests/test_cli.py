@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -109,6 +110,17 @@ def bell_file(tmp_path):
 
 
 @pytest.fixture
+def loose_bell_file(tmp_path):
+    # norm 1 + 9e-11 is within NORM_TOL, so each marginal has trace 1 + 1.8e-10
+    scale = (1 + 9e-11) / np.sqrt(2)
+    return write_state_set(
+        tmp_path / "loose_bell.json",
+        (2, 2),
+        [scale * np.array([1, 0, 0, 1]), scale * np.array([0, 1, 1, 0])],
+    )
+
+
+@pytest.fixture
 def basis_pair_file(tmp_path):
     return write_state_set(tmp_path / "basis.json", (2,), [[1, 0], [0, 1]])
 
@@ -124,6 +136,10 @@ class TestVerifyFixedReducing:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "state 1" in out
+
+    def test_states_admitted_within_norm_tolerance_pass(self, loose_bell_file, capsys):
+        assert main(["verify-fixed-reducing", loose_bell_file]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_family_with_product_state_fails(self, tmp_path, capsys):
         path = write_state_set(
@@ -232,6 +248,15 @@ class TestMaskProb:
         ])
         assert code == 0
 
+    def test_targets_admitted_within_norm_tolerance_build(
+        self, basis_pair_file, loose_bell_file, capsys
+    ):
+        code = main([
+            "mask-prob", basis_pair_file, "--targets", loose_bell_file, "--gammas", "0.3,0.3",
+        ])
+        assert code == 0
+        assert "verification: PASS" in capsys.readouterr().out
+
     def test_unit_gammas_write_the_deterministic_masker(self, basis_pair_file, tmp_path):
         targets_path = write_state_set(
             tmp_path / "targets.json", (2, 2), [s.amplitudes for s in cyclic_targets(2, 2).states]
@@ -267,14 +292,16 @@ class TestMaskProb:
     def test_wrong_targets_dimension_is_input_error(
         self, overlap_pair_file, tmp_path, capsys, gammas
     ):
-        targets = cyclic_targets(2, 3)
-        targets_path = write_state_set(
-            tmp_path / "targets.json", (3, 3), [s.amplitudes for s in targets.states]
-        )
-        # like the count, the dimension is checked before the optimizer runs
-        code = main(["mask-prob", overlap_pair_file, "--targets", targets_path, *gammas])
-        assert code == 2
-        assert "--targets: targets have dims (3, 3), inputs need (2, 2)" in capsys.readouterr().err
+        cyclic = [s.amplitudes for s in cyclic_targets(2, 3).states]
+        shapes = [((3, 3), cyclic), ((2, 3), np.eye(6)[:2]), ((2, 2, 2), np.eye(8)[:2])]
+        # a (2, 3) or three-subsystem family cannot be fixed reducing, so the
+        # dimension is checked before the target set is built
+        for dims, vectors in shapes:
+            targets_path = write_state_set(tmp_path / "targets.json", dims, vectors)
+            code = main(["mask-prob", overlap_pair_file, "--targets", targets_path, *gammas])
+            assert code == 2
+            message = f"--targets: targets have dims {dims}, inputs need (2, 2)"
+            assert message in capsys.readouterr().err
 
     def test_wrong_gammas_count_is_input_error(self, overlap_pair_file, capsys):
         code = main([
@@ -684,3 +711,21 @@ def test_traced_functions_resolve():
     for module, attribute in spans.TRACED_FUNCTIONS.values():
         assert callable(getattr(importlib.import_module(module), attribute, None)), attribute
     assert callable(Operator.__dict__.get("is_unitary"))
+
+
+def test_benchmark_library_reads_resolve():
+    # the benchmark also calls the library in-process; a rename would fail its operations
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    modules = {"fileio", "fixed_reducing", "hilbert", "masker", "optimizer"}
+    module_reads, report_reads = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                module_reads.add((node.value.id, node.attr))
+            elif node.value.id == "report":
+                report_reads.add(node.attr)
+    assert module_reads and report_reads
+    for module, attribute in sorted(module_reads):
+        assert hasattr(importlib.import_module(f"qmask.{module}"), attribute), (module, attribute)
+    fields = {field.name for field in dataclasses.fields(masking.MaskingReport)}
+    assert report_reads <= fields, report_reads - fields

@@ -40,8 +40,8 @@ class TestBuildDeterministic:
             outcome = simulate(masker, k)
             assert outcome.success_probability == pytest.approx(1.0, abs=1e-12)
             assert outcome.fidelity_to_target >= 1 - 1e-12
-            assert np.allclose(outcome.marginal_A.entries, np.eye(2) / 2, atol=1e-10)
-            assert np.allclose(outcome.marginal_B.entries, np.eye(2) / 2, atol=1e-10)
+            assert np.allclose(outcome.marginal_A, np.eye(2) / 2, atol=1e-10)
+            assert np.allclose(outcome.marginal_B, np.eye(2) / 2, atol=1e-10)
 
     def test_single_state_masks_to_maximally_entangled(self, rng):
         d = 3
@@ -103,8 +103,8 @@ class TestBuildProbabilistic:
             b = simulate(deterministic, k)
             assert a.success_probability == pytest.approx(1.0, abs=1e-9)
             assert b.success_probability == pytest.approx(1.0, abs=1e-9)
-            assert np.max(np.abs(a.marginal_A.entries - b.marginal_A.entries)) <= 1e-9
-            assert np.max(np.abs(a.marginal_B.entries - b.marginal_B.entries)) <= 1e-9
+            assert np.max(np.abs(a.marginal_A - b.marginal_A)) <= 1e-9
+            assert np.max(np.abs(a.marginal_B - b.marginal_B)) <= 1e-9
 
     def test_partial_saturation_keeps_the_probe(self, tmp_path):
         # residual [[0, 0], [0, 0.64]]: input 0 saturates, input 1 keeps a failure branch
@@ -155,6 +155,11 @@ class TestBuildProbabilistic:
         monkeypatch.setattr(masker_module, "hermitian_sqrt", lambda m, op_tol: 0.9 * np.eye(2))
         with pytest.raises(ValueError, match="efficiency 0: .* min eigenvalue"):
             build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [0.1, 0.1])
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, np.nan])
+    def test_efficiency_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [bad, 0.1])
 
     def test_unit_efficiency_with_residual_rejected(self):
         with pytest.raises(ValueError, match="residual"):
@@ -221,8 +226,8 @@ class TestSimulate:
         masker = build_probabilistic(inputs, targets, np.full(3, boundary / 2))
         outcomes = [simulate(masker, k) for k in range(3)]
         for outcome in outcomes[1:]:
-            assert np.max(np.abs(outcome.marginal_A.entries - outcomes[0].marginal_A.entries)) <= 1e-8
-            assert np.max(np.abs(outcome.marginal_B.entries - outcomes[0].marginal_B.entries)) <= 1e-8
+            assert np.max(np.abs(outcome.marginal_A - outcomes[0].marginal_A)) <= 1e-8
+            assert np.max(np.abs(outcome.marginal_B - outcomes[0].marginal_B)) <= 1e-8
 
     def test_index_out_of_range(self):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
@@ -271,7 +276,7 @@ class TestVerifyMasking:
         masker = build_deterministic(random_orthonormal(3, 4, rng))
         report = verify_masking(masker)
         assert report.passed
-        assert report.expected_probabilities == (1.0, 1.0, 1.0)
+        assert tuple(masker.gammas) == (1.0, 1.0, 1.0)
 
     def test_probabilistic_masker_passes(self, rng):
         inputs = random_independent(2, 2, rng)

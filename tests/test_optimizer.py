@@ -38,6 +38,11 @@ class TestSuccessProbability:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             success_probability((1.1, 0.5))
+        # NaN fails every comparison, so the range test must be written as inclusion
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            success_probability((np.nan, 0.5))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            feasible(np.eye(2), np.eye(2), (np.nan, 0.5))
 
 
 class TestFeasible:

@@ -132,7 +132,7 @@ def _verify_and_save(m, out) -> int:
 
 def _cmd_mask_det(args) -> int:
     inputs = _load_input_states(args)
-    m = masking.build_deterministic(inputs, args.dim)
+    m = masking.build_deterministic(inputs)
     print(f"deterministic masker: {len(inputs)} states, dimension {m.dim}")
     return _verify_and_save(m, args.out)
 
@@ -185,18 +185,17 @@ def _cmd_simulate(args) -> int:
         _print_matrix("marginal A", outcome.marginal_A)
         _print_matrix("marginal B", outcome.marginal_B)
         return 0
-    outcomes = [masking.simulate(m, k) for k in range(len(m.inputs))]
-    for k, outcome in enumerate(outcomes):
+    report = masking.verify_masking(m)
+    pairs = zip(report.success_probabilities, report.fidelities)
+    for k, (probability, fidelity) in enumerate(pairs):
         print(
-            f"state {k}: success probability {_format(outcome.success_probability)}, "
-            f"fidelity {_format(outcome.fidelity_to_target)}"
+            f"state {k}: success probability {_format(probability)}, "
+            f"fidelity {_format(fidelity)}"
         )
-    deviation = max(
-        fixed_reducing.marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
-    )
-    _print_matrix("marginal A", outcomes[0].marginal_A)
-    _print_matrix("marginal B", outcomes[0].marginal_B)
-    print(f"cross-state marginal deviation: {deviation:.3e}")
+    first = masking.simulate(m, 0)
+    _print_matrix("marginal A", first.marginal_A)
+    _print_matrix("marginal B", first.marginal_B)
+    print(f"cross-state marginal deviation: {report.max_marginal_deviation:.3e}")
     return 0
 
 

@@ -11,12 +11,11 @@ U = I - Q Q^dagger + Q W Q^dagger: ``span_basis`` is Q (D rows of k
 pairs, k <= 2n), an orthonormal basis of the only subspace U moves, and
 ``unitary`` is W (k x k), U written in that basis. The file grows as
 O(D n) rather than O(D^2). Files without a version (version 1) have no
-``span_basis``: their ``unitary`` is written in the standard basis, the
-dense D x D matrix. They still load, and a masker with a dense unitary
-is written back in that layout. On load Q must be orthonormal, W
-unitary, the targets fixed reducing and every failure branch weight
-equal to 1 - gamma_k; any failure is a ``FileFormatError`` naming the
-field.
+``span_basis``: their ``unitary`` is the dense D x D matrix, which is
+the factored form with Q = I. They load as such and are written back as
+version 2 with k = D, which the reader accepts as well. On load Q must be orthonormal, W unitary, the targets fixed
+reducing and every failure branch weight equal to 1 - gamma_k; any
+failure is a ``FileFormatError`` naming the field.
 
 Loading converts each array of pairs with one numpy call and checks its
 shape, its numeric type and that it holds no JSON booleans. Only when
@@ -203,17 +202,11 @@ def _ancilla_index(ancilla: StateVector) -> int:
 def masker_to_json(m) -> dict:
     """Serializable form of a masker; inverse of masker_from_json."""
     d = m.dim
-    if isinstance(m.unitary, FactoredUnitary):
-        unitary = {
-            "version": MASKER_VERSION,
-            "span_basis": _pairs_to_json(m.unitary.span_basis),
-            "unitary": _pairs_to_json(m.unitary.span_unitary.entries),
-        }
-    else:
-        unitary = {"unitary": _pairs_to_json(m.unitary.entries)}
     document = {
         "dims": [d, d],
-        **unitary,
+        "version": MASKER_VERSION,
+        "span_basis": _pairs_to_json(m.unitary.span_basis),
+        "unitary": _pairs_to_json(m.unitary.span_unitary.entries),
         "targets": state_set_to_json(
             (d, d), [s.amplitudes for s in m.targets.states]
         ),
@@ -230,24 +223,26 @@ def masker_to_json(m) -> dict:
     return document
 
 
-def _unitary_from_json(document: dict, total: int, n: int):
-    """The masker unitary: W in the basis ``span_basis`` (version 2), or dense (version 1)."""
+def _unitary_from_json(document: dict, total: int, n: int) -> FactoredUnitary:
+    """The masker unitary: W in the basis ``span_basis`` (version 2), or dense with Q = I."""
     version = document.get("version", 1)
     _require(version in (1, MASKER_VERSION) and not isinstance(version, bool), "version",
              f"expected 1 or {MASKER_VERSION}, got {version!r}")
-    size, basis = total, None
     if version == MASKER_VERSION:
         raw_basis = document.get("span_basis")
+        # k <= 2n for a built masker; k = D for one loaded from a version-1 file
         _require(isinstance(raw_basis, list) and raw_basis and isinstance(raw_basis[0], list)
-                 and 0 < len(raw_basis[0]) <= min(2 * n, total),
-                 "span_basis", f"expected {total} rows of k <= {min(2 * n, total)} [re, im] pairs")
+                 and (0 < len(raw_basis[0]) <= min(2 * n, total) or len(raw_basis[0]) == total),
+                 "span_basis",
+                 f"expected {total} rows of k <= {min(2 * n, total)} or k = {total} [re, im] pairs")
         size = len(raw_basis[0])
         basis = _matrix_from_json(raw_basis, "span_basis", total, size)
+    else:
+        # a dense U is the factored form with Q = I
+        size, basis = total, np.eye(total)
     unitary = Operator(_matrix_from_json(document.get("unitary"), "unitary", size))
     _require(unitary.unitarity_residual <= OP_TOL, "unitary",
              f"is not unitary: residual {unitary.unitarity_residual:.3e}")
-    if basis is None:
-        return unitary
     factored = FactoredUnitary(basis, unitary)
     _require(factored.isometry_residual <= OP_TOL, "span_basis",
              f"columns are not orthonormal: residual {factored.isometry_residual:.3e}")

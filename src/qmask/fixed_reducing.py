@@ -40,7 +40,7 @@ def _unitary_matrix(matrix, dim: int, name: str) -> np.ndarray:
     if mat.shape != (dim, dim):
         raise ValueError(f"{name} has shape {mat.shape}, expected ({dim}, {dim})")
     residual = unitarity_residual(mat)
-    if residual > OP_TOL:
+    if not residual <= OP_TOL:
         raise ValueError(f"{name} is not unitary: residual {residual:.3e}")
     return mat
 
@@ -254,7 +254,7 @@ def targets_with_overlap(d: int, c: complex) -> FixedReducingSet:
         raise ValueError("need dimension at least 2")
     c = complex(c)
     magnitude = abs(c)
-    if magnitude > 1 + 1e-12:
+    if not magnitude <= 1 + 1e-12:
         raise ValueError(f"|c| = {magnitude!r} exceeds 1")
     magnitude = min(magnitude, 1.0)
     arg = float(np.angle(c)) if magnitude > 0 else 0.0

@@ -7,9 +7,9 @@ subsystem dimensions (one subsystem unless given); ``StateVector`` names
 the same class, and ``partial_trace`` addresses a subsystem by its
 index. Every operation is a pure function returning new values, so
 everything here is safe to call concurrently. Gram matrices and reduced
-density matrices are plain Hermitian arrays. Operators are dense except
-``FactoredUnitary``, which stores a unitary by its action on a small
-subspace; both act on vectors through ``apply``.
+density matrices are plain Hermitian arrays. ``Operator`` is a dense
+square matrix; ``FactoredUnitary`` stores a unitary by its action on a
+small subspace, with an ``Operator`` there, and acts through ``apply``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def unitarity_residual(matrix: np.ndarray) -> float:
 
 def _check_normalized(amps: np.ndarray) -> None:
     err = abs(np.linalg.norm(amps) - 1.0)
-    if err > NORM_TOL:
+    # written so that a NaN error fails the check
+    if not err <= NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
 
 
@@ -111,10 +112,6 @@ class Operator:
 
     def is_unitary(self, tol: float = OP_TOL) -> bool:
         return self.unitarity_residual <= tol
-
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """The operator times ``vectors`` (one vector, or one per column)."""
-        return self.entries @ vectors
 
 
 @dataclass(frozen=True)

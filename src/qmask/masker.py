@@ -18,10 +18,9 @@ when some gamma_k < 1. A mutually orthogonal family admits the
 deterministic masker: no probe, a unitary on A (x) B alone and every
 gamma_k = 1; ``build_deterministic`` checks that hypothesis and calls
 ``build_probabilistic`` with unit efficiencies. The failure branches are
-not stored; ``failure_branches`` derives them from the unitary. The
-builder returns the unitary in factored form
-(``hilbert.FactoredUnitary``), so nothing here forms a D x D matrix; a
-dense ``Operator`` works as a masker unitary just the same.
+not stored; ``failure_branches`` derives them from the unitary. A
+masker's unitary is always in factored form (``hilbert.FactoredUnitary``),
+so nothing here forms a D x D matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .hilbert import (
     OP_TOL,
     FactoredUnitary,
     MultipartiteState,
-    Operator,
     StateVector,
     basis_state,
     fidelity,
@@ -68,16 +66,21 @@ class Masker:
     deterministic masker. A unitary on A (x) B (x) P (dimension
     d^2 (n + 1)) means a probe whose basis state 0 carries every success
     branch and is the rank-one post-selection outcome; basis states 1..n
-    carry the failure branches.
+    carry the failure branches. A dense D x D unitary U is the factored
+    form with Q = I: ``FactoredUnitary(np.eye(D), Operator(U))``.
     """
 
     inputs: tuple[StateVector, ...]
     ancilla: StateVector
     targets: FixedReducingSet
     gammas: np.ndarray
-    unitary: FactoredUnitary | Operator
+    unitary: FactoredUnitary
 
     def __post_init__(self):
+        if not isinstance(self.unitary, FactoredUnitary):
+            raise TypeError(
+                f"masker unitary must be a FactoredUnitary, got {type(self.unitary).__name__}"
+            )
         inputs = tuple(self.inputs)
         d = self.ancilla.dim
         n = len(inputs)
@@ -143,17 +146,14 @@ class MaskingReport:
     unitarity_residual: float
 
 
-def _checked_inputs(inputs: Sequence[StateVector], d: int | None) -> tuple[tuple[StateVector, ...], int]:
+def _checked_inputs(inputs: Sequence[StateVector]) -> tuple[tuple[StateVector, ...], int]:
     family = tuple(inputs)
     if not family:
         raise ValueError("need at least one input state")
     dims = {a.dim for a in family}
     if len(dims) != 1:
         raise ValueError(f"inputs have mismatched dimensions: {sorted(dims)}")
-    inferred = family[0].dim
-    if d is not None and d != inferred:
-        raise ValueError(f"declared dimension {d} does not match the inputs' dimension {inferred}")
-    return family, inferred
+    return family, family[0].dim
 
 
 def _on_probe_start(vector: np.ndarray, probe_dim: int) -> np.ndarray:
@@ -174,9 +174,7 @@ def _carried(probe_part: np.ndarray, d: int) -> np.ndarray:
 
 
 def build_deterministic(
-    inputs: Sequence[StateVector],
-    d: int | None = None,
-    targets: FixedReducingSet | None = None,
+    inputs: Sequence[StateVector], targets: FixedReducingSet | None = None
 ) -> Masker:
     """Probe-free masker for a mutually orthogonal family.
 
@@ -187,7 +185,7 @@ def build_deterministic(
     (here the identity), the exact existence condition for the
     connecting unitary.
     """
-    family, d = _checked_inputs(inputs, d)
+    family, d = _checked_inputs(inputs)
     n = len(family)
     if n > d:
         raise ValueError(f"cannot mask {n} states in dimension {d}")
@@ -222,7 +220,7 @@ def build_probabilistic(
     A = X and there is no probe: the deterministic masker. The ancilla
     on B starts in |0>.
     """
-    family, d = _checked_inputs(inputs, None)
+    family, d = _checked_inputs(inputs)
     n = len(family)
     if targets.n != n or targets.dim != d:
         raise ValueError("targets do not match the input family's size and dimension")

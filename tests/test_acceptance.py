@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 import time
 
 import numpy as np
-import pytest
 
 from helpers import haar_unitary, random_independent, random_orthonormal
 from qmask.cli import main

@@ -55,6 +55,17 @@ def dense_document(masker) -> dict:
     return document
 
 
+def assert_resaved_as_version_2(resaved, document) -> None:
+    """``resaved`` is the version-1 ``document`` written back: version 2, Q = I, W its matrix."""
+    resaved = dict(resaved)
+    size = len(document["unitary"])
+    identity = [[[float(i == j), 0.0] for j in range(size)] for i in range(size)]
+    assert resaved.pop("version") == 2
+    assert canonical(resaved.pop("span_basis")) == canonical(identity)
+    # everything else, the unitary's awkward floats included, is the version-1 file
+    assert canonical(resaved) == canonical(document)
+
+
 def overlap_pair_masker():
     inputs = [basis_state(2, 0), StateVector(np.array([INV2, INV2]))]
     return build_probabilistic(inputs, cyclic_targets(2, 2), [0.1, 0.1])
@@ -336,8 +347,9 @@ class TestMaskProb:
         def broken_build(*args, **kwargs):
             # the identity is unitary, so the masker is well formed, but it masks nothing
             built = build(*args, **kwargs)
+            identity = np.eye(built.unitary.dim)
             return dataclasses.replace(
-                built, unitary=Operator(np.eye(built.unitary.dim, dtype=complex))
+                built, unitary=FactoredUnitary(identity, Operator(identity))
             )
 
         monkeypatch.setattr(masking, "build_probabilistic", broken_build)
@@ -350,11 +362,15 @@ class TestMaskProb:
         assert "verification: FAIL" in capsys.readouterr().out
         assert not out_path.exists()
 
-    def test_declared_dim_mismatch_is_input_error(self, overlap_pair_file, capsys):
-        code = main([
-            "mask-prob", overlap_pair_file, "--dim", "3",
-            "--target-overlap", "0", "--gammas", "0.1,0.1",
-        ])
+    @pytest.mark.parametrize("command, inputs, options", [
+        ("mask-prob", "overlap_pair_file", ["--target-overlap", "0", "--gammas", "0.1,0.1"]),
+        # orthonormal inputs, so only the --dim check can fail
+        ("mask-det", "basis_pair_file", []),
+    ], ids=["mask-prob", "mask-det"])
+    def test_declared_dim_mismatch_is_input_error(
+        self, request, capsys, command, inputs, options
+    ):
+        code = main([command, request.getfixturevalue(inputs), "--dim", "3", *options])
         assert code == 2
         assert "dims" in capsys.readouterr().err
 
@@ -535,7 +551,13 @@ class TestMaskerFiles:
         unitary[0][1] = [-0.0, 5e-324]
         unitary[0][2] = [-5e-324, -0.0]
         rewrite(path, document)
-        assert canonical(masker_to_json(load_masker(path))) == canonical(document)
+        loaded = load_masker(path)
+        resaved = tmp_path / "resaved.json"
+        save_masker(loaded, resaved)
+        assert_resaved_as_version_2(json.loads(resaved.read_text()), document)
+        reloaded = load_masker(resaved)
+        assert np.array_equal(bits(reloaded.unitary.span_unitary.entries),
+                              bits(loaded.unitary.span_unitary.entries))
 
         inputs = [basis_state(2, 0), StateVector(np.array([0.1, np.sqrt(0.99)]))]
         probabilistic = build_probabilistic(inputs, cyclic_targets(2, 2), [0.1 + 0.2, 0.1])
@@ -633,11 +655,15 @@ class TestMaskerFiles:
             assert lines[-1].startswith("cross-state marginal deviation")
             assert float(lines[-1].split(":")[1]) <= 1e-12
         loaded = load_masker(dense)
-        assert isinstance(loaded.unitary, Operator)
+        assert np.array_equal(loaded.unitary.span_basis, np.eye(masker.unitary.dim))
         assert verify_masking(loaded).passed
         resaved = tmp_path / "resaved.json"
         save_masker(loaded, resaved)
-        assert canonical(json.loads(resaved.read_text())) == canonical(document)
+        assert_resaved_as_version_2(json.loads(resaved.read_text()), document)
+        # D = 36 > 2n: the re-saved file loads and simulates as the version-1 file does
+        assert verify_masking(load_masker(resaved)).passed
+        assert main(["simulate", str(resaved)]) == 0
+        assert capsys.readouterr().out.splitlines() == printed[1]
 
     def test_file_size_is_linear_in_dimension(self, tmp_path):
         def size(d, n):

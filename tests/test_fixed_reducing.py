@@ -114,8 +114,9 @@ class TestUniformSpectrum:
             assert np.allclose(rho_b, np.eye(3) / 3, atol=1e-12)
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            build_uniform_spectrum(2, [np.eye(2), np.diag([1.0, 2.0])])
+        for block in (np.diag([1.0, 2.0]), np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="not unitary"):
+                build_uniform_spectrum(2, [np.eye(2), block])
 
 
 class TestDistinctSpectrum:
@@ -268,8 +269,9 @@ class TestTargetsWithOverlap:
         assert fidelity(family.states[0], family.states[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_magnitude_above_one(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            targets_with_overlap(2, 1.5)
+        for c in (1.5, float("nan")):
+            with pytest.raises(ValueError, match="exceeds"):
+                targets_with_overlap(2, c)
 
 
 class TestConstructorInvariant:

@@ -31,6 +31,8 @@ class TestStateTypes:
     def test_state_vector_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             StateVector(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="normalized"):
+            StateVector(np.array([np.nan, 0.0]))
 
     def test_state_vector_rejects_empty(self):
         with pytest.raises(ValueError):

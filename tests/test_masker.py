@@ -4,11 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import haar_unitary, random_independent, random_orthonormal, random_state
+from helpers import random_independent, random_orthonormal, random_state
 from qmask import hilbert, masker as masker_module
 from qmask.fileio import load_masker, masker_to_json, save_masker
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap, verify_fixed_reducing
 from qmask.hilbert import (
+    FactoredUnitary,
     MultipartiteState,
     Operator,
     StateVector,
@@ -78,10 +79,6 @@ class TestBuildDeterministic:
         ]
         with pytest.raises(ValueError, match="cannot mask"):
             build_deterministic(inputs)
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            build_deterministic([basis_state(2, 0), basis_state(2, 1)], d=3)
 
     def test_rejects_target_gram_mismatch(self):
         inputs = [basis_state(2, 0), basis_state(2, 1)]
@@ -229,6 +226,11 @@ class TestSimulate:
             assert np.max(np.abs(outcome.marginal_A - outcomes[0].marginal_A)) <= 1e-8
             assert np.max(np.abs(outcome.marginal_B - outcomes[0].marginal_B)) <= 1e-8
 
+    def test_unitary_must_be_factored(self):
+        masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
+        with pytest.raises(TypeError, match="FactoredUnitary"):
+            dataclasses.replace(masker, unitary=Operator(masker.unitary.entries))
+
     def test_index_out_of_range(self):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         with pytest.raises(IndexError):
@@ -293,7 +295,9 @@ class TestVerifyMasking:
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         noise = 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         left, _, right = np.linalg.svd(masker.unitary.entries + noise)
-        broken = dataclasses.replace(masker, unitary=Operator(left @ right))
+        broken = dataclasses.replace(
+            masker, unitary=FactoredUnitary(np.eye(4), Operator(left @ right))
+        )
         report = verify_masking(broken)
         assert not report.passed
         assert min(report.fidelities) < 1 - 1e-8

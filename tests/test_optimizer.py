@@ -15,7 +15,6 @@ from qmask.optimizer import (
     probability_curves,
     residual_matrix,
     success_probability,
-    uniform_feasibility_boundary,
 )
 
 INV2 = 1.0 / np.sqrt(2)

@@ -44,10 +44,15 @@ def square_matrix(matrix, name: str) -> np.ndarray:
     return mat
 
 
-def _check_hermitian(mat: np.ndarray, name: str) -> None:
-    residual = float(np.max(np.abs(mat - mat.conj().T)))
-    if residual > OP_TOL:
+def hermitian_matrix(matrix, name: str) -> np.ndarray:
+    """``matrix`` as a square complex array, finite and Hermitian to within OP_TOL entrywise."""
+    mat = square_matrix(matrix, name)
+    with np.errstate(invalid="ignore"):  # inf - inf: reported by the check below
+        residual = float(np.max(np.abs(mat - mat.conj().T)))
+    # written so that a NaN residual (any non-finite entry) fails the check
+    if not residual <= OP_TOL:
         raise ValueError(f"{name} is not Hermitian: residual {residual:.3e}")
+    return mat
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
@@ -234,12 +239,19 @@ def linearly_independent(states: Sequence[MultipartiteState]) -> bool:
     return float(np.linalg.eigvalsh(gram(states))[0]) > RANK_TOL
 
 
+def psd_verdict(hermitian: np.ndarray) -> tuple[bool, float]:
+    """(min eigenvalue >= -OP_TOL, min eigenvalue) of an array already known Hermitian.
+
+    One eigensolve and no checks: the kernel of ``psd_check``, for callers
+    that validated their matrices once (see ``hermitian_matrix``).
+    """
+    lowest = float(np.linalg.eigvalsh(hermitian)[0])
+    return lowest >= -OP_TOL, lowest
+
+
 def psd_check(matrix) -> tuple[bool, float]:
     """Positive-semidefiniteness test: (min eigenvalue >= -OP_TOL, min eigenvalue)."""
-    mat = square_matrix(matrix, "matrix")
-    _check_hermitian(mat, "matrix")
-    lowest = float(np.linalg.eigvalsh(mat)[0])
-    return lowest >= -OP_TOL, lowest
+    return psd_verdict(hermitian_matrix(matrix, "matrix"))
 
 
 def hermitian_sqrt(matrix, *, op_tol: float = OP_TOL) -> np.ndarray:
@@ -248,9 +260,7 @@ def hermitian_sqrt(matrix, *, op_tol: float = OP_TOL) -> np.ndarray:
     Eigenvalues in [-op_tol, 0] are treated as numerical zeros; anything
     below -op_tol is rejected.
     """
-    mat = square_matrix(matrix, "matrix")
-    _check_hermitian(mat, "matrix")
-    eigvals, eigvecs = np.linalg.eigh(mat)
+    eigvals, eigvecs = np.linalg.eigh(hermitian_matrix(matrix, "matrix"))
     if float(eigvals[0]) < -op_tol:
         raise ValueError(f"matrix has negative eigenvalue {float(eigvals[0]):.3e}")
     root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T

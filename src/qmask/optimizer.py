@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import OP_TOL, psd_check, square_matrix
+from .hilbert import OP_TOL, hermitian_matrix, psd_check, psd_verdict, square_matrix
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # resolution of every bisection for an efficiency boundary
@@ -40,22 +40,46 @@ def success_probability(gammas) -> float:
     return float(np.prod(_gammas_array(gammas)))
 
 
+def _same_size(a: np.ndarray, x: np.ndarray) -> None:
+    if a.shape != x.shape:
+        raise ValueError(f"matrix sizes differ: A is {a.shape}, X_P is {x.shape}")
+
+
+def _residual(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    root = np.sqrt(values)
+    return a - np.outer(root, root) * x
+
+
 def residual_matrix(A, X_P, gammas) -> np.ndarray:
     """A - sqrt(Gamma) X sqrt(Gamma), the Gram weight left for failure branches."""
     a = square_matrix(A, "A")
     x = square_matrix(X_P, "X_P")
-    if a.shape != x.shape:
-        raise ValueError(f"matrix sizes differ: {a.shape} vs {x.shape}")
+    _same_size(a, x)
     values = _gammas_array(gammas)
     if values.size != a.shape[0]:
         raise ValueError(f"need {a.shape[0]} efficiencies, got {values.size}")
-    root = np.sqrt(values)
-    return a - np.outer(root, root) * x
+    return _residual(a, x, values)
 
 
 def feasible(A, X_P, gammas) -> tuple[bool, float]:
     """Whether the efficiencies are admissible, plus the residual's min eigenvalue."""
     return psd_check(residual_matrix(A, X_P, gammas))
+
+
+def _solve_inputs(A, X_P) -> tuple[np.ndarray, np.ndarray]:
+    """A and X_P checked once for a solve: Hermitian, finite and of one square shape."""
+    a = hermitian_matrix(A, "A")
+    x = hermitian_matrix(X_P, "X_P")
+    _same_size(a, x)
+    return a, x
+
+
+def _admissible(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> bool:
+    """``feasible(a, x, values)[0]`` for inputs ``_solve_inputs`` has checked.
+
+    The search's predicate: one n x n eigensolve of the residual, nothing else.
+    """
+    return psd_verdict(_residual(a, x, values))[0]
 
 
 def _ratio_squared(numerator: float, denominator: float) -> float:
@@ -128,22 +152,24 @@ def _largest_feasible(ok, low) -> float:
     return low
 
 
-def uniform_feasibility_boundary(A, X_P) -> float:
-    """Largest c for which the uniform efficiencies Gamma = c I are feasible.
-
-    Resolved to within BISECT_TOL from below.
-    """
-    a = square_matrix(A, "A")
-    x = square_matrix(X_P, "X_P")
-    if a.shape != x.shape:
-        raise ValueError(f"matrix sizes differ: {a.shape} vs {x.shape}")
+def _uniform_boundary(a: np.ndarray, x: np.ndarray) -> float:
     if float(np.linalg.eigvalsh(a)[0]) <= OP_TOL:
         raise ValueError(
             "inputs' Gram matrix is singular: no positive efficiencies are feasible "
             "(the input states are not linearly independent)"
         )
     n = a.shape[0]
-    return _largest_feasible(lambda c: feasible(a, x, np.full(n, c))[0], 0.0)
+    return _largest_feasible(lambda c: _admissible(a, x, np.full(n, c)), 0.0)
+
+
+def uniform_feasibility_boundary(A, X_P) -> float:
+    """Largest c for which the uniform efficiencies Gamma = c I are feasible.
+
+    Resolved to within BISECT_TOL from below. A and X_P are checked once
+    (square, same size, finite and Hermitian; an error names the faulty
+    one); each bisection step then costs one n x n eigensolve.
+    """
+    return _uniform_boundary(*_solve_inputs(A, X_P))
 
 
 def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
@@ -157,16 +183,18 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     feasible and locally undominated up to BISECT_TOL: raising any single
     efficiency by clearly more than that breaks feasibility (or leaves
     [0, 1]); global optimality is not certified.
+
+    A and X_P are checked once per solve (square, same size, finite and
+    Hermitian; an error names the faulty one). Every bisection step after
+    that costs one n x n eigensolve of the residual, the test ``feasible``
+    makes without its input checks.
     """
-    a = square_matrix(A, "A")
-    x = square_matrix(X_P, "X_P")
-    if a.shape != x.shape:
-        raise ValueError(f"matrix sizes differ: {a.shape} vs {x.shape}")
+    a, x = _solve_inputs(A, X_P)
     n = a.shape[0]
     if n < 2:
         raise ValueError("need at least two states to optimize over")
 
-    gammas = np.full(n, uniform_feasibility_boundary(a, x))
+    gammas = np.full(n, _uniform_boundary(a, x))
     for _ in range(MAX_SWEEPS):
         moved = 0.0
         for i in range(n):
@@ -174,7 +202,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
 
             def ok(value: float) -> bool:
                 trial[i] = value
-                return feasible(a, x, trial)[0]
+                return _admissible(a, x, trial)
 
             trial[i] = _largest_feasible(ok, gammas[i])
             moved = max(moved, trial[i] - gammas[i])

@@ -243,6 +243,12 @@ class TestPsdCheck:
         with pytest.raises(ValueError, match="Hermitian"):
             psd_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a non-finite entry makes the Hermitian residual NaN, which must fail the check
+        with pytest.raises(ValueError, match="not Hermitian: residual nan"):
+            psd_check(np.diag([1.0, bad]))
+
 
 class TestHermitianSqrt:
     def test_identity(self):
@@ -264,6 +270,10 @@ class TestHermitianSqrt:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             hermitian_sqrt(np.diag([1.0, -0.5]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian: residual nan"):
+            hermitian_sqrt(np.full((2, 2), np.nan))
 
 
 class TestOverlapHelpers:

@@ -1,4 +1,4 @@
-"""A stand-in for a linter's unused-import rule, built on the standard library's ``ast``."""
+"""Stand-ins for a linter's unused-import and dead-code rules, built on the standard library's ``ast``."""
 
 import ast
 from pathlib import Path
@@ -22,6 +22,58 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def _definitions(node: ast.stmt) -> list[str]:
+    """The ``_private`` function or class, or the UPPER_CASE constants, a statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        private = node.name.startswith("_") and not node.name.startswith("__")
+        return [node.name] if private else []
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return []
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions and classes and UPPER_CASE constants that
+    no module in ``sources`` reads, by bare name or as an attribute, outside their
+    own definition."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            names = _definitions(statement)
+            defined.extend((module, name, statement.lineno) for name in names)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name not in names:
+                    read.add(name)
+    return [f"{module}: {name} (line {line})" for module, name, line in defined
+            if name not in read]
+
+
+def test_scanner_finds_unread_definitions():
+    sources = {
+        "a": ("LIMIT = 1\nUNUSED = 2\nSCALE: float = 3.0\n__all__ = ['run']\n"
+              "def _helper():\n    return LIMIT\n"
+              "def _orphan():\n    return _orphan()\n"
+              "class _Unused:\n    pass\n"
+              "def run():\n    return _helper()\n"),
+        "b": "import a\nvalue = a.SCALE\n",
+    }
+    assert unread_definitions(sources) == [
+        "a: UNUSED (line 2)", "a: _orphan (line 7)", "a: _Unused (line 9)"]
+
+
+def test_no_private_helper_or_constant_goes_unread():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "qmask").glob("*.py"))}
+    assert unread_definitions(sources) == []
 
 
 def test_scanner_finds_unused_imports():

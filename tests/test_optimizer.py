@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_independent
+from helpers import random_independent, random_state
 from qmask.hilbert import gram
 from qmask.fixed_reducing import cyclic_targets
+from qmask import optimizer
 from qmask.optimizer import (
+    BISECT_TOL,
     DEFAULT_S_VALUES,
+    _admissible,
+    _solve_inputs,
     feasible,
     max_prob_grid_oracle,
     max_prob_two,
@@ -15,9 +19,11 @@ from qmask.optimizer import (
     probability_curves,
     residual_matrix,
     success_probability,
+    uniform_feasibility_boundary,
 )
 
 INV2 = 1.0 / np.sqrt(2)
+SKEW = np.array([[1.0, 0.5], [0.0, 1.0]])
 
 
 def two_state_matrices(s, t):
@@ -71,6 +77,19 @@ class TestFeasible:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="sizes differ"):
             feasible(np.eye(2), np.eye(3), (0.5, 0.5))
+
+    @pytest.mark.parametrize("solve", [maximize_general, uniform_feasibility_boundary])
+    @pytest.mark.parametrize("a, x, message", [
+        (np.eye(2), np.eye(3), r"sizes differ: A is \(2, 2\), X_P is \(3, 3\)"),
+        (SKEW, np.eye(2), "^A is not Hermitian"),
+        (np.eye(2), SKEW, "^X_P is not Hermitian"),
+        # a non-finite entry makes the Hermitian residual NaN
+        (np.full((2, 2), np.nan), np.eye(2), "^A is not Hermitian: residual nan"),
+        (np.eye(2), np.diag([1.0, np.inf]), "^X_P is not Hermitian: residual nan"),
+    ])
+    def test_solve_names_the_faulty_matrix(self, solve, a, x, message):
+        with pytest.raises(ValueError, match=message):
+            solve(a, x)
 
     def test_residual_matrix_values(self):
         a, x = two_state_matrices(INV2, 0.0)
@@ -195,10 +214,46 @@ class TestMaximizeGeneral:
             ok, _ = feasible(a, x, bumped)
             assert not ok
 
+    def test_search_never_calls_the_checked_test(self, monkeypatch, rng):
+        # inputs are checked once per solve; bisection steps are bare eigensolves
+        calls = []
+        for name in ("feasible", "psd_check"):
+            original = getattr(optimizer, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(optimizer, name, counted)
+        a = gram(random_independent(3, 3, rng))
+        x = gram(cyclic_targets(3, 3).states)
+        maximize_general(a, x)
+        uniform_feasibility_boundary(a, x)
+        assert calls == []
+
     def test_singular_inputs_rejected(self):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="singular"):
             maximize_general(singular, np.eye(2))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=5),
+    offset=st.floats(min_value=-BISECT_TOL, max_value=BISECT_TOL),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_predicate_matches_feasible(seed, n, offset):
+    # the search's unchecked predicate answers as the checked feasible() does,
+    # also within BISECT_TOL of the uniform boundary, where the answer flips
+    rng = np.random.default_rng(seed)
+    a, x = _solve_inputs(gram(random_independent(n, n + 1, rng)),
+                         gram([random_state(n + 1, rng) for _ in range(n)]))
+    boundary = uniform_feasibility_boundary(a, x)
+    trials = [np.full(n, boundary), np.full(n, min(boundary + BISECT_TOL, 1.0)),
+              np.clip(np.full(n, boundary + offset), 0.0, 1.0), rng.uniform(0.0, 1.0, n)]
+    for gammas in trials:
+        assert _admissible(a, x, gammas) == feasible(a, x, gammas)[0]
 
 
 class TestProbabilityCurves:

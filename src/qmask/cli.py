@@ -171,6 +171,8 @@ def _cmd_mask_prob(args) -> int:
     m = masking.build_probabilistic(inputs, targets, gammas)
     print("gammas:", " ".join(_format(g) for g in gammas))
     print(f"Prob(M): {_format(prob)}")
+    if args.maximize:
+        print(f"optimality gap (certified): {optimizer.certify(a, x, gammas)[0]:.1e}")
     print(f"feasibility margin (min eigenvalue): {_format(margin)}")
     return _verify_and_save(m, args.out)
 
@@ -249,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     gamma_group.add_argument("--gammas", type=_efficiencies, default=None,
                              help="comma-separated efficiencies, one per input")
     gamma_group.add_argument("--maximize", action="store_true",
-                             help="maximize the success probability first")
+                             help="maximize the success probability first and print the "
+                                  "certified optimality gap")
     p.add_argument("--out", default=None, help="path for the masker JSON file")
     p.add_argument("--renormalize", action="store_true",
                    help="repair unnormalized input vectors instead of rejecting them")

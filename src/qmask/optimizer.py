@@ -8,6 +8,14 @@ the efficiencies; for two states its maximum has the closed form
 min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2) in the overlap
 magnitudes s = |<a_1|a_2>| and t = |<Psi_1|Psi_2>|, attained with equal
 efficiencies.
+
+For n states the problem is convex in g = sqrt(gamma): by the Schur
+complement, A - G X G >= 0 with G = diag(g) is the linear matrix
+inequality [[A, G X^(1/2)], [X^(1/2) G, I]] >= 0, and log prod(gamma) =
+2 sum_i log g_i is concave: a max-det problem (Boyd and Vandenberghe,
+Convex Optimization, ch. 11). ``maximize_general`` solves it with a log
+barrier; ``certify`` and ``dual_bound`` bound the distance of any point from
+the optimum through Lagrange duality.
 """
 
 from __future__ import annotations
@@ -20,10 +28,12 @@ import numpy as np
 from .hilbert import OP_TOL, hermitian_matrix, psd_check, psd_verdict, square_matrix
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
-# resolution of every bisection for an efficiency boundary
-BISECT_TOL = 1e-10
-# coordinate-ascent sweeps maximize_general runs at most
-MAX_SWEEPS = 64
+# factor by which the barrier weight t grows between centring stages
+BARRIER_GROWTH = 20.0
+# the barrier stops once the central path's gap 2n / t in log Prob is this small
+GAP_TOL = 1e-8
+# Newton systems one solve forms at most, centring tests included
+NEWTON_STEP_LIMIT = 500
 
 
 def _gammas_array(gammas) -> np.ndarray:
@@ -77,7 +87,7 @@ def _solve_inputs(A, X_P) -> tuple[np.ndarray, np.ndarray]:
 def _admissible(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> bool:
     """``feasible(a, x, values)[0]`` for inputs ``_solve_inputs`` has checked.
 
-    The search's predicate: one n x n eigensolve of the residual, nothing else.
+    One n x n eigensolve of the residual, nothing else.
     """
     return psd_verdict(_residual(a, x, values))[0]
 
@@ -135,80 +145,181 @@ def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
     return float(np.max(np.where(feasible_points, product, 0.0)))
 
 
-def _largest_feasible(ok, low) -> float:
-    """Largest c in [low, 1] with ok(c), to within BISECT_TOL; ok(low) must hold.
-
-    Tries 1 first, then bisects.
-    """
-    if ok(1.0):
-        return 1.0
-    high = 1.0
-    while high - low > BISECT_TOL:
-        mid = (low + high) / 2.0
-        if ok(mid):
-            low = mid
-        else:
-            high = mid
-    return low
-
-
-def _uniform_boundary(a: np.ndarray, x: np.ndarray) -> float:
-    if float(np.linalg.eigvalsh(a)[0]) <= OP_TOL:
+def _whitener(a: np.ndarray) -> np.ndarray:
+    """N with N A N^dagger = I, from A's eigendecomposition; rejects a singular A."""
+    values, vectors = np.linalg.eigh(a)
+    if values[0] <= OP_TOL:
         raise ValueError(
             "inputs' Gram matrix is singular: no positive efficiencies are feasible "
             "(the input states are not linearly independent)"
         )
-    n = a.shape[0]
-    return _largest_feasible(lambda c: _admissible(a, x, np.full(n, c)), 0.0)
+    return (vectors / np.sqrt(values)).conj().T
+
+
+def _uniform_boundary(x: np.ndarray, whitener: np.ndarray) -> float:
+    # A - c X >= 0 exactly when c lambda_max(N X N^dagger) <= 1
+    top = float(np.linalg.eigvalsh(whitener @ x @ whitener.conj().T)[-1])
+    return 1.0 if top <= 1.0 else 1.0 / top
 
 
 def uniform_feasibility_boundary(A, X_P) -> float:
     """Largest c for which the uniform efficiencies Gamma = c I are feasible.
 
-    Resolved to within BISECT_TOL from below. A and X_P are checked once
-    (square, same size, finite and Hermitian; an error names the faulty
-    one); each bisection step then costs one n x n eigensolve.
+    Closed form min(1, 1 / lambda_max(N X_P N^dagger)), where N whitens A
+    (N A N^dagger = I): one eigendecomposition of A and one eigensolve.
+    A and X_P are checked once (square, same size, finite and Hermitian;
+    an error names the faulty one), and a singular A is rejected.
     """
-    return _uniform_boundary(*_solve_inputs(A, X_P))
+    a, x = _solve_inputs(A, X_P)
+    return _uniform_boundary(x, _whitener(a))
+
+
+def _dual_factor(whitener: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """C with C^dagger C = (A - G X G)^-1, or None when g is not strictly feasible.
+
+    Factors the whitened residual R' = I - (N G) X (N G)^dagger = L L^dagger
+    by Cholesky, so C = L^-1 N; a failed factorization means R' is not
+    positive definite.
+    """
+    m = whitener * g
+    try:
+        factor = np.linalg.cholesky(np.eye(g.size) - m @ x @ m.conj().T)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(factor) @ whitener
+
+
+def _log_det_terms(whitener: np.ndarray, x: np.ndarray, g: np.ndarray):
+    """Gradient and Hessian of -log det(A - G X G) at g = sqrt(gamma), G = diag(g).
+
+    None when g is not strictly feasible. With S = C^dagger C, B = X G and
+    K = B S B^dagger the derivatives are 2 Re (B S)_ii and
+    2 Re[(BS)_ij (BS)_ji + S_ji (K_ij + X_ij)].
+    """
+    c = _dual_factor(whitener, x, g)
+    if c is None:
+        return None
+    s = c.conj().T @ c
+    b = x * g
+    bs = b @ s
+    hessian = 2.0 * (bs * bs.T + s.T * (bs @ b.conj().T + x)).real
+    return 2.0 * np.diagonal(bs).real, hessian
+
+
+def _dual_bound(a: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray) -> float:
+    n = g.size
+    # first-order bound on the evaluation's rounding, through |C|, |A| and |X|:
+    # sums of up to n^2 terms, each a few complex products deep
+    slack = 2.0 * (n + 2) ** 2 * np.finfo(float).eps
+    c_abs, x_abs, outer = np.abs(c), np.abs(x), np.outer(g, g)
+    cg = c * g
+    r = np.einsum("ki,ki->i", c.conj(), cg @ x).real
+    r_low = r - slack * np.einsum("ki,ki->i", c_abs, np.abs(cg) @ x_abs)
+    if not np.all(r_low > 0.0):
+        return math.inf
+    trace = n + np.einsum("ij,ij->", c @ (a + outer * x), c.conj()).real
+    trace_high = trace + slack * (n + np.sum((c_abs @ (np.abs(a) + np.abs(outer) * x_abs)) * c_abs))
+    return 2.0 * float(np.sum(np.log(trace_high / (2.0 * n * r_low))))
+
+
+def dual_bound(A, X_P, dual) -> float:
+    """Upper bound on log Prob over all feasible efficiencies, from a dual point.
+
+    With g = sqrt(gamma), A - G X G >= 0 is the linear matrix inequality
+    F(g) = F_0 + sum_i g_i F_i = [[A, G X^(1/2)], [X^(1/2) G, I]] >= 0. For
+    any Z >= 0 with c_i = tr(Z F_i) < 0, weak duality gives
+    log prod(gamma) <= 2 [tr(Z F_0) - sum_i (1 + log(-c_i))].
+
+    ``dual`` is a pair (C, h): an n x n matrix and n reals, standing for
+    Z = alpha ([I, -H X^(1/2)]^dagger C^dagger C [I, -H X^(1/2)] + 0 (+) I)
+    with H = diag(h). That Z is positive semidefinite for every C and h,
+    and X^(1/2) cancels from the bound: c_i = -2 alpha Re(S H X)_ii and
+    tr(Z F_0) = alpha [tr(S A) + n + tr(H S H X)] with S = C^dagger C. The
+    best alpha is n over that bracket. The bound is raised by a bound on
+    its own rounding error and costs O(n^3). It is infinite when some c_i
+    is not certainly negative: the point then certifies nothing.
+    """
+    a, x = _solve_inputs(A, X_P)
+    n = a.shape[0]
+    c = np.asarray(dual[0], dtype=complex)
+    h = np.asarray(dual[1], dtype=float).reshape(-1)
+    if c.shape != (n, n) or h.shape != (n,):
+        raise ValueError(f"dual point must be an {n} x {n} matrix and {n} reals")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(h))):
+        raise ValueError("dual point must be finite")
+    return _dual_bound(a, x, c, h)
+
+
+def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    """Certified gap of the efficiencies ``gammas``, with the dual point that proves it.
+
+    Returns (gap, dual) with log(best Prob) - log prod(gammas) <= gap, so
+    the best success probability is at most prod(gammas) * exp(gap), and
+    gap = ``dual_bound(A, X_P, dual) - log prod(gammas)``. The dual point
+    is (C, sqrt(gamma)) with C^dagger C = (A - G X G)^-1: the Lagrange
+    multiplier that the log barrier pairs with a point on its central
+    path, which is where ``maximize_general`` stops, so its gap is about
+    2n / t <= GAP_TOL there. Unit efficiencies have gap 0 and no dual
+    point, as no efficiency exceeds 1; other efficiencies that are not
+    strictly feasible have an infinite gap and no dual point. O(n^3).
+    """
+    a, x = _solve_inputs(A, X_P)
+    values = _gammas_array(gammas)
+    if values.size != a.shape[0]:
+        raise ValueError(f"need {a.shape[0]} efficiencies, got {values.size}")
+    if np.all(values == 1.0):
+        return 0.0, None
+    g = np.sqrt(values)
+    c = _dual_factor(_whitener(a), x, g) if np.all(g > 0.0) else None
+    if c is None:
+        return math.inf, None
+    return _dual_bound(a, x, c, g) - float(np.sum(np.log(values))), (c, g)
 
 
 def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
-    """Locally maximal efficiencies for any number of inputs.
+    """Globally optimal efficiencies for any number of inputs, within the certified gap.
 
-    Bisects the uniform scale first, then performs coordinate ascent on
-    log gamma_i under the eigenvalue feasibility constraint: each sweep
-    pushes one efficiency to its per-coordinate boundary while the others
-    stay fixed, to within BISECT_TOL. Sweeps stop once no efficiency
-    moves by more than BISECT_TOL (or after MAX_SWEEPS). The result is
-    feasible and locally undominated up to BISECT_TOL: raising any single
-    efficiency by clearly more than that breaks feasibility (or leaves
-    [0, 1]); global optimality is not certified.
+    Returns (gammas, prob). If gamma = 1 is admissible it is the optimum.
+    Otherwise the log-barrier method minimizes
+    -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
+    from half the uniform boundary: each stage centres by damped Newton
+    steps of length 1 / (1 + lambda), with lambda the Newton decrement,
+    until lambda^2 <= max(1e-8, 1e-12 t); then t grows by BARRIER_GROWTH,
+    until the central path's gap 2n / t is at most GAP_TOL. Every iterate
+    passes a Cholesky factorization of the residual, so the returned
+    efficiencies are strictly feasible; ``certify`` bounds their distance
+    from the global optimum.
 
     A and X_P are checked once per solve (square, same size, finite and
-    Hermitian; an error names the faulty one). Every bisection step after
-    that costs one n x n eigensolve of the residual, the test ``feasible``
-    makes without its input checks.
+    Hermitian; an error names the faulty one); a singular A is rejected.
     """
     a, x = _solve_inputs(A, X_P)
     n = a.shape[0]
     if n < 2:
         raise ValueError("need at least two states to optimize over")
+    whitener = _whitener(a)
+    ones = np.ones(n)
+    if _admissible(a, x, ones):
+        return ones, 1.0
 
-    gammas = np.full(n, _uniform_boundary(a, x))
-    for _ in range(MAX_SWEEPS):
-        moved = 0.0
-        for i in range(n):
-            trial = gammas.copy()
-
-            def ok(value: float) -> bool:
-                trial[i] = value
-                return _admissible(a, x, trial)
-
-            trial[i] = _largest_feasible(ok, gammas[i])
-            moved = max(moved, trial[i] - gammas[i])
-            gammas = trial
-        if moved <= BISECT_TOL:
-            break
+    g = np.full(n, math.sqrt(_uniform_boundary(x, whitener) / 2.0))
+    gradient, hessian = _log_det_terms(whitener, x, g)
+    t = 1.0
+    for _ in range(NEWTON_STEP_LIMIT):
+        barrier_gradient = gradient - 2.0 * t / g
+        delta = np.linalg.solve(hessian + np.diag(2.0 * t / (g * g)), -barrier_gradient)
+        decrement2 = float(-barrier_gradient @ delta)
+        if decrement2 <= max(1e-8, 1e-12 * t):
+            if 2.0 * n / t <= GAP_TOL:
+                break
+            t *= BARRIER_GROWTH
+            continue
+        step = delta / (1.0 + math.sqrt(decrement2))
+        while (terms := _log_det_terms(whitener, x, g + step)) is None:
+            step = step / 2.0  # rounding left the damped step's Dikin ellipsoid
+        g = g + step
+        gradient, hessian = terms
+    gammas = np.minimum(g * g, 1.0)
     return gammas, float(np.prod(gammas))
 
 

@@ -218,6 +218,10 @@ class TestMaskProb:
         assert float(values["Prob(M)"]) == pytest.approx((1 - INV2) ** 2, abs=1e-6)
         gammas = [float(g) for g in values["gammas"].split()]
         assert gammas == pytest.approx([1 - INV2, 1 - INV2], abs=1e-6)
+        lines = out.splitlines()
+        gap_line = lines[lines.index(f"Prob(M): {values['Prob(M)']}") + 1]
+        assert gap_line.startswith("optimality gap (certified): ")
+        assert 0.0 <= float(values["optimality gap (certified)"]) <= 1e-6
 
         assert main(["simulate", str(out_path), "--state", "0"]) == 0
         sim_out = capsys.readouterr().out
@@ -234,6 +238,7 @@ class TestMaskProb:
         out = capsys.readouterr().out
         margin_line = next(l for l in out.splitlines() if "feasibility margin" in l)
         assert float(margin_line.split(":")[1]) == pytest.approx(0.9 - INV2, abs=1e-9)
+        assert "optimality gap" not in out  # certified only for --maximize
         assert out_path.exists()
 
     def test_infeasible_gammas_exit_one(self, overlap_pair_file, capsys):

@@ -139,9 +139,10 @@ class TestBuildProbabilistic:
         with pytest.raises(ValueError, match="dependent"):
             build_probabilistic(inputs, cyclic_targets(2, 2), [0.1, 0.1])
 
-    @pytest.mark.parametrize("s, t", [(0.3, 0.5), (0.9, 0.95)])
+    @pytest.mark.parametrize("s, t", [(0.3, 0.5), (0.9, 0.95), (0.999, 0.99), (1 - 1e-9, 0.0)])
     def test_builds_at_the_admissible_boundary(self, s, t):
-        # the optimizer's efficiencies sit on the boundary, where the residual is singular
+        # the optimizer's efficiencies sit just inside the boundary, where the residual is
+        # nearly singular
         inputs = [basis_state(2, 0), StateVector(np.array([s, np.sqrt(1 - s * s)]))]
         targets = targets_with_overlap(2, t)
         gammas, _ = maximize_general(gram(inputs), gram(targets.states))

@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_independent, random_state
-from qmask.hilbert import gram
-from qmask.fixed_reducing import cyclic_targets
+from helpers import haar_unitary, random_independent, random_state
+from qmask.hilbert import MultipartiteState, gram
+from qmask.fixed_reducing import cyclic_targets, from_states
+from qmask.masker import build_probabilistic, verify_masking
 from qmask import optimizer
 from qmask.optimizer import (
-    BISECT_TOL,
     DEFAULT_S_VALUES,
     _admissible,
+    _log_det_terms,
     _solve_inputs,
+    _whitener,
+    certify,
+    dual_bound,
     feasible,
     max_prob_grid_oracle,
     max_prob_two,
@@ -24,6 +28,51 @@ from qmask.optimizer import (
 
 INV2 = 1.0 / np.sqrt(2)
 SKEW = np.array([[1.0, 0.5], [0.0, 1.0]])
+# the resolution at which the old bisection stepped past the uniform boundary
+BOUNDARY_OFFSET = 1e-10
+
+# (n, d, seed, Prob) of the coordinate ascent maximize_general ran before the
+# barrier solver replaced it, on the instances ``frozen_instance`` builds
+COORDINATE_ASCENT = (
+    (3, 3, 1, 0.0006806691715544618),
+    (3, 3, 2, 0.0012349149725361733),
+    (3, 4, 1, 0.0005230355727395296),
+    (3, 4, 2, 0.00010486101084422657),
+    (4, 4, 1, 4.313179205449437e-08),
+    (4, 4, 2, 3.0960058570575636e-10),
+    (4, 5, 1, 0.00019263583331468944),
+    (4, 5, 2, 0.0003151017517189796),
+    (5, 5, 1, 1.9275444160063394e-08),
+    (5, 5, 2, 8.499586326565516e-15),
+    (5, 6, 1, 2.000316659927072e-08),
+    (5, 6, 2, 2.568992792530723e-05),
+    (6, 6, 1, 3.121602267587192e-11),
+    (6, 6, 2, 9.399009380392946e-08),
+    (6, 7, 1, 6.735864467752792e-09),
+    (6, 7, 2, 1.6876693879877113e-07),
+    (8, 8, 1, 1.5165900984897118e-21),
+    (8, 8, 2, 7.441036354876149e-20),
+    (8, 9, 1, 2.0176849251050533e-11),
+    (8, 9, 2, 3.010223212351335e-19),
+)
+# two-input (s, t): interior points, the corners s, t -> 1 and the diagonal t = s
+TWO_INPUT_POINTS = (
+    (0.0, 0.5), (0.25, 0.75), (0.5, 0.0), (0.75, 0.25), (0.9, 0.5), (0.5, 0.9),
+    (0.999, 0.99), (0.99, 0.999), (1.0 - 1e-6, 0.5), (1.0 - 1e-9, 0.0), (0.0, 1.0 - 1e-9),
+    (0.0, 0.0), (0.3, 0.3), (0.999, 0.999), (1.0 - 1e-9, 1.0 - 1e-9),
+)
+
+
+def flat_targets(n, d, rng):
+    """States (1/sqrt d) sum_i |i> (x) V_k|i> with Haar V_k: both marginals are I/d."""
+    return [MultipartiteState(haar_unitary(d, rng).T.reshape(-1) / np.sqrt(d), (d, d))
+            for _ in range(n)]
+
+
+def frozen_instance(n, d, seed):
+    rng = np.random.default_rng(seed)
+    inputs = random_independent(n, d, rng)
+    return inputs, flat_targets(n, d, rng)
 
 
 def two_state_matrices(s, t):
@@ -172,13 +221,12 @@ class TestGridOracle:
 
 class TestMaximizeGeneral:
     def test_matches_closed_form_for_two_states(self):
-        for s in (0.0, 0.25, 0.5, 0.75):
-            for t in (0.0, 0.25, 0.5, 0.75):
-                a, x = two_state_matrices(s, t)
-                gammas, prob = maximize_general(a, x)
-                assert abs(prob - max_prob_two(s, t)[0]) <= 1e-3
-                ok, _ = feasible(a, x, gammas)
-                assert ok
+        for s, t in TWO_INPUT_POINTS:
+            a, x = two_state_matrices(s, t)
+            gammas, prob = maximize_general(a, x)
+            closed = max_prob_two(s, t)[0]
+            assert closed * (1.0 - 1e-8) <= prob <= closed, (s, t)
+            assert feasible(a, x, gammas)[0]
 
     def test_identical_grams_give_unit_efficiencies(self):
         a, x = two_state_matrices(0.4, 0.4)
@@ -215,7 +263,7 @@ class TestMaximizeGeneral:
             assert not ok
 
     def test_search_never_calls_the_checked_test(self, monkeypatch, rng):
-        # inputs are checked once per solve; bisection steps are bare eigensolves
+        # inputs are checked once per solve; Newton steps use bare factorizations
         calls = []
         for name in ("feasible", "psd_check"):
             original = getattr(optimizer, name)
@@ -240,20 +288,163 @@ class TestMaximizeGeneral:
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=2, max_value=5),
-    offset=st.floats(min_value=-BISECT_TOL, max_value=BISECT_TOL),
+    offset=st.floats(min_value=-BOUNDARY_OFFSET, max_value=BOUNDARY_OFFSET),
 )
 @settings(max_examples=60, deadline=None)
 def test_search_predicate_matches_feasible(seed, n, offset):
-    # the search's unchecked predicate answers as the checked feasible() does,
-    # also within BISECT_TOL of the uniform boundary, where the answer flips
+    # the unchecked predicate answers as the checked feasible() does, also
+    # within BOUNDARY_OFFSET of the uniform boundary, where the answer flips
     rng = np.random.default_rng(seed)
     a, x = _solve_inputs(gram(random_independent(n, n + 1, rng)),
                          gram([random_state(n + 1, rng) for _ in range(n)]))
     boundary = uniform_feasibility_boundary(a, x)
-    trials = [np.full(n, boundary), np.full(n, min(boundary + BISECT_TOL, 1.0)),
+    trials = [np.full(n, boundary), np.full(n, min(boundary + BOUNDARY_OFFSET, 1.0)),
               np.clip(np.full(n, boundary + offset), 0.0, 1.0), rng.uniform(0.0, 1.0, n)]
     for gammas in trials:
         assert _admissible(a, x, gammas) == feasible(a, x, gammas)[0]
+
+
+class TestUniformBoundary:
+    def test_closed_form_sits_on_the_boundary(self, rng):
+        for n in (2, 3, 5):
+            a = gram(random_independent(n, n + 1, rng))
+            x = gram([random_state(n + 1, rng) for _ in range(n)])
+            boundary = uniform_feasibility_boundary(a, x)
+            assert 0.0 < boundary < 1.0
+            ok, lowest = feasible(a, x, np.full(n, boundary))
+            assert ok and abs(lowest) <= 1e-12
+            assert not feasible(a, x, np.full(n, boundary * (1.0 + 1e-6)))[0]
+
+    def test_capped_at_one(self):
+        assert uniform_feasibility_boundary(np.eye(2), np.diag([1.0, 0.5])) == 1.0
+        assert uniform_feasibility_boundary(*two_state_matrices(0.4, 0.4)) == pytest.approx(1.0)
+        # A - c X has the eigenvalues (1 - c) +- (0.4 - 0.2 c)
+        assert uniform_feasibility_boundary(*two_state_matrices(0.4, 0.2)) == pytest.approx(0.75)
+
+    def test_singular_inputs_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            uniform_feasibility_boundary(np.ones((2, 2)), np.eye(2))
+
+
+class TestMaximizeCertified:
+    def test_log_det_derivatives_match_central_differences(self, rng):
+        # at a non-uniform g, where B = X G and B^dagger = G X differ
+        n = 4
+        a = gram(random_independent(n, n, rng))
+        x = gram(flat_targets(n, n, rng))
+        whitener = _whitener(a)
+        g = np.sqrt(uniform_feasibility_boundary(a, x)) * np.array([0.3, 0.8, 0.5, 0.65])
+
+        def log_det(values):
+            return -np.linalg.slogdet(a - np.outer(values, values) * x)[1]
+
+        gradient, hessian = _log_det_terms(whitener, x, g)
+        step = 1e-6 * np.min(g)
+        for i in range(n):
+            shift = np.zeros(n)
+            shift[i] = step
+            difference = (log_det(g + shift) - log_det(g - shift)) / (2 * step)
+            assert difference == pytest.approx(gradient[i], rel=1e-6)
+            column = (_log_det_terms(whitener, x, g + shift)[0]
+                      - _log_det_terms(whitener, x, g - shift)[0]) / (2 * step)
+            assert np.max(np.abs(column - hessian[:, i])) <= 1e-6 * np.max(np.abs(hessian))
+        assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-9 * np.max(np.abs(hessian)))
+
+    @pytest.mark.parametrize("n, d, seed, ascent", COORDINATE_ASCENT)
+    def test_never_below_coordinate_ascent(self, n, d, seed, ascent):
+        inputs, targets = frozen_instance(n, d, seed)
+        a, x = gram(inputs), gram(targets)
+        gammas, prob = maximize_general(a, x)
+        # the ascent stepped up to 1e-10 past its boundaries; the barrier stops 1e-8 inside
+        assert prob >= ascent * (1.0 - 1e-8)
+        assert feasible(a, x, gammas)[0]
+        gap, dual = certify(a, x, gammas)
+        assert 0.0 <= gap <= 1e-6
+        assert dual_bound(a, x, dual) - np.log(prob) == pytest.approx(gap, abs=1e-12)
+
+    def test_newton_step_budget(self, monkeypatch):
+        # one factorization at the start and one per damped Newton step: with t
+        # growing 20-fold per stage the solves on this list took 21 to 38, 25 in
+        # the median; the budget leaves room for other BLAS builds
+        calls = []
+
+        def counted(*args, _original=optimizer._log_det_terms):
+            calls.append(None)
+            return _original(*args)
+
+        monkeypatch.setattr(optimizer, "_log_det_terms", counted)
+        steps = []
+        for n, d, seed, _ in COORDINATE_ASCENT:
+            inputs, targets = frozen_instance(n, d, seed)
+            calls.clear()
+            maximize_general(gram(inputs), gram(targets))
+            steps.append(len(calls))
+        assert max(steps) <= 50
+        assert np.median(steps) <= 30
+
+    def test_step_limit_keeps_a_feasible_point(self, monkeypatch):
+        # a solve cut short still returns a strictly feasible point, and certify
+        # still bounds its distance from the optimum, if only loosely
+        inputs, targets = frozen_instance(4, 4, 1)
+        a, x = gram(inputs), gram(targets)
+        _, best = maximize_general(a, x)
+        monkeypatch.setattr(optimizer, "NEWTON_STEP_LIMIT", 3)
+        gammas, prob = maximize_general(a, x)
+        assert feasible(a, x, gammas)[1] > 0.0
+        assert prob < best
+        assert certify(a, x, gammas)[0] >= np.log(best / prob)
+
+    @pytest.mark.parametrize("n, d, seed", [(3, 3, 1), (3, 4, 2), (4, 4, 1)])
+    def test_optimum_builds_a_verified_masker(self, n, d, seed):
+        inputs, targets = frozen_instance(n, d, seed)
+        gammas, _ = maximize_general(gram(inputs), gram(targets))
+        masker = build_probabilistic(inputs, from_states(targets), gammas)
+        assert masker.dim ** 2 * (n + 1) <= 100
+        assert verify_masking(masker).passed
+
+    @pytest.mark.parametrize("s, t", TWO_INPUT_POINTS)
+    def test_two_input_certificate(self, s, t):
+        a, x = two_state_matrices(s, t)
+        gammas, prob = maximize_general(a, x)
+        gap, dual = certify(a, x, gammas)
+        if prob == 1.0:
+            assert gap == 0.0 and dual is None
+            return
+        assert 0.0 <= gap
+        # at s = 1 - 1e-9, cond(A) = 2e9 and the certificate's rounding allowance dominates
+        assert gap <= (1e-4 if s > 1.0 - 1e-8 else 1e-6)
+        assert np.log(max_prob_two(s, t)[0]) <= np.log(prob) + gap
+
+    def test_any_dual_point_bounds_the_optimum(self, rng):
+        # weak duality: every C and h give an upper bound, finite or not
+        a = gram(random_independent(3, 3, rng))
+        x = gram(flat_targets(3, 3, rng))
+        log_best = np.log(maximize_general(a, x)[1])
+        for _ in range(50):
+            c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            assert dual_bound(a, x, (c, rng.uniform(0.0, 1.0, 3))) >= log_best
+        assert dual_bound(a, x, (np.zeros((3, 3)), np.ones(3))) == np.inf
+
+    def test_certify_edge_points(self):
+        a, x = two_state_matrices(0.5, 0.0)
+        # no efficiency exceeds 1, so unit efficiencies are optimal if admissible
+        assert certify(a, x, (1.0, 1.0)) == (0.0, None)
+        # beyond the boundary gamma <= 1/2, and at gamma = 0, nothing is certified
+        assert certify(a, x, (0.9, 0.9)) == (np.inf, None)
+        assert certify(a, x, (0.0, 0.3)) == (np.inf, None)
+        with pytest.raises(ValueError, match="need 2 efficiencies"):
+            certify(a, x, (0.1, 0.1, 0.1))
+        with pytest.raises(ValueError, match="^A is not Hermitian"):
+            certify(SKEW, x, (0.1, 0.1))
+
+    @pytest.mark.parametrize("dual, message", [
+        ((np.eye(2), np.ones(3)), "3 x 3 matrix and 3 reals"),
+        ((np.eye(3), np.ones(2)), "3 x 3 matrix and 3 reals"),
+        ((np.full((3, 3), np.nan), np.ones(3)), "finite"),
+    ])
+    def test_dual_bound_rejects_malformed_points(self, dual, message):
+        with pytest.raises(ValueError, match=message):
+            dual_bound(np.eye(3), np.eye(3), dual)
 
 
 class TestProbabilityCurves:

@@ -8,7 +8,6 @@ numerically.
 """
 
 from .fixed_reducing import (
-    MARGINAL_TOL,
     FixedReducingSet,
     build_distinct_spectrum,
     build_general_spectrum,
@@ -21,9 +20,8 @@ from .fixed_reducing import (
     verify_fixed_reducing,
 )
 from .hilbert import (
+    MARGINAL_TOL,
     NORM_TOL,
-    OP_TOL,
-    RANK_TOL,
     FactoredUnitary,
     MultipartiteState,
     Operator,
@@ -66,8 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MARGINAL_TOL",
     "NORM_TOL",
-    "OP_TOL",
-    "RANK_TOL",
     "FactoredUnitary",
     "FixedReducingSet",
     "Masker",

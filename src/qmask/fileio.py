@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixed_reducing, masker as masking
-from .hilbert import NORM_TOL, OP_TOL, FactoredUnitary, MultipartiteState, Operator, StateVector
+from .hilbert import NORM_TOL, FactoredUnitary, MultipartiteState, Operator, StateVector
 
 MASKER_VERSION = 2
 
@@ -192,7 +192,7 @@ def _ancilla_index(ancilla: StateVector) -> int:
     index = int(np.argmax(np.abs(ancilla.amplitudes)))
     residual = ancilla.amplitudes.copy()
     residual[index] -= 1.0
-    if float(np.max(np.abs(residual))) > 1e-12:
+    if not float(np.max(np.abs(residual))) <= NORM_TOL:
         raise ValueError(
             "only computational-basis ancilla states can be written to a masker file"
         )
@@ -241,10 +241,10 @@ def _unitary_from_json(document: dict, total: int, n: int) -> FactoredUnitary:
         # a dense U is the factored form with Q = I
         size, basis = total, np.eye(total)
     unitary = Operator(_matrix_from_json(document.get("unitary"), "unitary", size))
-    _require(unitary.unitarity_residual <= OP_TOL, "unitary",
+    _require(unitary.unitarity_residual <= NORM_TOL, "unitary",
              f"is not unitary: residual {unitary.unitarity_residual:.3e}")
     factored = FactoredUnitary(basis, unitary)
-    _require(factored.isometry_residual <= OP_TOL, "span_basis",
+    _require(factored.isometry_residual <= NORM_TOL, "span_basis",
              f"columns are not orthonormal: residual {factored.isometry_residual:.3e}")
     return factored
 

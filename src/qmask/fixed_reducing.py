@@ -24,15 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .hilbert import (
+    MARGINAL_TOL,
     NORM_TOL,
-    OP_TOL,
     MultipartiteState,
     partial_trace,
     square_matrix,
     unitarity_residual,
 )
-
-MARGINAL_TOL = 1e-9
 
 
 def _unitary_matrix(matrix, dim: int, name: str) -> np.ndarray:
@@ -40,7 +38,7 @@ def _unitary_matrix(matrix, dim: int, name: str) -> np.ndarray:
     if mat.shape != (dim, dim):
         raise ValueError(f"{name} has shape {mat.shape}, expected ({dim}, {dim})")
     residual = unitarity_residual(mat)
-    if not residual <= OP_TOL:
+    if not residual <= NORM_TOL:
         raise ValueError(f"{name} is not unitary: residual {residual:.3e}")
     return mat
 
@@ -144,8 +142,6 @@ def build_uniform_spectrum(d: int, unitaries: Sequence) -> FixedReducingSet:
     """
     if d <= 0:
         raise ValueError("dimension must be positive")
-    if not unitaries:
-        raise ValueError("need at least one unitary")
     return build_general_spectrum(np.full(d, 1.0 / d), [[v] for v in unitaries])
 
 
@@ -169,8 +165,6 @@ def build_distinct_spectrum(
         if phases.shape != (d,):
             raise ValueError(f"phase_rows[{k}] has shape {phases.shape}, expected ({d},)")
         blocks.append([[[z]] for z in np.exp(1j * phases)])
-    if not blocks:
-        raise ValueError("need at least one phase row")
     return build_general_spectrum(spectrum, blocks)
 
 
@@ -254,7 +248,7 @@ def targets_with_overlap(d: int, c: complex) -> FixedReducingSet:
         raise ValueError("need dimension at least 2")
     c = complex(c)
     magnitude = abs(c)
-    if not magnitude <= 1 + 1e-12:
+    if not magnitude <= 1 + NORM_TOL:
         raise ValueError(f"|c| = {magnitude!r} exceeds 1")
     magnitude = min(magnitude, 1.0)
     arg = float(np.angle(c)) if magnitude > 0 else 0.0

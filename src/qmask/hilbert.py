@@ -1,4 +1,4 @@
-"""Complex linear algebra for finite-dimensional pure states.
+"""Complex linear algebra for finite-dimensional pure states, and qmask's tolerance policy.
 
 Value types (states, operators) are immutable after construction and
 validated against their defining invariants. There is one pure-state
@@ -10,6 +10,23 @@ everything here is safe to call concurrently. Gram matrices and reduced
 density matrices are plain Hermitian arrays. ``Operator`` is a dense
 square matrix; ``FactoredUnitary`` stores a unitary by its action on a
 small subspace, with an ``Operator`` there, and acts through ``apply``.
+
+This module also sets every numerical threshold in qmask, in three classes:
+
+- Rounding gates ask whether a computed number is zero or non-negative up
+  to rounding, against ``rounding_floor(size, scale)`` = ROUNDING_FACTOR *
+  size * eps * scale, as ``numpy.linalg.matrix_rank`` does. They are the
+  PSD gates (``psd_verdict``, ``hermitian_sqrt``, the build's feasibility
+  and saturated-row checks), the rank gates (``linearly_independent``, the
+  optimizer's whitener, both cuts in ``unitary_completion``), its Gram
+  match and ``build_deterministic``'s orthogonality.
+- Input-precision gates ask whether a unit object a caller or a file
+  supplied is unit: state norms, spectra summing to 1, unitaries,
+  isometries and Hermitian inputs relative to their size. NORM_TOL covers
+  them; MARGINAL_TOL is the fixed-reducing test's default.
+- Verification holds a masker to VERIFY_TOL (relative to gamma for success
+  probabilities), or to the rounding floor of cond(A) + 1 / sqrt(gamma)
+  when larger (``masker.verification_tolerance``).
 """
 
 from __future__ import annotations
@@ -20,12 +37,25 @@ from typing import Sequence
 
 import numpy as np
 
+# bounds |norm - 1| of a supplied state, |sum - 1| of a spectrum, max |U^dagger U - I|
+# of a unitary or isometry and max |M - M^dagger| / max |M| of a Hermitian matrix
 NORM_TOL = 1e-10
-OP_TOL = 1e-10
-RANK_TOL = 1e-10
-# largest Gram mismatch unitary_completion accepts; the builder gates its
-# residual rows at OP_TOL, which can leave Gram slack of that size
-GRAM_MATCH_TOL = 1e-8
+# bounds the entrywise gap between two members' marginals in a fixed reducing family
+MARGINAL_TOL = 1e-9
+# bounds 1 - fidelity, marginal gaps, |p - gamma| / gamma of a verified masker
+VERIFY_TOL = 1e-8
+# c in c * size * eps * scale: the rounding of a size-term sum or a size x size
+# eigensolve, with room for the rounding of the Gram entries it starts from
+ROUNDING_FACTOR = 16
+
+
+def rounding_floor(size: int, scale: float = 1.0) -> float:
+    """Largest magnitude a size-``size`` computation on data of ``scale`` leaves as rounding.
+
+    Data in qmask are unit vectors, probabilities and their Gram entries, so
+    ``scale`` is never taken below 1: a residual cancelling to 1e-17 came from O(1) numbers.
+    """
+    return ROUNDING_FACTOR * size * float(np.finfo(float).eps) * max(scale, 1.0)
 
 
 def _frozen_complex_vector(values) -> np.ndarray:
@@ -45,12 +75,12 @@ def square_matrix(matrix, name: str) -> np.ndarray:
 
 
 def hermitian_matrix(matrix, name: str) -> np.ndarray:
-    """``matrix`` as a square complex array, finite and Hermitian to within OP_TOL entrywise."""
+    """``matrix`` as a square complex array, finite and Hermitian to NORM_TOL times max |entry|."""
     mat = square_matrix(matrix, name)
     with np.errstate(invalid="ignore"):  # inf - inf: reported by the check below
         residual = float(np.max(np.abs(mat - mat.conj().T)))
     # written so that a NaN residual (any non-finite entry) fails the check
-    if not residual <= OP_TOL:
+    if not residual <= NORM_TOL * float(np.max(np.abs(mat))):
         raise ValueError(f"{name} is not Hermitian: residual {residual:.3e}")
     return mat
 
@@ -58,13 +88,6 @@ def hermitian_matrix(matrix, name: str) -> np.ndarray:
 def unitarity_residual(matrix: np.ndarray) -> float:
     """max |U^dagger U - I| entrywise, zero exactly for a unitary (or isometric) U."""
     return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
-
-
-def _check_normalized(amps: np.ndarray) -> None:
-    err = abs(np.linalg.norm(amps) - 1.0)
-    # written so that a NaN error fails the check
-    if not err <= NORM_TOL:
-        raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +106,10 @@ class MultipartiteState:
             raise ValueError(
                 f"product of dims {dims} does not match amplitude length {amps.size}"
             )
-        _check_normalized(amps)
+        err = abs(np.linalg.norm(amps) - 1.0)
+        # written so that a NaN error fails the check
+        if not err <= NORM_TOL:
+            raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
@@ -115,8 +141,8 @@ class Operator:
         """max |U^dagger U - I| of the entries, evaluated once per operator."""
         return unitarity_residual(self.entries)
 
-    def is_unitary(self, tol: float = OP_TOL) -> bool:
-        return self.unitarity_residual <= tol
+    def is_unitary(self) -> bool:
+        return self.unitarity_residual <= NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -164,9 +190,9 @@ class FactoredUnitary:
         """
         return max(self.isometry_residual, self.span_unitary.unitarity_residual)
 
-    def is_unitary(self, tol: float = OP_TOL) -> bool:
+    def is_unitary(self) -> bool:
         # U is unitary exactly when Q is an isometry and W is unitary
-        return self.isometry_residual <= tol and self.span_unitary.is_unitary(tol)
+        return self.isometry_residual <= NORM_TOL and self.span_unitary.is_unitary()
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """U times ``vectors`` (one vector, or one per column) without forming U."""
@@ -234,35 +260,52 @@ def gram(states: Sequence[MultipartiteState]) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def spectrum_floor(values: np.ndarray) -> float:
+    """Rounding floor of the eigenvalues or singular values of one decomposition."""
+    return rounding_floor(values.size, float(np.max(np.abs(values))))
+
+
+def nonsingular_spectrum(gram_matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Gram matrix; ValueError unless every eigenvalue clears the floor."""
+    values, vectors = np.linalg.eigh(gram_matrix)
+    floor = spectrum_floor(values)
+    if not values[0] > floor:
+        raise ValueError(f"{name} is singular: min eigenvalue {values[0]:.3e} is within the "
+                         f"rounding floor {floor:.1e} of zero: the states are linearly dependent")
+    return values, vectors
+
+
 def linearly_independent(states: Sequence[MultipartiteState]) -> bool:
-    """True when the family's Gram matrix has no eigenvalue at or below RANK_TOL."""
-    return float(np.linalg.eigvalsh(gram(states))[0]) > RANK_TOL
+    """True when every eigenvalue of the family's Gram matrix clears the rank gate."""
+    values = np.linalg.eigvalsh(gram(states))
+    return bool(values[0] > spectrum_floor(values))
 
 
-def psd_verdict(hermitian: np.ndarray) -> tuple[bool, float]:
-    """(min eigenvalue >= -OP_TOL, min eigenvalue) of an array already known Hermitian.
+def psd_verdict(hermitian: np.ndarray) -> tuple[bool, float, float]:
+    """(min eigenvalue >= -floor, min eigenvalue, floor) of an array already known Hermitian.
 
-    One eigensolve and no checks: the kernel of ``psd_check``, for callers
-    that validated their matrices once (see ``hermitian_matrix``).
+    The floor is ``spectrum_floor``. One eigensolve and no checks: the kernel
+    of ``psd_check``, for callers that validated their matrices once.
     """
-    lowest = float(np.linalg.eigvalsh(hermitian)[0])
-    return lowest >= -OP_TOL, lowest
+    values = np.linalg.eigvalsh(hermitian)
+    floor = spectrum_floor(values)
+    return bool(values[0] >= -floor), float(values[0]), floor
 
 
 def psd_check(matrix) -> tuple[bool, float]:
-    """Positive-semidefiniteness test: (min eigenvalue >= -OP_TOL, min eigenvalue)."""
-    return psd_verdict(hermitian_matrix(matrix, "matrix"))
+    """Positive-semidefiniteness test: (min eigenvalue >= -floor, min eigenvalue)."""
+    return psd_verdict(hermitian_matrix(matrix, "matrix"))[:2]
 
 
-def hermitian_sqrt(matrix, *, op_tol: float = OP_TOL) -> np.ndarray:
+def hermitian_sqrt(matrix) -> np.ndarray:
     """Hermitian PSD square root S of a Hermitian PSD matrix, with S @ S = matrix.
 
-    Eigenvalues in [-op_tol, 0] are treated as numerical zeros; anything
-    below -op_tol is rejected.
+    Eigenvalues in [-floor, 0] (``psd_verdict``'s gate) are rounding zeros; lower ones are rejected.
     """
     eigvals, eigvecs = np.linalg.eigh(hermitian_matrix(matrix, "matrix"))
-    if float(eigvals[0]) < -op_tol:
-        raise ValueError(f"matrix has negative eigenvalue {float(eigvals[0]):.3e}")
+    floor = spectrum_floor(eigvals)
+    if not eigvals[0] >= -floor:
+        raise ValueError(f"matrix has negative eigenvalue {eigvals[0]:.3e}, below -{floor:.1e}")
     root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
     return (root + root.conj().T) / 2.0
 
@@ -279,13 +322,13 @@ def unitary_completion(
     """Unitary U with U|input_i> = |output_i> for every i.
 
     Such a U exists exactly when the two families share their Gram matrix,
-    here to within GRAM_MATCH_TOL.
+    here to within the rounding floor of length-D inner products.
     The shared Gram is eigendecomposed once and both families are
     contracted against the same eigenvector weights, which yields two
     orthonormal frames in exact correspondence even for linearly dependent
-    families (eigenvalues at or below RANK_TOL are dropped). An SVD of
+    families (eigenvalues within ``spectrum_floor`` are dropped). An SVD of
     the two frames side by side gives an orthonormal basis Q of their
-    joint span, again dropping directions at or below RANK_TOL. Inside
+    joint span, again dropping singular values within the floor. Inside
     that span, of dimension k <= 2n, each frame is completed to a basis
     and the basis change between the completions is W; outside it U is
     the identity. Nothing of size D x D is formed.
@@ -299,19 +342,20 @@ def unitary_completion(
     gram_in = src.conj().T @ src
     gram_out = dst.conj().T @ dst
     mismatch = float(np.max(np.abs(gram_in - gram_out)))
-    if mismatch > GRAM_MATCH_TOL:
+    floor = rounding_floor(src.shape[0], float(np.max(np.abs(gram_in))))
+    if not mismatch <= floor:
         raise ValueError(
-            f"Gram matrices differ by {mismatch:.3e} (tolerance {GRAM_MATCH_TOL:.1e}); "
+            f"Gram matrices differ by {mismatch:.3e}, above the rounding floor {floor:.1e}; "
             "no unitary can map one family onto the other"
         )
     shared = (gram_in + gram_in.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(shared)
-    kept = eigvals > RANK_TOL
+    kept = eigvals > spectrum_floor(eigvals)
     weights = eigvecs[:, kept] / np.sqrt(eigvals[kept])
     frame_in = src @ weights
     frame_out = dst @ weights
     span, singular, _ = np.linalg.svd(np.hstack([frame_in, frame_out]), full_matrices=False)
-    basis = span[:, singular > RANK_TOL]
+    basis = span[:, singular > spectrum_floor(singular)]
     to_span = basis.conj().T
     raw = _completed(to_span @ frame_out) @ _completed(to_span @ frame_in).conj().T
     # project onto the nearest unitary so tolerance slack in the Gram match

@@ -9,8 +9,7 @@ probe states orthogonal to |P_0>, and post-selecting the probe on |P_0>
 completes the masking with per-input success probability gamma_k. The
 efficiencies are admissible exactly when the residual matrix
 A - sqrt(Gamma) X sqrt(Gamma) built from the input and target Gram
-matrices is positive semidefinite; its normalized form fixes the Gram
-matrix of the failure branches.
+matrices is positive semidefinite; it is the failure branches' Gram matrix.
 
 One ``Masker`` type and one builder cover both cases. The probe exists
 only to carry failure branches, so ``build_probabilistic`` adds one only
@@ -25,6 +24,7 @@ so nothing here forms a D x D matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -33,28 +33,9 @@ import numpy as np
 
 from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations
-from .hilbert import (
-    NORM_TOL,
-    OP_TOL,
-    FactoredUnitary,
-    MultipartiteState,
-    StateVector,
-    basis_state,
-    fidelity,
-    gram,
-    hermitian_sqrt,
-    linearly_independent,
-    partial_trace,
-    psd_check,
-    unitary_completion,
-)
-
-# |weight - (1 - gamma)| allowed for a failure branch: the bound a unit-norm
-# check on the branch rescaled by 1/sqrt(1 - gamma) gives at 1 - gamma = 1,
-# held fixed so that rounding is not amplified as gamma approaches 1
-FAILURE_WEIGHT_TOL = 2 * NORM_TOL
-# every check verify_masking aggregates passes within this tolerance
-VERIFY_TOL = 1e-8
+from .hilbert import NORM_TOL, VERIFY_TOL, FactoredUnitary, MultipartiteState, StateVector
+from .hilbert import basis_state, fidelity, gram, hermitian_sqrt, nonsingular_spectrum
+from .hilbert import partial_trace, psd_verdict, rounding_floor, unitary_completion
 
 
 @dataclass(frozen=True)
@@ -190,12 +171,11 @@ def build_deterministic(
     if n > d:
         raise ValueError(f"cannot mask {n} states in dimension {d}")
     g = gram(family)
-    off_diagonal = g - np.diag(np.diag(g))
-    worst = float(np.max(np.abs(off_diagonal))) if n > 1 else 0.0
-    if worst > OP_TOL:
-        raise ValueError(
-            f"inputs are not mutually orthogonal: max off-diagonal Gram entry {worst:.6e}"
-        )
+    worst = float(np.max(np.abs(g - np.diag(np.diag(g)))))
+    floor = rounding_floor(d)
+    if not worst <= floor:
+        raise ValueError(f"inputs are not mutually orthogonal: max off-diagonal Gram entry "
+                         f"{worst:.6e} is above the rounding floor {floor:.1e}")
     if targets is None:
         targets = cyclic_targets(n, d)
     return build_probabilistic(family, targets, np.ones(n))
@@ -208,17 +188,16 @@ def build_probabilistic(
 
     Writes A = gram(inputs) and X = gram(targets) and requires the
     residual M = A - sqrt(Gamma) X sqrt(Gamma) to be positive
-    semidefinite. The failure branches are built on one fixed product
-    state of A (x) B spread over the n orthogonal failure probe states
-    with coefficient matrix equal to the Hermitian square root of the
-    normalized residual Y = (I-Gamma)^{-1/2} M (I-Gamma)^{-1/2}, which
-    gives the evolved outputs the same Gram matrix as the prepared inputs
-    and hence a connecting unitary. An efficiency of exactly 1 is allowed
-    only where the corresponding residual row already vanishes, since the
-    failure normalization is singular there; such an input gets no
-    failure branch. With every efficiency 1 the gate is the Gram match
-    A = X and there is no probe: the deterministic masker. The ancilla
-    on B starts in |0>.
+    semidefinite up to rounding (``hilbert.psd_verdict``). The failure
+    branches sit on one fixed product state of A (x) B spread over the n
+    failure probe states, with the rows of the Hermitian square root of
+    conj(M) as coefficients: their Gram matrix is M, so the outputs share
+    the prepared inputs' Gram matrix and a connecting unitary exists. An
+    efficiency of 1 is allowed only where the residual row vanishes up to
+    rounding; that input gets no failure branch. With every efficiency 1
+    the gate is the Gram match A = X and there is no probe: the
+    deterministic masker. The ancilla on B starts in |0>. Each rejection
+    names its gate, the margin and the rounding floor it was compared with.
     """
     family, d = _checked_inputs(inputs)
     n = len(family)
@@ -227,46 +206,34 @@ def build_probabilistic(
     efficiencies = np.asarray(gammas, dtype=float).reshape(-1)
     if efficiencies.shape != (n,):
         raise ValueError(f"need {n} efficiencies, got {efficiencies.shape}")
-    if not np.all((efficiencies > 0) & (efficiencies <= 1)):
-        raise ValueError("efficiencies must lie in (0, 1]")
-    if not linearly_independent(family):
-        raise ValueError("inputs are linearly dependent; no probabilistic masker exists")
+    # a success branch of norm within rounding of zero carries no post-selected state
+    if not np.all((efficiencies > rounding_floor(n)) & (efficiencies <= 1)):
+        raise ValueError(f"efficiencies must lie in (0, 1], above the rounding floor "
+                         f"{rounding_floor(n):.1e}, got {efficiencies.tolist()}")
+    a = gram(family)
+    nonsingular_spectrum(a, "inputs' Gram matrix")
     ancilla = basis_state(d, 0)
 
-    a = gram(family)
-    x = gram(targets.states)
-    residual = optimizer.residual_matrix(a, x, efficiencies)
-    saturated = efficiencies >= 1.0
-    for i in np.flatnonzero(saturated):
+    residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
+    ok, lowest, floor = psd_verdict(residual)
+    free = efficiencies < 1.0
+    for i in np.flatnonzero(~free):
         row = float(np.max(np.abs(residual[i, :])))
-        if row > OP_TOL:
-            raise ValueError(
-                f"efficiency {i} equals 1 but row {i} of the residual has magnitude "
-                f"{row:.3e}: the targets' Gram matrix deviates from the inputs' there"
-            )
-    ok, lowest = psd_check(residual)
+        if row > floor:
+            raise ValueError(f"efficiency {i} equals 1 but row {i} of the residual has magnitude "
+                             f"{row:.3e}, above the rounding floor {floor:.1e}: the targets' "
+                             "Gram matrix deviates from the inputs' there")
     if not ok:
-        raise ValueError(
-            f"infeasible efficiencies: residual matrix has min eigenvalue {lowest:.6e}"
-        )
-
-    scale = np.zeros(n)
-    free = ~saturated
-    scale[free] = 1.0 / np.sqrt(1.0 - efficiencies[free])
-    normalized = np.outer(scale, scale) * residual
-    np.fill_diagonal(normalized, 1.0)
-    # the congruence scaling can amplify the tolerated negative dust in M
-    sqrt_tol = OP_TOL * (1.0 + float(np.max(scale)) ** 2)
-    coefficients = hermitian_sqrt(np.conj(normalized), op_tol=sqrt_tol)
-    # clipping that dust shortens the rows, most near the admissible boundary
-    norms = np.linalg.norm(coefficients, axis=1)
-    worst = int(np.argmax(np.abs(norms - 1.0)))
-    if abs(norms[worst] - 1.0) > sqrt_tol:
-        raise ValueError(
-            f"efficiency {worst}: failure coefficients miss unit norm by "
-            f"{abs(norms[worst] - 1.0):.3e}; residual matrix has min eigenvalue {lowest:.6e}"
-        )
-    coefficients = coefficients / norms[:, None]
+        raise ValueError(f"infeasible efficiencies: residual matrix has min eigenvalue "
+                         f"{lowest:.6e}, below the rounding floor -{floor:.1e}")
+    coefficients = hermitian_sqrt(np.conj(residual))
+    # clipping eigenvalues in [-floor, 0] moves a branch weight M_ii by at most the floor
+    misses = np.abs(np.sum(np.abs(coefficients) ** 2, axis=1) - np.diagonal(residual).real)
+    worst = int(np.argmax(np.where(free, misses, 0.0)))
+    if free[worst] and not misses[worst] <= floor:
+        raise ValueError(f"efficiency {worst}: failure branch weight misses M_ii by "
+                         f"{misses[worst]:.3e}, above the rounding floor {floor:.1e}; "
+                         f"residual matrix has min eigenvalue {lowest:.6e}")
 
     # the probe only carries failure branches
     probe_dim = n + 1 if np.any(free) else 1
@@ -281,9 +248,7 @@ def build_probabilistic(
         if free[i]:
             probe_part = np.zeros(probe_dim, dtype=complex)
             probe_part[1:] = coefficients[i, :]
-            # as a state, the failure branch is checked to be normalized
-            failure = MultipartiteState(_carried(probe_part, d), dims)
-            amplitude = amplitude + np.sqrt(1.0 - efficiencies[i]) * failure.amplitudes
+            amplitude = amplitude + _carried(probe_part, d)
         outputs.append(MultipartiteState(amplitude, dims))
 
     unitary = unitary_completion(prepared, outputs)
@@ -295,8 +260,9 @@ def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
 
     The failure component of input k is the evolved input minus its success
     branch sqrt(gamma_k) |Psi_k>|P_0>; its squared norm must equal
-    1 - gamma_k to within FAILURE_WEIGHT_TOL, else ValueError names the
-    input and the gap. A masker without a probe has no failure branches.
+    1 - gamma_k to within 2 NORM_TOL (1 + gamma_k), what an input and a
+    target unit to NORM_TOL allow, else ValueError names the input and the
+    gap. A masker without a probe has no failure branches.
     Inputs with gamma = 1 have none either; an arbitrary placeholder on the
     matching failure probe state is returned for them.
     """
@@ -310,7 +276,7 @@ def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
         )
         weight = float(np.vdot(branch, branch).real)
         gap = abs(weight - (1.0 - gamma))
-        if gap > FAILURE_WEIGHT_TOL:
+        if not gap <= 2 * NORM_TOL * (1.0 + gamma):
             raise ValueError(
                 f"input {k}: failure branch weight {weight:.6e} differs from "
                 f"1 - gamma = {1.0 - gamma:.6e} by {gap:.3e}"
@@ -346,13 +312,26 @@ def simulate(masker: Masker, k: int) -> MaskingOutcome:
     )
 
 
+def verification_tolerance(masker: Masker) -> float:
+    """The tolerance ``verify_masking`` applies to ``masker``.
+
+    VERIFY_TOL, or the rounding floor of cond(A) + 1 / sqrt(min gamma)
+    when that is larger: the unitary completion whitens the inputs' Gram
+    matrix A, which amplifies rounding by up to cond(A), and post-selection
+    rescales a branch of norm sqrt(gamma_k) to a unit vector.
+    """
+    values = np.linalg.eigvalsh(gram(masker.inputs))
+    cond = values[-1] / values[0] if values[0] > 0 else math.inf
+    return max(VERIFY_TOL, rounding_floor(values.size, cond + 1.0 / math.sqrt(min(masker.gammas))))
+
+
 def verify_masking(masker: Masker) -> MaskingReport:
     """Simulate every input and aggregate the masking checks.
 
-    Passes when all success probabilities match their efficiencies
-    gamma_k, every post-selected state reaches its target up to
-    1 - VERIFY_TOL in fidelity, the marginals agree across inputs
-    entrywise, and the stored operator is unitary, all within VERIFY_TOL.
+    With tol = ``verification_tolerance(masker)``, passes when every
+    |p_k - gamma_k| <= tol gamma_k, every fidelity to the target is at
+    least 1 - tol, and the marginals (entrywise across inputs) and the
+    stored operator's unitarity residual are within tol.
     """
     outcomes = [simulate(masker, k) for k in range(len(masker.inputs))]
     expected = tuple(float(g) for g in masker.gammas)
@@ -362,11 +341,12 @@ def verify_masking(masker: Masker) -> MaskingReport:
         marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
     )
     unitarity = masker.unitary.unitarity_residual
+    tol = verification_tolerance(masker)
     passed = (
-        marginal_deviation <= VERIFY_TOL
-        and max(abs(p - e) for p, e in zip(probabilities, expected)) <= VERIFY_TOL
-        and max(1.0 - f for f in fidelities) <= VERIFY_TOL
-        and unitarity <= VERIFY_TOL
+        marginal_deviation <= tol
+        and all(abs(p - e) <= tol * e for p, e in zip(probabilities, expected))
+        and max(1.0 - f for f in fidelities) <= tol
+        and unitarity <= tol
     )
     return MaskingReport(
         passed=passed,

@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import OP_TOL, hermitian_matrix, psd_check, psd_verdict, square_matrix
+from .hilbert import hermitian_matrix, nonsingular_spectrum, psd_check, psd_verdict, square_matrix
+from .hilbert import rounding_floor
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # factor by which the barrier weight t grows between centring stages
@@ -139,7 +140,7 @@ def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
     """
     product, complement, root = _efficiency_grid(grid_steps)
     determinant = complement - (s - root * t) ** 2
-    feasible_points = determinant >= -1e-12
+    feasible_points = determinant >= -rounding_floor(2)
     if not np.any(feasible_points):
         return 0.0
     return float(np.max(np.where(feasible_points, product, 0.0)))
@@ -147,12 +148,7 @@ def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
 
 def _whitener(a: np.ndarray) -> np.ndarray:
     """N with N A N^dagger = I, from A's eigendecomposition; rejects a singular A."""
-    values, vectors = np.linalg.eigh(a)
-    if values[0] <= OP_TOL:
-        raise ValueError(
-            "inputs' Gram matrix is singular: no positive efficiencies are feasible "
-            "(the input states are not linearly independent)"
-        )
+    values, vectors = nonsingular_spectrum(a, "inputs' Gram matrix")
     return (vectors / np.sqrt(values)).conj().T
 
 

@@ -104,7 +104,7 @@ def test_criterion_3_deterministic_property_suite():
             failures.append(f"trial {trial} (n={n}, d={d}): build failed: {exc}")
             continue
         report = verify_masking(masker)
-        if masker.unitary.is_unitary(1e-10) is False:
+        if masker.unitary.is_unitary() is False:
             failures.append(f"trial {trial}: operator not unitary to 1e-10")
         if min(report.fidelities) < 1 - 1e-9:
             failures.append(f"trial {trial}: fidelity {min(report.fidelities)}")

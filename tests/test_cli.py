@@ -344,6 +344,35 @@ class TestMaskProb:
         assert "verification: PASS" in out
         assert out_path.exists()
 
+    def test_verification_line_prints_the_applied_tolerance(self, tmp_path, capsys):
+        s = 1.0 - 1e-9
+        path = write_state_set(tmp_path / "close.json", (2,), [[1, 0], [s, np.sqrt(1 - s * s)]])
+        gamma = max_prob_two(s, 0.0)[1][0]
+        argv = ["mask-prob", path, "--target-overlap", "0", "--gammas", f"{gamma!r},{gamma!r}"]
+        assert main(argv) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        inputs = [basis_state(2, 0), StateVector(np.array([s, np.sqrt(1 - s * s)]))]
+        tolerance = masking.verification_tolerance(
+            build_probabilistic(inputs, targets_with_overlap(2, 0.0), [gamma, gamma]))
+        # cond(A) is about 2e9, so the tolerance is well above VERIFY_TOL
+        assert tolerance > 1e-6
+        assert line.startswith(f"verification: PASS (tolerance {tolerance:.1e},")
+
+    def test_efficiencies_above_the_optimum_exit_one_and_write_nothing(self, tmp_path, capsys):
+        s = 1.0 - 1e-9
+        path = write_state_set(tmp_path / "close.json", (2,), [[1, 0], [s, np.sqrt(1 - s * s)]])
+        gamma = 1.01 * max_prob_two(s, 0.0)[1][0]
+        out_path = tmp_path / "masker.json"
+        code = main([
+            "mask-prob", path, "--target-overlap", "0",
+            "--gammas", f"{gamma!r},{gamma!r}", "--out", str(out_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(r"infeasible efficiencies: .* min eigenvalue -\S+, below the rounding "
+                         r"floor -\S+", err)
+        assert not out_path.exists()
+
     def test_failed_verification_exits_one_and_writes_nothing(
         self, overlap_pair_file, tmp_path, capsys, monkeypatch
     ):

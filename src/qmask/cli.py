@@ -14,7 +14,8 @@ import numpy as np
 
 from . import fixed_reducing, masker as masking, optimizer
 from .fileio import FileFormatError, load_masker, load_state_set, save_masker
-from .hilbert import MARGINAL_TOL, MultipartiteState, StateVector, gram
+from .fixed_reducing import MARGINAL_TOL
+from .hilbert import MultipartiteState, StateVector, gram
 
 
 def _efficiencies(text: str) -> list[float]:
@@ -27,23 +28,32 @@ def _efficiencies(text: str) -> list[float]:
     return values
 
 
-def _number_where(check, requirement: str):
-    """Argument type: a number that passes ``check``, else an error stating ``requirement``."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
-        if not check(value):
-            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
-        return value
-    return parse
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
 
 
-_tolerance = _number_where(lambda v: math.isfinite(v) and v >= 0.0,
-                           "tolerance must be finite and non-negative")
-_overlap_magnitude = _number_where(lambda v: 0 <= v <= 1, "overlap magnitude must lie in [0, 1]")
-_target_overlap = _number_where(lambda v: abs(v) <= 1.0, "target overlap must lie in [-1, 1]")
+def _tolerance(text: str) -> float:
+    value = _number(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
+    return value
+
+
+def _overlap_magnitude(text: str) -> float:
+    value = _number(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"overlap magnitude must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _target_overlap(text: str) -> float:
+    value = _number(text)
+    if not abs(value) <= 1.0:
+        raise argparse.ArgumentTypeError(f"target overlap must lie in [-1, 1], got {text!r}")
+    return value
 
 
 def _grid_points(text: str) -> int:
@@ -99,19 +109,19 @@ def _load_input_states(args) -> list[StateVector]:
     return [StateVector(v) for v in vectors]
 
 
-def _print_verification(m, report: masking.MaskingReport) -> None:
+def _print_verification(report: masking.MaskingReport) -> None:
     print("success probabilities:", " ".join(_format(p) for p in report.success_probabilities))
     print("fidelities:", " ".join(_format(f) for f in report.fidelities))
     print(f"max marginal deviation: {report.max_marginal_deviation:.3e}")
     print(f"unitarity residual of the stored factors: {report.unitarity_residual:.3e}")
     print(f"verification: {'PASS' if report.passed else 'FAIL'} "
-          f"(tolerance {masking.verification_tolerance(m):.1e}, probabilities relative to gamma)")
+          f"(tolerance {report.tolerance:.1e}, probabilities relative to gamma)")
 
 
 def _verify_and_save(m, out) -> int:
     """Print the verification block; write the masker only when it passes."""
     report = masking.verify_masking(m)
-    _print_verification(m, report)
+    _print_verification(report)
     if not report.passed:
         return 1
     if out:

@@ -142,6 +142,8 @@ def build_uniform_spectrum(d: int, unitaries: Sequence) -> FixedReducingSet:
     """
     if d <= 0:
         raise ValueError("dimension must be positive")
+    if not unitaries:
+        raise ValueError("need at least one unitary")
     return build_general_spectrum(np.full(d, 1.0 / d), [[v] for v in unitaries])
 
 
@@ -165,6 +167,8 @@ def build_distinct_spectrum(
         if phases.shape != (d,):
             raise ValueError(f"phase_rows[{k}] has shape {phases.shape}, expected ({d},)")
         blocks.append([[[z]] for z in np.exp(1j * phases)])
+    if not blocks:
+        raise ValueError("need at least one phase row")
     return build_general_spectrum(spectrum, blocks)
 
 

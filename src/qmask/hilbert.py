@@ -17,20 +17,26 @@ This module also sets every numerical threshold in qmask, in three classes:
   to rounding, against ``rounding_floor(size, scale)`` = ROUNDING_FACTOR *
   size * eps * scale, as ``numpy.linalg.matrix_rank`` does. They are the
   PSD gates (``psd_verdict``, ``hermitian_sqrt``, the build's feasibility
-  and saturated-row checks), the rank gates (``linearly_independent``, the
-  optimizer's whitener, both cuts in ``unitary_completion``), its Gram
-  match and ``build_deterministic``'s orthogonality.
+  gate) and the rank gates (``linearly_independent``, the optimizer's
+  whitener, both cuts in ``unitary_completion``).
 - Input-precision gates ask whether a unit object a caller or a file
   supplied is unit: state norms, spectra summing to 1, unitaries,
   isometries and Hermitian inputs relative to their size. NORM_TOL covers
-  them; MARGINAL_TOL is the fixed-reducing test's default.
-- Verification holds a masker to VERIFY_TOL (relative to gamma for success
-  probabilities), or to the rounding floor of cond(A) + 1 / sqrt(gamma)
-  when larger (``masker.verification_tolerance``).
+  them; MARGINAL_TOL is the fixed-reducing test's default. Comparisons of
+  supplied states' inner products inherit it through ``precision_floor``:
+  ``build_deterministic``'s orthogonality, the Gram match in
+  ``unitary_completion`` and the failure branch weights.
+- Verification holds a map whitening a Gram matrix to VERIFY_TOL (relative
+  to gamma for success probabilities), or to the rounding floor of
+  cond + 1 / sqrt(gamma) when larger (``verification_tolerance``): a
+  masker in ``verify_masking``, and the output frame of
+  ``unitary_completion``. A masker whose tolerance exceeds VERIFY_CEILING,
+  or whose inputs are singular, is not verified at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -44,6 +50,9 @@ NORM_TOL = 1e-10
 MARGINAL_TOL = 1e-9
 # bounds 1 - fidelity, marginal gaps, |p - gamma| / gamma of a verified masker
 VERIFY_TOL = 1e-8
+# bounds the tolerance a verification may grow to with cond(A): beyond it, a masker
+# off by a percent in fidelity or success probability would pass
+VERIFY_CEILING = 1e-2
 # c in c * size * eps * scale: the rounding of a size-term sum or a size x size
 # eigensolve, with room for the rounding of the Gram entries it starts from
 ROUNDING_FACTOR = 16
@@ -56,6 +65,15 @@ def rounding_floor(size: int, scale: float = 1.0) -> float:
     ``scale`` is never taken below 1: a residual cancelling to 1e-17 came from O(1) numbers.
     """
     return ROUNDING_FACTOR * size * float(np.finfo(float).eps) * max(scale, 1.0)
+
+
+def precision_floor(size: int) -> float:
+    """Largest gap between length-``size`` inner products of two state families that is no real gap.
+
+    A state unit to NORM_TOL moves an inner product by up to 2 NORM_TOL, so
+    two families agree to 4 NORM_TOL, plus the rounding floor.
+    """
+    return 4 * NORM_TOL + rounding_floor(size)
 
 
 def _frozen_complex_vector(values) -> np.ndarray:
@@ -90,6 +108,13 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
 
 
+def _check_normalized(amps: np.ndarray) -> None:
+    err = abs(np.linalg.norm(amps) - 1.0)
+    # written so that a NaN error fails the check
+    if not err <= NORM_TOL:
+        raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
+
+
 @dataclass(frozen=True)
 class MultipartiteState:
     """Normalized pure state on a tensor product of subsystems (one by default)."""
@@ -106,10 +131,7 @@ class MultipartiteState:
             raise ValueError(
                 f"product of dims {dims} does not match amplitude length {amps.size}"
             )
-        err = abs(np.linalg.norm(amps) - 1.0)
-        # written so that a NaN error fails the check
-        if not err <= NORM_TOL:
-            raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
+        _check_normalized(amps)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
@@ -275,6 +297,20 @@ def nonsingular_spectrum(gram_matrix: np.ndarray, name: str) -> tuple[np.ndarray
     return values, vectors
 
 
+def verification_tolerance(gram_values: np.ndarray, min_gamma: float = 1.0) -> float:
+    """Tolerance for a map that whitens a Gram matrix with ascending eigenvalues ``gram_values``.
+
+    VERIFY_TOL, or the rounding floor of cond + 1 / sqrt(min_gamma) when that
+    is larger: whitening amplifies rounding by up to cond, and post-selection
+    rescales a branch of norm sqrt(gamma) to a unit vector. inf when the
+    Gram matrix is singular (``nonsingular_spectrum``'s gate).
+    """
+    if not gram_values[0] > spectrum_floor(gram_values):
+        return math.inf
+    cond = float(gram_values[-1] / gram_values[0])
+    return max(VERIFY_TOL, rounding_floor(gram_values.size, cond + 1.0 / math.sqrt(min_gamma)))
+
+
 def linearly_independent(states: Sequence[MultipartiteState]) -> bool:
     """True when every eigenvalue of the family's Gram matrix clears the rank gate."""
     values = np.linalg.eigvalsh(gram(states))
@@ -321,10 +357,12 @@ def unitary_completion(
 ) -> FactoredUnitary:
     """Unitary U with U|input_i> = |output_i> for every i.
 
-    Such a U exists exactly when the two families share their Gram matrix,
-    here to within the rounding floor of length-D inner products.
-    The shared Gram is eigendecomposed once and both families are
-    contracted against the same eigenvector weights, which yields two
+    Such a U exists exactly when the two families share their Gram matrix:
+    here to within ``precision_floor`` entrywise, and to within
+    ``verification_tolerance`` once whitened by the inputs' Gram matrix, so
+    that U maps each input onto its output to the accuracy a masker is
+    verified to. The shared Gram is eigendecomposed once and both families
+    are contracted against the same eigenvector weights, which yields two
     orthonormal frames in exact correspondence even for linearly dependent
     families (eigenvalues within ``spectrum_floor`` are dropped). An SVD of
     the two frames side by side gives an orthonormal basis Q of their
@@ -342,11 +380,11 @@ def unitary_completion(
     gram_in = src.conj().T @ src
     gram_out = dst.conj().T @ dst
     mismatch = float(np.max(np.abs(gram_in - gram_out)))
-    floor = rounding_floor(src.shape[0], float(np.max(np.abs(gram_in))))
+    floor = precision_floor(src.shape[0])
     if not mismatch <= floor:
         raise ValueError(
-            f"Gram matrices differ by {mismatch:.3e}, above the rounding floor {floor:.1e}; "
-            "no unitary can map one family onto the other"
+            f"Gram matrices differ by {mismatch:.3e}, above the input-precision floor "
+            f"{floor:.1e}; no unitary can map one family onto the other"
         )
     shared = (gram_in + gram_in.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(shared)
@@ -354,6 +392,15 @@ def unitary_completion(
     weights = eigvecs[:, kept] / np.sqrt(eigvals[kept])
     frame_in = src @ weights
     frame_out = dst @ weights
+    # the Gram mismatch whitened: how far the output frame is from orthonormal
+    drift = float(np.max(np.abs(weights.conj().T @ gram_out @ weights - np.eye(weights.shape[1]))))
+    tolerance = verification_tolerance(eigvals[kept])
+    if not drift <= tolerance:
+        raise ValueError(
+            f"Gram matrices differ by {drift:.3e} once whitened by the inputs' Gram matrix, "
+            f"above the verification tolerance {tolerance:.1e}; no unitary maps one family "
+            "onto the other that accurately"
+        )
     span, singular, _ = np.linalg.svd(np.hstack([frame_in, frame_out]), full_matrices=False)
     basis = span[:, singular > spectrum_floor(singular)]
     to_span = basis.conj().T

@@ -24,7 +24,6 @@ so nothing here forms a D x D matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -33,9 +32,10 @@ import numpy as np
 
 from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations
-from .hilbert import NORM_TOL, VERIFY_TOL, FactoredUnitary, MultipartiteState, StateVector
+from .hilbert import VERIFY_CEILING, FactoredUnitary, MultipartiteState, StateVector
 from .hilbert import basis_state, fidelity, gram, hermitian_sqrt, nonsingular_spectrum
-from .hilbert import partial_trace, psd_verdict, rounding_floor, unitary_completion
+from .hilbert import partial_trace, precision_floor, psd_verdict, rounding_floor
+from .hilbert import unitary_completion, verification_tolerance
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,14 @@ class MaskingOutcome:
 
 @dataclass(frozen=True)
 class MaskingReport:
-    """Aggregated verification of a masker over all of its inputs."""
+    """Aggregated verification of a masker over all of its inputs, with the tolerance applied."""
 
     passed: bool
     success_probabilities: tuple[float, ...]
     fidelities: tuple[float, ...]
     max_marginal_deviation: float
     unitarity_residual: float
+    tolerance: float
 
 
 def _checked_inputs(inputs: Sequence[StateVector]) -> tuple[tuple[StateVector, ...], int]:
@@ -172,10 +173,10 @@ def build_deterministic(
         raise ValueError(f"cannot mask {n} states in dimension {d}")
     g = gram(family)
     worst = float(np.max(np.abs(g - np.diag(np.diag(g)))))
-    floor = rounding_floor(d)
+    floor = precision_floor(d)
     if not worst <= floor:
         raise ValueError(f"inputs are not mutually orthogonal: max off-diagonal Gram entry "
-                         f"{worst:.6e} is above the rounding floor {floor:.1e}")
+                         f"{worst:.6e} is above the input-precision floor {floor:.1e}")
     if targets is None:
         targets = cyclic_targets(n, d)
     return build_probabilistic(family, targets, np.ones(n))
@@ -193,11 +194,11 @@ def build_probabilistic(
     failure probe states, with the rows of the Hermitian square root of
     conj(M) as coefficients: their Gram matrix is M, so the outputs share
     the prepared inputs' Gram matrix and a connecting unitary exists. An
-    efficiency of 1 is allowed only where the residual row vanishes up to
-    rounding; that input gets no failure branch. With every efficiency 1
-    the gate is the Gram match A = X and there is no probe: the
-    deterministic masker. The ancilla on B starts in |0>. Each rejection
-    names its gate, the margin and the rounding floor it was compared with.
+    input with efficiency 1 gets the branch of weight M_kk, zero up to
+    rounding and input precision. With every efficiency 1 there is no
+    probe, the deterministic masker, and the gate is the Gram match A = X
+    of ``unitary_completion``. The ancilla on B starts in |0>. Each
+    rejection names its gate, the margin and the floor it was compared with.
     """
     family, d = _checked_inputs(inputs)
     n = len(family)
@@ -214,29 +215,23 @@ def build_probabilistic(
     nonsingular_spectrum(a, "inputs' Gram matrix")
     ancilla = basis_state(d, 0)
 
-    residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
-    ok, lowest, floor = psd_verdict(residual)
-    free = efficiencies < 1.0
-    for i in np.flatnonzero(~free):
-        row = float(np.max(np.abs(residual[i, :])))
-        if row > floor:
-            raise ValueError(f"efficiency {i} equals 1 but row {i} of the residual has magnitude "
-                             f"{row:.3e}, above the rounding floor {floor:.1e}: the targets' "
-                             "Gram matrix deviates from the inputs' there")
-    if not ok:
-        raise ValueError(f"infeasible efficiencies: residual matrix has min eigenvalue "
-                         f"{lowest:.6e}, below the rounding floor -{floor:.1e}")
-    coefficients = hermitian_sqrt(np.conj(residual))
-    # clipping eigenvalues in [-floor, 0] moves a branch weight M_ii by at most the floor
-    misses = np.abs(np.sum(np.abs(coefficients) ** 2, axis=1) - np.diagonal(residual).real)
-    worst = int(np.argmax(np.where(free, misses, 0.0)))
-    if free[worst] and not misses[worst] <= floor:
-        raise ValueError(f"efficiency {worst}: failure branch weight misses M_ii by "
-                         f"{misses[worst]:.3e}, above the rounding floor {floor:.1e}; "
-                         f"residual matrix has min eigenvalue {lowest:.6e}")
-
     # the probe only carries failure branches
-    probe_dim = n + 1 if np.any(free) else 1
+    probe_dim = n + 1 if np.any(efficiencies < 1.0) else 1
+    if probe_dim > 1:
+        residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
+        ok, lowest, floor = psd_verdict(residual)
+        if not ok:
+            raise ValueError(f"infeasible efficiencies: residual matrix has min eigenvalue "
+                             f"{lowest:.6e}, below the rounding floor -{floor:.1e}")
+        coefficients = hermitian_sqrt(np.conj(residual))
+        # clipping eigenvalues in [-floor, 0] moves a branch weight M_ii by at most the floor
+        misses = np.abs(np.sum(np.abs(coefficients) ** 2, axis=1) - np.diagonal(residual).real)
+        worst = int(np.argmax(misses))
+        if not misses[worst] <= floor:
+            raise ValueError(f"efficiency {worst}: failure branch weight misses M_ii by "
+                             f"{misses[worst]:.3e}, above the rounding floor {floor:.1e}; "
+                             f"residual matrix has min eigenvalue {lowest:.6e}")
+
     dims = (d, d, probe_dim)
     prepared = []
     outputs = []
@@ -245,7 +240,7 @@ def build_probabilistic(
         amplitude = np.sqrt(efficiencies[i]) * _on_probe_start(
             targets.states[i].amplitudes, probe_dim
         )
-        if free[i]:
+        if probe_dim > 1:
             probe_part = np.zeros(probe_dim, dtype=complex)
             probe_part[1:] = coefficients[i, :]
             amplitude = amplitude + _carried(probe_part, d)
@@ -260,11 +255,12 @@ def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
 
     The failure component of input k is the evolved input minus its success
     branch sqrt(gamma_k) |Psi_k>|P_0>; its squared norm must equal
-    1 - gamma_k to within 2 NORM_TOL (1 + gamma_k), what an input and a
+    1 - gamma_k to within ``hilbert.precision_floor``, what an input and a
     target unit to NORM_TOL allow, else ValueError names the input and the
     gap. A masker without a probe has no failure branches.
-    Inputs with gamma = 1 have none either; an arbitrary placeholder on the
-    matching failure probe state is returned for them.
+    Inputs with gamma = 1 have none either (a weight within that floor of
+    zero); an arbitrary placeholder on the matching failure probe state is
+    returned for them.
     """
     d, probe_dim = masker.dim, masker.probe_dim
     if probe_dim == 1:
@@ -276,10 +272,12 @@ def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
         )
         weight = float(np.vdot(branch, branch).real)
         gap = abs(weight - (1.0 - gamma))
-        if not gap <= 2 * NORM_TOL * (1.0 + gamma):
+        floor = precision_floor(branch.size)
+        if not gap <= floor:
             raise ValueError(
                 f"input {k}: failure branch weight {weight:.6e} differs from "
-                f"1 - gamma = {1.0 - gamma:.6e} by {gap:.3e}"
+                f"1 - gamma = {1.0 - gamma:.6e} by {gap:.3e}, above the input-precision "
+                f"floor {floor:.1e}"
             )
         if gamma >= 1.0:
             branch = _carried(basis_state(probe_dim, k + 1).amplitudes, d)
@@ -312,23 +310,12 @@ def simulate(masker: Masker, k: int) -> MaskingOutcome:
     )
 
 
-def verification_tolerance(masker: Masker) -> float:
-    """The tolerance ``verify_masking`` applies to ``masker``.
-
-    VERIFY_TOL, or the rounding floor of cond(A) + 1 / sqrt(min gamma)
-    when that is larger: the unitary completion whitens the inputs' Gram
-    matrix A, which amplifies rounding by up to cond(A), and post-selection
-    rescales a branch of norm sqrt(gamma_k) to a unit vector.
-    """
-    values = np.linalg.eigvalsh(gram(masker.inputs))
-    cond = values[-1] / values[0] if values[0] > 0 else math.inf
-    return max(VERIFY_TOL, rounding_floor(values.size, cond + 1.0 / math.sqrt(min(masker.gammas))))
-
-
 def verify_masking(masker: Masker) -> MaskingReport:
     """Simulate every input and aggregate the masking checks.
 
-    With tol = ``verification_tolerance(masker)``, passes when every
+    With tol = ``hilbert.verification_tolerance`` of the inputs' Gram
+    spectrum and min gamma, passes when tol is at most VERIFY_CEILING
+    (so never for linearly dependent inputs, where tol is inf), every
     |p_k - gamma_k| <= tol gamma_k, every fidelity to the target is at
     least 1 - tol, and the marginals (entrywise across inputs) and the
     stored operator's unitarity residual are within tol.
@@ -341,9 +328,10 @@ def verify_masking(masker: Masker) -> MaskingReport:
         marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
     )
     unitarity = masker.unitary.unitarity_residual
-    tol = verification_tolerance(masker)
+    tol = verification_tolerance(np.linalg.eigvalsh(gram(masker.inputs)), min(masker.gammas))
     passed = (
-        marginal_deviation <= tol
+        tol <= VERIFY_CEILING
+        and marginal_deviation <= tol
         and all(abs(p - e) <= tol * e for p, e in zip(probabilities, expected))
         and max(1.0 - f for f in fidelities) <= tol
         and unitarity <= tol
@@ -354,4 +342,5 @@ def verify_masking(masker: Masker) -> MaskingReport:
         fidelities=fidelities,
         max_marginal_deviation=marginal_deviation,
         unitarity_residual=unitarity,
+        tolerance=tol,
     )

@@ -19,7 +19,7 @@ from qmask.fileio import (
     load_masker, load_state_set, masker_to_json, save_masker, save_state_set,
 )
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap
-from qmask.hilbert import FactoredUnitary, Operator, StateVector, basis_state
+from qmask.hilbert import NORM_TOL, FactoredUnitary, Operator, StateVector, basis_state
 from qmask.masker import build_deterministic, build_probabilistic, verify_masking
 from qmask.optimizer import max_prob_two
 
@@ -195,6 +195,21 @@ class TestMaskDet:
         assert main(["mask-det", path, "--dim", "3", "--out", str(tmp_path / "m.json")]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("end", [1.0, -1.0])
+    def test_states_off_unit_norm_within_the_tolerance(self, tmp_path, capsys, end):
+        path = write_state_set(tmp_path / "triple.json", (3,),
+                               (1.0 + 0.99 * NORM_TOL * end) * np.eye(3))
+        assert main(["mask-det", path]) == 0
+        assert "verification: PASS" in capsys.readouterr().out
+
+    def test_orthonormal_basis_written_to_twelve_digits(self, tmp_path, capsys, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        rounded = np.round(q.T, 12)
+        # inner products of about 1e-12, far above rounding but within input precision
+        assert np.max(np.abs(rounded.conj() @ rounded.T - np.eye(3))) > 1e-14
+        assert main(["mask-det", write_state_set(tmp_path / "basis.json", (3,), rounded)]) == 0
+        assert "verification: PASS" in capsys.readouterr().out
+
     def test_overlapping_pair_rejected(self, overlap_pair_file, capsys):
         assert main(["mask-det", overlap_pair_file]) == 1
         err = capsys.readouterr().err
@@ -352,11 +367,19 @@ class TestMaskProb:
         assert main(argv) == 0
         line = capsys.readouterr().out.splitlines()[-1]
         inputs = [basis_state(2, 0), StateVector(np.array([s, np.sqrt(1 - s * s)]))]
-        tolerance = masking.verification_tolerance(
-            build_probabilistic(inputs, targets_with_overlap(2, 0.0), [gamma, gamma]))
+        tolerance = masking.verify_masking(
+            build_probabilistic(inputs, targets_with_overlap(2, 0.0), [gamma, gamma])).tolerance
         # cond(A) is about 2e9, so the tolerance is well above VERIFY_TOL
         assert tolerance > 1e-6
         assert line.startswith(f"verification: PASS (tolerance {tolerance:.1e},")
+
+    @pytest.mark.parametrize("end", [1.0, -1.0])
+    def test_maximize_at_t_equal_s_on_states_off_unit_norm(self, tmp_path, capsys, end):
+        scale = 1.0 + 0.99 * NORM_TOL * end
+        path = write_state_set(tmp_path / "pair.json", (2,),
+                               [[scale, 0], [0.6 * scale, 0.8 * scale]])
+        assert main(["mask-prob", path, "--target-overlap", "0.6", "--maximize"]) == 0
+        assert "verification: PASS" in capsys.readouterr().out
 
     def test_efficiencies_above_the_optimum_exit_one_and_write_nothing(self, tmp_path, capsys):
         s = 1.0 - 1e-9

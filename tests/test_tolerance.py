@@ -6,6 +6,7 @@ so the library builds exactly the maskers its own verifier accepts.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,16 +15,20 @@ from hypothesis import strategies as st
 
 from helpers import overlap_family
 from qmask.fileio import load_masker, save_masker
-from qmask.fixed_reducing import from_states, targets_with_overlap
+from qmask.fixed_reducing import cyclic_targets, from_states, targets_with_overlap
 from qmask.hilbert import (
     NORM_TOL,
+    VERIFY_CEILING,
+    FactoredUnitary,
     MultipartiteState,
+    Operator,
     StateVector,
+    basis_state,
     gram,
     linearly_independent,
     rounding_floor,
 )
-from qmask.masker import build_probabilistic, verify_masking
+from qmask.masker import Masker, build_deterministic, build_probabilistic, verify_masking
 from qmask.optimizer import (
     feasible,
     max_prob_two,
@@ -79,6 +84,48 @@ def test_verification_rejects_a_masker_claiming_twice_its_efficiencies():
     assert not verify_masking(dataclasses.replace(built, gammas=2 * built.gammas)).passed
 
 
+def test_verification_fails_for_linearly_dependent_inputs():
+    # the identity maps |0>|0> to a target of fidelity 1/2: no tolerance may let it pass
+    same = (basis_state(2, 0), basis_state(2, 0))
+    identity = FactoredUnitary(np.eye(4), Operator(np.eye(4)))
+    report = verify_masking(Masker(same, basis_state(2, 0), cyclic_targets(2, 2), [1.0, 1.0],
+                                   identity))
+    assert report.tolerance == np.inf
+    assert not report.passed
+
+
+def test_verification_fails_beyond_the_tolerance_ceiling():
+    # cond(A) about 1e13 asks for a tolerance near 0.07, which would pass 2 gamma claimed
+    inputs, targets = overlap_family(1.0 - 2e-13, 0.0, 1)
+    gammas, _ = maximize_general(*grams(inputs, targets))
+    built = build_probabilistic(inputs, targets, gammas)
+    report = verify_masking(built)
+    assert report.tolerance > VERIFY_CEILING
+    assert not report.passed
+    assert not verify_masking(dataclasses.replace(built, gammas=2 * built.gammas)).passed
+
+
+def test_unit_efficiencies_whose_gram_gap_is_amplified_are_rejected():
+    # |s - t| = 1e-10 is within input precision, but whitening by A (cond 2e10) makes it O(1)
+    inputs, targets = overlap_family(1.0 - 1e-10, 1.0, 1)
+    with pytest.raises(ValueError, match=r"once whitened .* above the verification tolerance"):
+        build_probabilistic(inputs, targets, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("ends", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+def test_unit_efficiencies_build_on_states_off_unit_norm_within_the_tolerance(ends):
+    # orthonormal up to norms 1 +/- 0.99 NORM_TOL, and a pair with s = t = 0.6
+    scales = [1.0 + 0.99 * NORM_TOL * end for end in ends]
+    basis = [StateVector(c * basis_state(3, k).amplitudes) for k, c in enumerate(scales)]
+    assert verify_masking(build_deterministic(basis)).passed
+    pair = [StateVector(scales[0] * np.array([1.0, 0.0])),
+            StateVector(scales[1] * np.array([0.6, 0.8]))]
+    targets = targets_with_overlap(2, 0.6)
+    gammas, _ = maximize_general(*grams(pair, targets))
+    assert verify_masking(build_probabilistic(pair, targets, gammas)).passed
+    assert verify_masking(build_probabilistic(pair, targets, [1.0, 1.0])).passed
+
+
 def test_states_at_opposite_ends_of_the_norm_tolerance_build_and_reload(tmp_path):
     # a failure branch weight absorbs both norm errors: up to 2 NORM_TOL (1 + gamma)
     up, down = 1.0 + 0.99 * NORM_TOL, 1.0 - 0.99 * NORM_TOL
@@ -128,7 +175,8 @@ def test_every_masker_the_builder_returns_verifies(s, t, seed, shape, request, f
     try:
         built = build_probabilistic(inputs, targets, gammas)
     except ValueError as exc:
-        assert "rounding floor" in str(exc)
+        # every rejection names the floor or tolerance its margin was compared with
+        assert re.search(r"(floor|tolerance) -?\d", str(exc))
         return
     assert verify_masking(built).passed
 

@@ -22,7 +22,6 @@ from .fixed_reducing import (
 from .hilbert import (
     MARGINAL_TOL,
     NORM_TOL,
-    FactoredUnitary,
     MultipartiteState,
     Operator,
     StateVector,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MARGINAL_TOL",
     "NORM_TOL",
-    "FactoredUnitary",
     "FixedReducingSet",
     "Masker",
     "MaskingOutcome",

@@ -6,21 +6,23 @@ through Python's float repr. Files are written as compact, unindented
 JSON (an indent would force CPython's pure-Python encoder); indented
 files with the same schema load through the same parser.
 
-A masker file carries ``"version": 2`` and its unitary in factored form,
-U = I - Q Q^dagger + Q W Q^dagger: ``span_basis`` is Q (D rows of k
-pairs, k <= 2n), an orthonormal basis of the only subspace U moves, and
-``unitary`` is W (k x k), U written in that basis. The file grows as
-O(D n) rather than O(D^2). Files without a version (version 1) have no
-``span_basis``: their ``unitary`` is the dense D x D matrix, which is
-the factored form with Q = I. They load as such and are written back as
-version 2 with k = D, which the reader accepts as well. On load Q must be orthonormal, W unitary, the targets fixed
-reducing and every failure branch weight equal to 1 - gamma_k; any
-failure is a ``FileFormatError`` naming the field.
+A masker file carries ``"version": 2`` and the two arrays of its
+``hilbert.Operator``, U = I - Q Q^dagger + Q W Q^dagger: ``span_basis``
+is Q (D rows of k pairs, k <= 2n), an orthonormal basis of the only
+subspace U moves, and ``unitary`` is W (k x k), U written in that basis.
+The file grows as O(D n) rather than O(D^2). Files without a version
+(version 1) have no ``span_basis``: their ``unitary`` is the dense
+D x D matrix, which is the operator with Q = I. They load as such, Q
+formed only once that matrix has parsed as D x D, and are written back
+as version 2 with k = D, which the reader accepts as well. On load Q
+must be orthonormal, W unitary, the targets fixed reducing and every
+failure branch weight equal to 1 - gamma_k; any failure is a
+``FileFormatError`` naming the field.
 
 Loading converts each array of pairs with one numpy call and checks its
 shape, its numeric type and that it holds no JSON booleans. Only when
-that check fails is the array walked pair by pair, so the error names
-the offending field, e.g. ``span_basis[3][7]``.
+that check fails is the array walked level by level, so the error names
+the first offending entry, e.g. ``span_basis[3][7]``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixed_reducing, masker as masking
-from .hilbert import NORM_TOL, FactoredUnitary, MultipartiteState, Operator, StateVector
+from .hilbert import NORM_TOL, MultipartiteState, Operator, StateVector
 
 MASKER_VERSION = 2
 
@@ -57,55 +59,39 @@ def _write_json(path, document: dict) -> None:
     Path(path).write_text(json.dumps(document, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
-def _complex_from_json(value, field: str) -> complex:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == 2
-        and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value),
-        field,
-        f"expected a two-element [re, im] number pair, got {value!r}",
-    )
-    return complex(value[0], value[1])
+def _first_fault(data, field: str, shape: tuple[int, ...]) -> None:
+    """Raise FileFormatError at the first entry of ``data`` that breaks ``shape`` [re, im] pairs."""
+    if not shape:
+        _require(isinstance(data, list) and len(data) == 2
+                 and all(type(part) in (int, float) for part in data),
+                 field, f"expected a two-element [re, im] number pair, got {data!r}")
+        return
+    _require(isinstance(data, list) and len(data) == shape[0], field,
+             f"expected a list of {shape[0]} entries")
+    for i, entry in enumerate(data):
+        _first_fault(entry, f"{field}[{i}]", shape[1:])
 
 
-def _complex_array(data: list, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``data`` as a complex array of ``shape`` in one numpy pass.
+def _complex_array(data, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``data``, nested lists of [re, im] JSON number pairs, as a complex array of ``shape``.
 
-    Returns None unless ``data`` is exactly nested lists of [re, im] JSON
-    number pairs; the caller then walks it to name the fault.
+    Well-formed data convert in one numpy pass; only otherwise is ``data``
+    walked level by level, so that the error names the first bad entry.
     """
     try:
         pairs = np.asarray(data)
     except ValueError:  # ragged nesting
-        return None
-    if pairs.shape != (*shape, 2) or pairs.dtype.kind not in "if":
-        return None
-    leaves = data
-    for _ in shape:
-        leaves = itertools.chain.from_iterable(leaves)
-    # np.asarray turns a JSON true among numbers into 1 without complaint
-    if not set(map(type, leaves)) <= {int, float}:
-        return None
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-
-
-def _vector_from_json(data, field: str, length: int | None = None) -> np.ndarray:
-    _require(isinstance(data, list) and data, field, "expected a nonempty list of [re, im] pairs")
-    if length is not None:
-        _require(len(data) == length, field, f"has length {len(data)}, expected {length}")
-    vector = _complex_array(data, (len(data),))
-    if vector is not None:
-        return vector
-    return np.array([_complex_from_json(v, f"{field}[{i}]") for i, v in enumerate(data)])
-
-
-def _matrix_from_json(data, field: str, rows: int, cols: int | None = None) -> np.ndarray:
-    cols = rows if cols is None else cols
-    _require(isinstance(data, list) and len(data) == rows, field,
-             f"expected {rows} matrix rows")
-    matrix = _complex_array(data, (rows, cols))
-    if matrix is not None:
-        return matrix
-    return np.array([_vector_from_json(row, f"{field}[{i}]", cols) for i, row in enumerate(data)])
+        pairs = None
+    if pairs is not None and pairs.shape == (*shape, 2) and pairs.dtype.kind in "if":
+        leaves = data
+        for _ in shape:
+            leaves = itertools.chain.from_iterable(leaves)
+        # np.asarray turns a JSON true among numbers into 1 without complaint
+        if set(map(type, leaves)) <= {int, float}:
+            return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    _first_fault(data, field, shape)
+    # well-formed pairs numpy keeps as objects: integers of magnitude 2^64 or more, never amplitudes
+    raise FileFormatError(f"field '{field}': holds an integer far too large for an amplitude")
 
 
 def _dims_from_json(data, field: str) -> tuple[int, ...]:
@@ -153,7 +139,7 @@ def state_set_from_json(
              "expected a nonempty list of state vectors")
     vectors = []
     for i, raw in enumerate(raw_states):
-        vector = _vector_from_json(raw, f"{prefix}states[{i}]", total)
+        vector = _complex_array(raw, f"{prefix}states[{i}]", (total,))
         norm = float(np.linalg.norm(vector))
         if renormalize:
             _require(norm > 0, f"{prefix}states[{i}]", "cannot renormalize the zero vector")
@@ -206,7 +192,7 @@ def masker_to_json(m) -> dict:
         "dims": [d, d],
         "version": MASKER_VERSION,
         "span_basis": _pairs_to_json(m.unitary.span_basis),
-        "unitary": _pairs_to_json(m.unitary.span_unitary.entries),
+        "unitary": _pairs_to_json(m.unitary.span_unitary),
         "targets": state_set_to_json(
             (d, d), [s.amplitudes for s in m.targets.states]
         ),
@@ -223,11 +209,12 @@ def masker_to_json(m) -> dict:
     return document
 
 
-def _unitary_from_json(document: dict, total: int, n: int) -> FactoredUnitary:
+def _unitary_from_json(document: dict, total: int, n: int) -> Operator:
     """The masker unitary: W in the basis ``span_basis`` (version 2), or dense with Q = I."""
     version = document.get("version", 1)
     _require(version in (1, MASKER_VERSION) and not isinstance(version, bool), "version",
              f"expected 1 or {MASKER_VERSION}, got {version!r}")
+    size = total
     if version == MASKER_VERSION:
         raw_basis = document.get("span_basis")
         # k <= 2n for a built masker; k = D for one loaded from a version-1 file
@@ -236,17 +223,15 @@ def _unitary_from_json(document: dict, total: int, n: int) -> FactoredUnitary:
                  "span_basis",
                  f"expected {total} rows of k <= {min(2 * n, total)} or k = {total} [re, im] pairs")
         size = len(raw_basis[0])
-        basis = _matrix_from_json(raw_basis, "span_basis", total, size)
-    else:
-        # a dense U is the factored form with Q = I
-        size, basis = total, np.eye(total)
-    unitary = Operator(_matrix_from_json(document.get("unitary"), "unitary", size))
-    _require(unitary.unitarity_residual <= NORM_TOL, "unitary",
-             f"is not unitary: residual {unitary.unitarity_residual:.3e}")
-    factored = FactoredUnitary(basis, unitary)
-    _require(factored.isometry_residual <= NORM_TOL, "span_basis",
-             f"columns are not orthonormal: residual {factored.isometry_residual:.3e}")
-    return factored
+        basis = _complex_array(raw_basis, "span_basis", (total, size))
+    span_unitary = _complex_array(document.get("unitary"), "unitary", (size, size))
+    # a dense U is the factored form with Q = I, formed only once U has parsed as D x D
+    operator = Operator(basis if version == MASKER_VERSION else np.eye(total), span_unitary)
+    _require(operator.span_unitary_residual <= NORM_TOL, "unitary",
+             f"is not unitary: residual {operator.span_unitary_residual:.3e}")
+    _require(operator.isometry_residual <= NORM_TOL, "span_basis",
+             f"columns are not orthonormal: residual {operator.isometry_residual:.3e}")
+    return operator
 
 
 def masker_from_json(document: dict):

@@ -7,9 +7,10 @@ subsystem dimensions (one subsystem unless given); ``StateVector`` names
 the same class, and ``partial_trace`` addresses a subsystem by its
 index. Every operation is a pure function returning new values, so
 everything here is safe to call concurrently. Gram matrices and reduced
-density matrices are plain Hermitian arrays. ``Operator`` is a dense
-square matrix; ``FactoredUnitary`` stores a unitary by its action on a
-small subspace, with an ``Operator`` there, and acts through ``apply``.
+density matrices are plain Hermitian arrays. ``Operator`` is a unitary
+stored by its action on a small subspace: an orthonormal basis Q of that
+subspace and the k x k matrix W it applies there, both plain arrays; it
+acts through ``apply``, and a dense U is the special case Q = I.
 
 This module also sets every numerical threshold in qmask, in three classes:
 
@@ -145,54 +146,33 @@ StateVector = MultipartiteState
 
 @dataclass(frozen=True)
 class Operator:
-    """Square complex matrix acting on a Hilbert space."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = square_matrix(self.entries, "operator").copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @cached_property
-    def unitarity_residual(self) -> float:
-        """max |U^dagger U - I| of the entries, evaluated once per operator."""
-        return unitarity_residual(self.entries)
-
-    def is_unitary(self) -> bool:
-        return self.unitarity_residual <= NORM_TOL
-
-
-@dataclass(frozen=True)
-class FactoredUnitary:
     """Unitary U = I - Q Q^dagger + Q W Q^dagger on dimension D.
 
     The k orthonormal columns of Q (``span_basis``, D x k) span the only
     subspace U moves, and W (``span_unitary``, k x k) is U written in that
-    basis; U is the identity on the orthogonal complement. Storage and
-    ``apply`` cost O(D k), the unitarity check O(D k^2); the dense
-    ``entries`` are formed only when read.
+    basis; U is the identity on the orthogonal complement. A dense U is
+    ``Operator(np.eye(D), U)``. Storage and ``apply`` cost O(D k), the
+    unitarity check O(D k^2); the dense ``entries`` are formed only when read.
     """
 
     span_basis: np.ndarray
-    span_unitary: Operator
+    span_unitary: np.ndarray
 
     def __post_init__(self):
         # one memory layout, so built and reloaded maskers round identically
         basis = np.array(self.span_basis, dtype=complex, order="C")
         if basis.ndim != 2 or not 0 < basis.shape[1] <= basis.shape[0]:
             raise ValueError(f"span basis must be a D x k matrix with 0 < k <= D, got {basis.shape}")
-        if self.span_unitary.dim != basis.shape[1]:
+        unitary = square_matrix(self.span_unitary, "span unitary").copy()
+        if unitary.shape[0] != basis.shape[1]:
             raise ValueError(
-                f"span unitary has dimension {self.span_unitary.dim}, "
+                f"span unitary has dimension {unitary.shape[0]}, "
                 f"the span basis has {basis.shape[1]} columns"
             )
         basis.setflags(write=False)
+        unitary.setflags(write=False)
         object.__setattr__(self, "span_basis", basis)
+        object.__setattr__(self, "span_unitary", unitary)
 
     @property
     def dim(self) -> int:
@@ -203,6 +183,11 @@ class FactoredUnitary:
         """max |Q^dagger Q - I| of the span basis, evaluated once per operator."""
         return unitarity_residual(self.span_basis)
 
+    @cached_property
+    def span_unitary_residual(self) -> float:
+        """max |W^dagger W - I| of the span unitary, evaluated once per operator."""
+        return unitarity_residual(self.span_unitary)
+
     @property
     def unitarity_residual(self) -> float:
         """The larger of max |Q^dagger Q - I| and max |W^dagger W - I|.
@@ -210,23 +195,23 @@ class FactoredUnitary:
         Zero exactly when U is unitary, but not max |U^dagger U - I|
         itself: that can exceed W's residual by up to a factor of about k.
         """
-        return max(self.isometry_residual, self.span_unitary.unitarity_residual)
+        return max(self.isometry_residual, self.span_unitary_residual)
 
     def is_unitary(self) -> bool:
         # U is unitary exactly when Q is an isometry and W is unitary
-        return self.isometry_residual <= NORM_TOL and self.span_unitary.is_unitary()
+        return self.isometry_residual <= NORM_TOL and self.span_unitary_residual <= NORM_TOL
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """U times ``vectors`` (one vector, or one per column) without forming U."""
         basis = self.span_basis
         coordinates = basis.conj().T @ vectors
-        return vectors + basis @ (self.span_unitary.entries @ coordinates - coordinates)
+        return vectors + basis @ (self.span_unitary @ coordinates - coordinates)
 
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense D x D matrix, built on first read."""
         basis = self.span_basis
-        moved = self.span_unitary.entries - np.eye(basis.shape[1])
+        moved = self.span_unitary - np.eye(basis.shape[1])
         dense = np.eye(self.dim, dtype=complex) + basis @ moved @ basis.conj().T
         dense.setflags(write=False)
         return dense
@@ -354,7 +339,7 @@ def _completed(frame: np.ndarray) -> np.ndarray:
 
 def unitary_completion(
     inputs: Sequence[MultipartiteState], outputs: Sequence[MultipartiteState]
-) -> FactoredUnitary:
+) -> Operator:
     """Unitary U with U|input_i> = |output_i> for every i.
 
     Such a U exists exactly when the two families share their Gram matrix:
@@ -408,4 +393,4 @@ def unitary_completion(
     # project onto the nearest unitary so tolerance slack in the Gram match
     # never leaks into U itself
     left, _, right = np.linalg.svd(raw)
-    return FactoredUnitary(basis, Operator(left @ right))
+    return Operator(basis, left @ right)

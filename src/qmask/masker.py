@@ -18,8 +18,8 @@ deterministic masker: no probe, a unitary on A (x) B alone and every
 gamma_k = 1; ``build_deterministic`` checks that hypothesis and calls
 ``build_probabilistic`` with unit efficiencies. The failure branches are
 not stored; ``failure_branches`` derives them from the unitary. A
-masker's unitary is always in factored form (``hilbert.FactoredUnitary``),
-so nothing here forms a D x D matrix.
+masker's unitary is a ``hilbert.Operator`` stored in factored form, so
+nothing here forms a D x D matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations
-from .hilbert import VERIFY_CEILING, FactoredUnitary, MultipartiteState, StateVector
+from .hilbert import VERIFY_CEILING, MultipartiteState, Operator, StateVector
 from .hilbert import basis_state, fidelity, gram, hermitian_sqrt, nonsingular_spectrum
 from .hilbert import partial_trace, precision_floor, psd_verdict, rounding_floor
 from .hilbert import unitary_completion, verification_tolerance
@@ -48,20 +48,18 @@ class Masker:
     d^2 (n + 1)) means a probe whose basis state 0 carries every success
     branch and is the rank-one post-selection outcome; basis states 1..n
     carry the failure branches. A dense D x D unitary U is the factored
-    form with Q = I: ``FactoredUnitary(np.eye(D), Operator(U))``.
+    form with Q = I: ``Operator(np.eye(D), U)``.
     """
 
     inputs: tuple[StateVector, ...]
     ancilla: StateVector
     targets: FixedReducingSet
     gammas: np.ndarray
-    unitary: FactoredUnitary
+    unitary: Operator
 
     def __post_init__(self):
-        if not isinstance(self.unitary, FactoredUnitary):
-            raise TypeError(
-                f"masker unitary must be a FactoredUnitary, got {type(self.unitary).__name__}"
-            )
+        if not isinstance(self.unitary, Operator):
+            raise TypeError(f"Masker.unitary is a {type(self.unitary).__name__}, not an Operator")
         inputs = tuple(self.inputs)
         d = self.ancilla.dim
         n = len(inputs)
@@ -197,8 +195,11 @@ def build_probabilistic(
     input with efficiency 1 gets the branch of weight M_kk, zero up to
     rounding and input precision. With every efficiency 1 there is no
     probe, the deterministic masker, and the gate is the Gram match A = X
-    of ``unitary_completion``. The ancilla on B starts in |0>. Each
-    rejection names its gate, the margin and the floor it was compared with.
+    of ``unitary_completion``. Inputs so ill-conditioned that
+    ``verify_masking``'s tolerance for them would exceed VERIFY_CEILING
+    are rejected before any of that work: no masker of theirs could pass.
+    The ancilla on B starts in |0>. Each rejection names its gate, the
+    margin and the floor it was compared with.
     """
     family, d = _checked_inputs(inputs)
     n = len(family)
@@ -212,7 +213,12 @@ def build_probabilistic(
         raise ValueError(f"efficiencies must lie in (0, 1], above the rounding floor "
                          f"{rounding_floor(n):.1e}, got {efficiencies.tolist()}")
     a = gram(family)
-    nonsingular_spectrum(a, "inputs' Gram matrix")
+    values, _ = nonsingular_spectrum(a, "inputs' Gram matrix")
+    tolerance = verification_tolerance(values, float(np.min(efficiencies)))
+    if not tolerance <= VERIFY_CEILING:
+        raise ValueError(f"inputs' Gram matrix has condition number {values[-1] / values[0]:.3e}: "
+                         f"a masker could be verified only to {tolerance:.3e}, above the "
+                         f"ceiling {VERIFY_CEILING:.0e}")
     ancilla = basis_state(d, 0)
 
     # the probe only carries failure branches

@@ -291,8 +291,6 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     """
     a, x = _solve_inputs(A, X_P)
     n = a.shape[0]
-    if n < 2:
-        raise ValueError("need at least two states to optimize over")
     whitener = _whitener(a)
     ones = np.ones(n)
     if _admissible(a, x, ones):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from qmask.fileio import (
     load_masker, load_state_set, masker_to_json, save_masker, save_state_set,
 )
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap
-from qmask.hilbert import NORM_TOL, FactoredUnitary, Operator, StateVector, basis_state
+from qmask.hilbert import NORM_TOL, Operator, StateVector, basis_state
 from qmask.masker import build_deterministic, build_probabilistic, verify_masking
 from qmask.optimizer import max_prob_two
 
@@ -302,6 +303,18 @@ class TestMaskProb:
         assert documents[0]["kind"] == "deterministic"
         assert documents[0] == documents[1]
 
+    def test_maximize_accepts_a_single_input(self, tmp_path, capsys):
+        path = write_state_set(tmp_path / "one.json", (2,), [[0.6, 0.8]])
+        targets_path = write_state_set(
+            tmp_path / "t.json", (2, 2), [cyclic_targets(1, 2).states[0].amplitudes])
+        out_path = tmp_path / "masker.json"
+        code = main(["mask-prob", path, "--targets", targets_path, "--maximize",
+                     "--out", str(out_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "gammas: 1\n" in out and "verification: PASS" in out
+        assert json.loads(out_path.read_text())["kind"] == "deterministic"
+
     def test_overlap_targets_need_two_inputs(self, tmp_path, capsys):
         path = write_state_set(tmp_path / "triple.json", (3,), np.eye(3))
         code = main(["mask-prob", path, "--target-overlap", "0", "--gammas", "0.1,0.1,0.1"])
@@ -405,9 +418,7 @@ class TestMaskProb:
             # the identity is unitary, so the masker is well formed, but it masks nothing
             built = build(*args, **kwargs)
             identity = np.eye(built.unitary.dim)
-            return dataclasses.replace(
-                built, unitary=FactoredUnitary(identity, Operator(identity))
-            )
+            return dataclasses.replace(built, unitary=Operator(identity, identity))
 
         monkeypatch.setattr(masking, "build_probabilistic", broken_build)
         out_path = tmp_path / "masker.json"
@@ -451,13 +462,13 @@ class TestSimulate:
         path = tmp_path / "masker.json"
         save_masker(three_input_masker(), path)
         calls = []
-        apply = FactoredUnitary.apply
+        apply = Operator.apply
 
         def counted(self, vectors):
             calls.append(np.shape(vectors))
             return apply(self, vectors)
 
-        monkeypatch.setattr(FactoredUnitary, "apply", counted)
+        monkeypatch.setattr(Operator, "apply", counted)
         assert main(["simulate", str(path)]) == 0
         assert calls == [(9 * 4, 3)]
 
@@ -581,15 +592,14 @@ class TestMaskerFiles:
     def test_pair_codec_is_bit_exact_on_awkward_floats(self):
         vector = complex_array(AWKWARD, np.roll(AWKWARD, 1))
         matrix = np.stack([np.roll(vector, k) for k in range(vector.size)])
-        decoded_vector = fileio._vector_from_json(
-            json.loads(json.dumps(fileio._pairs_to_json(vector))), "states[0]")
-        decoded_matrix = fileio._matrix_from_json(
-            json.loads(json.dumps(fileio._pairs_to_json(matrix))), "unitary", vector.size)
+        pairs = json.loads(json.dumps(fileio._pairs_to_json(vector)))
+        decoded_vector = fileio._complex_array(pairs, "states[0]", vector.shape)
+        decoded_matrix = fileio._complex_array(
+            json.loads(json.dumps(fileio._pairs_to_json(matrix))), "unitary", matrix.shape)
         assert np.array_equal(bits(decoded_vector), bits(vector))
         assert np.array_equal(bits(decoded_matrix), bits(matrix))
-        # the per-pair walk, kept for error reporting, is the reference decoder
-        walked = [fileio._complex_from_json(pair, "x") for pair in fileio._pairs_to_json(vector)]
-        assert np.array_equal(bits(walked), bits(decoded_vector))
+        # the reference decoder builds each pair with Python's complex, independent of numpy
+        assert np.array_equal(bits([complex(re, im) for re, im in pairs]), bits(decoded_vector))
 
     def test_state_set_round_trip_is_bit_exact(self, tmp_path):
         third = np.sqrt(1.0 - (0.1 + 0.2) ** 2)
@@ -613,8 +623,8 @@ class TestMaskerFiles:
         save_masker(loaded, resaved)
         assert_resaved_as_version_2(json.loads(resaved.read_text()), document)
         reloaded = load_masker(resaved)
-        assert np.array_equal(bits(reloaded.unitary.span_unitary.entries),
-                              bits(loaded.unitary.span_unitary.entries))
+        assert np.array_equal(bits(reloaded.unitary.span_unitary),
+                              bits(loaded.unitary.span_unitary))
 
         inputs = [basis_state(2, 0), StateVector(np.array([0.1, np.sqrt(0.99)]))]
         probabilistic = build_probabilistic(inputs, cyclic_targets(2, 2), [0.1 + 0.2, 0.1])
@@ -674,6 +684,23 @@ class TestMaskerFiles:
         rewrite(path, document)
         assert main(["simulate", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_short_dense_unitary_is_rejected_before_a_d_by_d_allocation(self, tmp_path):
+        # version 1 has Q = I: a file of ~60 kB must not make the loader allocate 8 D^2 bytes
+        d = 40
+        document = masker_to_json(build_deterministic([basis_state(d, 0), basis_state(d, 1)]))
+        del document["version"], document["span_basis"]
+        document["unitary"] = [[[0.0, 0.0]] * d ** 2]  # one row of the dense D x D matrix
+        path = tmp_path / "short.json"
+        rewrite(path, document)
+        tracemalloc.start()
+        try:
+            with pytest.raises(fileio.FileFormatError, match="'unitary'"):
+                load_masker(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d ** 4
 
     def test_unknown_version_is_input_error(self, tmp_path, capsys):
         path, document = saved(tmp_path, overlap_pair_masker(), "factored")
@@ -760,7 +787,7 @@ def test_pipeline_never_forms_the_dense_unitary(
     def dense(self):
         raise AssertionError("dense masker unitary formed")
 
-    monkeypatch.setattr(FactoredUnitary, "entries", property(dense))
+    monkeypatch.setattr(Operator, "entries", property(dense))
     out_path = tmp_path / "masker.json"
     for build in (["mask-prob", overlap_pair_file, "--target-overlap", "0", "--maximize"],
                   ["mask-det", basis_pair_file]):
@@ -794,6 +821,21 @@ def test_traced_functions_resolve():
     for module, attribute in spans.TRACED_FUNCTIONS.values():
         assert callable(getattr(importlib.import_module(module), attribute, None)), attribute
     assert callable(Operator.__dict__.get("is_unitary"))
+
+
+def test_masker_operator_check_is_the_traced_method(tmp_path, monkeypatch):
+    # the benchmark times Operator.is_unitary; a masker operator of another type, or a
+    # build or load that checks it some other way, would zero that metric silently
+    calls = []
+    is_unitary = Operator.is_unitary
+    monkeypatch.setattr(Operator, "is_unitary", lambda self: calls.append(self) or is_unitary(self))
+    masker = overlap_pair_masker()
+    assert type(masker.unitary) is Operator
+    assert len(calls) == 1
+    path = tmp_path / "masker.json"
+    save_masker(masker, path)
+    load_masker(path)
+    assert len(calls) == 2
 
 
 def test_benchmark_library_reads_resolve():

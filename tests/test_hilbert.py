@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from helpers import haar_unitary, random_state
 from qmask.hilbert import (
-    FactoredUnitary,
     MultipartiteState,
     Operator,
     StateVector,
@@ -54,8 +53,8 @@ class TestStateTypes:
             state.amplitudes[0] = 0.0
 
     def test_operator_predicates(self):
-        assert Operator(np.eye(3)).is_unitary()
-        assert not Operator(np.diag([1.0, 2.0])).is_unitary()
+        assert Operator(np.eye(3), np.eye(3)).is_unitary()
+        assert not Operator(np.eye(2), np.diag([1.0, 2.0])).is_unitary()
 
 
 class TestPartialTrace:
@@ -190,7 +189,7 @@ class TestUnitaryCompletion:
         w = haar_unitary(dim, rng)
         outputs = [StateVector(w @ s.amplitudes) for s in inputs]
         u = unitary_completion(inputs, outputs)
-        assert isinstance(u, FactoredUnitary)
+        assert isinstance(u, Operator)
         assert u.dim == dim and u.span_basis.shape[1] <= 2 * n
         assert u.is_unitary() and u.unitarity_residual <= 1e-12
         vectors = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
@@ -203,12 +202,12 @@ class TestUnitaryCompletion:
 
     def test_factored_shapes_checked(self):
         with pytest.raises(ValueError, match="span basis"):
-            FactoredUnitary(np.eye(3)[:, :0], Operator(np.eye(1)))
+            Operator(np.eye(3)[:, :0], np.eye(1))
         with pytest.raises(ValueError, match="span unitary has dimension 3"):
-            FactoredUnitary(np.eye(4)[:, :2], Operator(np.eye(3)))
-        u = FactoredUnitary(np.eye(4)[:, :2], Operator(np.array([[0, 1], [1, 0]])))
+            Operator(np.eye(4)[:, :2], np.eye(3))
+        u = Operator(np.eye(4)[:, :2], np.array([[0, 1], [1, 0]]))
         assert np.array_equal(u.entries, np.eye(4)[[1, 0, 2, 3]])
-        assert not FactoredUnitary(2 * np.eye(4)[:, :2], Operator(np.eye(2))).is_unitary()
+        assert not Operator(2 * np.eye(4)[:, :2], np.eye(2)).is_unitary()
 
     def test_gram_mismatch_rejected(self):
         inputs = [basis_state(2, 0), basis_state(2, 1)]

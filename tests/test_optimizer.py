@@ -234,6 +234,15 @@ class TestMaximizeGeneral:
         assert np.allclose(gammas, 1.0)
         assert prob == 1.0
 
+    def test_single_input(self):
+        # gamma = 1 is admissible for one unit state; against a 1 x 1 target Gram of 2
+        # the barrier runs and stops at the boundary gamma = 1 / 2
+        gammas, prob = maximize_general([[1.0]], [[1.0]])
+        assert gammas.tolist() == [1.0] and prob == 1.0
+        gammas, prob = maximize_general([[1.0]], [[2.0]])
+        assert prob == pytest.approx(0.5, rel=1e-6)
+        assert 0.0 <= certify([[1.0]], [[2.0]], gammas)[0] <= 1e-6
+
     def test_three_state_instance_beats_coarse_grid(self, rng):
         inputs = random_independent(3, 3, rng)
         a = gram(inputs)

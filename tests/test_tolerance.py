@@ -19,20 +19,22 @@ from qmask.fixed_reducing import cyclic_targets, from_states, targets_with_overl
 from qmask.hilbert import (
     NORM_TOL,
     VERIFY_CEILING,
-    FactoredUnitary,
     MultipartiteState,
     Operator,
     StateVector,
     basis_state,
     gram,
+    hermitian_sqrt,
     linearly_independent,
     rounding_floor,
+    unitary_completion,
 )
 from qmask.masker import Masker, build_deterministic, build_probabilistic, verify_masking
 from qmask.optimizer import (
     feasible,
     max_prob_two,
     maximize_general,
+    residual_matrix,
     uniform_feasibility_boundary,
 )
 
@@ -87,7 +89,7 @@ def test_verification_rejects_a_masker_claiming_twice_its_efficiencies():
 def test_verification_fails_for_linearly_dependent_inputs():
     # the identity maps |0>|0> to a target of fidelity 1/2: no tolerance may let it pass
     same = (basis_state(2, 0), basis_state(2, 0))
-    identity = FactoredUnitary(np.eye(4), Operator(np.eye(4)))
+    identity = Operator(np.eye(4), np.eye(4))
     report = verify_masking(Masker(same, basis_state(2, 0), cyclic_targets(2, 2), [1.0, 1.0],
                                    identity))
     assert report.tolerance == np.inf
@@ -97,9 +99,25 @@ def test_verification_fails_for_linearly_dependent_inputs():
 def test_verification_fails_beyond_the_tolerance_ceiling():
     # cond(A) about 1e13 asks for a tolerance near 0.07, which would pass 2 gamma claimed
     inputs, targets = overlap_family(1.0 - 2e-13, 0.0, 1)
-    gammas, _ = maximize_general(*grams(inputs, targets))
-    built = build_probabilistic(inputs, targets, gammas)
+    a, x = grams(inputs, targets)
+    gammas, _ = maximize_general(a, x)
+    with pytest.raises(ValueError, match=r"condition number \S+: .* verified only to \S+, "
+                                         r"above the ceiling 1e-02"):
+        build_probabilistic(inputs, targets, gammas)
+    # the masker the builder used to return, assembled by hand: sqrt(gamma_k) |Psi_k>|P_0>
+    # plus a failure branch on |00> with the probe coefficients sqrt(conj(M))[k]
+    ancilla, start = basis_state(2, 0), basis_state(3, 0).amplitudes
+    coefficients = hermitian_sqrt(np.conj(residual_matrix(a, x, gammas)))
+    prepared, outputs = [], []
+    for k, (state, target) in enumerate(zip(inputs, targets.states)):
+        prepared.append(MultipartiteState(
+            np.kron(np.kron(state.amplitudes, ancilla.amplitudes), start), (2, 2, 3)))
+        failure = np.kron(basis_state(4, 0).amplitudes, np.concatenate([[0.0], coefficients[k]]))
+        outputs.append(MultipartiteState(
+            np.sqrt(gammas[k]) * np.kron(target.amplitudes, start) + failure, (2, 2, 3)))
+    built = Masker(inputs, ancilla, targets, gammas, unitary_completion(prepared, outputs))
     report = verify_masking(built)
+    assert min(report.fidelities) > 1.0 - 1e-6
     assert report.tolerance > VERIFY_CEILING
     assert not report.passed
     assert not verify_masking(dataclasses.replace(built, gammas=2 * built.gammas)).passed

@@ -29,11 +29,12 @@ from .hilbert import hermitian_matrix, nonsingular_spectrum, psd_check, psd_verd
 from .hilbert import rounding_floor
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
-# factor by which the barrier weight t grows between centring stages
-BARRIER_GROWTH = 20.0
+# factor by which the barrier weight t grows between centring stages; a tangent
+# step along the central path carries each stage's point to the next stage
+BARRIER_GROWTH = 100.0
 # the barrier stops once the central path's gap 2n / t in log Prob is this small
 GAP_TOL = 1e-8
-# Newton systems one solve forms at most, centring tests included
+# linear systems one solve factors at most, centring tests and tangent steps included
 NEWTON_STEP_LIMIT = 500
 
 
@@ -254,10 +255,11 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     gap = ``dual_bound(A, X_P, dual) - log prod(gammas)``. The dual point
     is (C, sqrt(gamma)) with C^dagger C = (A - G X G)^-1: the Lagrange
     multiplier that the log barrier pairs with a point on its central
-    path, which is where ``maximize_general`` stops, so its gap is about
-    2n / t <= GAP_TOL there. Unit efficiencies have gap 0 and no dual
-    point, as no efficiency exceeds 1; other efficiencies that are not
-    strictly feasible have an infinite gap and no dual point. O(n^3).
+    path, which is where ``maximize_general`` stops, so its gap there is
+    at most about 2 GAP_TOL plus the rounding allowance. Unit efficiencies
+    have gap 0 and no dual point, as no efficiency exceeds 1; other
+    efficiencies that are not strictly feasible have an infinite gap and
+    no dual point. O(n^3).
     """
     a, x = _solve_inputs(A, X_P)
     values = _gammas_array(gammas)
@@ -272,19 +274,36 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     return _dual_bound(a, x, c, g) - float(np.sum(np.log(values))), (c, g)
 
 
+def _spread(u: np.ndarray) -> float:
+    """Second-order excess of ``certify``'s gap at g over 2n / t: sum_i (u_i / mean(u) - 1)^2.
+
+    u_i = g_i d(-log det)/dg_i, which is 2t for every i on the central path.
+    """
+    return float(np.sum((u / np.mean(u) - 1.0) ** 2))
+
+
 def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     """Globally optimal efficiencies for any number of inputs, within the certified gap.
 
     Returns (gammas, prob). If gamma = 1 is admissible it is the optimum.
     Otherwise the log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
-    from half the uniform boundary: each stage centres by damped Newton
-    steps of length 1 / (1 + lambda), with lambda the Newton decrement,
-    until lambda^2 <= max(1e-8, 1e-12 t); then t grows by BARRIER_GROWTH,
-    until the central path's gap 2n / t is at most GAP_TOL. Every iterate
-    passes a Cholesky factorization of the residual, so the returned
-    efficiencies are strictly feasible; ``certify`` bounds their distance
-    from the global optimum.
+    from half the uniform boundary at t = 1. Each stage centres by damped
+    Newton steps of length 1 / (1 + lambda), with lambda the Newton
+    decrement, until lambda^2 <= 1e-2. Between stages t grows by
+    BARRIER_GROWTH, and g moves along the central path's tangent, linear
+    in 1 / t: g + (t - t / BARRIER_GROWTH) K^-1 (2 / g), with K the Newton
+    matrix of the centring test. The last stage, where the central path's
+    gap 2n / t is at most GAP_TOL, also centres until u_i =
+    g_i d(-log det)/dg_i, all 2t on the central path, spread by
+    sum_i (u_i / mean(u) - 1)^2 <= GAP_TOL. Before its rounding allowance
+    ``certify``'s gap at g is 2 sum_i log((2 + mean(u)) / u_i), about
+    4n / mean(u) plus that spread, which a small lambda does not bound
+    where the log-det Hessian dominates the barrier's. Every step is
+    halved until g > 0 and the residual passes a Cholesky factorization,
+    so the returned efficiencies are strictly feasible even when
+    NEWTON_STEP_LIMIT cuts the solve short; ``certify`` bounds their
+    distance from the global optimum.
 
     A and X_P are checked once per solve (square, same size, finite and
     Hermitian; an error names the faulty one); a singular A is rejected.
@@ -299,18 +318,28 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     g = np.full(n, math.sqrt(_uniform_boundary(x, whitener) / 2.0))
     gradient, hessian = _log_det_terms(whitener, x, g)
     t = 1.0
-    for _ in range(NEWTON_STEP_LIMIT):
+    systems = 0
+    while systems < NEWTON_STEP_LIMIT:
+        systems += 1
+        last = 2.0 * n / t <= GAP_TOL
         barrier_gradient = gradient - 2.0 * t / g
-        delta = np.linalg.solve(hessian + np.diag(2.0 * t / (g * g)), -barrier_gradient)
+        newton = hessian + np.diag(2.0 * t / (g * g))
+        delta = np.linalg.solve(newton, -barrier_gradient)
         decrement2 = float(-barrier_gradient @ delta)
-        if decrement2 <= max(1e-8, 1e-12 * t):
-            if 2.0 * n / t <= GAP_TOL:
-                break
+        if decrement2 > 1e-2 or (last and _spread(g * gradient) > GAP_TOL):
+            # step' K step < 1 and K >= diag(2t / g^2) keep g + step > 0
+            step = delta / (1.0 + math.sqrt(decrement2))
+        elif last or systems == NEWTON_STEP_LIMIT:
+            break
+        else:
+            systems += 1
+            step = (t - t / BARRIER_GROWTH) * np.linalg.solve(newton, 2.0 / g)
             t *= BARRIER_GROWTH
-            continue
-        step = delta / (1.0 + math.sqrt(decrement2))
+            while np.min(g + step) <= 0.0:
+                step = step / 2.0
+        # rounding, or the tangent's reach, can leave the feasible set
         while (terms := _log_det_terms(whitener, x, g + step)) is None:
-            step = step / 2.0  # rounding left the damped step's Dikin ellipsoid
+            step = step / 2.0
         g = g + step
         gradient, hessian = terms
     gammas = np.minimum(g * g, 1.0)

@@ -296,7 +296,9 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     matrix of the centring test. The last stage, where the central path's
     gap 2n / t is at most GAP_TOL, also centres until u_i =
     g_i d(-log det)/dg_i, all 2t on the central path, spread by
-    sum_i (u_i / mean(u) - 1)^2 <= GAP_TOL. Before its rounding allowance
+    sum_i (u_i / mean(u) - 1)^2 <= GAP_TOL, or until the decrement stops
+    falling: in an ill-conditioned residual rounding can hold the spread
+    above GAP_TOL. Before its rounding allowance
     ``certify``'s gap at g is 2 sum_i log((2 + mean(u)) / u_i), about
     4n / mean(u) plus that spread, which a small lambda does not bound
     where the log-det Hessian dominates the barrier's. Every step is
@@ -319,6 +321,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     gradient, hessian = _log_det_terms(whitener, x, g)
     t = 1.0
     systems = 0
+    previous = math.inf  # decrement2 of the stage's preceding centring test
     while systems < NEWTON_STEP_LIMIT:
         systems += 1
         last = 2.0 * n / t <= GAP_TOL
@@ -326,7 +329,11 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
         newton = hessian + np.diag(2.0 * t / (g * g))
         delta = np.linalg.solve(newton, -barrier_gradient)
         decrement2 = float(-barrier_gradient @ delta)
-        if decrement2 > 1e-2 or (last and _spread(g * gradient) > GAP_TOL):
+        # below 1e-2 the decrement falls quadratically in exact arithmetic, so
+        # one that does not fall, or a negative one, measures rounding
+        converging = 0.0 < decrement2 < previous
+        previous = decrement2
+        if decrement2 > 1e-2 or (last and converging and _spread(g * gradient) > GAP_TOL):
             # step' K step < 1 and K >= diag(2t / g^2) keep g + step > 0
             step = delta / (1.0 + math.sqrt(decrement2))
         elif last or systems == NEWTON_STEP_LIMIT:
@@ -335,6 +342,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
             systems += 1
             step = (t - t / BARRIER_GROWTH) * np.linalg.solve(newton, 2.0 / g)
             t *= BARRIER_GROWTH
+            previous = math.inf
             while np.min(g + step) <= 0.0:
                 step = step / 2.0
         # rounding, or the tangent's reach, can leave the feasible set

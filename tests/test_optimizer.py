@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, random_independent, random_state
-from qmask.hilbert import MultipartiteState, gram
+from helpers import haar_unitary, overlap_family, random_independent, random_state
+from qmask.hilbert import MultipartiteState, gram, rounding_floor
 from qmask.fixed_reducing import cyclic_targets, from_states
 from qmask.masker import build_probabilistic, verify_masking
 from qmask import optimizer
@@ -414,6 +414,19 @@ class TestMaximizeCertified:
         assert feasible(a, x, gammas)[1] > 0.0
         assert prob < best
         assert certify(a, x, gammas)[0] >= np.log(best / prob)
+
+    def test_last_stage_stops_at_the_rounding_floor(self):
+        # at 1 - s = 2.7e-12 (cond(A) = 7e11) rounding holds the last stage's
+        # spread above GAP_TOL until the Newton decrement reads negative; the
+        # solve stops there, at the closed-form optimum, with a masker that verifies
+        s, t = 0.9999999999972616, 0.9999999999968378
+        inputs, targets = overlap_family(s, t, 2)
+        a, x = gram(inputs), gram(targets.states)
+        gammas, prob = maximize_general(a, x)
+        assert feasible(a, x, gammas)[0]
+        assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
+        # the closed form of the unrotated pair, which the rotation's rounding moves
+        assert prob >= max_prob_two(s, t)[0] * (1.0 - rounding_floor(2, np.linalg.cond(a)))
 
     @pytest.mark.parametrize("n, d, seed", [(3, 3, 1), (3, 4, 2), (4, 4, 1)])
     def test_optimum_builds_a_verified_masker(self, n, d, seed):

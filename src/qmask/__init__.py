@@ -17,7 +17,6 @@ from .fixed_reducing import (
     marginal_deviations,
     marginals,
     targets_with_overlap,
-    verify_fixed_reducing,
 )
 from .hilbert import (
     MARGINAL_TOL,
@@ -29,7 +28,6 @@ from .hilbert import (
     fidelity,
     gram,
     hermitian_sqrt,
-    linearly_independent,
     overlap,
     partial_trace,
     psd_check,
@@ -49,7 +47,6 @@ from .optimizer import (
     certify,
     dual_bound,
     feasible,
-    max_prob_grid_oracle,
     max_prob_two,
     maximize_general,
     probability_curves,
@@ -85,10 +82,8 @@ __all__ = [
     "from_states",
     "gram",
     "hermitian_sqrt",
-    "linearly_independent",
     "marginal_deviations",
     "marginals",
-    "max_prob_grid_oracle",
     "max_prob_two",
     "maximize_general",
     "overlap",
@@ -101,6 +96,5 @@ __all__ = [
     "targets_with_overlap",
     "uniform_feasibility_boundary",
     "unitary_completion",
-    "verify_fixed_reducing",
     "verify_masking",
 ]

@@ -78,7 +78,7 @@ def _print_matrix(name: str, entries: np.ndarray) -> None:
 
 
 def _cmd_verify_fixed_reducing(args) -> int:
-    dims, vectors, _ = load_state_set(args.input, renormalize=args.renormalize)
+    dims, vectors = load_state_set(args.input, renormalize=args.renormalize)
     if len(dims) != 2:
         raise FileFormatError(
             f"field 'dims': need exactly 2 subsystems for marginal checks, got {len(dims)}"
@@ -97,7 +97,7 @@ def _cmd_verify_fixed_reducing(args) -> int:
 
 
 def _load_input_states(args) -> list[StateVector]:
-    dims, vectors, _ = load_state_set(args.input, renormalize=args.renormalize)
+    dims, vectors = load_state_set(args.input, renormalize=args.renormalize)
     if len(dims) != 1:
         raise FileFormatError(
             f"field 'dims': masker inputs live on a single subsystem, got {len(dims)}"
@@ -142,7 +142,7 @@ def _cmd_mask_prob(args) -> int:
     n = len(inputs)
     d = inputs[0].dim
     if args.targets is not None:
-        t_dims, t_vectors, _ = load_state_set(args.targets, renormalize=args.renormalize)
+        t_dims, t_vectors = load_state_set(args.targets, renormalize=args.renormalize)
         if t_dims != (d, d):
             print(f"error: --targets: targets have dims {t_dims}, inputs need {(d, d)}",
                   file=sys.stderr)

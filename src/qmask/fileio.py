@@ -15,9 +15,9 @@ The file grows as O(D n) rather than O(D^2). Files without a version
 D x D matrix, which is the operator with Q = I. They load as such, Q
 formed only once that matrix has parsed as D x D, and are written back
 as version 2 with k = D, which the reader accepts as well. On load Q
-must be orthonormal, W unitary, the targets fixed reducing and every
-failure branch weight equal to 1 - gamma_k; any failure is a
-``FileFormatError`` naming the field.
+must be orthonormal, W unitary, the targets fixed reducing, every
+failure branch weight equal to 1 - gamma_k and every success weight
+gamma_k; any failure is a ``FileFormatError`` naming the field.
 
 Loading converts each array of pairs with one numpy call and checks its
 shape, its numeric type and that it holds no JSON booleans. Only when
@@ -114,23 +114,17 @@ def _load_json(path) -> dict:
     return document
 
 
-def state_set_to_json(
-    dims: Sequence[int],
-    vectors: Sequence[np.ndarray],
-    labels: Sequence[str] | None = None,
-) -> dict:
-    document = {
+def state_set_to_json(dims: Sequence[int], vectors: Sequence[np.ndarray]) -> dict:
+    return {
         "dims": [int(d) for d in dims],
         "states": [_pairs_to_json(v) for v in vectors],
     }
-    if labels is not None:
-        document["labels"] = list(labels)
-    return document
 
 
 def state_set_from_json(
     document: dict, field: str = "", *, renormalize: bool = False
-) -> tuple[tuple[int, ...], list[np.ndarray], list[str] | None]:
+) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The dims and vectors of a state set; optional ``labels`` are checked, not returned."""
     prefix = f"{field}." if field else ""
     dims = _dims_from_json(document.get("dims"), f"{prefix}dims")
     total = int(np.prod(dims))
@@ -160,18 +154,18 @@ def state_set_from_json(
             f"{prefix}labels",
             "expected one string per state",
         )
-    return dims, vectors, labels
+    return dims, vectors
 
 
 def load_state_set(
     path, *, renormalize: bool = False
-) -> tuple[tuple[int, ...], list[np.ndarray], list[str] | None]:
+) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """Read a state-set file, validating shape and normalization."""
     return state_set_from_json(_load_json(path), renormalize=renormalize)
 
 
-def save_state_set(path, dims, vectors, labels=None) -> None:
-    _write_json(path, state_set_to_json(dims, vectors, labels))
+def save_state_set(path, dims, vectors) -> None:
+    _write_json(path, state_set_to_json(dims, vectors))
 
 
 def _ancilla_index(ancilla: StateVector) -> int:
@@ -245,12 +239,12 @@ def masker_from_json(document: dict):
     _require(dims[0] == dims[1], "dims", f"local dimensions must match, got {dims}")
     d = dims[0]
 
-    input_dims, input_vectors, _ = state_set_from_json(document.get("inputs") or {}, "inputs")
+    input_dims, input_vectors = state_set_from_json(document.get("inputs") or {}, "inputs")
     _require(input_dims == (d,), "inputs.dims", f"expected [{d}], got {list(input_dims)}")
     inputs = tuple(StateVector(v) for v in input_vectors)
     n = len(inputs)
 
-    target_dims, target_vectors, _ = state_set_from_json(document.get("targets") or {}, "targets")
+    target_dims, target_vectors = state_set_from_json(document.get("targets") or {}, "targets")
     _require(target_dims == (d, d), "targets.dims", f"expected [{d}, {d}], got {list(target_dims)}")
     _require(len(target_vectors) == n, "targets.states", f"expected {n} target states")
     try:

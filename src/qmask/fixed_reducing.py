@@ -11,9 +11,10 @@ one d x d block or d one-by-one phase blocks per member, and the two
 target families the masker builders rely on are uniform-spectrum calls.
 ``FixedReducingSet`` holds only its states: it checks them against its
 first member's marginals, and the shared marginals and spectrum are read
-off any member when needed. ``marginals`` and ``marginal_deviations``
-are the one place where a family's marginals are compared, for the
-checks here, for ``masker.verify_masking`` and for the CLI.
+off any member when needed. ``marginals`` is the one place a state's
+pair of marginals is formed, ``masker.simulate`` included, and
+``marginal_deviations`` the one place a family's marginals are compared,
+for the check here, for ``masker.verify_masking`` and for the CLI.
 """
 
 from __future__ import annotations
@@ -113,20 +114,6 @@ class FixedReducingSet:
     @property
     def dim(self) -> int:
         return self.states[0].dims[0]
-
-
-def verify_fixed_reducing(
-    states: Sequence[MultipartiteState], tol: float = MARGINAL_TOL
-) -> tuple[bool, float]:
-    """Check that all A marginals agree and all B marginals agree.
-
-    Returns (verdict, max_deviation) where the deviation is the largest
-    absolute entry difference between any state's marginal and the first
-    state's marginal on the same side.
-    """
-    _family_dims(states)
-    worst = max(marginal_deviations([marginals(state) for state in states]))
-    return worst <= tol, worst
 
 
 def from_states(states: Sequence[MultipartiteState]) -> FixedReducingSet:

@@ -18,15 +18,16 @@ This module also sets every numerical threshold in qmask, in three classes:
   to rounding, against ``rounding_floor(size, scale)`` = ROUNDING_FACTOR *
   size * eps * scale, as ``numpy.linalg.matrix_rank`` does. They are the
   PSD gates (``psd_verdict``, ``hermitian_sqrt``, the build's feasibility
-  gate) and the rank gates (``linearly_independent``, the optimizer's
-  whitener, both cuts in ``unitary_completion``).
+  gate) and the rank gates (``nonsingular_spectrum``, which gates the
+  build and the optimizer's whitener, and both cuts in
+  ``unitary_completion``).
 - Input-precision gates ask whether a unit object a caller or a file
   supplied is unit: state norms, spectra summing to 1, unitaries,
   isometries and Hermitian inputs relative to their size. NORM_TOL covers
   them; MARGINAL_TOL is the fixed-reducing test's default. Comparisons of
   supplied states' inner products inherit it through ``precision_floor``:
   ``build_deterministic``'s orthogonality, the Gram match in
-  ``unitary_completion`` and the failure branch weights.
+  ``unitary_completion`` and the branch weights in ``failure_branches``.
 - Verification holds a map whitening a Gram matrix to VERIFY_TOL (relative
   to gamma for success probabilities), or to the rounding floor of
   cond + 1 / sqrt(gamma) when larger (``verification_tolerance``): a
@@ -152,7 +153,7 @@ class Operator:
     subspace U moves, and W (``span_unitary``, k x k) is U written in that
     basis; U is the identity on the orthogonal complement. A dense U is
     ``Operator(np.eye(D), U)``. Storage and ``apply`` cost O(D k), the
-    unitarity check O(D k^2); the dense ``entries`` are formed only when read.
+    unitarity check O(D k^2); nothing of size D x D is formed.
     """
 
     span_basis: np.ndarray
@@ -206,15 +207,6 @@ class Operator:
         basis = self.span_basis
         coordinates = basis.conj().T @ vectors
         return vectors + basis @ (self.span_unitary @ coordinates - coordinates)
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """The dense D x D matrix, built on first read."""
-        basis = self.span_basis
-        moved = self.span_unitary - np.eye(basis.shape[1])
-        dense = np.eye(self.dim, dtype=complex) + basis @ moved @ basis.conj().T
-        dense.setflags(write=False)
-        return dense
 
 
 def basis_state(dim: int, index: int) -> StateVector:
@@ -294,12 +286,6 @@ def verification_tolerance(gram_values: np.ndarray, min_gamma: float = 1.0) -> f
         return math.inf
     cond = float(gram_values[-1] / gram_values[0])
     return max(VERIFY_TOL, rounding_floor(gram_values.size, cond + 1.0 / math.sqrt(min_gamma)))
-
-
-def linearly_independent(states: Sequence[MultipartiteState]) -> bool:
-    """True when every eigenvalue of the family's Gram matrix clears the rank gate."""
-    values = np.linalg.eigvalsh(gram(states))
-    return bool(values[0] > spectrum_floor(values))
 
 
 def psd_verdict(hermitian: np.ndarray) -> tuple[bool, float, float]:

@@ -31,10 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from . import optimizer
-from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations
+from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations, marginals
 from .hilbert import VERIFY_CEILING, MultipartiteState, Operator, StateVector
 from .hilbert import basis_state, fidelity, gram, hermitian_sqrt, nonsingular_spectrum
-from .hilbert import partial_trace, precision_floor, psd_verdict, rounding_floor
+from .hilbert import precision_floor, psd_verdict, rounding_floor
 from .hilbert import unitary_completion, verification_tolerance
 
 
@@ -126,16 +126,6 @@ class MaskingReport:
     tolerance: float
 
 
-def _checked_inputs(inputs: Sequence[StateVector]) -> tuple[tuple[StateVector, ...], int]:
-    family = tuple(inputs)
-    if not family:
-        raise ValueError("need at least one input state")
-    dims = {a.dim for a in family}
-    if len(dims) != 1:
-        raise ValueError(f"inputs have mismatched dimensions: {sorted(dims)}")
-    return family, family[0].dim
-
-
 def _on_probe_start(vector: np.ndarray, probe_dim: int) -> np.ndarray:
     """``vector`` (x) |P_0>_P, or ``vector`` itself when there is no probe."""
     if probe_dim == 1:
@@ -165,11 +155,11 @@ def build_deterministic(
     (here the identity), the exact existence condition for the
     connecting unitary.
     """
-    family, d = _checked_inputs(inputs)
-    n = len(family)
+    family = tuple(inputs)
+    g = gram(family)
+    n, d = len(family), family[0].dim
     if n > d:
         raise ValueError(f"cannot mask {n} states in dimension {d}")
-    g = gram(family)
     worst = float(np.max(np.abs(g - np.diag(np.diag(g)))))
     floor = precision_floor(d)
     if not worst <= floor:
@@ -201,8 +191,9 @@ def build_probabilistic(
     The ancilla on B starts in |0>. Each rejection names its gate, the
     margin and the floor it was compared with.
     """
-    family, d = _checked_inputs(inputs)
-    n = len(family)
+    family = tuple(inputs)
+    a = gram(family)
+    n, d = len(family), family[0].dim
     if targets.n != n or targets.dim != d:
         raise ValueError("targets do not match the input family's size and dimension")
     efficiencies = np.asarray(gammas, dtype=float).reshape(-1)
@@ -212,7 +203,6 @@ def build_probabilistic(
     if not np.all((efficiencies > rounding_floor(n)) & (efficiencies <= 1)):
         raise ValueError(f"efficiencies must lie in (0, 1], above the rounding floor "
                          f"{rounding_floor(n):.1e}, got {efficiencies.tolist()}")
-    a = gram(family)
     values, _ = nonsingular_spectrum(a, "inputs' Gram matrix")
     tolerance = verification_tolerance(values, float(np.min(efficiencies)))
     if not tolerance <= VERIFY_CEILING:
@@ -261,9 +251,11 @@ def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
 
     The failure component of input k is the evolved input minus its success
     branch sqrt(gamma_k) |Psi_k>|P_0>; its squared norm must equal
-    1 - gamma_k to within ``hilbert.precision_floor``, what an input and a
-    target unit to NORM_TOL allow, else ValueError names the input and the
-    gap. A masker without a probe has no failure branches.
+    1 - gamma_k, and that of the evolved input's probe-0 slice, the branch
+    ``simulate`` post-selects, gamma_k, each to within
+    ``hilbert.precision_floor``, what an input and a target unit to NORM_TOL
+    allow, else ValueError names the input and the gap. A masker without a
+    probe has no failure branches.
     Inputs with gamma = 1 have none either (a weight within that floor of
     zero); an arbitrary placeholder on the matching failure probe state is
     returned for them.
@@ -277,14 +269,20 @@ def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
             masker.targets.states[k].amplitudes, probe_dim
         )
         weight = float(np.vdot(branch, branch).real)
-        gap = abs(weight - (1.0 - gamma))
+        # the failure weight alone misses a gamma edited towards 0: its gap
+        # 2 sqrt(gamma') |sqrt(gamma') - sqrt(gamma)| vanishes with gamma'
+        success = masker.evolved[:, k].reshape(d * d, probe_dim)[:, 0]
         floor = precision_floor(branch.size)
-        if not gap <= floor:
-            raise ValueError(
-                f"input {k}: failure branch weight {weight:.6e} differs from "
-                f"1 - gamma = {1.0 - gamma:.6e} by {gap:.3e}, above the input-precision "
-                f"floor {floor:.1e}"
-            )
+        for name, value, reference, expected in (
+            ("failure branch weight", weight, "1 - gamma", 1.0 - gamma),
+            ("success weight", float(np.vdot(success, success).real), "gamma", gamma),
+        ):
+            gap = abs(value - expected)
+            if not gap <= floor:
+                raise ValueError(
+                    f"input {k}: {name} {value:.6e} differs from {reference} = "
+                    f"{expected:.6e} by {gap:.3e}, above the input-precision floor {floor:.1e}"
+                )
         if gamma >= 1.0:
             branch = _carried(basis_state(probe_dim, k + 1).amplitudes, d)
         else:
@@ -307,12 +305,13 @@ def simulate(masker: Masker, k: int) -> MaskingOutcome:
     branch = masker.evolved[:, k].reshape(d * d, masker.probe_dim)[:, 0]
     probability = float(np.vdot(branch, branch).real)
     post_selected = MultipartiteState(branch / np.sqrt(probability), (d, d))
+    marginal_a, marginal_b = marginals(post_selected)
     return MaskingOutcome(
         success_probability=probability,
         post_selected_state=post_selected,
         fidelity_to_target=fidelity(post_selected, masker.targets.states[k]),
-        marginal_A=partial_trace(post_selected, 0),
-        marginal_B=partial_trace(post_selected, 1),
+        marginal_A=marginal_a,
+        marginal_B=marginal_b,
     )
 
 

@@ -21,12 +21,10 @@ the optimum through Lagrange duality.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .hilbert import hermitian_matrix, nonsingular_spectrum, psd_check, psd_verdict, square_matrix
-from .hilbert import rounding_floor
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # factor by which the barrier weight t grows between centring stages; a tangent
@@ -117,34 +115,6 @@ def max_prob_two(s: float, t: float) -> tuple[float, tuple[float, float]]:
     ))
     root = math.sqrt(prob)
     return prob, (root, root)
-
-
-@lru_cache(maxsize=4)
-def _efficiency_grid(grid_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g = np.linspace(0.0, 1.0, grid_steps + 1)
-    product = np.outer(g, g)
-    complement = np.outer(1.0 - g, 1.0 - g)
-    for arr in (product, complement):
-        arr.setflags(write=False)
-    root = np.sqrt(product)
-    root.setflags(write=False)
-    return product, complement, root
-
-
-def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
-    """Brute-force maximum of gamma_1 * gamma_2 over a uniform grid.
-
-    Keeps grid points where the two-state residual matrix
-    [[1 - gamma_1, z], [conj(z), 1 - gamma_2]] is positive semidefinite,
-    with |z| = |s - sqrt(gamma_1 gamma_2) t| as granted by optimal phase
-    alignment. Serves as an independent check of the closed form.
-    """
-    product, complement, root = _efficiency_grid(grid_steps)
-    determinant = complement - (s - root * t) ** 2
-    feasible_points = determinant >= -rounding_floor(2)
-    if not np.any(feasible_points):
-        return 0.0
-    return float(np.max(np.where(feasible_points, product, 0.0)))
 
 
 def _whitener(a: np.ndarray) -> np.ndarray:

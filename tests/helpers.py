@@ -1,8 +1,15 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and reference computations for the test suite."""
+
+import re
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from qmask.hilbert import StateVector, gram
+from qmask.fixed_reducing import marginal_deviations, marginals
+from qmask.hilbert import StateVector, gram, rounding_floor
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def haar_unitary(d, rng):
@@ -29,6 +36,50 @@ def random_independent(n, d, rng, min_gram_eig=1e-3):
         if np.linalg.eigvalsh(gram(states))[0] > min_gram_eig:
             return states
 
+
+def dense(operator):
+    """The D x D matrix of a ``hilbert.Operator``, formed through its ``apply``."""
+    return operator.apply(np.eye(operator.dim))
+
+
+@lru_cache(maxsize=4)
+def _efficiency_grid(grid_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    g = np.linspace(0.0, 1.0, grid_steps + 1)
+    product = np.outer(g, g)
+    complement = np.outer(1.0 - g, 1.0 - g)
+    for arr in (product, complement):
+        arr.setflags(write=False)
+    root = np.sqrt(product)
+    root.setflags(write=False)
+    return product, complement, root
+
+
+def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
+    """Brute-force maximum of gamma_1 * gamma_2 over a uniform grid.
+
+    Keeps grid points where the two-state residual matrix
+    [[1 - gamma_1, z], [conj(z), 1 - gamma_2]] is positive semidefinite,
+    with |z| = |s - sqrt(gamma_1 gamma_2) t| as granted by optimal phase
+    alignment. Serves as an independent check of the closed form.
+    """
+    product, complement, root = _efficiency_grid(grid_steps)
+    determinant = complement - (s - root * t) ** 2
+    feasible_points = determinant >= -rounding_floor(2)
+    if not np.any(feasible_points):
+        return 0.0
+    return float(np.max(np.where(feasible_points, product, 0.0)))
+
+
+def max_marginal_deviation(states):
+    """Largest entrywise gap of any member's marginals from the first member's."""
+    return max(marginal_deviations([marginals(state) for state in states]))
+
+
+def library_tour() -> str:
+    """The README's one ``python`` code block."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    return blocks[0]
 
 
 def overlap_family(s, t, seed, d=2, n=2):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import dense
 import qmask
 from qmask import fileio, masker as masking
 from qmask.cli import main
@@ -51,7 +52,7 @@ def dense_document(masker) -> dict:
     for key in ("version", "span_basis"):
         del document[key]
     document["unitary"] = [
-        [[float(z.real), float(z.imag)] for z in row] for row in masker.unitary.entries
+        [[float(z.real), float(z.imag)] for z in row] for row in dense(masker.unitary)
     ]
     return document
 
@@ -210,6 +211,14 @@ class TestMaskDet:
         assert np.max(np.abs(rounded.conj() @ rounded.T - np.eye(3))) > 1e-14
         assert main(["mask-det", write_state_set(tmp_path / "basis.json", (3,), rounded)]) == 0
         assert "verification: PASS" in capsys.readouterr().out
+
+    def test_malformed_labels_are_input_error(self, basis_pair_file, capsys):
+        path = Path(basis_pair_file)
+        document = json.loads(path.read_text())
+        for labels, code in ((["a", "b"], 0), ([1], 2), ([1, "b"], 2), ("a,b", 2)):
+            path.write_text(json.dumps({**document, "labels": labels}))
+            assert main(["mask-det", basis_pair_file]) == code
+            assert code == 0 or "'labels'" in capsys.readouterr().err
 
     def test_overlapping_pair_rejected(self, overlap_pair_file, capsys):
         assert main(["mask-det", overlap_pair_file]) == 1
@@ -541,7 +550,7 @@ class TestMaskerFiles:
         original_report = verify_masking(masker)
         loaded_report = verify_masking(loaded)
         assert loaded_report == original_report
-        assert np.array_equal(loaded.unitary.entries, masker.unitary.entries)
+        assert np.array_equal(dense(loaded.unitary), dense(masker.unitary))
         assert np.array_equal(loaded.gammas, masker.gammas)
 
     def test_round_trip_is_lossless(self, tmp_path):
@@ -571,7 +580,9 @@ class TestMaskerFiles:
     @pytest.mark.parametrize("edit, index", [
         (lambda document: document["gammas"].__setitem__(1, 0.15), 1),
         (lambda document: document["targets"]["states"].reverse(), 0),
-    ], ids=["edited-gamma", "swapped-targets"])
+        # the failure branch weight of a gamma edited towards 0 stays within the floor
+        (lambda document: document["gammas"].__setitem__(1, 1e-30), 1),
+    ], ids=["edited-gamma", "swapped-targets", "gamma-towards-zero"])
     def test_gammas_disagreeing_with_unitary_are_input_error(
         self, tmp_path, capsys, edit, index
     ):
@@ -605,9 +616,9 @@ class TestMaskerFiles:
         third = np.sqrt(1.0 - (0.1 + 0.2) ** 2)
         vector = complex_array([-0.0, 0.1 + 0.2, -5e-324], [5e-324, -0.0, third])
         path = tmp_path / "states.json"
-        save_state_set(path, (3,), [vector], ["awkward"])
-        dims, vectors, labels = load_state_set(path)
-        assert dims == (3,) and labels == ["awkward"]
+        save_state_set(path, (3,), [vector])
+        dims, vectors = load_state_set(path)
+        assert dims == (3,)
         assert np.array_equal(bits(vectors[0]), bits(vector))
 
     def test_masker_round_trip_is_bit_exact_on_awkward_floats(self, tmp_path):
@@ -632,7 +643,7 @@ class TestMaskerFiles:
         assert "0.30000000000000004" in path.read_text()
         loaded = load_masker(path)
         assert np.array_equal(loaded.gammas, probabilistic.gammas)
-        assert np.array_equal(bits(loaded.unitary.entries), bits(probabilistic.unitary.entries))
+        assert np.array_equal(bits(dense(loaded.unitary)), bits(dense(probabilistic.unitary)))
 
     @pytest.mark.parametrize("edit, field", [
         (lambda u: u[0][0].__setitem__(0, True), "unitary[0][0]"),
@@ -772,7 +783,7 @@ class TestMaskerFiles:
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(masker_to_json(masker), indent=1) + "\n")
         loaded = load_masker(legacy)
-        assert np.array_equal(bits(loaded.unitary.entries), bits(masker.unitary.entries))
+        assert np.array_equal(bits(dense(loaded.unitary)), bits(dense(masker.unitary)))
         assert np.array_equal(loaded.gammas, masker.gammas)
         assert verify_masking(loaded) == verify_masking(masker)
         compact = tmp_path / "compact.json"
@@ -784,15 +795,21 @@ class TestMaskerFiles:
 def test_pipeline_never_forms_the_dense_unitary(
     overlap_pair_file, basis_pair_file, tmp_path, monkeypatch
 ):
-    def dense(self):
-        raise AssertionError("dense masker unitary formed")
+    # forming a dense U means applying U to D columns; the pipeline applies it to its n = 2 inputs
+    apply, widths = Operator.apply, []
 
-    monkeypatch.setattr(Operator, "entries", property(dense))
+    def narrow(self, vectors):
+        widths.append(1 if np.ndim(vectors) == 1 else np.shape(vectors)[1])
+        assert widths[-1] <= 2, f"masker unitary applied to {widths[-1]} columns"
+        return apply(self, vectors)
+
+    monkeypatch.setattr(Operator, "apply", narrow)
     out_path = tmp_path / "masker.json"
     for build in (["mask-prob", overlap_pair_file, "--target-overlap", "0", "--maximize"],
                   ["mask-det", basis_pair_file]):
         assert main([*build, "--out", str(out_path)]) == 0
         assert main(["simulate", str(out_path)]) == 0
+    assert widths
 
 
 def test_cli_import_loads_no_scipy():

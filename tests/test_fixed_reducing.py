@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import haar_unitary
+from helpers import haar_unitary, max_marginal_deviation
 from qmask.fixed_reducing import (
     FixedReducingSet,
     build_distinct_spectrum,
@@ -12,9 +12,8 @@ from qmask.fixed_reducing import (
     marginal_deviations,
     marginals,
     targets_with_overlap,
-    verify_fixed_reducing,
 )
-from qmask.hilbert import MultipartiteState, fidelity, gram, overlap
+from qmask.hilbert import MARGINAL_TOL, MultipartiteState, fidelity, gram, overlap
 
 INV2 = 1.0 / np.sqrt(2)
 
@@ -35,32 +34,29 @@ def marginals_by_hand(state):
 
 class TestVerify:
     def test_bell_family_passes(self):
-        ok, deviation = verify_fixed_reducing(bell_family())
-        assert ok
-        assert deviation <= 1e-12
+        assert max_marginal_deviation(bell_family()) <= 1e-12
+        FixedReducingSet(bell_family())
 
     def test_family_with_product_state_fails(self):
         family = [bell_family()[0], MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))]
-        ok, deviation = verify_fixed_reducing(family)
-        assert not ok
-        assert deviation >= 0.4
+        assert max_marginal_deviation(family) >= 0.4
+        with pytest.raises(ValueError, match="not fixed reducing: state 1"):
+            FixedReducingSet(family)
 
     def test_distinct_phase_families_pass(self):
         first = build_distinct_spectrum([0.7, 0.3], [[0.0, 0.0], [0.0, np.pi / 4]])
         second = build_distinct_spectrum([0.7, 0.3], [[0.0, 0.0], [0.0, np.pi / 2]])
-        ok, _ = verify_fixed_reducing(first.states + second.states)
-        assert ok
+        assert max_marginal_deviation(first.states + second.states) <= MARGINAL_TOL
+        FixedReducingSet(first.states + second.states)
 
     def test_dims_mismatch_rejected(self):
         first = MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))
-        # the verifier and the set constructor share one shape check and message
         for second in (
             MultipartiteState(np.eye(9)[0].astype(complex), (3, 3)),
             MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2, 1)),
         ):
-            for check in (verify_fixed_reducing, from_states):
-                with pytest.raises(ValueError, match=r"state 1 has dims .* bipartite with the dims"):
-                    check([first, second])
+            with pytest.raises(ValueError, match=r"state 1 has dims .* bipartite with the dims"):
+                from_states([first, second])
 
     def test_from_states_recovers_structure(self):
         states = bell_family()
@@ -100,8 +96,7 @@ class TestUniformSpectrum:
     def test_random_unitaries_verify(self, rng):
         for d in (2, 3, 4, 5):
             family = build_uniform_spectrum(d, [haar_unitary(d, rng) for _ in range(3)])
-            ok, deviation = verify_fixed_reducing(family.states)
-            assert ok and deviation <= 1e-12
+            assert max_marginal_deviation(family.states) <= 1e-12
             marginal_a, _ = marginals(family.states[0])
             assert np.allclose(marginal_a, np.eye(d) / d, atol=1e-12)
 
@@ -174,8 +169,7 @@ class TestGeneralSpectrum:
         blocks = [[np.array([[1.0]]), np.eye(2)],
                   [np.array([[np.exp(0.3j)]]), haar_unitary(2, rng)]]
         family = build_general_spectrum([0.5, 0.25, 0.25], blocks)
-        ok, deviation = verify_fixed_reducing(family.states)
-        assert ok and deviation <= 1e-12
+        assert max_marginal_deviation(family.states) <= 1e-12
         for state in family.states:
             rho_a, rho_b = marginals_by_hand(state)
             assert np.allclose(rho_a, np.diag([0.5, 0.25, 0.25]), atol=1e-12)
@@ -189,8 +183,8 @@ class TestGeneralSpectrum:
 
     def test_mixing_eigenspaces_breaks_marginals(self):
         # a rotation between eigenspaces of different eigenvalues leaves the
-        # A marginal intact but shifts the B marginal, so the verifier is
-        # the authority that catches it
+        # A marginal intact but shifts the B marginal, so the set's marginal
+        # check is the authority that catches it
         alphas = np.array([0.5, 0.25, 0.25])
         theta = 0.7
         mixer = np.eye(3, dtype=complex)
@@ -202,9 +196,9 @@ class TestGeneralSpectrum:
         for v in (np.eye(3, dtype=complex), mixer):
             matrix = np.sqrt(alphas)[:, None] * v.T
             states.append(MultipartiteState(matrix.reshape(-1), (3, 3)))
-        ok, deviation = verify_fixed_reducing(states)
-        assert not ok
-        assert deviation > 1e-3
+        assert max_marginal_deviation(states) > 1e-3
+        with pytest.raises(ValueError, match="not fixed reducing: state 1"):
+            FixedReducingSet(states)
 
 
 class TestCyclicTargets:
@@ -252,8 +246,7 @@ class TestTargetsWithOverlap:
                     c = magnitude * np.exp(1j * phase)
                     family = targets_with_overlap(d, c)
                     assert abs(overlap(family.states[0], family.states[1]) - c) <= 1e-9
-                    ok, deviation = verify_fixed_reducing(family.states)
-                    assert ok and deviation <= 1e-10
+                    assert max_marginal_deviation(family.states) <= 1e-10
 
     def test_half_overlap_d2(self):
         # conjugate phase pair +/- pi/3 gives trace/2 = cos(pi/3) = 0.5
@@ -289,6 +282,4 @@ class TestConstructorInvariant:
             targets_with_overlap(5, 0.3 * np.exp(0.5j)),
         ]
         for family in families:
-            ok, deviation = verify_fixed_reducing(family.states)
-            assert ok
-            assert deviation <= 1e-10
+            assert max_marginal_deviation(family.states) <= 1e-10

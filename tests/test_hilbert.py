@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, random_state
+from helpers import dense, haar_unitary, random_state
 from qmask.hilbert import (
     MultipartiteState,
     Operator,
@@ -12,7 +12,7 @@ from qmask.hilbert import (
     fidelity,
     gram,
     hermitian_sqrt,
-    linearly_independent,
+    nonsingular_spectrum,
     overlap,
     partial_trace,
     psd_check,
@@ -127,29 +127,32 @@ class TestGram:
 
 class TestLinearIndependence:
     def test_basis_pair(self):
-        assert linearly_independent([basis_state(2, 0), basis_state(2, 1)])
+        values, _ = nonsingular_spectrum(gram([basis_state(2, 0), basis_state(2, 1)]), "A")
+        assert np.allclose(values, [1.0, 1.0])
 
     def test_repeated_state(self):
-        assert not linearly_independent([basis_state(2, 0), basis_state(2, 0)])
+        with pytest.raises(ValueError, match="A is singular.*linearly dependent"):
+            nonsingular_spectrum(gram([basis_state(2, 0), basis_state(2, 0)]), "A")
 
     def test_non_parallel_pair(self):
         states = [basis_state(2, 0), StateVector(np.array([1, 1]) / np.sqrt(2))]
-        assert linearly_independent(states)
+        values, _ = nonsingular_spectrum(gram(states), "A")
+        assert np.allclose(values, [1 - INV2, 1 + INV2])
 
 
 class TestUnitaryCompletion:
     def test_identity_case(self):
         basis = [basis_state(3, i) for i in range(3)]
         u = unitary_completion(basis, basis)
-        assert np.allclose(u.entries, np.eye(3), atol=1e-10)
+        assert np.allclose(dense(u), np.eye(3), atol=1e-10)
 
     def test_swap_of_two_basis_states(self):
         u = unitary_completion(
             [basis_state(3, 0), basis_state(3, 1)],
             [basis_state(3, 1), basis_state(3, 0)],
         )
-        assert np.allclose(u.entries @ np.eye(3)[0], np.eye(3)[1], atol=1e-10)
-        assert np.allclose(u.entries @ np.eye(3)[1], np.eye(3)[0], atol=1e-10)
+        assert np.allclose(u.apply(np.eye(3)[0]), np.eye(3)[1], atol=1e-10)
+        assert np.allclose(u.apply(np.eye(3)[1]), np.eye(3)[0], atol=1e-10)
         assert u.is_unitary()
 
     def test_maps_families_built_from_known_unitary(self, rng):
@@ -164,7 +167,7 @@ class TestUnitaryCompletion:
             u = unitary_completion(inputs, outputs)
             assert u.is_unitary()
             for source, target in zip(inputs, outputs):
-                assert np.linalg.norm(u.entries @ source.amplitudes - target.amplitudes) <= 1e-9
+                assert np.linalg.norm(u.apply(source.amplitudes) - target.amplitudes) <= 1e-9
 
     def test_gram_preserved_by_result(self, rng):
         d = 4
@@ -172,7 +175,7 @@ class TestUnitaryCompletion:
         w = haar_unitary(d, rng)
         outputs = [StateVector(w @ s.amplitudes) for s in inputs]
         u = unitary_completion(inputs, outputs)
-        images = [StateVector(u.entries @ s.amplitudes) for s in inputs]
+        images = [StateVector(u.apply(s.amplitudes)) for s in inputs]
         assert np.max(np.abs(gram(images) - gram(inputs))) <= 1e-10
 
     def test_linearly_dependent_family(self):
@@ -181,7 +184,7 @@ class TestUnitaryCompletion:
         outputs = [basis_state(2, 1), basis_state(2, 1)]
         u = unitary_completion(inputs, outputs)
         assert u.is_unitary()
-        assert np.linalg.norm(u.entries @ np.eye(2)[0] - np.eye(2)[1]) <= 1e-9
+        assert np.linalg.norm(u.apply(np.eye(2)[0]) - np.eye(2)[1]) <= 1e-9
 
     def test_factored_form_moves_only_the_joint_span(self, rng):
         dim, n = 24, 3
@@ -193,8 +196,10 @@ class TestUnitaryCompletion:
         assert u.dim == dim and u.span_basis.shape[1] <= 2 * n
         assert u.is_unitary() and u.unitarity_residual <= 1e-12
         vectors = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
-        assert np.allclose(u.apply(vectors), u.entries @ vectors, atol=1e-12)
-        assert np.allclose(u.apply(vectors[:, 0]), u.entries @ vectors[:, 0], atol=1e-12)
+        q, w = u.span_basis, u.span_unitary
+        matrix = np.eye(dim) - q @ q.conj().T + q @ w @ q.conj().T
+        assert np.allclose(u.apply(vectors), matrix @ vectors, atol=1e-12)
+        assert np.allclose(u.apply(vectors[:, 0]), matrix @ vectors[:, 0], atol=1e-12)
         # identity on everything orthogonal to the inputs and outputs
         span = np.column_stack([s.amplitudes for s in inputs + outputs])
         outside = vectors - span @ np.linalg.lstsq(span, vectors, rcond=None)[0]
@@ -206,7 +211,7 @@ class TestUnitaryCompletion:
         with pytest.raises(ValueError, match="span unitary has dimension 3"):
             Operator(np.eye(4)[:, :2], np.eye(3))
         u = Operator(np.eye(4)[:, :2], np.array([[0, 1], [1, 0]]))
-        assert np.array_equal(u.entries, np.eye(4)[[1, 0, 2, 3]])
+        assert np.array_equal(dense(u), np.eye(4)[[1, 0, 2, 3]])
         assert not Operator(2 * np.eye(4)[:, :2], np.eye(2)).is_unitary()
 
     def test_gram_mismatch_rejected(self):

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, overlap_family, random_independent, random_state
+from helpers import (
+    haar_unitary,
+    max_prob_grid_oracle,
+    overlap_family,
+    random_independent,
+    random_state,
+)
 from qmask.hilbert import MultipartiteState, gram, rounding_floor
 from qmask.fixed_reducing import cyclic_targets, from_states
 from qmask.masker import build_probabilistic, verify_masking
@@ -17,7 +23,6 @@ from qmask.optimizer import (
     certify,
     dual_bound,
     feasible,
-    max_prob_grid_oracle,
     max_prob_two,
     maximize_general,
     probability_curves,

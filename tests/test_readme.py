@@ -1,13 +1,8 @@
 """The README's library tour runs against the installed package."""
 
-import re
-from pathlib import Path
-
-README = Path(__file__).resolve().parent.parent / "README.md"
+from helpers import README, library_tour
 
 
 def test_library_tour_runs(capsys):
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
-    assert len(blocks) == 1
-    exec(compile(blocks[0], str(README), "exec"), {})
+    exec(compile(library_tour(), str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "True"

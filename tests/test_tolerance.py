@@ -25,7 +25,7 @@ from qmask.hilbert import (
     basis_state,
     gram,
     hermitian_sqrt,
-    linearly_independent,
+    nonsingular_spectrum,
     rounding_floor,
     unitary_completion,
 )
@@ -221,7 +221,7 @@ def test_no_family_conditioned_below_1e12_is_called_singular(s, t, seed, shape):
     inputs, targets = corner_family(s, t, seed, shape)
     a, x = grams(inputs, targets)
     assert np.linalg.cond(a) < 1e12
-    assert linearly_independent(inputs)
+    nonsingular_spectrum(a, "inputs' Gram matrix")
     uniform_feasibility_boundary(a, x)
     gammas, _ = maximize_general(a, x)
     build_probabilistic(inputs, targets, gammas)

@@ -125,6 +125,7 @@ def state_set_from_json(
     document: dict, field: str = "", *, renormalize: bool = False
 ) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """The dims and vectors of a state set; optional ``labels`` are checked, not returned."""
+    _require(isinstance(document, dict), field or "document", "expected a JSON object")
     prefix = f"{field}." if field else ""
     dims = _dims_from_json(document.get("dims"), f"{prefix}dims")
     total = int(np.prod(dims))
@@ -164,21 +165,6 @@ def load_state_set(
     return state_set_from_json(_load_json(path), renormalize=renormalize)
 
 
-def save_state_set(path, dims, vectors) -> None:
-    _write_json(path, state_set_to_json(dims, vectors))
-
-
-def _ancilla_index(ancilla: StateVector) -> int:
-    index = int(np.argmax(np.abs(ancilla.amplitudes)))
-    residual = ancilla.amplitudes.copy()
-    residual[index] -= 1.0
-    if not float(np.max(np.abs(residual))) <= NORM_TOL:
-        raise ValueError(
-            "only computational-basis ancilla states can be written to a masker file"
-        )
-    return index
-
-
 def masker_to_json(m) -> dict:
     """Serializable form of a masker; inverse of masker_from_json."""
     d = m.dim
@@ -191,7 +177,7 @@ def masker_to_json(m) -> dict:
             (d, d), [s.amplitudes for s in m.targets.states]
         ),
         "inputs": state_set_to_json((d,), [a.amplitudes for a in m.inputs]),
-        "ancilla_index": _ancilla_index(m.ancilla),
+        "ancilla_index": m.ancilla_index,
     }
     if m.probe_dim > 1:
         document["kind"] = "probabilistic"
@@ -239,12 +225,12 @@ def masker_from_json(document: dict):
     _require(dims[0] == dims[1], "dims", f"local dimensions must match, got {dims}")
     d = dims[0]
 
-    input_dims, input_vectors = state_set_from_json(document.get("inputs") or {}, "inputs")
+    input_dims, input_vectors = state_set_from_json(document.get("inputs"), "inputs")
     _require(input_dims == (d,), "inputs.dims", f"expected [{d}], got {list(input_dims)}")
     inputs = tuple(StateVector(v) for v in input_vectors)
     n = len(inputs)
 
-    target_dims, target_vectors = state_set_from_json(document.get("targets") or {}, "targets")
+    target_dims, target_vectors = state_set_from_json(document.get("targets"), "targets")
     _require(target_dims == (d, d), "targets.dims", f"expected [{d}, {d}], got {list(target_dims)}")
     _require(len(target_vectors) == n, "targets.states", f"expected {n} target states")
     try:
@@ -255,13 +241,8 @@ def masker_from_json(document: dict):
         raise FileFormatError(f"field 'targets': {exc}") from exc
 
     ancilla_index = document.get("ancilla_index")
-    _require(
-        isinstance(ancilla_index, int) and not isinstance(ancilla_index, bool)
-        and 0 <= ancilla_index < d,
-        "ancilla_index",
-        f"expected an integer in [0, {d - 1}], got {ancilla_index!r}",
-    )
-    ancilla_state = StateVector(np.eye(d, dtype=complex)[ancilla_index])
+    _require(type(ancilla_index) is int and 0 <= ancilla_index < d, "ancilla_index",
+             f"expected an integer in [0, {d - 1}], got {ancilla_index!r}")
 
     unitary = _unitary_from_json(document, int(np.prod(dims)), n)
 
@@ -281,7 +262,7 @@ def masker_from_json(document: dict):
         gammas = np.asarray(raw_gammas, dtype=float)
         _require(bool(np.all(gammas > 0)) and bool(np.all(gammas <= 1)), "gammas",
                  "efficiencies must lie in (0, 1]")
-    m = masking.Masker(inputs, ancilla_state, targets, gammas, unitary)
+    m = masking.Masker(inputs, ancilla_index, targets, gammas, unitary)
     # the only check that the efficiencies and targets belong to the unitary
     try:
         masking.failure_branches(m)

@@ -7,10 +7,12 @@ subsystem dimensions (one subsystem unless given); ``StateVector`` names
 the same class, and ``partial_trace`` addresses a subsystem by its
 index. Every operation is a pure function returning new values, so
 everything here is safe to call concurrently. Gram matrices and reduced
-density matrices are plain Hermitian arrays. ``Operator`` is a unitary
-stored by its action on a small subspace: an orthonormal basis Q of that
-subspace and the k x k matrix W it applies there, both plain arrays; it
-acts through ``apply``, and a dense U is the special case Q = I.
+density matrices are plain Hermitian arrays; a family of n states on
+which ``unitary_completion`` acts is a plain D x n array, its frame.
+``Operator`` is a unitary stored by its action on a small subspace: an
+orthonormal basis Q of that subspace and the k x k matrix W it applies
+there, both plain arrays; it acts through ``apply``, and a dense U is
+the special case Q = I.
 
 This module also sets every numerical threshold in qmask, in three classes:
 
@@ -22,12 +24,13 @@ This module also sets every numerical threshold in qmask, in three classes:
   build and the optimizer's whitener, and both cuts in
   ``unitary_completion``).
 - Input-precision gates ask whether a unit object a caller or a file
-  supplied is unit: state norms, spectra summing to 1, unitaries,
-  isometries and Hermitian inputs relative to their size. NORM_TOL covers
-  them; MARGINAL_TOL is the fixed-reducing test's default. Comparisons of
-  supplied states' inner products inherit it through ``precision_floor``:
-  ``build_deterministic``'s orthogonality, the Gram match in
-  ``unitary_completion`` and the branch weights in ``failure_branches``.
+  supplied is unit: the norms of states and of frame columns, spectra
+  summing to 1, unitaries, isometries and Hermitian inputs relative to
+  their size. NORM_TOL covers them; MARGINAL_TOL is the fixed-reducing
+  test's default. Comparisons of supplied states' inner products inherit
+  it through ``precision_floor``: ``build_deterministic``'s orthogonality,
+  the Gram match in ``unitary_completion`` and the branch weights in
+  ``failure_branches``.
 - Verification holds a map whitening a Gram matrix to VERIFY_TOL (relative
   to gamma for success probabilities), or to the rounding floor of
   cond + 1 / sqrt(gamma) when larger (``verification_tolerance``): a
@@ -111,7 +114,8 @@ def unitarity_residual(matrix: np.ndarray) -> float:
 
 
 def _check_normalized(amps: np.ndarray) -> None:
-    err = abs(np.linalg.norm(amps) - 1.0)
+    """ValueError unless ``amps``, one vector or one per column, is unit to NORM_TOL."""
+    err = float(np.max(np.abs(np.linalg.norm(amps, axis=0) - 1.0)))
     # written so that a NaN error fails the check
     if not err <= NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
@@ -243,18 +247,14 @@ def partial_trace(state: MultipartiteState, keep: int) -> np.ndarray:
     return np.tensordot(tensor_form, tensor_form.conj(), axes=(traced, traced))
 
 
-def _stack(states: Sequence[MultipartiteState]) -> np.ndarray:
+def gram(states: Sequence[MultipartiteState]) -> np.ndarray:
+    """Hermitian Gram matrix with entries <state_i|state_j>."""
     if not states:
         raise ValueError("state list is empty")
     dims = {s.amplitudes.shape[0] for s in states}
     if len(dims) != 1:
         raise ValueError(f"states have mismatched dimensions: {sorted(dims)}")
-    return np.column_stack([s.amplitudes for s in states])
-
-
-def gram(states: Sequence[MultipartiteState]) -> np.ndarray:
-    """Hermitian Gram matrix with entries <state_i|state_j>."""
-    matrix = _stack(states)
+    matrix = np.column_stack([s.amplitudes for s in states])
     g = matrix.conj().T @ matrix
     return (g + g.conj().T) / 2.0
 
@@ -323,31 +323,30 @@ def _completed(frame: np.ndarray) -> np.ndarray:
     return np.hstack([frame, q[:, frame.shape[1]:]])
 
 
-def unitary_completion(
-    inputs: Sequence[MultipartiteState], outputs: Sequence[MultipartiteState]
-) -> Operator:
-    """Unitary U with U|input_i> = |output_i> for every i.
+def unitary_completion(inputs: np.ndarray, outputs: np.ndarray) -> Operator:
+    """Unitary U with U|input_i> = |output_i> for every column i of two D x n frames.
 
-    Such a U exists exactly when the two families share their Gram matrix:
-    here to within ``precision_floor`` entrywise, and to within
-    ``verification_tolerance`` once whitened by the inputs' Gram matrix, so
-    that U maps each input onto its output to the accuracy a masker is
-    verified to. The shared Gram is eigendecomposed once and both families
-    are contracted against the same eigenvector weights, which yields two
-    orthonormal frames in exact correspondence even for linearly dependent
-    families (eigenvalues within ``spectrum_floor`` are dropped). An SVD of
-    the two frames side by side gives an orthonormal basis Q of their
-    joint span, again dropping singular values within the floor. Inside
-    that span, of dimension k <= 2n, each frame is completed to a basis
-    and the basis change between the completions is W; outside it U is
-    the identity. Nothing of size D x D is formed.
+    Every column must be unit to NORM_TOL. Such a U exists exactly when the
+    two families share their Gram matrix: here to within ``precision_floor``
+    entrywise, and to within ``verification_tolerance`` once whitened by the
+    inputs' Gram matrix, so that U maps each input onto its output to the
+    accuracy a masker is verified to. The shared Gram is eigendecomposed
+    once and both families are contracted against the same eigenvector
+    weights, which yields two orthonormal frames in exact correspondence
+    even for linearly dependent families (eigenvalues within
+    ``spectrum_floor`` are dropped). An SVD of the two frames side by side
+    gives an orthonormal basis Q of their joint span, again dropping
+    singular values within the floor. Inside that span, of dimension
+    k <= 2n, each frame is completed to a basis and the basis change between
+    the completions is W; outside it U is the identity. Nothing of size
+    D x D is formed.
     """
-    src = _stack(inputs)
-    dst = _stack(outputs)
-    if src.shape != dst.shape:
-        raise ValueError(
-            f"input and output families differ in shape: {src.shape} vs {dst.shape}"
-        )
+    src = np.asarray(inputs, dtype=complex)
+    dst = np.asarray(outputs, dtype=complex)
+    if src.ndim != 2 or src.size == 0 or src.shape != dst.shape:
+        raise ValueError(f"input and output frames must be nonempty D x n arrays of one "
+                         f"shape, got {src.shape} and {dst.shape}")
+    _check_normalized(np.hstack([src, dst]))
     gram_in = src.conj().T @ src
     gram_out = dst.conj().T @ dst
     mismatch = float(np.max(np.abs(gram_in - gram_out)))

@@ -16,10 +16,12 @@ only to carry failure branches, so ``build_probabilistic`` adds one only
 when some gamma_k < 1. A mutually orthogonal family admits the
 deterministic masker: no probe, a unitary on A (x) B alone and every
 gamma_k = 1; ``build_deterministic`` checks that hypothesis and calls
-``build_probabilistic`` with unit efficiencies. The failure branches are
-not stored; ``failure_branches`` derives them from the unitary. A
-masker's unitary is a ``hilbert.Operator`` stored in factored form, so
-nothing here forms a D x D matrix.
+``build_probabilistic`` with unit efficiencies. The ancilla is a basis
+index of B; prepared inputs, success and failure branches are D x n
+frames, one column per input. ``failure_branches`` derives the failure
+frame F from the unitary: A = sqrt(Gamma) X sqrt(Gamma) + F^dagger F.
+The unitary is a ``hilbert.Operator`` in factored form, so nothing here
+forms a D x D matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations, marginals
 from .hilbert import VERIFY_CEILING, MultipartiteState, Operator, StateVector
-from .hilbert import basis_state, fidelity, gram, hermitian_sqrt, nonsingular_spectrum
+from .hilbert import fidelity, gram, hermitian_sqrt, nonsingular_spectrum
 from .hilbert import precision_floor, psd_verdict, rounding_floor
 from .hilbert import unitary_completion, verification_tolerance
 
@@ -42,7 +44,8 @@ from .hilbert import unitary_completion, verification_tolerance
 class Masker:
     """Unitary masking each input with efficiency gamma_k.
 
-    The probe dimension is read off the unitary. A unitary on A (x) B
+    The ancilla on B starts in the basis state ``ancilla_index``. The
+    probe dimension is read off the unitary. A unitary on A (x) B
     (dimension d^2) means no probe, and every gamma_k must be 1: the
     deterministic masker. A unitary on A (x) B (x) P (dimension
     d^2 (n + 1)) means a probe whose basis state 0 carries every success
@@ -52,7 +55,7 @@ class Masker:
     """
 
     inputs: tuple[StateVector, ...]
-    ancilla: StateVector
+    ancilla_index: int
     targets: FixedReducingSet
     gammas: np.ndarray
     unitary: Operator
@@ -61,10 +64,12 @@ class Masker:
         if not isinstance(self.unitary, Operator):
             raise TypeError(f"Masker.unitary is a {type(self.unitary).__name__}, not an Operator")
         inputs = tuple(self.inputs)
-        d = self.ancilla.dim
-        n = len(inputs)
-        if not inputs or any(a.dim != d for a in inputs):
-            raise ValueError("inputs and ancilla must share one dimension")
+        if not inputs or any(a.dim != inputs[0].dim for a in inputs):
+            raise ValueError("inputs must be nonempty and share one dimension")
+        d, n = inputs[0].dim, len(inputs)
+        if not (type(self.ancilla_index) is int and 0 <= self.ancilla_index < d):
+            raise ValueError(f"ancilla index must be an integer in [0, {d}), "
+                             f"got {self.ancilla_index!r}")
         if self.targets.dim != d or self.targets.n != n:
             raise ValueError("targets do not match the input family")
         gammas = np.array(self.gammas, dtype=float)
@@ -86,7 +91,7 @@ class Masker:
 
     @property
     def dim(self) -> int:
-        return self.ancilla.dim
+        return self.inputs[0].dim
 
     @property
     def probe_dim(self) -> int:
@@ -95,10 +100,7 @@ class Masker:
     @cached_property
     def evolved(self) -> np.ndarray:
         """U applied to every prepared input at once: column k is U |a_k>|b>|P_0>."""
-        prepared = np.column_stack(
-            [_prepared(a, self.ancilla, self.probe_dim) for a in self.inputs]
-        )
-        outputs = self.unitary.apply(prepared)
+        outputs = self.unitary.apply(_prepared(self.inputs, self.ancilla_index, self.probe_dim))
         outputs.setflags(write=False)
         return outputs
 
@@ -126,21 +128,21 @@ class MaskingReport:
     tolerance: float
 
 
-def _on_probe_start(vector: np.ndarray, probe_dim: int) -> np.ndarray:
-    """``vector`` (x) |P_0>_P, or ``vector`` itself when there is no probe."""
-    if probe_dim == 1:
-        return vector
-    return np.kron(vector, basis_state(probe_dim, 0).amplitudes)
+def _basis_column(size: int, index: int) -> np.ndarray:
+    """The basis vector |index> as a size x 1 column."""
+    return np.eye(size, 1, -index, dtype=complex)
 
 
-def _prepared(state: StateVector, ancilla: StateVector, probe_dim: int) -> np.ndarray:
-    """The prepared input |a>_A |b>_B |P_0>_P."""
-    return _on_probe_start(np.kron(state.amplitudes, ancilla.amplitudes), probe_dim)
+def _prepared(inputs: Sequence[StateVector], ancilla_index: int, probe_dim: int) -> np.ndarray:
+    """The D x n frame of prepared inputs |a_k>_A |b>_B |P_0>_P; |b>|P_0> is one basis vector."""
+    states = np.column_stack([a.amplitudes for a in inputs])
+    return np.kron(states, _basis_column(states.shape[0] * probe_dim, ancilla_index * probe_dim))
 
 
-def _carried(probe_part: np.ndarray, d: int) -> np.ndarray:
-    """The fixed |0>_A |0>_B product that carries every failure branch, (x) ``probe_part``."""
-    return np.kron(basis_state(d * d, 0).amplitudes, probe_part)
+def _successes(targets: FixedReducingSet, gammas: np.ndarray, probe_dim: int) -> np.ndarray:
+    """The D x n frame of success branches sqrt(gamma_k) |Psi_k>|P_0>."""
+    states = np.column_stack([t.amplitudes for t in targets.states])
+    return np.sqrt(gammas) * np.kron(states, _basis_column(probe_dim, 0))
 
 
 def build_deterministic(
@@ -209,10 +211,10 @@ def build_probabilistic(
         raise ValueError(f"inputs' Gram matrix has condition number {values[-1] / values[0]:.3e}: "
                          f"a masker could be verified only to {tolerance:.3e}, above the "
                          f"ceiling {VERIFY_CEILING:.0e}")
-    ancilla = basis_state(d, 0)
 
     # the probe only carries failure branches
     probe_dim = n + 1 if np.any(efficiencies < 1.0) else 1
+    outputs = _successes(targets, efficiencies, probe_dim)
     if probe_dim > 1:
         residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
         ok, lowest, floor = psd_verdict(residual)
@@ -227,68 +229,47 @@ def build_probabilistic(
             raise ValueError(f"efficiency {worst}: failure branch weight misses M_ii by "
                              f"{misses[worst]:.3e}, above the rounding floor {floor:.1e}; "
                              f"residual matrix has min eigenvalue {lowest:.6e}")
+        failures = np.vstack([np.zeros((1, n)), coefficients.T])
+        outputs = outputs + np.kron(_basis_column(d * d, 0), failures)
 
-    dims = (d, d, probe_dim)
-    prepared = []
-    outputs = []
-    for i in range(n):
-        prepared.append(MultipartiteState(_prepared(family[i], ancilla, probe_dim), dims))
-        amplitude = np.sqrt(efficiencies[i]) * _on_probe_start(
-            targets.states[i].amplitudes, probe_dim
-        )
-        if probe_dim > 1:
-            probe_part = np.zeros(probe_dim, dtype=complex)
-            probe_part[1:] = coefficients[i, :]
-            amplitude = amplitude + _carried(probe_part, d)
-        outputs.append(MultipartiteState(amplitude, dims))
-
-    unitary = unitary_completion(prepared, outputs)
-    return Masker(family, ancilla, targets, efficiencies, unitary)
+    unitary = unitary_completion(_prepared(family, 0, probe_dim), outputs)
+    return Masker(family, 0, targets, efficiencies, unitary)
 
 
-def failure_branches(masker: Masker) -> tuple[MultipartiteState, ...]:
-    """Normalized failure components of each evolved input, derived from the unitary.
+def failure_branches(masker: Masker) -> np.ndarray:
+    """The D x n frame F of failure branches, derived from the unitary.
 
-    The failure component of input k is the evolved input minus its success
-    branch sqrt(gamma_k) |Psi_k>|P_0>; its squared norm must equal
-    1 - gamma_k, and that of the evolved input's probe-0 slice, the branch
-    ``simulate`` post-selects, gamma_k, each to within
-    ``hilbert.precision_floor``, what an input and a target unit to NORM_TOL
-    allow, else ValueError names the input and the gap. A masker without a
-    probe has no failure branches.
-    Inputs with gamma = 1 have none either (a weight within that floor of
-    zero); an arbitrary placeholder on the matching failure probe state is
-    returned for them.
+    Column k is the evolved input minus its success branch
+    sqrt(gamma_k) |Psi_k>|P_0>, so F^dagger F is the residual matrix M.
+    Its squared norm must equal 1 - gamma_k, and that of the evolved
+    input's probe-0 slice, the branch ``simulate`` post-selects, gamma_k,
+    each to within ``hilbert.precision_floor``, what an input and a
+    target unit to NORM_TOL allow, else ValueError names the first input
+    off and the gap. A masker without a probe has none: a D x 0 frame.
     """
-    d, probe_dim = masker.dim, masker.probe_dim
+    d, n, probe_dim = masker.dim, masker.n, masker.probe_dim
     if probe_dim == 1:
-        return ()
-    branches = []
-    for k, gamma in enumerate(masker.gammas):
-        branch = masker.evolved[:, k] - np.sqrt(gamma) * _on_probe_start(
-            masker.targets.states[k].amplitudes, probe_dim
+        return np.zeros((masker.unitary.dim, 0), dtype=complex)
+    branches = masker.evolved - _successes(masker.targets, masker.gammas, probe_dim)
+    # the failure weight alone misses a gamma edited towards 0: its gap
+    # 2 sqrt(gamma') |sqrt(gamma') - sqrt(gamma)| vanishes with gamma'
+    successes = masker.evolved.reshape(d * d, probe_dim, n)[:, 0, :]
+    checks = (
+        ("failure branch weight", np.sum(np.abs(branches) ** 2, axis=0), "1 - gamma",
+         1.0 - masker.gammas),
+        ("success weight", np.sum(np.abs(successes) ** 2, axis=0), "gamma", masker.gammas),
+    )
+    floor = precision_floor(branches.shape[0])
+    # written so that a NaN gap counts as off
+    off = ~np.array([np.abs(value - expected) <= floor for _, value, _, expected in checks])
+    if np.any(off):
+        k = int(np.argmax(np.any(off, axis=0)))
+        name, value, reference, expected = checks[int(np.argmax(off[:, k]))]
+        raise ValueError(
+            f"input {k}: {name} {value[k]:.6e} differs from {reference} = {expected[k]:.6e} "
+            f"by {abs(value[k] - expected[k]):.3e}, above the input-precision floor {floor:.1e}"
         )
-        weight = float(np.vdot(branch, branch).real)
-        # the failure weight alone misses a gamma edited towards 0: its gap
-        # 2 sqrt(gamma') |sqrt(gamma') - sqrt(gamma)| vanishes with gamma'
-        success = masker.evolved[:, k].reshape(d * d, probe_dim)[:, 0]
-        floor = precision_floor(branch.size)
-        for name, value, reference, expected in (
-            ("failure branch weight", weight, "1 - gamma", 1.0 - gamma),
-            ("success weight", float(np.vdot(success, success).real), "gamma", gamma),
-        ):
-            gap = abs(value - expected)
-            if not gap <= floor:
-                raise ValueError(
-                    f"input {k}: {name} {value:.6e} differs from {reference} = "
-                    f"{expected:.6e} by {gap:.3e}, above the input-precision floor {floor:.1e}"
-                )
-        if gamma >= 1.0:
-            branch = _carried(basis_state(probe_dim, k + 1).amplitudes, d)
-        else:
-            branch = branch / np.sqrt(weight)
-        branches.append(MultipartiteState(branch, (d, d, probe_dim)))
-    return tuple(branches)
+    return branches
 
 
 def simulate(masker: Masker, k: int) -> MaskingOutcome:

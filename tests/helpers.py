@@ -37,6 +37,11 @@ def random_independent(n, d, rng, min_gram_eig=1e-3):
             return states
 
 
+def frame(states):
+    """The D x n array whose columns are the states' amplitudes."""
+    return np.column_stack([state.amplitudes for state in states])
+
+
 def dense(operator):
     """The D x D matrix of a ``hilbert.Operator``, formed through its ``apply``."""
     return operator.apply(np.eye(operator.dim))

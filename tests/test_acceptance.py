@@ -145,10 +145,9 @@ def test_criterion_4_probabilistic_property_suite():
                 )
             if outcome.fidelity_to_target < 1 - 1e-8:
                 failures.append(f"trial {trial}, input {k}: fidelity {outcome.fidelity_to_target}")
-        y_actual = gram(failure_branches(masker))
+        branches = failure_branches(masker)
         root_g = np.sqrt(gammas)
-        root_c = np.sqrt(1.0 - gammas)
-        reconstructed = np.outer(root_g, root_g) * x + np.outer(root_c, root_c) * y_actual
+        reconstructed = np.outer(root_g, root_g) * x + branches.conj().T @ branches
         residual = float(np.max(np.abs(reconstructed - a)))
         if residual > 1e-9:
             failures.append(f"trial {trial}: Gram reconstruction residual {residual}")

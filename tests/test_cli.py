@@ -17,12 +17,10 @@ from helpers import dense
 import qmask
 from qmask import fileio, masker as masking
 from qmask.cli import main
-from qmask.fileio import (
-    load_masker, load_state_set, masker_to_json, save_masker, save_state_set,
-)
+from qmask.fileio import load_masker, load_state_set, masker_to_json, save_masker, state_set_to_json
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap
-from qmask.hilbert import NORM_TOL, Operator, StateVector, basis_state
-from qmask.masker import build_deterministic, build_probabilistic, verify_masking
+from qmask.hilbert import NORM_TOL, Operator, StateVector, basis_state, unitary_completion
+from qmask.masker import Masker, build_deterministic, build_probabilistic, verify_masking
 from qmask.optimizer import max_prob_two
 
 INV2 = 1.0 / np.sqrt(2)
@@ -594,6 +592,42 @@ class TestMaskerFiles:
             err = capsys.readouterr().err
             assert "'gammas'" in err and f"input {index}" in err
 
+    @pytest.mark.parametrize("field, value", [("inputs", [1, 2]), ("targets", "abc")])
+    def test_state_set_that_is_not_an_object_names_field(self, tmp_path, capsys, field, value):
+        path, document = saved(tmp_path, overlap_pair_masker(), "factored")
+        document[field] = value
+        rewrite(path, document)
+        assert main(["simulate", str(path)]) == 2
+        assert f"field '{field}': expected a JSON object" in capsys.readouterr().err
+
+    def test_ancilla_index_reaches_the_evolution(self, tmp_path, capsys):
+        built = overlap_pair_masker()
+        # the built masker's outputs, reached from inputs prepared with |1>_B |P_0>_P
+        start = basis_state(2 * built.probe_dim, built.probe_dim).amplitudes
+        prepared = np.column_stack([np.kron(a.amplitudes, start) for a in built.inputs])
+        masker = Masker(built.inputs, 1, built.targets, built.gammas,
+                        unitary_completion(prepared, built.evolved))
+        report = verify_masking(masker)
+        assert report.passed
+        assert not verify_masking(dataclasses.replace(masker, ancilla_index=0)).passed
+        path = tmp_path / "masker.json"
+        save_masker(masker, path)
+        assert json.loads(path.read_text())["ancilla_index"] == 1
+        loaded = load_masker(path)
+        assert loaded.ancilla_index == 1 and verify_masking(loaded) == report
+        assert main(["simulate", str(path)]) == 0
+        printed = capsys.readouterr().out
+        for k, probability in enumerate(report.success_probabilities):
+            assert f"state {k}: success probability {probability:.12g}," in printed
+
+    def test_edited_ancilla_index_is_input_error(self, tmp_path, capsys):
+        path, document = saved(tmp_path, overlap_pair_masker(), "factored")
+        assert document["ancilla_index"] == 0
+        document["ancilla_index"] = 1
+        rewrite(path, document)
+        assert main(["simulate", str(path)]) == 2
+        assert "field 'gammas'" in capsys.readouterr().err
+
     def test_corrupt_kind_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"kind": "other"}))
@@ -616,7 +650,7 @@ class TestMaskerFiles:
         third = np.sqrt(1.0 - (0.1 + 0.2) ** 2)
         vector = complex_array([-0.0, 0.1 + 0.2, -5e-324], [5e-324, -0.0, third])
         path = tmp_path / "states.json"
-        save_state_set(path, (3,), [vector])
+        path.write_text(json.dumps(state_set_to_json((3,), [vector])))
         dims, vectors = load_state_set(path)
         assert dims == (3,)
         assert np.array_equal(bits(vectors[0]), bits(vector))

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, haar_unitary, random_state
+from helpers import dense, frame, haar_unitary, random_state
 from qmask.hilbert import (
+    NORM_TOL,
     MultipartiteState,
     Operator,
     StateVector,
@@ -142,15 +143,11 @@ class TestLinearIndependence:
 
 class TestUnitaryCompletion:
     def test_identity_case(self):
-        basis = [basis_state(3, i) for i in range(3)]
-        u = unitary_completion(basis, basis)
+        u = unitary_completion(np.eye(3), np.eye(3))
         assert np.allclose(dense(u), np.eye(3), atol=1e-10)
 
     def test_swap_of_two_basis_states(self):
-        u = unitary_completion(
-            [basis_state(3, 0), basis_state(3, 1)],
-            [basis_state(3, 1), basis_state(3, 0)],
-        )
+        u = unitary_completion(np.eye(3)[:, :2], np.eye(3)[:, [1, 0]])
         assert np.allclose(u.apply(np.eye(3)[0]), np.eye(3)[1], atol=1e-10)
         assert np.allclose(u.apply(np.eye(3)[1]), np.eye(3)[0], atol=1e-10)
         assert u.is_unitary()
@@ -161,36 +158,31 @@ class TestUnitaryCompletion:
         for _ in range(20):
             d = int(rng.integers(2, 6))
             n = int(rng.integers(1, d + 1))
-            inputs = [random_state(d, rng) for _ in range(n)]
-            w = haar_unitary(d, rng)
-            outputs = [StateVector(w @ s.amplitudes) for s in inputs]
+            inputs = frame([random_state(d, rng) for _ in range(n)])
+            outputs = haar_unitary(d, rng) @ inputs
             u = unitary_completion(inputs, outputs)
             assert u.is_unitary()
-            for source, target in zip(inputs, outputs):
-                assert np.linalg.norm(u.apply(source.amplitudes) - target.amplitudes) <= 1e-9
+            assert np.max(np.linalg.norm(u.apply(inputs) - outputs, axis=0)) <= 1e-9
 
     def test_gram_preserved_by_result(self, rng):
         d = 4
-        inputs = [random_state(d, rng) for _ in range(3)]
-        w = haar_unitary(d, rng)
-        outputs = [StateVector(w @ s.amplitudes) for s in inputs]
-        u = unitary_completion(inputs, outputs)
-        images = [StateVector(u.apply(s.amplitudes)) for s in inputs]
-        assert np.max(np.abs(gram(images) - gram(inputs))) <= 1e-10
+        inputs = frame([random_state(d, rng) for _ in range(3)])
+        outputs = haar_unitary(d, rng) @ inputs
+        images = unitary_completion(inputs, outputs).apply(inputs)
+        assert np.max(np.abs(images.conj().T @ images - inputs.conj().T @ inputs)) <= 1e-10
 
     def test_linearly_dependent_family(self):
         # the duplicate direction exercises the eigenvalue cutoff
-        inputs = [basis_state(2, 0), basis_state(2, 0)]
-        outputs = [basis_state(2, 1), basis_state(2, 1)]
+        inputs = np.eye(2)[:, [0, 0]]
+        outputs = np.eye(2)[:, [1, 1]]
         u = unitary_completion(inputs, outputs)
         assert u.is_unitary()
         assert np.linalg.norm(u.apply(np.eye(2)[0]) - np.eye(2)[1]) <= 1e-9
 
     def test_factored_form_moves_only_the_joint_span(self, rng):
         dim, n = 24, 3
-        inputs = [random_state(dim, rng) for _ in range(n)]
-        w = haar_unitary(dim, rng)
-        outputs = [StateVector(w @ s.amplitudes) for s in inputs]
+        inputs = frame([random_state(dim, rng) for _ in range(n)])
+        outputs = haar_unitary(dim, rng) @ inputs
         u = unitary_completion(inputs, outputs)
         assert isinstance(u, Operator)
         assert u.dim == dim and u.span_basis.shape[1] <= 2 * n
@@ -201,7 +193,7 @@ class TestUnitaryCompletion:
         assert np.allclose(u.apply(vectors), matrix @ vectors, atol=1e-12)
         assert np.allclose(u.apply(vectors[:, 0]), matrix @ vectors[:, 0], atol=1e-12)
         # identity on everything orthogonal to the inputs and outputs
-        span = np.column_stack([s.amplitudes for s in inputs + outputs])
+        span = np.hstack([inputs, outputs])
         outside = vectors - span @ np.linalg.lstsq(span, vectors, rcond=None)[0]
         assert np.allclose(u.apply(outside), outside, atol=1e-12)
 
@@ -215,14 +207,35 @@ class TestUnitaryCompletion:
         assert not Operator(2 * np.eye(4)[:, :2], np.eye(2)).is_unitary()
 
     def test_gram_mismatch_rejected(self):
-        inputs = [basis_state(2, 0), basis_state(2, 1)]
-        outputs = [basis_state(2, 0), StateVector(np.array([1, 1]) / np.sqrt(2))]
+        outputs = np.column_stack([[1, 0], np.array([1, 1]) / np.sqrt(2)])
         with pytest.raises(ValueError, match="Gram"):
-            unitary_completion(inputs, outputs)
+            unitary_completion(np.eye(2), outputs)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            unitary_completion([basis_state(2, 0)], [basis_state(3, 0)])
+        with pytest.raises(ValueError, match="one shape"):
+            unitary_completion(np.eye(2)[:, :1], np.eye(3)[:, :1])
+
+    @pytest.mark.parametrize("inputs, outputs", [
+        (np.eye(3)[:, :2], np.eye(3)[:, :2] * [1.0, 1.0 + 2 * NORM_TOL]),
+        (np.eye(3)[:, :2] * [1.0 - 2 * NORM_TOL, 1.0], np.eye(3)[:, :2]),
+        (np.eye(3)[:, :2], np.column_stack([np.eye(3)[:, 0], [np.nan, 0.0, 0.0]])),
+    ], ids=["output-column-long", "input-column-short", "nan-column"])
+    def test_column_off_unit_norm_rejected(self, inputs, outputs):
+        with pytest.raises(ValueError, match="not normalized"):
+            unitary_completion(inputs, outputs)
+
+    def test_column_within_the_norm_tolerance_accepted(self):
+        scaled = np.eye(3)[:, :2] * [1.0, 1.0 + 0.99 * NORM_TOL]
+        assert unitary_completion(scaled, scaled).is_unitary()
+
+    @pytest.mark.parametrize("inputs, outputs", [
+        (np.eye(3)[0], np.eye(3)[1]),
+        (np.eye(3)[:, :2], np.eye(3)),
+        (np.eye(3)[:, :0], np.eye(3)[:, :0]),
+    ], ids=["one-dimensional", "different-shapes", "no-columns"])
+    def test_frames_of_the_wrong_shape_rejected(self, inputs, outputs):
+        with pytest.raises(ValueError, match="D x n arrays of one shape"):
+            unitary_completion(inputs, outputs)
 
 
 class TestPsdCheck:

@@ -90,8 +90,7 @@ def test_verification_fails_for_linearly_dependent_inputs():
     # the identity maps |0>|0> to a target of fidelity 1/2: no tolerance may let it pass
     same = (basis_state(2, 0), basis_state(2, 0))
     identity = Operator(np.eye(4), np.eye(4))
-    report = verify_masking(Masker(same, basis_state(2, 0), cyclic_targets(2, 2), [1.0, 1.0],
-                                   identity))
+    report = verify_masking(Masker(same, 0, cyclic_targets(2, 2), [1.0, 1.0], identity))
     assert report.tolerance == np.inf
     assert not report.passed
 
@@ -106,16 +105,15 @@ def test_verification_fails_beyond_the_tolerance_ceiling():
         build_probabilistic(inputs, targets, gammas)
     # the masker the builder used to return, assembled by hand: sqrt(gamma_k) |Psi_k>|P_0>
     # plus a failure branch on |00> with the probe coefficients sqrt(conj(M))[k]
-    ancilla, start = basis_state(2, 0), basis_state(3, 0).amplitudes
+    ancilla, start = basis_state(2, 0).amplitudes, basis_state(3, 0).amplitudes
     coefficients = hermitian_sqrt(np.conj(residual_matrix(a, x, gammas)))
     prepared, outputs = [], []
     for k, (state, target) in enumerate(zip(inputs, targets.states)):
-        prepared.append(MultipartiteState(
-            np.kron(np.kron(state.amplitudes, ancilla.amplitudes), start), (2, 2, 3)))
+        prepared.append(np.kron(np.kron(state.amplitudes, ancilla), start))
         failure = np.kron(basis_state(4, 0).amplitudes, np.concatenate([[0.0], coefficients[k]]))
-        outputs.append(MultipartiteState(
-            np.sqrt(gammas[k]) * np.kron(target.amplitudes, start) + failure, (2, 2, 3)))
-    built = Masker(inputs, ancilla, targets, gammas, unitary_completion(prepared, outputs))
+        outputs.append(np.sqrt(gammas[k]) * np.kron(target.amplitudes, start) + failure)
+    unitary = unitary_completion(np.column_stack(prepared), np.column_stack(outputs))
+    built = Masker(inputs, 0, targets, gammas, unitary)
     report = verify_masking(built)
     assert min(report.fidelities) > 1.0 - 1e-6
     assert report.tolerance > VERIFY_CEILING

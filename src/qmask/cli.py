@@ -15,7 +15,7 @@ import numpy as np
 from . import fixed_reducing, masker as masking, optimizer
 from .fileio import FileFormatError, load_masker, load_state_set, save_masker
 from .fixed_reducing import MARGINAL_TOL
-from .hilbert import MultipartiteState, StateVector, gram
+from .hilbert import gram
 
 
 def _efficiencies(text: str) -> list[float]:
@@ -78,14 +78,13 @@ def _print_matrix(name: str, entries: np.ndarray) -> None:
 
 
 def _cmd_verify_fixed_reducing(args) -> int:
-    dims, vectors = load_state_set(args.input, renormalize=args.renormalize)
-    if len(dims) != 2:
+    states = load_state_set(args.input, renormalize=args.renormalize)
+    subsystems = len(states[0].dims)
+    if subsystems != 2:
         raise FileFormatError(
-            f"field 'dims': need exactly 2 subsystems for marginal checks, got {len(dims)}"
+            f"field 'dims': need exactly 2 subsystems for marginal checks, got {subsystems}"
         )
-    deviations = fixed_reducing.marginal_deviations(
-        [fixed_reducing.marginals(MultipartiteState(v, dims)) for v in vectors]
-    )
+    deviations = fixed_reducing.marginal_deviations([fixed_reducing.marginals(s) for s in states])
     for k, deviation in enumerate(deviations):
         print(f"state {k}: marginal deviation {deviation:.3e}")
     worst = max(deviations)
@@ -96,8 +95,9 @@ def _cmd_verify_fixed_reducing(args) -> int:
     return 1
 
 
-def _load_input_states(args) -> list[StateVector]:
-    dims, vectors = load_state_set(args.input, renormalize=args.renormalize)
+def _load_input_states(args) -> tuple:
+    states = load_state_set(args.input, renormalize=args.renormalize)
+    dims = states[0].dims
     if len(dims) != 1:
         raise FileFormatError(
             f"field 'dims': masker inputs live on a single subsystem, got {len(dims)}"
@@ -106,7 +106,7 @@ def _load_input_states(args) -> list[StateVector]:
         raise FileFormatError(
             f"field 'dims': file declares dimension {dims[0]}, --dim says {args.dim}"
         )
-    return [StateVector(v) for v in vectors]
+    return states
 
 
 def _print_verification(report: masking.MaskingReport) -> None:
@@ -142,22 +142,19 @@ def _cmd_mask_prob(args) -> int:
     n = len(inputs)
     d = inputs[0].dim
     if args.targets is not None:
-        t_dims, t_vectors = load_state_set(args.targets, renormalize=args.renormalize)
+        target_states = load_state_set(args.targets, renormalize=args.renormalize)
+        t_dims = target_states[0].dims
         if t_dims != (d, d):
-            print(f"error: --targets: targets have dims {t_dims}, inputs need {(d, d)}",
-                  file=sys.stderr)
-            return 2
-        targets = fixed_reducing.from_states([MultipartiteState(v, t_dims) for v in t_vectors])
+            raise FileFormatError(f"--targets: targets have dims {t_dims}, inputs need {(d, d)}")
+        targets = fixed_reducing.from_states(target_states)
         flag = "--targets"
     else:
         targets = fixed_reducing.targets_with_overlap(d, args.target_overlap)
         flag = "--target-overlap"
     if targets.n != n:
-        print(f"error: {flag}: got {targets.n} targets for {n} inputs", file=sys.stderr)
-        return 2
+        raise FileFormatError(f"{flag}: got {targets.n} targets for {n} inputs")
     if args.gammas is not None and len(args.gammas) != n:
-        print(f"error: --gammas: need {n} efficiencies, got {len(args.gammas)}", file=sys.stderr)
-        return 2
+        raise FileFormatError(f"--gammas: need {n} efficiencies, got {len(args.gammas)}")
 
     a = gram(inputs)
     x = gram(targets.states)
@@ -281,10 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, IndexError) as exc:
+    except (FileFormatError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

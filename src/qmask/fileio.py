@@ -1,4 +1,4 @@
-"""JSON file formats for state sets and maskers.
+"""JSON file formats for state sets, loaded as tuples of ``MultipartiteState``, and maskers.
 
 Complex numbers are stored as two-element [re, im] arrays throughout, so
 files are locale- and format-unambiguous and round-trip bit exactly
@@ -14,10 +14,11 @@ The file grows as O(D n) rather than O(D^2). Files without a version
 (version 1) have no ``span_basis``: their ``unitary`` is the dense
 D x D matrix, which is the operator with Q = I. They load as such, Q
 formed only once that matrix has parsed as D x D, and are written back
-as version 2 with k = D, which the reader accepts as well. On load Q
-must be orthonormal, W unitary, the targets fixed reducing, every
-failure branch weight equal to 1 - gamma_k and every success weight
-gamma_k; any failure is a ``FileFormatError`` naming the field.
+as version 2 with k = D, which the reader accepts as well. On load
+each state must pass the state type's own norm check, Q be orthonormal,
+W unitary, the targets fixed reducing, every failure branch weight
+equal to 1 - gamma_k and every success weight gamma_k; any failure is a
+``FileFormatError`` naming the field.
 
 Loading converts each array of pairs with one numpy call and checks its
 shape, its numeric type and that it holds no JSON booleans. Only when
@@ -35,13 +36,13 @@ from typing import Sequence
 import numpy as np
 
 from . import fixed_reducing, masker as masking
-from .hilbert import NORM_TOL, MultipartiteState, Operator, StateVector
+from .hilbert import NORM_TOL, MultipartiteState, Operator
 
 MASKER_VERSION = 2
 
 
 class FileFormatError(ValueError):
-    """Malformed input file; the message names the offending field."""
+    """Malformed input, a file field or a command-line flag; the message names it."""
 
 
 def _require(condition: bool, field: str, detail: str) -> None:
@@ -114,54 +115,51 @@ def _load_json(path) -> dict:
     return document
 
 
-def state_set_to_json(dims: Sequence[int], vectors: Sequence[np.ndarray]) -> dict:
+def state_set_to_json(states: Sequence[MultipartiteState]) -> dict:
     return {
-        "dims": [int(d) for d in dims],
-        "states": [_pairs_to_json(v) for v in vectors],
+        "dims": list(states[0].dims),
+        "states": [_pairs_to_json(s.amplitudes) for s in states],
     }
 
 
 def state_set_from_json(
     document: dict, field: str = "", *, renormalize: bool = False
-) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """The dims and vectors of a state set; optional ``labels`` are checked, not returned."""
+) -> tuple[MultipartiteState, ...]:
+    """The states of a set, each carrying the file's dims; ``labels`` are checked, not returned."""
     _require(isinstance(document, dict), field or "document", "expected a JSON object")
     prefix = f"{field}." if field else ""
     dims = _dims_from_json(document.get("dims"), f"{prefix}dims")
-    total = int(np.prod(dims))
     raw_states = document.get("states")
     _require(isinstance(raw_states, list) and raw_states, f"{prefix}states",
              "expected a nonempty list of state vectors")
-    vectors = []
+    states = []
     for i, raw in enumerate(raw_states):
-        vector = _complex_array(raw, f"{prefix}states[{i}]", (total,))
-        norm = float(np.linalg.norm(vector))
+        name = f"{prefix}states[{i}]"
+        vector = _complex_array(raw, name, (int(np.prod(dims)),))
         if renormalize:
-            _require(norm > 0, f"{prefix}states[{i}]", "cannot renormalize the zero vector")
-            vector = vector / norm
-        else:
-            _require(
-                abs(norm - 1.0) <= NORM_TOL,
-                f"{prefix}states[{i}]",
-                f"is not normalized (|norm - 1| = {abs(norm - 1.0):.3e}); "
-                "pass --renormalize to repair",
-            )
-        vectors.append(vector)
+            with np.errstate(all="ignore"):  # a norm not finite: the state's check reports it
+                norm = float(np.linalg.norm(vector))
+                _require(norm > 0, name, "cannot renormalize the zero vector")
+                vector = vector / norm
+        try:
+            states.append(MultipartiteState(vector, dims))
+        except ValueError as exc:
+            # a state set inside a masker file is read by a command without --renormalize
+            hint = "" if renormalize or field else "; pass --renormalize to repair"
+            raise FileFormatError(f"field '{name}': {exc}{hint}") from exc
     labels = document.get("labels")
     if labels is not None:
         _require(
-            isinstance(labels, list) and len(labels) == len(vectors)
+            isinstance(labels, list) and len(labels) == len(states)
             and all(isinstance(l, str) for l in labels),
             f"{prefix}labels",
             "expected one string per state",
         )
-    return dims, vectors
+    return tuple(states)
 
 
-def load_state_set(
-    path, *, renormalize: bool = False
-) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """Read a state-set file, validating shape and normalization."""
+def load_state_set(path, *, renormalize: bool = False) -> tuple[MultipartiteState, ...]:
+    """Read a state-set file into states, validating shape and normalization."""
     return state_set_from_json(_load_json(path), renormalize=renormalize)
 
 
@@ -173,10 +171,8 @@ def masker_to_json(m) -> dict:
         "version": MASKER_VERSION,
         "span_basis": _pairs_to_json(m.unitary.span_basis),
         "unitary": _pairs_to_json(m.unitary.span_unitary),
-        "targets": state_set_to_json(
-            (d, d), [s.amplitudes for s in m.targets.states]
-        ),
-        "inputs": state_set_to_json((d,), [a.amplitudes for a in m.inputs]),
+        "targets": state_set_to_json(m.targets.states),
+        "inputs": state_set_to_json(m.inputs),
         "ancilla_index": m.ancilla_index,
     }
     if m.probe_dim > 1:
@@ -225,18 +221,16 @@ def masker_from_json(document: dict):
     _require(dims[0] == dims[1], "dims", f"local dimensions must match, got {dims}")
     d = dims[0]
 
-    input_dims, input_vectors = state_set_from_json(document.get("inputs"), "inputs")
-    _require(input_dims == (d,), "inputs.dims", f"expected [{d}], got {list(input_dims)}")
-    inputs = tuple(StateVector(v) for v in input_vectors)
+    inputs = state_set_from_json(document.get("inputs"), "inputs")
+    _require(inputs[0].dims == (d,), "inputs.dims", f"expected [{d}], got {list(inputs[0].dims)}")
     n = len(inputs)
 
-    target_dims, target_vectors = state_set_from_json(document.get("targets"), "targets")
-    _require(target_dims == (d, d), "targets.dims", f"expected [{d}, {d}], got {list(target_dims)}")
-    _require(len(target_vectors) == n, "targets.states", f"expected {n} target states")
+    target_states = state_set_from_json(document.get("targets"), "targets")
+    _require(target_states[0].dims == (d, d), "targets.dims",
+             f"expected [{d}, {d}], got {list(target_states[0].dims)}")
+    _require(len(target_states) == n, "targets.states", f"expected {n} target states")
     try:
-        targets = fixed_reducing.from_states(
-            [MultipartiteState(v, (d, d)) for v in target_vectors]
-        )
+        targets = fixed_reducing.from_states(target_states)
     except ValueError as exc:
         raise FileFormatError(f"field 'targets': {exc}") from exc
 

@@ -42,7 +42,7 @@ from .hilbert import unitary_completion, verification_tolerance
 
 @dataclass(frozen=True)
 class Masker:
-    """Unitary masking each input with efficiency gamma_k.
+    """Unitary masking each input, a state on A alone, with efficiency gamma_k.
 
     The ancilla on B starts in the basis state ``ancilla_index``. The
     probe dimension is read off the unitary. A unitary on A (x) B
@@ -64,8 +64,8 @@ class Masker:
         if not isinstance(self.unitary, Operator):
             raise TypeError(f"Masker.unitary is a {type(self.unitary).__name__}, not an Operator")
         inputs = tuple(self.inputs)
-        if not inputs or any(a.dim != inputs[0].dim for a in inputs):
-            raise ValueError("inputs must be nonempty and share one dimension")
+        if not inputs or any(a.dims != (inputs[0].dim,) for a in inputs):
+            raise ValueError("inputs must be nonempty and share one subsystem of one dimension")
         d, n = inputs[0].dim, len(inputs)
         if not (type(self.ancilla_index) is int and 0 <= self.ancilla_index < d):
             raise ValueError(f"ancilla index must be an integer in [0, {d}), "
@@ -145,17 +145,13 @@ def _successes(targets: FixedReducingSet, gammas: np.ndarray, probe_dim: int) ->
     return np.sqrt(gammas) * np.kron(states, _basis_column(probe_dim, 0))
 
 
-def build_deterministic(
-    inputs: Sequence[StateVector], targets: FixedReducingSet | None = None
-) -> Masker:
-    """Probe-free masker for a mutually orthogonal family.
+def build_deterministic(inputs: Sequence[StateVector]) -> Masker:
+    """Probe-free masker of a mutually orthogonal family into ``cyclic_targets(n, d)``.
 
-    Checks that at most d inputs are mutually orthogonal and defaults the
-    targets to the orthogonal cyclic family; the rest is
-    ``build_probabilistic`` with every efficiency 1, whose unit-efficiency
-    gate requires explicit targets to reproduce the inputs' Gram matrix
-    (here the identity), the exact existence condition for the
-    connecting unitary.
+    Checks that at most d inputs are mutually orthogonal; the rest is
+    ``build_probabilistic`` with every efficiency 1, whose gate, the Gram
+    match A = X in ``unitary_completion``, holds as both Gram matrices are
+    the identity. Other targets: ``build_probabilistic(inputs, targets, np.ones(n))``.
     """
     family = tuple(inputs)
     g = gram(family)
@@ -167,9 +163,7 @@ def build_deterministic(
     if not worst <= floor:
         raise ValueError(f"inputs are not mutually orthogonal: max off-diagonal Gram entry "
                          f"{worst:.6e} is above the input-precision floor {floor:.1e}")
-    if targets is None:
-        targets = cyclic_targets(n, d)
-    return build_probabilistic(family, targets, np.ones(n))
+    return build_probabilistic(family, cyclic_targets(n, d), np.ones(n))
 
 
 def build_probabilistic(

@@ -220,7 +220,7 @@ def test_criterion_7_deterministic_as_probabilistic_special_case():
     inputs = [basis_state(3, 0), basis_state(3, 1)]
     targets = cyclic_targets(2, 3)
     probabilistic = build_probabilistic(inputs, targets, [1.0, 1.0])
-    deterministic = build_deterministic(inputs, targets=targets)
+    deterministic = build_deterministic(inputs)
     for k in range(2):
         a = simulate(probabilistic, k)
         b = simulate(deterministic, k)

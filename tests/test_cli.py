@@ -19,7 +19,9 @@ from qmask import fileio, masker as masking
 from qmask.cli import main
 from qmask.fileio import load_masker, load_state_set, masker_to_json, save_masker, state_set_to_json
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap
-from qmask.hilbert import NORM_TOL, Operator, StateVector, basis_state, unitary_completion
+from qmask.hilbert import (
+    NORM_TOL, MultipartiteState, Operator, StateVector, basis_state, unitary_completion,
+)
 from qmask.masker import Masker, build_deterministic, build_probabilistic, verify_masking
 from qmask.optimizer import max_prob_two
 
@@ -201,6 +203,15 @@ class TestMaskDet:
                                (1.0 + 0.99 * NORM_TOL * end) * np.eye(3))
         assert main(["mask-det", path]) == 0
         assert "verification: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry", ["Infinity", "1e200"])
+    def test_renormalize_of_a_norm_not_finite_names_field(self, tmp_path, capsys, entry):
+        # 1e200 squared overflows, so the norm is inf and the scaled vector 0
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims":[2],"states":[[[%s,0],[0,0]],[[0,0],[1,0]]]}' % entry)
+        assert main(["mask-det", str(path), "--renormalize"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'states[0]'" in err and "renormalize" not in err
 
     def test_orthonormal_basis_written_to_twelve_digits(self, tmp_path, capsys, rng):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -600,6 +611,15 @@ class TestMaskerFiles:
         assert main(["simulate", str(path)]) == 2
         assert f"field '{field}': expected a JSON object" in capsys.readouterr().err
 
+    def test_unnormalized_embedded_state_names_field_without_a_flag_hint(self, tmp_path, capsys):
+        path, document = saved(tmp_path, overlap_pair_masker(), "factored")
+        document["inputs"]["states"][0][0][0] *= 1.001
+        rewrite(path, document)
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'inputs.states[0]': state is not normalized" in err
+        assert "renormalize" not in err
+
     def test_ancilla_index_reaches_the_evolution(self, tmp_path, capsys):
         built = overlap_pair_masker()
         # the built masker's outputs, reached from inputs prepared with |1>_B |P_0>_P
@@ -646,14 +666,16 @@ class TestMaskerFiles:
         # the reference decoder builds each pair with Python's complex, independent of numpy
         assert np.array_equal(bits([complex(re, im) for re, im in pairs]), bits(decoded_vector))
 
-    def test_state_set_round_trip_is_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("dims", [(3,), (2, 2)], ids=["single", "bipartite"])
+    def test_state_set_round_trip_is_bit_exact(self, tmp_path, dims):
         third = np.sqrt(1.0 - (0.1 + 0.2) ** 2)
-        vector = complex_array([-0.0, 0.1 + 0.2, -5e-324], [5e-324, -0.0, third])
+        parts = [-0.0, 0.1 + 0.2, -5e-324, 0.0], [5e-324, -0.0, third, -0.0]
+        vector = complex_array(*(part[:int(np.prod(dims))] for part in parts))
         path = tmp_path / "states.json"
-        path.write_text(json.dumps(state_set_to_json((3,), [vector])))
-        dims, vectors = load_state_set(path)
-        assert dims == (3,)
-        assert np.array_equal(bits(vectors[0]), bits(vector))
+        path.write_text(json.dumps(state_set_to_json([MultipartiteState(vector, dims)] * 2)))
+        states = load_state_set(path)
+        assert len(states) == 2 and all(state.dims == dims for state in states)
+        assert all(np.array_equal(bits(state.amplitudes), bits(vector)) for state in states)
 
     def test_masker_round_trip_is_bit_exact_on_awkward_floats(self, tmp_path):
         path, document = saved(

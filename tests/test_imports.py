@@ -1,4 +1,5 @@
-"""Stand-ins for a linter's unused-import and dead-code rules, built on the standard library's ``ast``."""
+"""Stand-ins for a linter's unused-import, dead-code and unused-option rules, built on the
+standard library's ``ast``."""
 
 import ast
 from pathlib import Path
@@ -95,17 +96,77 @@ def public_definitions(source: str) -> set[str]:
     }
 
 
-def test_every_public_name_is_read_or_kept_for_a_reason():
-    # the library itself (its re-exports aside), the benchmark's harness and the README tour
+def pipeline_sources() -> tuple[list[str], list[str]]:
+    """The library's modules (its re-exports aside), and every source that reads the library:
+    those modules, the benchmark's harness and the README tour."""
     library = [path.read_text(encoding="utf-8")
                for path in (ROOT / "src" / "qmask").glob("*.py") if path.name != "__init__.py"]
     harness = [path.read_text(encoding="utf-8") for path in (ROOT / "perfbench").glob("*.py")]
-    read = set().union(*(read_names(ast.parse(source))
-                         for source in [*library, *harness, library_tour()]))
+    return library, [*library, *harness, library_tour()]
+
+
+def test_every_public_name_is_read_or_kept_for_a_reason():
+    library, readers = pipeline_sources()
+    read = set().union(*(read_names(ast.parse(source)) for source in readers))
     # the exports, and every public function and class of a module, exported or not
     public = set(qmask.__all__).union(*map(public_definitions, library))
     # equality also keeps the exceptions current: each must be public and unread
     assert {name for name in public if name not in read} == set(UNREAD_PUBLIC_NAMES)
+
+
+def defaulted_parameters(source: str) -> dict[tuple[str, str], int | None]:
+    """Each defaulted parameter of a public top-level function, with its position
+    (None for a keyword-only one)."""
+    found = {}
+    for node in ast.parse(source).body:
+        function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if function and not node.name.startswith("_"):
+            positional = [*node.args.posonlyargs, *node.args.args]
+            first = len(positional) - len(node.args.defaults)
+            for index in range(first, len(positional)):
+                found[node.name, positional[index].arg] = index
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    found[node.name, arg.arg] = None
+    return found
+
+
+def unset_defaults(definitions: list[str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the public top-level functions in ``definitions`` that no
+    call in ``callers`` (by bare name or as an attribute) sets by keyword or by position."""
+    unset = {}
+    for source in definitions:
+        unset.update(defaulted_parameters(source))
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {keyword.arg for keyword in call.keywords}  # None for **mapping
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            for function, parameter in [key for key in unset if key[0] == name]:
+                index = unset[function, parameter]
+                if (parameter in keywords or None in keywords or starred
+                        or index is not None and index < len(call.args)):
+                    del unset[function, parameter]
+    return [f"{function}({parameter})" for function, parameter in unset]
+
+
+def test_scanner_finds_unset_defaults():
+    definitions = ["def build(inputs, targets=None, scale=1.0, *, tol=1e-9, mode):\n    pass\n"
+                   "def load(path, strict=False):\n    pass\n"
+                   "def _private(flag=True):\n    pass\n"
+                   "class Masker:\n    def apply(self, copy=False):\n        pass\n"]
+    callers = ["import lib\nbuild(a, b)\nlib.build(a, tol=0.1, mode=1)\n",
+               "load(*paths)\n"]
+    assert unset_defaults(definitions, callers) == ["build(scale)"]
+    assert unset_defaults(definitions, [*callers, "build(a, **options)\n"]) == []
+
+
+def test_every_default_is_set_by_some_caller():
+    # a keyword that every caller leaves at its default is not an option
+    library, readers = pipeline_sources()
+    assert unset_defaults(library, readers) == []
 
 
 def test_scanner_finds_unused_imports():

@@ -67,7 +67,7 @@ class TestBuildDeterministic:
 
     def test_explicit_matching_targets(self):
         inputs = [basis_state(3, 0), basis_state(3, 1)]
-        masker = build_deterministic(inputs, targets=cyclic_targets(2, 3))
+        masker = build_probabilistic(inputs, cyclic_targets(2, 3), np.ones(2))
         assert verify_masking(masker).passed
 
     def test_rejects_non_orthogonal_inputs(self):
@@ -86,7 +86,7 @@ class TestBuildDeterministic:
     def test_rejects_target_gram_mismatch(self):
         inputs = [basis_state(2, 0), basis_state(2, 1)]
         with pytest.raises(ValueError, match="Gram"):
-            build_deterministic(inputs, targets=targets_with_overlap(2, 0.5))
+            build_probabilistic(inputs, targets_with_overlap(2, 0.5), np.ones(2))
 
 
 class TestBuildProbabilistic:
@@ -94,7 +94,7 @@ class TestBuildProbabilistic:
         inputs = [basis_state(3, 0), basis_state(3, 1)]
         targets = cyclic_targets(2, 3)
         probabilistic = build_probabilistic(inputs, targets, [1.0, 1.0])
-        deterministic = build_deterministic(inputs, targets=targets)
+        deterministic = build_deterministic(inputs)
         # no failure branch, so no probe: the very same masker
         assert probabilistic.probe_dim == 1
         assert masker_to_json(probabilistic) == masker_to_json(deterministic)
@@ -238,6 +238,13 @@ class TestSimulate:
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         with pytest.raises(ValueError, match=r"ancilla index must be an integer in \[0, 2\)"):
             dataclasses.replace(masker, ancilla_index=index)
+
+    def test_inputs_must_live_on_one_subsystem(self):
+        # a masker file stores its inputs with dims [d], so a bipartite input could not reload
+        masker = build_deterministic([basis_state(4, 0), basis_state(4, 1)])
+        split = tuple(MultipartiteState(a.amplitudes, (2, 2)) for a in masker.inputs)
+        with pytest.raises(ValueError, match="one subsystem"):
+            dataclasses.replace(masker, inputs=split)
 
     def test_index_out_of_range(self):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])

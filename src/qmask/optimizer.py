@@ -32,7 +32,9 @@ DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 BARRIER_GROWTH = 100.0
 # the barrier stops once the central path's gap 2n / t in log Prob is this small
 GAP_TOL = 1e-8
-# linear systems one solve factors at most, centring tests and tangent steps included
+# n x n systems one solve factors at most past its start: one per damped Newton
+# step (its linear solve and the Cholesky test that accepts the step), and one
+# more per tangent step's solve and per step halving's Cholesky test
 NEWTON_STEP_LIMIT = 500
 
 
@@ -272,10 +274,12 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     ``certify``'s gap at g is 2 sum_i log((2 + mean(u)) / u_i), about
     4n / mean(u) plus that spread, which a small lambda does not bound
     where the log-det Hessian dominates the barrier's. Every step is
-    halved until g > 0 and the residual passes a Cholesky factorization,
-    so the returned efficiencies are strictly feasible even when
-    NEWTON_STEP_LIMIT cuts the solve short; ``certify`` bounds their
-    distance from the global optimum.
+    halved until g > 0 and the residual passes a Cholesky factorization;
+    the solve ends at the last g that passed once the halved step falls
+    below eps g, where it no longer moves g, or once NEWTON_STEP_LIMIT,
+    which counts every halving too, is spent. So the returned efficiencies
+    are strictly feasible however the solve ends, and ``certify`` bounds
+    their distance from the global optimum.
 
     A and X_P are checked once per solve (square, same size, finite and
     Hermitian; an error names the faulty one); a singular A is rejected.
@@ -292,6 +296,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     t = 1.0
     systems = 0
     previous = math.inf  # decrement2 of the stage's preceding centring test
+    eps = np.finfo(float).eps
     while systems < NEWTON_STEP_LIMIT:
         systems += 1
         last = 2.0 * n / t <= GAP_TOL
@@ -315,9 +320,15 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
             previous = math.inf
             while np.min(g + step) <= 0.0:
                 step = step / 2.0
-        # rounding, or the tangent's reach, can leave the feasible set
-        while (terms := _log_det_terms(whitener, x, g + step)) is None:
+        # rounding, or the tangent's reach, can leave the feasible set; below
+        # eps g a halved step no longer moves g
+        terms = _log_det_terms(whitener, x, g + step)
+        while terms is None and systems < NEWTON_STEP_LIMIT and np.any(np.abs(step) >= eps * g):
+            systems += 1
             step = step / 2.0
+            terms = _log_det_terms(whitener, x, g + step)
+        if terms is None:
+            break
         g = g + step
         gradient, hessian = terms
     gammas = np.minimum(g * g, 1.0)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import importlib
 import importlib.util
 import json
@@ -868,15 +869,68 @@ def test_pipeline_never_forms_the_dense_unitary(
     assert widths
 
 
-def test_cli_import_loads_no_scipy():
+def python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """A child interpreter that imports this checkout's qmask."""
     src = str(Path(qmask.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_scipy():
     code = ("import qmask.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    completed = subprocess.run([sys.executable, "-c", code], env=env,
-                               capture_output=True, text=True, timeout=60, check=True)
+    completed = python("-c", code)
+    assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]"
+
+
+class TestProcessEntry:
+    def test_process_prints_what_main_prints(self, overlap_pair_file, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runs = (["mask-prob", overlap_pair_file, "--target-overlap", "0", "--maximize",
+                 "--out", "masker.json"],
+                ["simulate", "masker.json"])
+        expected = []
+        for argv in runs:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
+        written = (tmp_path / "masker.json").read_bytes()
+        for argv, out in zip(runs, expected):
+            completed = python("-m", "qmask", *argv, cwd=tmp_path)
+            assert (completed.returncode, completed.stderr) == (0, "")
+            assert completed.stdout == out
+        assert (tmp_path / "masker.json").read_bytes() == written
+
+    def test_input_error_exits_two_with_its_message(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["simulate", missing]) == 2
+        message = capsys.readouterr().err
+        assert missing in message
+        completed = python("-m", "qmask", "simulate", missing)
+        assert (completed.returncode, completed.stdout, completed.stderr) == (2, "", message)
+
+    def test_main_leaves_the_collector_alone(self, overlap_pair_file, tmp_path, capsys):
+        # a frozen heap is never collected again, so only the process exit may freeze it
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        out = str(tmp_path / "masker.json")
+        assert main(["mask-prob", overlap_pair_file, "--target-overlap", "0",
+                     "--maximize", "--out", out]) == 0
+        assert main(["simulate", out]) == 0
+        assert main(["simulate", str(tmp_path / "missing.json")]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_script_runs_the_function_python_m_runs(self):
+        # a text match, as tomllib is not in every supported Python
+        root = Path(__file__).resolve().parents[1]
+        scripts = re.findall(r'^qmask = "qmask\.__main__:(\w+)"$',
+                             (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+        assert len(scripts) == 1
+        entry = Path(qmask.__file__).with_name("__main__.py").read_text(encoding="utf-8")
+        assert re.findall(r"^    raise SystemExit\((\w+)\(\)\)$", entry, re.M) == scripts
+        assert callable(getattr(importlib.import_module("qmask.__main__"), scripts[0]))
 
 
 def test_exports_resolve_without_duplicates():

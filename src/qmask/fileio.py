@@ -188,7 +188,7 @@ def masker_to_json(m) -> dict:
 def _unitary_from_json(document: dict, total: int, n: int) -> Operator:
     """The masker unitary: W in the basis ``span_basis`` (version 2), or dense with Q = I."""
     version = document.get("version", 1)
-    _require(version in (1, MASKER_VERSION) and not isinstance(version, bool), "version",
+    _require(type(version) is int and version in (1, MASKER_VERSION), "version",
              f"expected 1 or {MASKER_VERSION}, got {version!r}")
     size = total
     if version == MASKER_VERSION:
@@ -244,7 +244,8 @@ def masker_from_json(document: dict):
         gammas = np.ones(n)
     else:
         probe_dim = document.get("probe_dim")
-        _require(probe_dim == n + 1, "probe_dim", f"expected {n + 1}, got {probe_dim!r}")
+        _require(type(probe_dim) is int and probe_dim == n + 1, "probe_dim",
+                 f"expected {n + 1}, got {probe_dim!r}")
         _require(dims[2] == probe_dim, "dims", f"probe subsystem must have dimension {probe_dim}")
         raw_gammas = document.get("gammas")
         _require(

@@ -19,10 +19,10 @@ This module also sets every numerical threshold in qmask, in three classes:
 - Rounding gates ask whether a computed number is zero or non-negative up
   to rounding, against ``rounding_floor(size, scale)`` = ROUNDING_FACTOR *
   size * eps * scale, as ``numpy.linalg.matrix_rank`` does. They are the
-  PSD gates (``psd_verdict``, ``hermitian_sqrt``, the build's feasibility
-  gate) and the rank gates (``nonsingular_spectrum``, which gates the
-  build and the optimizer's whitener, and both cuts in
-  ``unitary_completion``).
+  one PSD rule ``psd_verdict``, which ``psd_check``, the optimizer and
+  ``hermitian_sqrt`` (the build's feasibility gate) apply to a spectrum,
+  and the rank gates (``nonsingular_spectrum``, which gates the build and
+  the optimizer's whitener, and both cuts in ``unitary_completion``).
 - Input-precision gates ask whether a unit object a caller or a file
   supplied is unit: the norms of states and of frame columns, spectra
   summing to 1, unitaries, isometries and Hermitian inputs relative to
@@ -288,39 +288,36 @@ def verification_tolerance(gram_values: np.ndarray, min_gamma: float = 1.0) -> f
     return max(VERIFY_TOL, rounding_floor(gram_values.size, cond + 1.0 / math.sqrt(min_gamma)))
 
 
-def psd_verdict(hermitian: np.ndarray) -> tuple[bool, float, float]:
-    """(min eigenvalue >= -floor, min eigenvalue, floor) of an array already known Hermitian.
+def psd_verdict(values: np.ndarray) -> tuple[bool, float, float]:
+    """(least eigenvalue >= -floor, least eigenvalue, floor) of an ascending spectrum.
 
-    The floor is ``spectrum_floor``. One eigensolve and no checks: the kernel
-    of ``psd_check``, for callers that validated their matrices once.
+    The floor is ``spectrum_floor``. qmask's one PSD rule: ``psd_check``,
+    the optimizer's admissibility test and ``hermitian_sqrt`` apply it to
+    the eigenvalues they computed.
     """
-    values = np.linalg.eigvalsh(hermitian)
     floor = spectrum_floor(values)
     return bool(values[0] >= -floor), float(values[0]), floor
 
 
 def psd_check(matrix) -> tuple[bool, float]:
     """Positive-semidefiniteness test: (min eigenvalue >= -floor, min eigenvalue)."""
-    return psd_verdict(hermitian_matrix(matrix, "matrix"))[:2]
+    return psd_verdict(np.linalg.eigvalsh(hermitian_matrix(matrix, "matrix")))[:2]
 
 
 def hermitian_sqrt(matrix) -> np.ndarray:
     """Hermitian PSD square root S of a Hermitian PSD matrix, with S @ S = matrix.
 
-    Eigenvalues in [-floor, 0] (``psd_verdict``'s gate) are rounding zeros; lower ones are rejected.
+    One eigendecomposition both decides ``psd_verdict`` and yields S:
+    eigenvalues in [-floor, 0] are rounding zeros, a lower one is a
+    ValueError naming it and the floor.
     """
     eigvals, eigvecs = np.linalg.eigh(hermitian_matrix(matrix, "matrix"))
-    floor = spectrum_floor(eigvals)
-    if not eigvals[0] >= -floor:
-        raise ValueError(f"matrix has negative eigenvalue {eigvals[0]:.3e}, below -{floor:.1e}")
+    ok, lowest, floor = psd_verdict(eigvals)
+    if not ok:
+        raise ValueError(f"matrix has min eigenvalue {lowest:.6e}, below the rounding floor "
+                         f"-{floor:.1e}")
     root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
     return (root + root.conj().T) / 2.0
-
-
-def _completed(frame: np.ndarray) -> np.ndarray:
-    """An orthonormal frame extended to a basis of its whole space."""
-    q, _ = np.linalg.qr(frame, mode="complete")
-    return np.hstack([frame, q[:, frame.shape[1]:]])
 
 
 def unitary_completion(inputs: np.ndarray, outputs: np.ndarray) -> Operator:
@@ -337,9 +334,12 @@ def unitary_completion(inputs: np.ndarray, outputs: np.ndarray) -> Operator:
     ``spectrum_floor`` are dropped). An SVD of the two frames side by side
     gives an orthonormal basis Q of their joint span, again dropping
     singular values within the floor. Inside that span, of dimension
-    k <= 2n, each frame is completed to a basis and the basis change between
-    the completions is W; outside it U is the identity. Nothing of size
-    D x D is formed.
+    k <= 2n, W is the unitary polar factor of the cross-map
+    (Q^dagger F_out)(Q^dagger F_in)^dagger of the two frames, from one SVD:
+    the orthogonal Procrustes solution, which carries each whitened input
+    onto its output and, being the unitary nearest the cross-map, keeps
+    tolerance slack in the Gram match out of U. Outside the span U is the
+    identity. Nothing of size D x D is formed.
     """
     src = np.asarray(inputs, dtype=complex)
     dst = np.asarray(outputs, dtype=complex)
@@ -374,8 +374,5 @@ def unitary_completion(inputs: np.ndarray, outputs: np.ndarray) -> Operator:
     span, singular, _ = np.linalg.svd(np.hstack([frame_in, frame_out]), full_matrices=False)
     basis = span[:, singular > spectrum_floor(singular)]
     to_span = basis.conj().T
-    raw = _completed(to_span @ frame_out) @ _completed(to_span @ frame_in).conj().T
-    # project onto the nearest unitary so tolerance slack in the Gram match
-    # never leaks into U itself
-    left, _, right = np.linalg.svd(raw)
+    left, _, right = np.linalg.svd((to_span @ frame_out) @ (to_span @ frame_in).conj().T)
     return Operator(basis, left @ right)

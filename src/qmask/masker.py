@@ -36,7 +36,7 @@ from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations, marginals
 from .hilbert import VERIFY_CEILING, MultipartiteState, Operator, StateVector
 from .hilbert import fidelity, gram, hermitian_sqrt, nonsingular_spectrum
-from .hilbert import precision_floor, psd_verdict, rounding_floor
+from .hilbert import precision_floor, rounding_floor
 from .hilbert import unitary_completion, verification_tolerance
 
 
@@ -171,13 +171,16 @@ def build_probabilistic(
 ) -> Masker:
     """Masker for a linearly independent family with efficiencies ``gammas``.
 
-    Writes A = gram(inputs) and X = gram(targets) and requires the
-    residual M = A - sqrt(Gamma) X sqrt(Gamma) to be positive
-    semidefinite up to rounding (``hilbert.psd_verdict``). The failure
-    branches sit on one fixed product state of A (x) B spread over the n
-    failure probe states, with the rows of the Hermitian square root of
-    conj(M) as coefficients: their Gram matrix is M, so the outputs share
-    the prepared inputs' Gram matrix and a connecting unitary exists. An
+    Writes A = gram(inputs) and X = gram(targets). The failure branches
+    sit on one fixed product state of A (x) B spread over the n failure
+    probe states, with the rows of the Hermitian square root of conj(M),
+    M = A - sqrt(Gamma) X sqrt(Gamma), as coefficients: their Gram matrix
+    is M, so the outputs share the prepared inputs' Gram matrix and a
+    connecting unitary exists. That root is the only feasibility gate:
+    ``hermitian_sqrt`` rejects an M with an eigenvalue below the rounding
+    floor (``hilbert.psd_verdict``) as infeasible efficiencies, and a root
+    whose rows miss the branch weights leaves outputs that
+    ``unitary_completion``'s column-norm and Gram gates reject. An
     input with efficiency 1 gets the branch of weight M_kk, zero up to
     rounding and input precision. With every efficiency 1 there is no
     probe, the deterministic masker, and the gate is the Gram match A = X
@@ -211,18 +214,10 @@ def build_probabilistic(
     outputs = _successes(targets, efficiencies, probe_dim)
     if probe_dim > 1:
         residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
-        ok, lowest, floor = psd_verdict(residual)
-        if not ok:
-            raise ValueError(f"infeasible efficiencies: residual matrix has min eigenvalue "
-                             f"{lowest:.6e}, below the rounding floor -{floor:.1e}")
-        coefficients = hermitian_sqrt(np.conj(residual))
-        # clipping eigenvalues in [-floor, 0] moves a branch weight M_ii by at most the floor
-        misses = np.abs(np.sum(np.abs(coefficients) ** 2, axis=1) - np.diagonal(residual).real)
-        worst = int(np.argmax(misses))
-        if not misses[worst] <= floor:
-            raise ValueError(f"efficiency {worst}: failure branch weight misses M_ii by "
-                             f"{misses[worst]:.3e}, above the rounding floor {floor:.1e}; "
-                             f"residual matrix has min eigenvalue {lowest:.6e}")
+        try:
+            coefficients = hermitian_sqrt(np.conj(residual))
+        except ValueError as exc:
+            raise ValueError(f"infeasible efficiencies: residual {exc}") from exc
         failures = np.vstack([np.zeros((1, n)), coefficients.T])
         outputs = outputs + np.kron(_basis_column(d * d, 0), failures)
 
@@ -297,8 +292,9 @@ def verify_masking(masker: Masker) -> MaskingReport:
     spectrum and min gamma, passes when tol is at most VERIFY_CEILING
     (so never for linearly dependent inputs, where tol is inf), every
     |p_k - gamma_k| <= tol gamma_k, every fidelity to the target is at
-    least 1 - tol, and the marginals (entrywise across inputs) and the
-    stored operator's unitarity residual are within tol.
+    least 1 - tol, and the marginals (entrywise across inputs) are within
+    tol. The stored operator's unitarity residual is reported, not gated:
+    every ``Masker`` holds its operator to NORM_TOL, below any tol.
     """
     outcomes = [simulate(masker, k) for k in range(len(masker.inputs))]
     expected = tuple(float(g) for g in masker.gammas)
@@ -307,20 +303,18 @@ def verify_masking(masker: Masker) -> MaskingReport:
     marginal_deviation = max(
         marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
     )
-    unitarity = masker.unitary.unitarity_residual
     tol = verification_tolerance(np.linalg.eigvalsh(gram(masker.inputs)), min(masker.gammas))
     passed = (
         tol <= VERIFY_CEILING
         and marginal_deviation <= tol
         and all(abs(p - e) <= tol * e for p, e in zip(probabilities, expected))
         and max(1.0 - f for f in fidelities) <= tol
-        and unitarity <= tol
     )
     return MaskingReport(
         passed=passed,
         success_probabilities=probabilities,
         fidelities=fidelities,
         max_marginal_deviation=marginal_deviation,
-        unitarity_residual=unitarity,
+        unitarity_residual=masker.unitary.unitarity_residual,
         tolerance=tol,
     )

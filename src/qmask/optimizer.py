@@ -91,7 +91,7 @@ def _admissible(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> bool:
 
     One n x n eigensolve of the residual, nothing else.
     """
-    return psd_verdict(_residual(a, x, values))[0]
+    return psd_verdict(np.linalg.eigvalsh(_residual(a, x, values)))[0]
 
 
 def _ratio_squared(numerator: float, denominator: float) -> float:

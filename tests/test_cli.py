@@ -777,6 +777,46 @@ class TestMaskerFiles:
         assert main(["simulate", str(path)]) == 2
         assert "'version'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("ancilla_index", 2, "ancilla_index"),
+        ("ancilla_index", -1, "ancilla_index"),
+        ("ancilla_index", 0.0, "ancilla_index"),
+        ("ancilla_index", True, "ancilla_index"),
+        ("probe_dim", 2, "probe_dim"),
+        ("probe_dim", 4, "probe_dim"),
+        ("probe_dim", "3", "probe_dim"),
+        ("probe_dim", 3.0, "probe_dim"),
+        ("gammas", None, "gammas"),
+        ("gammas", [0.1], "gammas"),
+        ("gammas", [True, 0.2], "gammas"),
+        ("gammas", [0, 0.2], "gammas"),
+        ("gammas", [1.5, 0.2], "gammas"),
+        ("dims", [2, 2], "dims"),
+        ("dims", [2, 3, 3], "dims"),
+        ("inputs.dims", [3], "inputs.states[0]"),
+        ("inputs.dims", [1, 2], "inputs.dims"),
+        ("version", 0, "version"),
+        ("version", "2", "version"),
+        ("version", 2.0, "version"),
+    ], ids=["ancilla-out-of-range", "ancilla-negative", "ancilla-float", "ancilla-true",
+            "probe-short", "probe-long", "probe-string", "probe-float", "gammas-missing",
+            "gammas-one-entry", "gammas-true", "gammas-zero", "gammas-above-one",
+            "dims-without-probe", "dims-unequal", "inputs-dims-length", "inputs-dims-bipartite",
+            "version-zero", "version-string", "version-float"])
+    def test_edited_field_is_input_error(self, tmp_path, capsys, key, value, field):
+        path, document = saved(tmp_path, overlap_pair_masker(), "factored")
+        *parents, name = key.split(".")
+        owner = document
+        for parent in parents:
+            owner = owner[parent]
+        if value is None:
+            del owner[name]
+        else:
+            owner[name] = value
+        rewrite(path, document)
+        assert main(["simulate", str(path)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
     def test_identity_unitary_loads_and_masks_nothing(self, tmp_path, capsys):
         path, document = saved(
             tmp_path, build_deterministic([basis_state(3, k) for k in range(3)]), "factored")
@@ -939,15 +979,73 @@ def test_exports_resolve_without_duplicates():
         getattr(qmask, name)
 
 
-def test_traced_functions_resolve():
-    # the benchmark traces these by name; a rename would silently zero its metrics
+def benchmark_spans():
+    """The benchmark's span recorder module, loaded from its file without changing it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def recorded_spans(run) -> set[str]:
+    """Names of the spans the benchmark's recorder sees while ``run()`` calls the library."""
+    recorder = benchmark_spans().Recorder()
+    recorder.install(0)
+    try:
+        run()
+    finally:
+        recorder.uninstall()
+    return {span[0] for span in recorder.spans}
+
+
+def test_traced_functions_resolve():
+    # the benchmark traces these by name; a rename would silently zero its metrics
+    spans = benchmark_spans()
     for module, attribute in spans.TRACED_FUNCTIONS.values():
         assert callable(getattr(importlib.import_module(module), attribute, None)), attribute
     assert callable(Operator.__dict__.get("is_unitary"))
+
+
+def test_cli_pipeline_records_every_traced_span(
+    overlap_pair_file, basis_pair_file, tmp_path, capsys
+):
+    # a build that stopped calling a traced function would read 0 in its benchmark metric
+    targets_path = write_state_set(
+        tmp_path / "targets.json", (2, 2), [s.amplitudes for s in cyclic_targets(2, 2).states])
+    prob_path, det_path = str(tmp_path / "prob.json"), str(tmp_path / "det.json")
+    codes = []
+
+    def pipeline():
+        codes.append(main(["mask-prob", overlap_pair_file, "--maximize", "--targets",
+                           targets_path, "--out", prob_path]))
+        codes.append(main(["mask-det", basis_pair_file, "--out", det_path]))
+        codes.extend(main(["simulate", path]) for path in (prob_path, det_path))
+
+    recorded = recorded_spans(pipeline)
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0]
+    spans = benchmark_spans()
+    assert recorded >= {*spans.TRACED_FUNCTIONS, spans.IS_UNITARY_SPAN}
+
+
+def test_optimize_sweep_path_records_its_spans():
+    from qmask import fixed_reducing, hilbert, optimizer
+
+    inputs = [basis_state(3, 0), StateVector(np.array([0.6, 0.8, 0.0])), basis_state(3, 2)]
+    target_states = cyclic_targets(3, 3).states
+
+    def sweep_operation():
+        a, x = hilbert.gram(inputs), hilbert.gram(target_states)
+        gammas, _ = optimizer.maximize_general(a, x)
+        assert optimizer.feasible(a, x, gammas)[0]
+        targets = fixed_reducing.from_states(target_states)
+        assert masking.verify_masking(masking.build_probabilistic(inputs, targets, gammas)).passed
+
+    assert recorded_spans(sweep_operation) >= {
+        "hilbert.hermitian_sqrt", "hilbert.unitary_completion", "hilbert.is_unitary",
+        "hilbert.psd_check", "masker.simulate", "hilbert.partial_trace",
+    }
 
 
 def test_masker_operator_check_is_the_traced_method(tmp_path, monkeypatch):

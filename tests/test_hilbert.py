@@ -17,7 +17,9 @@ from qmask.hilbert import (
     overlap,
     partial_trace,
     psd_check,
+    spectrum_floor,
     unitary_completion,
+    verification_tolerance,
 )
 
 INV2 = 1.0 / np.sqrt(2)
@@ -206,6 +208,36 @@ class TestUnitaryCompletion:
         assert np.array_equal(dense(u), np.eye(4)[[1, 0, 2, 3]])
         assert not Operator(2 * np.eye(4)[:, :2], np.eye(2)).is_unitary()
 
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 12), n=st.integers(1, 4),
+           case=st.sampled_from(["haar", "repeated-input", "shared-column"]))
+    @settings(max_examples=60, deadline=None)
+    def test_polar_factor_maps_the_frames(self, seed, dim, n, case):
+        rng = np.random.default_rng(seed)
+        n = min(n, dim)
+        inputs = frame([random_state(dim, rng) for _ in range(n)])
+        if case == "repeated-input" and n > 1:
+            inputs[:, -1] = inputs[:, 0]
+        rotation = haar_unitary(dim, rng)
+        if case == "shared-column":
+            # the identity on input 0, Haar on its orthogonal complement
+            basis, _ = np.linalg.qr(np.column_stack([inputs[:, 0], rotation[:, 1:]]))
+            outputs = Operator(basis[:, 1:], haar_unitary(dim - 1, rng)).apply(inputs)
+            outputs[:, 0] = inputs[:, 0]
+        else:
+            outputs = rotation @ inputs
+        u = unitary_completion(inputs, outputs)
+        values = np.linalg.eigvalsh(inputs.conj().T @ inputs)
+        tolerance = verification_tolerance(values[values > spectrum_floor(values)])
+        assert np.max(np.linalg.norm(u.apply(inputs) - outputs, axis=0)) <= tolerance
+        assert u.is_unitary()
+        assert u.span_basis.shape[1] <= 2 * n
+        # identity on everything orthogonal to both frames
+        span, singular, _ = np.linalg.svd(np.hstack([inputs, outputs]), full_matrices=False)
+        span = span[:, singular > spectrum_floor(singular)]
+        vectors = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        outside = vectors - span @ (span.conj().T @ vectors)
+        assert np.max(np.abs(u.apply(outside) - outside)) <= 1e-12
+
     def test_gram_mismatch_rejected(self):
         outputs = np.column_stack([[1, 0], np.array([1, 1]) / np.sqrt(2)])
         with pytest.raises(ValueError, match="Gram"):
@@ -285,7 +317,8 @@ class TestHermitianSqrt:
             assert np.max(np.abs(root @ root - matrix)) <= 1e-9 * max(1.0, np.max(np.abs(matrix)))
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
+        message = "min eigenvalue -5.000000e-01, below the rounding floor"
+        with pytest.raises(ValueError, match=message):
             hermitian_sqrt(np.diag([1.0, -0.5]))
 
     def test_nan_rejected(self):

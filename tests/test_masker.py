@@ -152,10 +152,31 @@ class TestBuildProbabilistic:
         assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
 
     def test_failure_coefficients_far_from_unit_norm_rejected(self, monkeypatch):
-        # a square root whose rows miss unit norm by more than its tolerance
+        # a square root whose rows miss the branch weights M_kk leaves the outputs off unit
+        # norm, which the completion's column-norm gate rejects
         monkeypatch.setattr(masker_module, "hermitian_sqrt", lambda m: 0.9 * np.eye(2))
-        with pytest.raises(ValueError, match="efficiency 0: .* min eigenvalue"):
+        with pytest.raises(ValueError, match="not normalized"):
             build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [0.1, 0.1])
+
+    def test_residual_is_decomposed_once(self, monkeypatch):
+        # the square root is the feasibility gate, and the completion needs no QR
+        calls = {"hermitian_sqrt": 0, "eigvalsh": 0, "qr": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(masker_module, "hermitian_sqrt")
+        counted(np.linalg, "eigvalsh")
+        counted(np.linalg, "qr")
+        masker = build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [0.1, 0.1])
+        assert masker.probe_dim == 3
+        assert calls == {"hermitian_sqrt": 1, "eigvalsh": 0, "qr": 0}
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, np.nan])
     def test_efficiency_outside_unit_interval_rejected(self, bad):

@@ -113,7 +113,6 @@ def _print_verification(report: masking.MaskingReport) -> None:
     print("success probabilities:", " ".join(_format(p) for p in report.success_probabilities))
     print("fidelities:", " ".join(_format(f) for f in report.fidelities))
     print(f"max marginal deviation: {report.max_marginal_deviation:.3e}")
-    print(f"unitarity residual of the stored factors: {report.unitarity_residual:.3e}")
     print(f"verification: {'PASS' if report.passed else 'FAIL'} "
           f"(tolerance {report.tolerance:.1e}, probabilities relative to gamma)")
 

@@ -156,8 +156,10 @@ class Operator:
     The k orthonormal columns of Q (``span_basis``, D x k) span the only
     subspace U moves, and W (``span_unitary``, k x k) is U written in that
     basis; U is the identity on the orthogonal complement. A dense U is
-    ``Operator(np.eye(D), U)``. Storage and ``apply`` cost O(D k), the
-    unitarity check O(D k^2); nothing of size D x D is formed.
+    ``Operator(np.eye(D), U)``. Storage and ``apply`` cost O(D k), and
+    ``is_unitary`` O(D k^2): it is the one operator check, made by ``Masker``,
+    and its per-factor residuals let a file error name the faulty factor.
+    Nothing of size D x D is formed.
     """
 
     span_basis: np.ndarray
@@ -192,15 +194,6 @@ class Operator:
     def span_unitary_residual(self) -> float:
         """max |W^dagger W - I| of the span unitary, evaluated once per operator."""
         return unitarity_residual(self.span_unitary)
-
-    @property
-    def unitarity_residual(self) -> float:
-        """The larger of max |Q^dagger Q - I| and max |W^dagger W - I|.
-
-        Zero exactly when U is unitary, but not max |U^dagger U - I|
-        itself: that can exceed W's residual by up to a factor of about k.
-        """
-        return max(self.isometry_residual, self.span_unitary_residual)
 
     def is_unitary(self) -> bool:
         # U is unitary exactly when Q is an isometry and W is unitary

@@ -118,13 +118,12 @@ class MaskingOutcome:
 
 @dataclass(frozen=True)
 class MaskingReport:
-    """Aggregated verification of a masker over all of its inputs, with the tolerance applied."""
+    """What verification judges over all of a masker's inputs, the tolerance and the verdict."""
 
     passed: bool
     success_probabilities: tuple[float, ...]
     fidelities: tuple[float, ...]
     max_marginal_deviation: float
-    unitarity_residual: float
     tolerance: float
 
 
@@ -293,8 +292,8 @@ def verify_masking(masker: Masker) -> MaskingReport:
     (so never for linearly dependent inputs, where tol is inf), every
     |p_k - gamma_k| <= tol gamma_k, every fidelity to the target is at
     least 1 - tol, and the marginals (entrywise across inputs) are within
-    tol. The stored operator's unitarity residual is reported, not gated:
-    every ``Masker`` holds its operator to NORM_TOL, below any tol.
+    tol. The operator is neither gated nor reported here: every ``Masker``
+    holds it unitary to NORM_TOL, below any tol.
     """
     outcomes = [simulate(masker, k) for k in range(len(masker.inputs))]
     expected = tuple(float(g) for g in masker.gammas)
@@ -315,6 +314,5 @@ def verify_masking(masker: Masker) -> MaskingReport:
         success_probabilities=probabilities,
         fidelities=fidelities,
         max_marginal_deviation=marginal_deviation,
-        unitarity_residual=masker.unitary.unitarity_residual,
         tolerance=tol,
     )

@@ -87,6 +87,29 @@ def library_tour() -> str:
     return blocks[0]
 
 
+def circulant_family(n, d, rng):
+    """n inputs a_k = V^k a_0 on C^d with fixed reducing targets (I (x) W^k) Psi_0, k < n.
+
+    With omega = e^(2 pi i / n), V = diag(omega^(i mod n)) and W = diag(omega^p_i)
+    for random integers p_i, a random a_0 and Psi_0 maximally entangled. d >= n
+    lets V's exponents cover every residue mod n, so the inputs are independent.
+    Both Gram matrices are circulant: the cyclic shift of the inputs fixes them,
+    so averaging an optimum over the shifts gives an equal-efficiency one, and
+    the optimum is c*^n with c* = ``uniform_feasibility_boundary(A, X)``.
+    """
+    from qmask.fixed_reducing import FixedReducingSet
+    from qmask.hilbert import MultipartiteState
+
+    omega = np.exp(2j * np.pi / n)
+    v = omega ** (np.arange(d) % n)
+    w = omega ** rng.integers(0, n, d)
+    a_0 = random_state(d, rng).amplitudes
+    inputs = [StateVector(v ** k * a_0) for k in range(n)]
+    targets = FixedReducingSet(
+        [MultipartiteState(np.diag(w ** k).reshape(-1) / np.sqrt(d), (d, d)) for k in range(n)])
+    return inputs, targets
+
+
 def overlap_family(s, t, seed, d=2, n=2):
     """Inputs with <a_1|a_2> = s and flat-spectrum targets with <Psi_1|Psi_2> = t on C^d.
 

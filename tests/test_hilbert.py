@@ -188,7 +188,7 @@ class TestUnitaryCompletion:
         u = unitary_completion(inputs, outputs)
         assert isinstance(u, Operator)
         assert u.dim == dim and u.span_basis.shape[1] <= 2 * n
-        assert u.is_unitary() and u.unitarity_residual <= 1e-12
+        assert u.is_unitary() and max(u.isometry_residual, u.span_unitary_residual) <= 1e-12
         vectors = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
         q, w = u.span_basis, u.span_unitary
         matrix = np.eye(dim) - q @ q.conj().T + q @ w @ q.conj().T

@@ -14,6 +14,11 @@ UNREAD_PUBLIC_NAMES = {
     "dual_bound": "re-checks any certificate from its dual point alone",
     "uniform_feasibility_boundary": "the closed-form feasibility limit of equal efficiencies",
 }
+# public fields, properties and methods of public classes that nothing above reads
+UNREAD_PUBLIC_ATTRIBUTES = {
+    "MaskingOutcome.post_selected_state": "the post-selected output state, the masking's "
+                                          "physical result",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -112,6 +117,48 @@ def test_every_public_name_is_read_or_kept_for_a_reason():
     public = set(qmask.__all__).union(*map(public_definitions, library))
     # equality also keeps the exceptions current: each must be public and unread
     assert {name for name in public if name not in read} == set(UNREAD_PUBLIC_NAMES)
+
+
+def public_attributes(source: str) -> set[str]:
+    """``Class.name`` for each public field, property and method of a module's public classes."""
+    found = set()
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            else:
+                continue
+            if not name.startswith("_"):
+                found.add(f"{node.name}.{name}")
+    return found
+
+
+def unread_attributes(definitions: list[str], readers: list[str]) -> set[str]:
+    """Public attributes of the classes in ``definitions`` whose name no source in
+    ``readers`` reads, bare or as an attribute."""
+    read = set().union(*(read_names(ast.parse(source)) for source in readers))
+    attributes = set().union(*map(public_attributes, definitions))
+    return {attribute for attribute in attributes if attribute.split(".")[1] not in read}
+
+
+def test_scanner_finds_unread_attributes():
+    definitions = ["@dataclass\nclass Report:\n    passed: bool\n    detail: str\n"
+                   "    _cache: int = 0\n    limit = 3\n"
+                   "    @property\n    def margin(self):\n        return 0\n"
+                   "    def describe(self):\n        return self.detail\n"
+                   "class _Hidden:\n    unused: int\n"]
+    readers = [*definitions, "def check(report):\n    return report.passed and report.margin\n"]
+    assert unread_attributes(definitions, readers) == {"Report.describe"}
+
+
+def test_every_public_attribute_is_read_or_kept_for_a_reason():
+    library, readers = pipeline_sources()
+    # equality also keeps the exceptions current: each must be public and unread
+    assert unread_attributes(library, readers) == set(UNREAD_PUBLIC_ATTRIBUTES)
 
 
 def defaulted_parameters(source: str) -> dict[tuple[str, str], int | None]:

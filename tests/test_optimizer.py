@@ -1,9 +1,12 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    circulant_family,
     haar_unitary,
     max_prob_grid_oracle,
     overlap_family,
@@ -16,6 +19,7 @@ from qmask.masker import build_probabilistic, verify_masking
 from qmask import optimizer
 from qmask.optimizer import (
     DEFAULT_S_VALUES,
+    GAP_TOL,
     _admissible,
     _log_det_terms,
     _solve_inputs,
@@ -340,17 +344,68 @@ class TestUniformBoundary:
             uniform_feasibility_boundary(np.ones((2, 2)), np.eye(2))
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """A list that grows by one entry per ``_log_det_terms`` call."""
+class TestSymmetricOptimum:
+    """Problems whose optimum is known exactly: c*^n, with c* the uniform boundary.
+
+    The feasible set in g = sqrt(gamma) is convex and sum log g_i is concave
+    and symmetric, so when a permutation acting transitively on the inputs
+    maps A and X both to themselves, or both to their conjugates, averaging an
+    optimum over it gives an equal-efficiency optimum. The swap does so for
+    every n = 2 pair; the cyclic shift does so for ``circulant_family``.
+    """
+
+    @staticmethod
+    def assert_exact(a, x):
+        n = a.shape[0]
+        gammas, prob = maximize_general(a, x)
+        true_gap = n * np.log(uniform_feasibility_boundary(a, x)) - np.log(prob)
+        floor = rounding_floor(n, np.linalg.cond(a))
+        assert -floor <= true_gap <= 2 * GAP_TOL
+        assert certify(a, x, gammas)[0] >= true_gap - floor
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_two_inputs_at_any_phases(self, seed):
+        rng = np.random.default_rng(seed)
+        a = gram(random_independent(2, 3, rng))
+        self.assert_exact(a, gram([random_state(3, rng) for _ in range(2)]))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=16),
+        extra=st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_circulant_family(self, seed, n, extra):
+        inputs, targets = circulant_family(n, n + extra, np.random.default_rng(seed))
+        self.assert_exact(gram(inputs), gram(targets.states))
+
+
+@contextmanager
+def counted_factorizations():
+    """A list that grows by one entry per ``_log_det_terms`` call inside the block."""
     calls = []
 
     def counted(*args, _original=optimizer._log_det_terms):
         calls.append(None)
         return _original(*args)
 
-    monkeypatch.setattr(optimizer, "_log_det_terms", counted)
-    return calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_log_det_terms", counted)
+        yield calls
+
+
+@pytest.fixture
+def factorizations():
+    with counted_factorizations() as calls:
+        yield calls
+
+
+@st.composite
+def tied_corners(draw):
+    """(s, t) with 1 - s = 10^-U(6, 11.6) and 1 - t = r (1 - s), r in [0.5, 2]."""
+    gap = 10.0 ** -draw(st.floats(6.0, 11.6))
+    return 1.0 - gap, 1.0 - draw(st.floats(0.5, 2.0)) * gap
 
 
 class TestMaximizeCertified:
@@ -426,18 +481,21 @@ class TestMaximizeCertified:
         assert prob < best
         assert certify(a, x, gammas)[0] >= np.log(best / prob)
 
-    # (s, t, seed, d, n) at t = 1 - r (1 - s): the worst solve of each shape in
-    # 600 such corners, which factored 17 644, 18 657 and 18 399 systems when the
+    # at t = 1 - r (1 - s); the examples are the worst solve of each shape in 600
+    # such corners, which factored 17 644, 18 657 and 18 399 systems when the
     # step halvings ran outside the limit
-    @pytest.mark.parametrize("s, t, seed, d, n", [
-        (0.9999999999964083, 0.9999999999957594, 372, 2, 2),
-        (0.9999999999968734, 0.9999999999961405, 268, 3, 2),
-        (0.9999999999974581, 0.999999999997127, 44, 3, 3),
-    ])
-    def test_corner_solve_factors_within_the_step_limit(self, factorizations, s, t, seed, d, n):
+    @given(corner=tied_corners(), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([(2, 2), (3, 2), (3, 3)]))
+    @example(corner=(0.9999999999964083, 0.9999999999957594), seed=372, shape=(2, 2))
+    @example(corner=(0.9999999999968734, 0.9999999999961405), seed=268, shape=(3, 2))
+    @example(corner=(0.9999999999974581, 0.999999999997127), seed=44, shape=(3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_corner_solve_factors_within_the_step_limit(self, corner, seed, shape):
+        (s, t), (d, n) = corner, shape
         inputs, targets = overlap_family(s, t, seed, d=d, n=n)
         a, x = gram(inputs), gram(targets.states)
-        gammas, _ = maximize_general(a, x)
+        with counted_factorizations() as factorizations:
+            gammas, _ = maximize_general(a, x)
         # the start's factorization, then at most one per counted system
         assert len(factorizations) <= optimizer.NEWTON_STEP_LIMIT + 1
         # the residual's least eigenvalue (cond(A) near 1e12) is below eigvalsh's

@@ -1,5 +1,5 @@
-"""The tolerance policy at the corners: s -> 1, t -> 1, t = s, saturated gamma = 1,
-a singular target Gram matrix and odd d.
+"""The tolerance policy at the corners: s -> 1, t -> 1, t = s or tied to it by
+1 - t = r (1 - s), saturated gamma = 1, a singular target Gram matrix and odd d.
 
 Every gate is a rounding floor scaled to its problem (``hilbert.rounding_floor``),
 so the library builds exactly the maskers its own verifier accepts.
@@ -160,6 +160,8 @@ corner_s = st.one_of(
 )
 corner_t = st.one_of(
     st.just("s"),
+    # tied to s: 1 - t = r (1 - s)
+    st.tuples(st.just("r"), st.floats(0.5, 2.0)),
     st.floats(1.0, 12.0).map(lambda k: 1.0 - 10.0 ** -k),
     st.just(1.0),
     st.floats(0.0, 1.0),
@@ -169,20 +171,24 @@ shapes = st.sampled_from([(2, 2), (3, 2), (3, 3)])
 
 
 def corner_family(s, t, seed, shape):
+    """The corner's inputs and targets, and the target overlap a ``corner_t`` draw stands for."""
+    if t == "s":
+        t = s
+    elif isinstance(t, tuple):
+        t = max(1.0 - t[1] * (1.0 - s), 0.0)
     d, n = shape
-    return overlap_family(s, s if t == "s" else t, seed, d, n)
+    return (*overlap_family(s, t, seed, d, n), t)
 
 
 @given(s=corner_s, t=corner_t, seed=st.integers(0, 2**32 - 1), shape=shapes,
        request=st.sampled_from(["solver", "hand", "saturated"]), factor=st.floats(0.5, 1.5))
 @settings(max_examples=150, deadline=None)
 def test_every_masker_the_builder_returns_verifies(s, t, seed, shape, request, factor):
-    inputs, targets = corner_family(s, t, seed, shape)
+    inputs, targets, t = corner_family(s, t, seed, shape)
     a, x = grams(inputs, targets)
     if request == "solver":
         gammas = maximize_general(a, x)[0]
     else:
-        t = s if t == "s" else t
         assume(shape[1] == 2 and 0.0 < s <= t)
         # gamma_1 = 1 leaves residual row 0 zero exactly when gamma_2 = (s / t)^2
         gammas = [1.0, (s / t) ** 2] if request == "saturated" else None
@@ -201,8 +207,7 @@ def test_every_masker_the_builder_returns_verifies(s, t, seed, shape, request, f
        t=corner_t, seed=st.integers(0, 2**32 - 1), shape=shapes)
 @settings(max_examples=100, deadline=None)
 def test_every_infeasible_request_raises_a_named_error(s, t, seed, shape):
-    inputs, targets = corner_family(s, t, seed, shape)
-    t = s if t == "s" else t
+    inputs, targets, t = corner_family(s, t, seed, shape)
     gamma = 1.01 * max_prob_two(s, t)[1][0]
     assume(gamma <= 1.0)
     # equal efficiencies 1 % above the two-input optimum; a third input keeps efficiency 1e-3
@@ -216,7 +221,7 @@ def test_every_infeasible_request_raises_a_named_error(s, t, seed, shape):
 @given(s=corner_s, t=corner_t, seed=st.integers(0, 2**32 - 1), shape=shapes)
 @settings(max_examples=100, deadline=None)
 def test_no_family_conditioned_below_1e12_is_called_singular(s, t, seed, shape):
-    inputs, targets = corner_family(s, t, seed, shape)
+    inputs, targets, _ = corner_family(s, t, seed, shape)
     a, x = grams(inputs, targets)
     assert np.linalg.cond(a) < 1e12
     nonsingular_spectrum(a, "inputs' Gram matrix")

@@ -109,7 +109,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FileFormatError(f"field 'document': {path} is not valid JSON ({exc})") from exc
     _require(isinstance(document, dict), "document", "top level must be a JSON object")
     return document

@@ -25,11 +25,12 @@ This module also sets every numerical threshold in qmask, in three classes:
   the optimizer's whitener, and both cuts in ``unitary_completion``).
 - Input-precision gates ask whether a unit object a caller or a file
   supplied is unit: the norms of states and of frame columns, spectra
-  summing to 1, unitaries, isometries and Hermitian inputs relative to
-  their size. NORM_TOL covers them; MARGINAL_TOL is the fixed-reducing
-  test's default. Comparisons of supplied states' inner products inherit
-  it through ``precision_floor``: ``build_deterministic``'s orthogonality,
-  the Gram match in ``unitary_completion`` and the branch weights in
+  summing to 1, unitaries, isometries and Hermitian inputs relative to their
+  size; ``hermitian_matrix`` passes on the Hermitian part of an input it
+  accepts. NORM_TOL covers them; MARGINAL_TOL is the fixed-reducing test's
+  default. Comparisons of supplied states' inner products inherit it through
+  ``precision_floor``: ``build_deterministic``'s orthogonality, the Gram
+  match in ``unitary_completion`` and the branch weights in
   ``failure_branches``.
 - Verification holds a map whitening a Gram matrix to VERIFY_TOL (relative
   to gamma for success probabilities), or to the rounding floor of
@@ -98,14 +99,14 @@ def square_matrix(matrix, name: str) -> np.ndarray:
 
 
 def hermitian_matrix(matrix, name: str) -> np.ndarray:
-    """``matrix`` as a square complex array, finite and Hermitian to NORM_TOL times max |entry|."""
+    """(M + M^dagger) / 2 for a square complex M, finite and Hermitian to NORM_TOL max |M|."""
     mat = square_matrix(matrix, name)
     with np.errstate(invalid="ignore"):  # inf - inf: reported by the check below
-        residual = float(np.max(np.abs(mat - mat.conj().T)))
+        residual = float(np.abs(mat - mat.conj().T).max())
     # written so that a NaN residual (any non-finite entry) fails the check
-    if not residual <= NORM_TOL * float(np.max(np.abs(mat))):
+    if not residual <= NORM_TOL * float(np.abs(mat).max()):
         raise ValueError(f"{name} is not Hermitian: residual {residual:.3e}")
-    return mat
+    return (mat + mat.conj().T) / 2.0
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:

@@ -15,7 +15,8 @@ inequality [[A, G X^(1/2)], [X^(1/2) G, I]] >= 0, and log prod(gamma) =
 2 sum_i log g_i is concave: a max-det problem (Boyd and Vandenberghe,
 Convex Optimization, ch. 11). ``maximize_general`` solves it with a log
 barrier; ``certify`` and ``dual_bound`` bound the distance of any point from
-the optimum through Lagrange duality.
+the optimum through Lagrange duality. Each public function of (A, X_P)
+checks them through ``_solve_inputs``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .hilbert import hermitian_matrix, nonsingular_spectrum, psd_check, psd_verdict, square_matrix
+from .hilbert import hermitian_matrix, nonsingular_spectrum, psd_check, psd_verdict
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # factor by which the barrier weight t grows between centring stages; a tangent
@@ -52,38 +53,35 @@ def success_probability(gammas) -> float:
     return float(np.prod(_gammas_array(gammas)))
 
 
-def _same_size(a: np.ndarray, x: np.ndarray) -> None:
-    if a.shape != x.shape:
-        raise ValueError(f"matrix sizes differ: A is {a.shape}, X_P is {x.shape}")
-
-
 def _residual(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
     root = np.sqrt(values)
     return a - np.outer(root, root) * x
 
 
-def residual_matrix(A, X_P, gammas) -> np.ndarray:
-    """A - sqrt(Gamma) X sqrt(Gamma), the Gram weight left for failure branches."""
-    a = square_matrix(A, "A")
-    x = square_matrix(X_P, "X_P")
-    _same_size(a, x)
-    values = _gammas_array(gammas)
-    if values.size != a.shape[0]:
+def _solve_inputs(A, X_P, gammas=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The one check of a masking problem, made by every public function of (A, X_P).
+
+    Returns the Hermitian parts of A and X_P, finite and of one square shape
+    (an error names the faulty one), and n efficiencies in [0, 1] or None.
+    """
+    a = hermitian_matrix(A, "A")
+    x = hermitian_matrix(X_P, "X_P")
+    if a.shape != x.shape:
+        raise ValueError(f"matrix sizes differ: A is {a.shape}, X_P is {x.shape}")
+    values = None if gammas is None else _gammas_array(gammas)
+    if values is not None and values.size != a.shape[0]:
         raise ValueError(f"need {a.shape[0]} efficiencies, got {values.size}")
-    return _residual(a, x, values)
+    return a, x, values
+
+
+def residual_matrix(A, X_P, gammas) -> np.ndarray:
+    """A - sqrt(Gamma) X sqrt(Gamma) of the checked problem, exactly Hermitian: the failure Gram."""
+    return _residual(*_solve_inputs(A, X_P, gammas))
 
 
 def feasible(A, X_P, gammas) -> tuple[bool, float]:
-    """Whether the efficiencies are admissible, plus the residual's min eigenvalue."""
+    """Whether the efficiencies are admissible, as the solver judges, and the least eigenvalue."""
     return psd_check(residual_matrix(A, X_P, gammas))
-
-
-def _solve_inputs(A, X_P) -> tuple[np.ndarray, np.ndarray]:
-    """A and X_P checked once for a solve: Hermitian, finite and of one square shape."""
-    a = hermitian_matrix(A, "A")
-    x = hermitian_matrix(X_P, "X_P")
-    _same_size(a, x)
-    return a, x
 
 
 def _admissible(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> bool:
@@ -136,10 +134,10 @@ def uniform_feasibility_boundary(A, X_P) -> float:
 
     Closed form min(1, 1 / lambda_max(N X_P N^dagger)), where N whitens A
     (N A N^dagger = I): one eigendecomposition of A and one eigensolve.
-    A and X_P are checked once (square, same size, finite and Hermitian;
-    an error names the faulty one), and a singular A is rejected.
+    A and X_P pass ``_solve_inputs``, as at every entry, and a singular A
+    is rejected.
     """
-    a, x = _solve_inputs(A, X_P)
+    a, x, _ = _solve_inputs(A, X_P)
     return _uniform_boundary(x, _whitener(a))
 
 
@@ -208,7 +206,7 @@ def dual_bound(A, X_P, dual) -> float:
     its own rounding error and costs O(n^3). It is infinite when some c_i
     is not certainly negative: the point then certifies nothing.
     """
-    a, x = _solve_inputs(A, X_P)
+    a, x, _ = _solve_inputs(A, X_P)
     n = a.shape[0]
     c = np.asarray(dual[0], dtype=complex)
     h = np.asarray(dual[1], dtype=float).reshape(-1)
@@ -233,10 +231,7 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     efficiencies that are not strictly feasible have an infinite gap and
     no dual point. O(n^3).
     """
-    a, x = _solve_inputs(A, X_P)
-    values = _gammas_array(gammas)
-    if values.size != a.shape[0]:
-        raise ValueError(f"need {a.shape[0]} efficiencies, got {values.size}")
+    a, x, values = _solve_inputs(A, X_P, gammas)
     if np.all(values == 1.0):
         return 0.0, None
     g = np.sqrt(values)
@@ -281,10 +276,10 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     are strictly feasible however the solve ends, and ``certify`` bounds
     their distance from the global optimum.
 
-    A and X_P are checked once per solve (square, same size, finite and
-    Hermitian; an error names the faulty one); a singular A is rejected.
+    A and X_P pass ``_solve_inputs``, as at every entry, and a singular A
+    is rejected.
     """
-    a, x = _solve_inputs(A, X_P)
+    a, x, _ = _solve_inputs(A, X_P)
     n = a.shape[0]
     whitener = _whitener(a)
     ones = np.ones(n)

@@ -492,6 +492,18 @@ class TestSimulate:
         assert calls == [(9 * 4, 3)]
 
 
+@pytest.mark.parametrize("command", ["simulate", "mask-det", "verify-fixed-reducing"])
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200_000 + b"]" * 200_000],
+                         ids=["not-utf-8", "nested-200000-deep"])
+def test_undecodable_file_is_input_error(tmp_path, capsys, command, content):
+    # a UnicodeDecodeError is a ValueError, and deep nesting a RecursionError: neither is
+    # a domain failure
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 2
+    assert f"error: field 'document': {path} is not valid JSON" in capsys.readouterr().err
+
+
 class TestFigure1:
     def test_csv_spot_values_and_determinism(self, tmp_path):
         first = tmp_path / "a.csv"

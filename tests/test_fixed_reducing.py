@@ -283,3 +283,14 @@ class TestConstructorInvariant:
         ]
         for family in families:
             assert max_marginal_deviation(family.states) <= 1e-10
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_uniform_spectrum(2, []),
+        lambda: build_distinct_spectrum([0.6, 0.4], []),
+        lambda: build_general_spectrum([1.0], []),
+        lambda: from_states([]),
+    ], ids=["uniform", "distinct", "general", "from_states"])
+    def test_empty_family_rejected_by_the_set(self, build):
+        # FixedReducingSet alone decides that a family has a member
+        with pytest.raises(ValueError, match="^a state family needs at least one state$"):
+            build()

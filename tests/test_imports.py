@@ -1,5 +1,6 @@
-"""Stand-ins for a linter's unused-import, dead-code and unused-option rules, built on the
-standard library's ``ast``."""
+"""Stand-ins for a linter's unused-import, dead-code and unused-option rules, and for a rule
+that keeps the optimizer's input checks in one function, built on the standard library's
+``ast``."""
 
 import ast
 from pathlib import Path
@@ -214,6 +215,49 @@ def test_every_default_is_set_by_some_caller():
     # a keyword that every caller leaves at its default is not an option
     library, readers = pipeline_sources()
     assert unset_defaults(library, readers) == []
+
+
+def input_policy_faults(source: str) -> list[str]:
+    """Where a module checks a masking problem outside ``_solve_inputs``: a call of
+    ``hermitian_matrix`` or ``square_matrix`` anywhere else, or a public function of
+    (A, X_P, ...) that reaches ``_solve_inputs`` through none of the module's functions."""
+    faults, calls, public = [], {}, []
+    for node in ast.parse(source).body:
+        called = {getattr(call.func, "id", getattr(call.func, "attr", None))
+                  for call in ast.walk(node) if isinstance(call, ast.Call)}
+        name = getattr(node, "name", f"line {node.lineno}")
+        if name != "_solve_inputs":
+            faults.extend(f"{name} calls {check}"
+                          for check in sorted(called & {"hermitian_matrix", "square_matrix"}))
+        if isinstance(node, ast.FunctionDef):
+            calls[name] = called
+            if not name.startswith("_") and [a.arg for a in node.args.args[:2]] == ["A", "X_P"]:
+                public.append(name)
+    checked = {"_solve_inputs"}
+    while reached := {name for name, called in calls.items() if called & checked} - checked:
+        checked |= reached
+    return faults + [f"{name} does not reach _solve_inputs" for name in public
+                     if name not in checked]
+
+
+def test_scanner_finds_a_second_input_policy():
+    source = ("from hilbert import hermitian_matrix, square_matrix\n"
+              "def _solve_inputs(A, X_P):\n    return hermitian_matrix(A), hermitian_matrix(X_P)\n"
+              "def solve(A, X_P):\n    return _solve_inputs(A, X_P)\n"
+              "def residual(A, X_P, gammas):\n    return square_matrix(A)\n"
+              "def feasible(A, X_P, gammas):\n    return residual(A, X_P, gammas)\n"
+              "def _helper(a, x):\n    return solve(a, x)\n"
+              "def bound(A, X_P):\n    return _helper(A, X_P)\n"
+              "def other(A, X):\n    return A\n"
+              "CHECKED = hermitian_matrix(1)\n")
+    assert input_policy_faults(source) == [
+        "residual calls square_matrix", "line 16 calls hermitian_matrix",
+        "residual does not reach _solve_inputs", "feasible does not reach _solve_inputs"]
+
+
+def test_optimizer_checks_its_inputs_in_one_place():
+    source = (ROOT / "src" / "qmask" / "optimizer.py").read_text(encoding="utf-8")
+    assert input_policy_faults(source) == []
 
 
 def test_scanner_finds_unused_imports():

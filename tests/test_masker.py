@@ -183,6 +183,11 @@ class TestBuildProbabilistic:
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [bad, 0.1])
 
+    def test_efficiency_count_checked_with_the_residual(self):
+        # the residual's own check decides the count, with the optimizer's message
+        with pytest.raises(ValueError, match=r"^need 2 efficiencies, got 3$"):
+            build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [0.1, 0.1, 0.1])
+
     def test_unit_efficiency_with_residual_rejected(self):
         with pytest.raises(ValueError, match="residual"):
             build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [1.0, 0.1])

@@ -136,7 +136,15 @@ class TestFeasible:
         with pytest.raises(ValueError, match="sizes differ"):
             feasible(np.eye(2), np.eye(3), (0.5, 0.5))
 
-    @pytest.mark.parametrize("solve", [maximize_general, uniform_feasibility_boundary])
+    @pytest.mark.parametrize("solve", [
+        maximize_general,
+        uniform_feasibility_boundary,
+        # every other public function of (A, X_P), at valid efficiencies or a valid dual point
+        pytest.param(lambda a, x: residual_matrix(a, x, (0.5, 0.5)), id="residual_matrix"),
+        pytest.param(lambda a, x: feasible(a, x, (0.5, 0.5)), id="feasible"),
+        pytest.param(lambda a, x: certify(a, x, (0.5, 0.5)), id="certify"),
+        pytest.param(lambda a, x: dual_bound(a, x, (np.eye(2), np.ones(2))), id="dual_bound"),
+    ])
     @pytest.mark.parametrize("a, x, message", [
         (np.eye(2), np.eye(3), r"sizes differ: A is \(2, 2\), X_P is \(3, 3\)"),
         (SKEW, np.eye(2), "^A is not Hermitian"),
@@ -148,6 +156,15 @@ class TestFeasible:
     def test_solve_names_the_faulty_matrix(self, solve, a, x, message):
         with pytest.raises(ValueError, match=message):
             solve(a, x)
+
+    def test_feasible_judges_every_pair_the_solver_solves(self):
+        # A is Hermitian only to 1e-12; X is its Hermitian part, so the solve saturates at
+        # gamma = 1 and the residual is zero, not the anti-Hermitian remainder of A
+        a = np.array([[1.0, 0.5 + 1e-12j], [0.5, 1.0]])
+        x = (a + a.conj().T) / 2
+        gammas, prob = maximize_general(a, x)
+        assert np.array_equal(gammas, np.ones(2)) and prob == 1.0
+        assert feasible(a, x, gammas) == (True, 0.0)
 
     def test_residual_matrix_values(self):
         a, x = two_state_matrices(INV2, 0.0)
@@ -313,8 +330,8 @@ def test_search_predicate_matches_feasible(seed, n, offset):
     # the unchecked predicate answers as the checked feasible() does, also
     # within BOUNDARY_OFFSET of the uniform boundary, where the answer flips
     rng = np.random.default_rng(seed)
-    a, x = _solve_inputs(gram(random_independent(n, n + 1, rng)),
-                         gram([random_state(n + 1, rng) for _ in range(n)]))
+    a, x, _ = _solve_inputs(gram(random_independent(n, n + 1, rng)),
+                            gram([random_state(n + 1, rng) for _ in range(n)]))
     boundary = uniform_feasibility_boundary(a, x)
     trials = [np.full(n, boundary), np.full(n, min(boundary + BOUNDARY_OFFSET, 1.0)),
               np.clip(np.full(n, boundary + offset), 0.0, 1.0), rng.uniform(0.0, 1.0, n)]
@@ -378,6 +395,12 @@ class TestSymmetricOptimum:
     @settings(max_examples=80, deadline=None)
     def test_circulant_family(self, seed, n, extra):
         inputs, targets = circulant_family(n, n + extra, np.random.default_rng(seed))
+        self.assert_exact(gram(inputs), gram(targets.states))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_circulant_family_at_large_n(self, n, seed):
+        inputs, targets = circulant_family(n, n, np.random.default_rng(seed))
         self.assert_exact(gram(inputs), gram(targets.states))
 
 

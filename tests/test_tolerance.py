@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import overlap_family
@@ -206,6 +206,8 @@ def test_every_masker_the_builder_returns_verifies(s, t, seed, shape, request, f
 @given(s=st.one_of(st.floats(1.0, 11.0).map(lambda k: 1.0 - 10.0 ** -k), st.floats(0.0, 0.99)),
        t=corner_t, seed=st.integers(0, 2**32 - 1), shape=shapes)
 @settings(max_examples=100, deadline=None)
+# 1.01 times the optimum 1 / 1.01 rounds to exactly 1
+@example(s=0.0, t=0.01, seed=0, shape=(2, 2))
 def test_every_infeasible_request_raises_a_named_error(s, t, seed, shape):
     inputs, targets, t = corner_family(s, t, seed, shape)
     gamma = 1.01 * max_prob_two(s, t)[1][0]
@@ -213,8 +215,12 @@ def test_every_infeasible_request_raises_a_named_error(s, t, seed, shape):
     # equal efficiencies 1 % above the two-input optimum; a third input keeps efficiency 1e-3
     request = [gamma, gamma, 1e-3][:shape[1]]
     assert not feasible(*grams(inputs, targets), request)[0]
-    with pytest.raises(ValueError, match=r"^infeasible efficiencies: residual matrix has min "
-                                         r"eigenvalue -.*, below the rounding floor -"):
+    # with every efficiency 1 there is no probe, and the Gram match A = X is the gate
+    message = (r"^Gram matrices differ by .*, above the input-precision floor "
+               if min(request) == 1.0 else
+               r"^infeasible efficiencies: residual matrix has min eigenvalue -.*, below the "
+               r"rounding floor -")
+    with pytest.raises(ValueError, match=message):
         build_probabilistic(inputs, targets, request)
 
 

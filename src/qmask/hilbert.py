@@ -101,12 +101,13 @@ def square_matrix(matrix, name: str) -> np.ndarray:
 def hermitian_matrix(matrix, name: str) -> np.ndarray:
     """(M + M^dagger) / 2 for a square complex M, finite and Hermitian to NORM_TOL max |M|."""
     mat = square_matrix(matrix, name)
+    adjoint = mat.conj().T
     with np.errstate(invalid="ignore"):  # inf - inf: reported by the check below
-        residual = float(np.abs(mat - mat.conj().T).max())
+        residual = float(np.abs(mat - adjoint).max())
     # written so that a NaN residual (any non-finite entry) fails the check
     if not residual <= NORM_TOL * float(np.abs(mat).max()):
         raise ValueError(f"{name} is not Hermitian: residual {residual:.3e}")
-    return (mat + mat.conj().T) / 2.0
+    return (mat + adjoint) / 2.0
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
@@ -116,7 +117,7 @@ def unitarity_residual(matrix: np.ndarray) -> float:
 
 def _check_normalized(amps: np.ndarray) -> None:
     """ValueError unless ``amps``, one vector or one per column, is unit to NORM_TOL."""
-    err = float(np.max(np.abs(np.linalg.norm(amps, axis=0) - 1.0)))
+    err = float(np.abs(np.linalg.norm(amps, axis=0) - 1.0).max())
     # written so that a NaN error fails the check
     if not err <= NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
@@ -134,7 +135,7 @@ class MultipartiteState:
         dims = (amps.size,) if self.dims is None else tuple(int(d) for d in self.dims)
         if not dims or any(d <= 0 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-        if int(np.prod(dims)) != amps.size:
+        if math.prod(dims) != amps.size:
             raise ValueError(
                 f"product of dims {dims} does not match amplitude length {amps.size}"
             )
@@ -231,14 +232,15 @@ def fidelity(u: MultipartiteState, v: MultipartiteState) -> float:
 def partial_trace(state: MultipartiteState, keep: int) -> np.ndarray:
     """Reduced density matrix of subsystem number ``keep`` (0-based).
 
-    Hermitian and positive semidefinite by construction (T T^dagger), with
-    trace the squared norm of ``state``.
+    Hermitian and positive semidefinite by construction (T T^dagger, T the
+    amplitudes with the kept axis as rows and every other axis flattened
+    into columns), with trace the squared norm of ``state``.
     """
     if not 0 <= keep < len(state.dims):
         raise ValueError(f"subsystem index {keep} outside a state with dims {state.dims}")
-    tensor_form = state.amplitudes.reshape(state.dims)
-    traced = tuple(i for i in range(tensor_form.ndim) if i != keep)
-    return np.tensordot(tensor_form, tensor_form.conj(), axes=(traced, traced))
+    rows = np.moveaxis(state.amplitudes.reshape(state.dims), keep, 0).reshape(state.dims[keep], -1)
+    # np.dot rounds as np.tensordot, which calls it; @ takes another complex kernel
+    return np.dot(rows, rows.conj().T)
 
 
 def gram(states: Sequence[MultipartiteState]) -> np.ndarray:

@@ -127,21 +127,23 @@ class MaskingReport:
     tolerance: float
 
 
-def _basis_column(size: int, index: int) -> np.ndarray:
-    """The basis vector |index> as a size x 1 column."""
-    return np.eye(size, 1, -index, dtype=complex)
-
-
 def _prepared(inputs: Sequence[StateVector], ancilla_index: int, probe_dim: int) -> np.ndarray:
     """The D x n frame of prepared inputs |a_k>_A |b>_B |P_0>_P; |b>|P_0> is one basis vector."""
     states = np.column_stack([a.amplitudes for a in inputs])
-    return np.kron(states, _basis_column(states.shape[0] * probe_dim, ancilla_index * probe_dim))
+    d = states.shape[0]
+    frame = np.zeros((d * d * probe_dim, states.shape[1]), dtype=complex)
+    # row i d P + b P is |i>_A |b>_B |P_0>
+    frame[ancilla_index * probe_dim::d * probe_dim] = states
+    return frame
 
 
 def _successes(targets: FixedReducingSet, gammas: np.ndarray, probe_dim: int) -> np.ndarray:
     """The D x n frame of success branches sqrt(gamma_k) |Psi_k>|P_0>."""
     states = np.column_stack([t.amplitudes for t in targets.states])
-    return np.sqrt(gammas) * np.kron(states, _basis_column(probe_dim, 0))
+    frame = np.zeros((states.shape[0] * probe_dim, states.shape[1]), dtype=complex)
+    # row j P is |j>_AB |P_0>
+    frame[::probe_dim] = states
+    return np.sqrt(gammas) * frame
 
 
 def build_deterministic(inputs: Sequence[StateVector]) -> Masker:
@@ -215,8 +217,8 @@ def build_probabilistic(
             coefficients = hermitian_sqrt(np.conj(residual))
         except ValueError as exc:
             raise ValueError(f"infeasible efficiencies: residual {exc}") from exc
-        failures = np.vstack([np.zeros((1, n)), coefficients.T])
-        outputs = outputs + np.kron(_basis_column(d * d, 0), failures)
+        # the failure branches |0>_A |0>_B |P_k>, k = 1..n: rows 1..n
+        outputs[1:probe_dim] += coefficients.T
 
     unitary = unitary_completion(_prepared(family, 0, probe_dim), outputs)
     return Masker(family, 0, targets, efficiencies, unitary)

@@ -37,6 +37,10 @@ GAP_TOL = 1e-8
 # step (its linear solve and the Cholesky test that accepts the step), and one
 # more per tangent step's solve and per step halving's Cholesky test
 NEWTON_STEP_LIMIT = 500
+# relative distance below the uniform boundary c* at which the uniform optimum is
+# returned: the residual keeps a least whitened eigenvalue near UNIFORM_MARGIN, far
+# above its rounding, and Prob falls short of c*^n by about n UNIFORM_MARGIN
+UNIFORM_MARGIN = 1e-12
 
 
 def _gammas_array(gammas) -> np.ndarray:
@@ -123,10 +127,14 @@ def _whitener(a: np.ndarray) -> np.ndarray:
     return (vectors / np.sqrt(values)).conj().T
 
 
-def _uniform_boundary(x: np.ndarray, whitener: np.ndarray) -> float:
-    # A - c X >= 0 exactly when c lambda_max(N X N^dagger) <= 1
-    top = float(np.linalg.eigvalsh(whitener @ x @ whitener.conj().T)[-1])
-    return 1.0 if top <= 1.0 else 1.0 / top
+def _whitened(x: np.ndarray, whitener: np.ndarray) -> np.ndarray:
+    """N X N^dagger: A - c X >= 0 exactly when c lambda_max(N X N^dagger) <= 1."""
+    return whitener @ x @ whitener.conj().T
+
+
+def _boundary(top: float) -> float:
+    """The uniform boundary c* = min(1, 1 / top) from top = lambda_max(N X N^dagger)."""
+    return 1.0 if top <= 1.0 else 1.0 / float(top)
 
 
 def uniform_feasibility_boundary(A, X_P) -> float:
@@ -138,7 +146,7 @@ def uniform_feasibility_boundary(A, X_P) -> float:
     is rejected.
     """
     a, x, _ = _solve_inputs(A, X_P)
-    return _uniform_boundary(x, _whitener(a))
+    return _boundary(np.linalg.eigvalsh(_whitened(x, _whitener(a)))[-1])
 
 
 def _dual_factor(whitener: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -157,11 +165,12 @@ def _dual_factor(whitener: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarr
 
 
 def _log_det_terms(whitener: np.ndarray, x: np.ndarray, g: np.ndarray):
-    """Gradient and Hessian of -log det(A - G X G) at g = sqrt(gamma), G = diag(g).
+    """Half the gradient and Hessian of -log det(A - G X G) at g = sqrt(gamma), G = diag(g).
 
     None when g is not strictly feasible. With S = C^dagger C, B = X G and
-    K = B S B^dagger the derivatives are 2 Re (B S)_ii and
-    2 Re[(BS)_ij (BS)_ji + S_ji (K_ij + X_ij)].
+    K = B S B^dagger the halves are Re (B S)_ii and
+    Re[(BS)_ij (BS)_ji + S_ji (K_ij + X_ij)]; the Hessian is a fresh array,
+    which the caller may change in place.
     """
     c = _dual_factor(whitener, x, g)
     if c is None:
@@ -169,8 +178,11 @@ def _log_det_terms(whitener: np.ndarray, x: np.ndarray, g: np.ndarray):
     s = c.conj().T @ c
     b = x * g
     bs = b @ s
-    hessian = 2.0 * (bs * bs.T + s.T * (bs @ b.conj().T + x)).real
-    return 2.0 * np.diagonal(bs).real, hessian
+    hessian = bs @ b.conj().T
+    hessian += x
+    np.multiply(s.T, hessian, out=hessian)
+    hessian += bs * bs.T
+    return bs.diagonal().real, hessian.real
 
 
 def _dual_bound(a: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray) -> float:
@@ -246,14 +258,47 @@ def _spread(u: np.ndarray) -> float:
 
     u_i = g_i d(-log det)/dg_i, which is 2t for every i on the central path.
     """
-    return float(np.sum((u / np.mean(u) - 1.0) ** 2))
+    return float(((u / u.mean() - 1.0) ** 2).sum())
+
+
+def _uniform_optimum(
+    a: np.ndarray, x: np.ndarray, whitener: np.ndarray, boundary: float, v: np.ndarray
+) -> np.ndarray | None:
+    """The efficiencies boundary (1 - UNIFORM_MARGIN), all equal, when certified optimal.
+
+    ``v`` spans the residual's null space at the uniform boundary (v = N^dagger w,
+    w the top eigenvector of N X N^dagger). There the uniform point satisfies the
+    optimality conditions with the rank-one multiplier v v^dagger exactly when
+    the values Re(conj(v_i) (X v)_i), the constraint's gradient in g_i, are equal
+    and positive; they lead u_i in ``_spread``, so the same test screens them. A
+    point that passes is returned only when ``certify``'s gap there is within
+    GAP_TOL; any other problem returns None, for the barrier to solve.
+    """
+    r = (v.conj() * (x @ v)).real
+    if not ((r > 0.0).all() and _spread(r) <= GAP_TOL):
+        return None
+    gammas = np.full(r.size, boundary * (1.0 - UNIFORM_MARGIN))
+    g = np.sqrt(gammas)
+    c = _dual_factor(whitener, x, g)
+    if c is None or _dual_bound(a, x, c, g) - float(np.log(gammas).sum()) > GAP_TOL:
+        return None
+    return gammas
 
 
 def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     """Globally optimal efficiencies for any number of inputs, within the certified gap.
 
     Returns (gammas, prob). If gamma = 1 is admissible it is the optimum.
-    Otherwise the log-barrier method minimizes
+    Otherwise one eigendecomposition of N X N^dagger (N A N^dagger = I)
+    gives the uniform boundary c* and, from its top eigenvector w, the null
+    vector v = N^dagger w of the residual there. When the values
+    Re(conj(v_i) (X v)_i) are equal and positive (their ``_spread`` at most
+    GAP_TOL), the uniform point meets the optimality conditions, and every
+    gamma_i = c* (1 - UNIFORM_MARGIN) is returned without a barrier solve,
+    provided ``certify``'s gap there is at most GAP_TOL: every two-input
+    problem, and cyclic families whose top eigenvalue of N X N^dagger is
+    simple, bar ill-conditioned inputs where the certificate's rounding
+    allowance exceeds GAP_TOL. Otherwise the log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
     from half the uniform boundary at t = 1. Each stage centres by damped
     Newton steps of length 1 / (1 + lambda), with lambda the Newton
@@ -285,20 +330,28 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     ones = np.ones(n)
     if _admissible(a, x, ones):
         return ones, 1.0
+    values, vectors = np.linalg.eigh(_whitened(x, whitener))
+    boundary = _boundary(values[-1])
+    gammas = _uniform_optimum(a, x, whitener, boundary, whitener.conj().T @ vectors[:, -1])
+    if gammas is not None:
+        return gammas, float(gammas.prod())
 
-    g = np.full(n, math.sqrt(_uniform_boundary(x, whitener) / 2.0))
+    g = np.full(n, math.sqrt(boundary / 2.0))
     gradient, hessian = _log_det_terms(whitener, x, g)
     t = 1.0
     systems = 0
     previous = math.inf  # decrement2 of the stage's preceding centring test
     eps = np.finfo(float).eps
+    # the terms are halves, and so are the barrier's gradient and Newton matrix
+    # below: scaling by 2 is exact, so each step and decrement is as unhalved
     while systems < NEWTON_STEP_LIMIT:
         systems += 1
         last = 2.0 * n / t <= GAP_TOL
-        barrier_gradient = gradient - 2.0 * t / g
-        newton = hessian + np.diag(2.0 * t / (g * g))
+        barrier_gradient = gradient - t / g
+        newton = hessian  # a fresh array per step, turned into the Newton matrix in place
+        newton.flat[::n + 1] += t / (g * g)
         delta = np.linalg.solve(newton, -barrier_gradient)
-        decrement2 = float(-barrier_gradient @ delta)
+        decrement2 = -2.0 * float(barrier_gradient @ delta)
         # below 1e-2 the decrement falls quadratically in exact arithmetic, so
         # one that does not fall, or a negative one, measures rounding
         converging = 0.0 < decrement2 < previous
@@ -310,15 +363,15 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
             break
         else:
             systems += 1
-            step = (t - t / BARRIER_GROWTH) * np.linalg.solve(newton, 2.0 / g)
+            step = (t - t / BARRIER_GROWTH) * np.linalg.solve(newton, 1.0 / g)
             t *= BARRIER_GROWTH
             previous = math.inf
-            while np.min(g + step) <= 0.0:
+            while (g + step).min() <= 0.0:
                 step = step / 2.0
         # rounding, or the tangent's reach, can leave the feasible set; below
         # eps g a halved step no longer moves g
         terms = _log_det_terms(whitener, x, g + step)
-        while terms is None and systems < NEWTON_STEP_LIMIT and np.any(np.abs(step) >= eps * g):
+        while terms is None and systems < NEWTON_STEP_LIMIT and (abs(step) >= eps * g).any():
             systems += 1
             step = step / 2.0
             terms = _log_det_terms(whitener, x, g + step)
@@ -327,7 +380,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
         g = g + step
         gradient, hessian = terms
     gammas = np.minimum(g * g, 1.0)
-    return gammas, float(np.prod(gammas))
+    return gammas, float(gammas.prod())
 
 
 def probability_curves(

@@ -1,8 +1,9 @@
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,6 +21,7 @@ from qmask import optimizer
 from qmask.optimizer import (
     DEFAULT_S_VALUES,
     GAP_TOL,
+    UNIFORM_MARGIN,
     _admissible,
     _log_det_terms,
     _solve_inputs,
@@ -406,15 +408,17 @@ class TestSymmetricOptimum:
 
 @contextmanager
 def counted_factorizations():
-    """A list that grows by one entry per ``_log_det_terms`` call inside the block."""
-    calls = []
-
-    def counted(*args, _original=optimizer._log_det_terms):
-        calls.append(None)
-        return _original(*args)
-
+    """Calls inside the block, by name: ``_log_det_terms`` (one Cholesky each) and the
+    eigensolvers ``eigh`` and ``eigvalsh``."""
+    calls = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optimizer, "_log_det_terms", counted)
+        for module, name in ((optimizer, "_log_det_terms"), (np.linalg, "eigh"),
+                             (np.linalg, "eigvalsh")):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            patch.setattr(module, name, counted)
         yield calls
 
 
@@ -443,15 +447,19 @@ class TestMaximizeCertified:
         def log_det(values):
             return -np.linalg.slogdet(a - np.outer(values, values) * x)[1]
 
-        gradient, hessian = _log_det_terms(whitener, x, g)
+        def terms(values):
+            # the kernel returns half the gradient and Hessian
+            half_gradient, half_hessian = _log_det_terms(whitener, x, values)
+            return 2.0 * half_gradient, 2.0 * half_hessian
+
+        gradient, hessian = terms(g)
         step = 1e-6 * np.min(g)
         for i in range(n):
             shift = np.zeros(n)
             shift[i] = step
             difference = (log_det(g + shift) - log_det(g - shift)) / (2 * step)
             assert difference == pytest.approx(gradient[i], rel=1e-6)
-            column = (_log_det_terms(whitener, x, g + shift)[0]
-                      - _log_det_terms(whitener, x, g - shift)[0]) / (2 * step)
+            column = (terms(g + shift)[0] - terms(g - shift)[0]) / (2 * step)
             assert np.max(np.abs(column - hessian[:, i])) <= 1e-6 * np.max(np.abs(hessian))
         assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-9 * np.max(np.abs(hessian)))
 
@@ -477,7 +485,7 @@ class TestMaximizeCertified:
             inputs, targets = frozen_instance(n, d, seed)
             factorizations.clear()
             maximize_general(gram(inputs), gram(targets))
-            steps.append(len(factorizations))
+            steps.append(factorizations["_log_det_terms"])
         assert max(steps) <= 32
         assert np.median(steps) <= 20
 
@@ -520,7 +528,7 @@ class TestMaximizeCertified:
         with counted_factorizations() as factorizations:
             gammas, _ = maximize_general(a, x)
         # the start's factorization, then at most one per counted system
-        assert len(factorizations) <= optimizer.NEWTON_STEP_LIMIT + 1
+        assert factorizations["_log_det_terms"] <= optimizer.NEWTON_STEP_LIMIT + 1
         # the residual's least eigenvalue (cond(A) near 1e12) is below eigvalsh's
         # rounding, so its sign is noise; the Cholesky factor behind a finite
         # certified gap shows the point is strictly feasible
@@ -578,7 +586,13 @@ class TestMaximizeCertified:
         x = gram([random_state(n + extra, rng) for _ in range(n)])
         assert np.linalg.cond(a) <= 1e6
         gammas, prob = maximize_general(a, x)
-        assert feasible(a, x, gammas)[1] > 0.0
+        ok, lowest = feasible(a, x, gammas)
+        # a two-input optimum is the uniform point UNIFORM_MARGIN inside the boundary,
+        # where the residual's least eigenvalue, about 1e-12 lambda_min(A), is below
+        # eigvalsh's rounding once cond(A) passes about 1e4 (6 of 20 000 such draws read
+        # at most 0); the Cholesky factor behind the finite gap below proves it strictly
+        # feasible, as it does every result
+        assert ok and (n == 2 or lowest > 0.0)
         gap, dual = certify(a, x, gammas)
         assert 0.0 <= gap <= 1e-6
         assert dual_bound(a, x, dual) - np.log(prob) == pytest.approx(gap, abs=1e-12)
@@ -613,6 +627,145 @@ class TestMaximizeCertified:
     def test_dual_bound_rejects_malformed_points(self, dual, message):
         with pytest.raises(ValueError, match=message):
             dual_bound(np.eye(3), np.eye(3), dual)
+
+
+def simple_top_ratio(a, x):
+    """Whether the largest ratio x_j / a_j of two circulant matrices' eigenvalues is simple.
+
+    The DFT of the first row gives each circulant's eigenvalues, in one order for both.
+    """
+    ratios = np.sort(np.fft.fft(x[0]).real / np.fft.fft(a[0]).real)
+    return ratios[-1] - ratios[-2] > 1e-6 * ratios[-1]
+
+
+class TestUniformShortcut:
+    """``maximize_general`` returns the uniform point c* (1 - UNIFORM_MARGIN) without a
+    barrier solve when it passes the optimality pre-test and ``certify`` within GAP_TOL."""
+
+    @staticmethod
+    def solve(a, x):
+        with counted_factorizations() as calls:
+            gammas, prob = maximize_general(a, x)
+        return gammas, prob, calls
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=0)
+    @example(seed=2**32 - 1)
+    @settings(max_examples=150, deadline=None)
+    def test_two_inputs_take_it(self, seed):
+        rng = np.random.default_rng(seed)
+        a = gram(random_independent(2, 3, rng))
+        x = gram([random_state(3, rng) for _ in range(2)])
+        gammas, prob, calls = self.solve(a, x)
+        assert calls["_log_det_terms"] == 0
+        assert gammas[0] == gammas[1]
+        bound = uniform_feasibility_boundary(a, x) ** 2
+        assert bound * (1.0 - 3e-12) <= prob <= bound
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=16),
+        extra=st.integers(min_value=0, max_value=2),
+    )
+    @example(seed=0, n=3, extra=0)
+    @example(seed=1, n=16, extra=2)
+    @example(seed=1033, n=12, extra=2)  # cond(A) = 1.9e5: the certificate turns it away
+    @settings(max_examples=80, deadline=None)
+    def test_circulant_families_with_a_simple_top_ratio_take_it(self, seed, n, extra):
+        inputs, targets = circulant_family(n, n + extra, np.random.default_rng(seed))
+        a, x = gram(inputs), gram(targets.states)
+        assume(simple_top_ratio(a, x))
+        gammas, prob, calls = self.solve(a, x)
+        boundary = uniform_feasibility_boundary(a, x)
+        if calls["_log_det_terms"] > 0:
+            # only certify's rounding allowance, which grows with cond(A), turns such a
+            # family away: up to cond(A) = 300 it stayed below 1.5e-9 on 6000 random
+            # families, and 8 of 3000 fell through, all at cond(A) >= 3.6e3
+            assert np.linalg.cond(a) > 300
+            assert certify(a, x, np.full(n, boundary * (1.0 - UNIFORM_MARGIN)))[0] > GAP_TOL
+            return
+        assert np.all(gammas == gammas[0])
+        assert boundary ** n * (1.0 - 2 * n * UNIFORM_MARGIN) <= prob <= boundary ** n
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=8),
+        extra=st.integers(min_value=0, max_value=2),
+    )
+    @example(seed=0, n=3, extra=0)
+    @settings(max_examples=60, deadline=None)
+    def test_asymmetric_pairs_never_take_it(self, seed, n, extra):
+        rng = np.random.default_rng(seed)
+        a = gram(random_independent(n, n + extra, rng))
+        x = gram([random_state(n + extra, rng) for _ in range(n)])
+        assert self.solve(a, x)[2]["_log_det_terms"] > 0
+
+    def test_corner_falls_through_to_the_barrier(self):
+        # at s = 1 - 1e-9 (cond(A) = 2e9) certify's rounding allowance, about 2.8e-5,
+        # exceeds GAP_TOL at the uniform point, though the pair is symmetric
+        a, x = two_state_matrices(1.0 - 1e-9, 0.0)
+        uniform = np.full(2, uniform_feasibility_boundary(a, x) * (1.0 - UNIFORM_MARGIN))
+        assert certify(a, x, uniform)[0] > GAP_TOL
+        gammas, _, calls = self.solve(a, x)
+        assert calls["_log_det_terms"] > 0
+        assert feasible(a, x, gammas)[0]
+        assert np.isfinite(certify(a, x, gammas)[0])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shape=st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]),
+    )
+    @example(seed=0, shape=(2, 2))
+    @example(seed=0, shape=(3, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_shortcut_optimum_builds_a_verified_masker(self, seed, shape):
+        # two inputs against flat targets at any phases, or a cyclic family
+        n, d = shape
+        rng = np.random.default_rng(seed)
+        if n == 2:
+            inputs, targets = random_independent(n, d, rng), from_states(flat_targets(n, d, rng))
+        else:
+            inputs, targets = circulant_family(n, d, rng)
+        gammas, _, calls = self.solve(gram(inputs), gram(targets.states))
+        assume(calls["_log_det_terms"] == 0)
+        assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
+
+    @pytest.mark.parametrize("case, expected", [
+        ("saturated", (1, 1)), ("uniform", (2, 1)), ("barrier", (2, 1))])
+    def test_each_solve_decomposes_three_matrices_at_most(self, factorizations, case, expected):
+        # A's whitener (eigh) and the gamma = 1 test (eigvalsh); past that test, N X N^dagger
+        # (eigh), which gives both the uniform boundary and the shortcut's null vector
+        if case == "barrier":
+            inputs, targets = frozen_instance(4, 4, 1)
+            a, x = gram(inputs), gram(targets)
+        else:
+            a, x = two_state_matrices(0.4, 0.4 if case == "saturated" else 0.0)
+        factorizations.clear()
+        maximize_general(a, x)
+        assert (factorizations["eigh"], factorizations["eigvalsh"]) == expected
+        assert (factorizations["_log_det_terms"] > 0) == (case == "barrier")
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=64),
+        barrier=st.booleans(),
+    )
+    @example(seed=0, n=64, barrier=False)
+    @example(seed=0, n=64, barrier=True)
+    @settings(max_examples=30, deadline=None)
+    def test_certificate_bounds_the_true_gap_of_circulant_families(self, seed, n, barrier):
+        # the optimum is c*^n, so log c*^n - log Prob is the true gap, on either path
+        inputs, targets = circulant_family(n, n, np.random.default_rng(seed))
+        a, x = gram(inputs), gram(targets.states)
+        with pytest.MonkeyPatch.context() as patch:
+            if barrier:
+                patch.setattr(optimizer, "_uniform_optimum", lambda *args: None)
+            gammas, prob = maximize_general(a, x)
+        true_gap = n * np.log(uniform_feasibility_boundary(a, x)) - np.log(prob)
+        # c* itself is computed, so each comparison holds up to its rounding
+        floor = rounding_floor(n, np.linalg.cond(a))
+        assert certify(a, x, gammas)[0] >= true_gap - floor
+        assert true_gap >= -floor
 
 
 class TestProbabilityCurves:

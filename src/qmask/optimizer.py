@@ -37,10 +37,12 @@ GAP_TOL = 1e-8
 # step (its linear solve and the Cholesky test that accepts the step), and one
 # more per tangent step's solve and per step halving's Cholesky test
 NEWTON_STEP_LIMIT = 500
-# relative distance below the uniform boundary c* at which the uniform optimum is
-# returned: the residual keeps a least whitened eigenvalue near UNIFORM_MARGIN, far
-# above its rounding, and Prob falls short of c*^n by about n UNIFORM_MARGIN
-UNIFORM_MARGIN = 1e-12
+# relative shortfall of Prob below c*^n at which the uniform optimum is returned:
+# every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), the central-path point at
+# t = 1 / UNIFORM_SHORTFALL = 1e10, where the barrier's last stage ends for n <= 50.
+# The residual's least whitened eigenvalue, UNIFORM_SHORTFALL / n, is then as large
+# as at the barrier's optimum, and certify's gap is about 2n UNIFORM_SHORTFALL
+UNIFORM_SHORTFALL = 1e-10
 
 
 def _gammas_array(gammas) -> np.ndarray:
@@ -127,13 +129,11 @@ def _whitener(a: np.ndarray) -> np.ndarray:
     return (vectors / np.sqrt(values)).conj().T
 
 
-def _whitened(x: np.ndarray, whitener: np.ndarray) -> np.ndarray:
-    """N X N^dagger: A - c X >= 0 exactly when c lambda_max(N X N^dagger) <= 1."""
-    return whitener @ x @ whitener.conj().T
-
-
 def _boundary(top: float) -> float:
-    """The uniform boundary c* = min(1, 1 / top) from top = lambda_max(N X N^dagger)."""
+    """The uniform boundary c* = min(1, 1 / top) from top = lambda_max(N X N^dagger).
+
+    A - c X >= 0 exactly when c lambda_max(N X N^dagger) <= 1.
+    """
     return 1.0 if top <= 1.0 else 1.0 / float(top)
 
 
@@ -146,7 +146,8 @@ def uniform_feasibility_boundary(A, X_P) -> float:
     is rejected.
     """
     a, x, _ = _solve_inputs(A, X_P)
-    return _boundary(np.linalg.eigvalsh(_whitened(x, _whitener(a)))[-1])
+    whitener = _whitener(a)
+    return _boundary(np.linalg.eigvalsh(whitener @ x @ whitener.conj().T)[-1])
 
 
 def _dual_factor(whitener: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -264,7 +265,7 @@ def _spread(u: np.ndarray) -> float:
 def _uniform_optimum(
     a: np.ndarray, x: np.ndarray, whitener: np.ndarray, boundary: float, v: np.ndarray
 ) -> np.ndarray | None:
-    """The efficiencies boundary (1 - UNIFORM_MARGIN), all equal, when certified optimal.
+    """The efficiencies boundary (1 - UNIFORM_SHORTFALL / n), all equal, when certified optimal.
 
     ``v`` spans the residual's null space at the uniform boundary (v = N^dagger w,
     w the top eigenvector of N X N^dagger). There the uniform point satisfies the
@@ -277,7 +278,7 @@ def _uniform_optimum(
     r = (v.conj() * (x @ v)).real
     if not ((r > 0.0).all() and _spread(r) <= GAP_TOL):
         return None
-    gammas = np.full(r.size, boundary * (1.0 - UNIFORM_MARGIN))
+    gammas = np.full(r.size, boundary * (1.0 - UNIFORM_SHORTFALL / r.size))
     g = np.sqrt(gammas)
     c = _dual_factor(whitener, x, g)
     if c is None or _dual_bound(a, x, c, g) - float(np.log(gammas).sum()) > GAP_TOL:
@@ -294,11 +295,13 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     vector v = N^dagger w of the residual there. When the values
     Re(conj(v_i) (X v)_i) are equal and positive (their ``_spread`` at most
     GAP_TOL), the uniform point meets the optimality conditions, and every
-    gamma_i = c* (1 - UNIFORM_MARGIN) is returned without a barrier solve,
-    provided ``certify``'s gap there is at most GAP_TOL: every two-input
-    problem, and cyclic families whose top eigenvalue of N X N^dagger is
-    simple, bar ill-conditioned inputs where the certificate's rounding
-    allowance exceeds GAP_TOL. Otherwise the log-barrier method minimizes
+    gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last stage
+    would end, is returned without a barrier solve, provided ``certify``'s
+    gap there, about 2n UNIFORM_SHORTFALL plus its rounding allowance, is at
+    most GAP_TOL: every two-input problem, and cyclic families of at most 50
+    inputs whose top eigenvalue of N X N^dagger is simple, bar ill-conditioned
+    inputs where the certificate's rounding allowance exceeds GAP_TOL.
+    Otherwise the log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
     from half the uniform boundary at t = 1. Each stage centres by damped
     Newton steps of length 1 / (1 + lambda), with lambda the Newton
@@ -330,7 +333,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     ones = np.ones(n)
     if _admissible(a, x, ones):
         return ones, 1.0
-    values, vectors = np.linalg.eigh(_whitened(x, whitener))
+    values, vectors = np.linalg.eigh(whitener @ x @ whitener.conj().T)
     boundary = _boundary(values[-1])
     gammas = _uniform_optimum(a, x, whitener, boundary, whitener.conj().T @ vectors[:, -1])
     if gammas is not None:

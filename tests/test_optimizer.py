@@ -21,7 +21,7 @@ from qmask import optimizer
 from qmask.optimizer import (
     DEFAULT_S_VALUES,
     GAP_TOL,
-    UNIFORM_MARGIN,
+    UNIFORM_SHORTFALL,
     _admissible,
     _log_det_terms,
     _solve_inputs,
@@ -586,13 +586,7 @@ class TestMaximizeCertified:
         x = gram([random_state(n + extra, rng) for _ in range(n)])
         assert np.linalg.cond(a) <= 1e6
         gammas, prob = maximize_general(a, x)
-        ok, lowest = feasible(a, x, gammas)
-        # a two-input optimum is the uniform point UNIFORM_MARGIN inside the boundary,
-        # where the residual's least eigenvalue, about 1e-12 lambda_min(A), is below
-        # eigvalsh's rounding once cond(A) passes about 1e4 (6 of 20 000 such draws read
-        # at most 0); the Cholesky factor behind the finite gap below proves it strictly
-        # feasible, as it does every result
-        assert ok and (n == 2 or lowest > 0.0)
+        assert feasible(a, x, gammas)[1] > 0.0
         gap, dual = certify(a, x, gammas)
         assert 0.0 <= gap <= 1e-6
         assert dual_bound(a, x, dual) - np.log(prob) == pytest.approx(gap, abs=1e-12)
@@ -639,7 +633,7 @@ def simple_top_ratio(a, x):
 
 
 class TestUniformShortcut:
-    """``maximize_general`` returns the uniform point c* (1 - UNIFORM_MARGIN) without a
+    """``maximize_general`` returns the uniform point c* (1 - UNIFORM_SHORTFALL / n) without a
     barrier solve when it passes the optimality pre-test and ``certify`` within GAP_TOL."""
 
     @staticmethod
@@ -660,7 +654,7 @@ class TestUniformShortcut:
         assert calls["_log_det_terms"] == 0
         assert gammas[0] == gammas[1]
         bound = uniform_feasibility_boundary(a, x) ** 2
-        assert bound * (1.0 - 3e-12) <= prob <= bound
+        assert bound * (1.0 - 2 * UNIFORM_SHORTFALL) <= prob <= bound
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -678,14 +672,15 @@ class TestUniformShortcut:
         gammas, prob, calls = self.solve(a, x)
         boundary = uniform_feasibility_boundary(a, x)
         if calls["_log_det_terms"] > 0:
-            # only certify's rounding allowance, which grows with cond(A), turns such a
-            # family away: up to cond(A) = 300 it stayed below 1.5e-9 on 6000 random
-            # families, and 8 of 3000 fell through, all at cond(A) >= 3.6e3
+            # certify's gap at the uniform point is about 2n UNIFORM_SHORTFALL plus a
+            # rounding allowance that grows with cond(A); only that allowance turns such a
+            # family away: up to cond(A) = 300 it added at most 1e-9 on 3000 random
+            # families, and 11 of them fell through, all at cond(A) >= 3.3e3
             assert np.linalg.cond(a) > 300
-            assert certify(a, x, np.full(n, boundary * (1.0 - UNIFORM_MARGIN)))[0] > GAP_TOL
+            assert certify(a, x, np.full(n, boundary * (1.0 - UNIFORM_SHORTFALL / n)))[0] > GAP_TOL
             return
         assert np.all(gammas == gammas[0])
-        assert boundary ** n * (1.0 - 2 * n * UNIFORM_MARGIN) <= prob <= boundary ** n
+        assert boundary ** n * (1.0 - 2 * UNIFORM_SHORTFALL) <= prob <= boundary ** n
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -704,7 +699,7 @@ class TestUniformShortcut:
         # at s = 1 - 1e-9 (cond(A) = 2e9) certify's rounding allowance, about 2.8e-5,
         # exceeds GAP_TOL at the uniform point, though the pair is symmetric
         a, x = two_state_matrices(1.0 - 1e-9, 0.0)
-        uniform = np.full(2, uniform_feasibility_boundary(a, x) * (1.0 - UNIFORM_MARGIN))
+        uniform = np.full(2, uniform_feasibility_boundary(a, x) * (1.0 - UNIFORM_SHORTFALL / 2))
         assert certify(a, x, uniform)[0] > GAP_TOL
         gammas, _, calls = self.solve(a, x)
         assert calls["_log_det_terms"] > 0

@@ -37,9 +37,9 @@ GAP_TOL = 1e-8
 # step (its linear solve and the Cholesky test that accepts the step), and one
 # more per tangent step's solve and per step halving's Cholesky test
 NEWTON_STEP_LIMIT = 500
-# relative shortfall of Prob below c*^n at which the uniform optimum is returned:
-# every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), the central-path point at
-# t = 1 / UNIFORM_SHORTFALL = 1e10, where the barrier's last stage ends for n <= 50.
+# relative shortfall of Prob below c*^n at which the uniform optimum of one or two
+# inputs is returned: every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), the central-path
+# point at t = 1 / UNIFORM_SHORTFALL = 1e10, where the barrier's last stage ends.
 # The residual's least whitened eigenvalue, UNIFORM_SHORTFALL / n, is then as large
 # as at the barrier's optimum, and certify's gap is about 2n UNIFORM_SHORTFALL
 UNIFORM_SHORTFALL = 1e-10
@@ -129,12 +129,13 @@ def _whitener(a: np.ndarray) -> np.ndarray:
     return (vectors / np.sqrt(values)).conj().T
 
 
-def _boundary(top: float) -> float:
-    """The uniform boundary c* = min(1, 1 / top) from top = lambda_max(N X N^dagger).
+def _uniform_boundary(x: np.ndarray, whitener: np.ndarray) -> float:
+    """The uniform boundary c* = min(1, 1 / lambda_max(N X N^dagger)), from one eigvalsh.
 
     A - c X >= 0 exactly when c lambda_max(N X N^dagger) <= 1.
     """
-    return 1.0 if top <= 1.0 else 1.0 / float(top)
+    top = float(np.linalg.eigvalsh(whitener @ x @ whitener.conj().T)[-1])
+    return 1.0 if top <= 1.0 else 1.0 / top
 
 
 def uniform_feasibility_boundary(A, X_P) -> float:
@@ -146,8 +147,7 @@ def uniform_feasibility_boundary(A, X_P) -> float:
     is rejected.
     """
     a, x, _ = _solve_inputs(A, X_P)
-    whitener = _whitener(a)
-    return _boundary(np.linalg.eigvalsh(whitener @ x @ whitener.conj().T)[-1])
+    return _uniform_boundary(x, _whitener(a))
 
 
 def _dual_factor(whitener: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -202,6 +202,20 @@ def _dual_bound(a: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray) -> f
     return 2.0 * float(np.sum(np.log(trace_high / (2.0 * n * r_low))))
 
 
+def _gap(
+    a: np.ndarray, x: np.ndarray, whitener: np.ndarray, values: np.ndarray
+) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    """``certify``'s (gap, dual point) at positive efficiencies.
+
+    (inf, None) when they are not strictly feasible.
+    """
+    g = np.sqrt(values)
+    c = _dual_factor(whitener, x, g)
+    if c is None:
+        return math.inf, None
+    return _dual_bound(a, x, c, g) - float(np.sum(np.log(values))), (c, g)
+
+
 def dual_bound(A, X_P, dual) -> float:
     """Upper bound on log Prob over all feasible efficiencies, from a dual point.
 
@@ -247,11 +261,9 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     a, x, values = _solve_inputs(A, X_P, gammas)
     if np.all(values == 1.0):
         return 0.0, None
-    g = np.sqrt(values)
-    c = _dual_factor(_whitener(a), x, g) if np.all(g > 0.0) else None
-    if c is None:
+    if not np.all(values > 0.0):
         return math.inf, None
-    return _dual_bound(a, x, c, g) - float(np.sum(np.log(values))), (c, g)
+    return _gap(a, x, _whitener(a), values)
 
 
 def _spread(u: np.ndarray) -> float:
@@ -262,46 +274,19 @@ def _spread(u: np.ndarray) -> float:
     return float(((u / u.mean() - 1.0) ** 2).sum())
 
 
-def _uniform_optimum(
-    a: np.ndarray, x: np.ndarray, whitener: np.ndarray, boundary: float, v: np.ndarray
-) -> np.ndarray | None:
-    """The efficiencies boundary (1 - UNIFORM_SHORTFALL / n), all equal, when certified optimal.
-
-    ``v`` spans the residual's null space at the uniform boundary (v = N^dagger w,
-    w the top eigenvector of N X N^dagger). There the uniform point satisfies the
-    optimality conditions with the rank-one multiplier v v^dagger exactly when
-    the values Re(conj(v_i) (X v)_i), the constraint's gradient in g_i, are equal
-    and positive; they lead u_i in ``_spread``, so the same test screens them. A
-    point that passes is returned only when ``certify``'s gap there is within
-    GAP_TOL; any other problem returns None, for the barrier to solve.
-    """
-    r = (v.conj() * (x @ v)).real
-    if not ((r > 0.0).all() and _spread(r) <= GAP_TOL):
-        return None
-    gammas = np.full(r.size, boundary * (1.0 - UNIFORM_SHORTFALL / r.size))
-    g = np.sqrt(gammas)
-    c = _dual_factor(whitener, x, g)
-    if c is None or _dual_bound(a, x, c, g) - float(np.log(gammas).sum()) > GAP_TOL:
-        return None
-    return gammas
-
-
 def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     """Globally optimal efficiencies for any number of inputs, within the certified gap.
 
     Returns (gammas, prob). If gamma = 1 is admissible it is the optimum.
-    Otherwise one eigendecomposition of N X N^dagger (N A N^dagger = I)
-    gives the uniform boundary c* and, from its top eigenvector w, the null
-    vector v = N^dagger w of the residual there. When the values
-    Re(conj(v_i) (X v)_i) are equal and positive (their ``_spread`` at most
-    GAP_TOL), the uniform point meets the optimality conditions, and every
+    Otherwise one eigensolve of N X N^dagger (N A N^dagger = I) gives the
+    uniform boundary c*. One or two inputs have an optimum with equal
+    efficiencies (the swap maps A and X to their conjugates), so there every
     gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last stage
-    would end, is returned without a barrier solve, provided ``certify``'s
-    gap there, about 2n UNIFORM_SHORTFALL plus its rounding allowance, is at
-    most GAP_TOL: every two-input problem, and cyclic families of at most 50
-    inputs whose top eigenvalue of N X N^dagger is simple, bar ill-conditioned
-    inputs where the certificate's rounding allowance exceeds GAP_TOL.
-    Otherwise the log-barrier method minimizes
+    would end, is returned without a barrier solve when ``certify``'s gap
+    there, about 2n UNIFORM_SHORTFALL plus its rounding allowance, is at most
+    GAP_TOL: the certificate alone decides, and ill-conditioned pairs whose
+    rounding allowance exceeds GAP_TOL go to the barrier, as every larger
+    problem does. The log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
     from half the uniform boundary at t = 1. Each stage centres by damped
     Newton steps of length 1 / (1 + lambda), with lambda the Newton
@@ -331,13 +316,16 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     n = a.shape[0]
     whitener = _whitener(a)
     ones = np.ones(n)
+    # judged on the unwhitened residual, not as lambda_max(N X N^dagger) <= 1: at
+    # s = t = 1 - 1e-9 (cond(A) = 2e9) that eigenvalue reads 1 + 3.4e-7, and deciding
+    # gamma = 1 from it gave Prob 0.99999966 where gamma = 1 is admissible
     if _admissible(a, x, ones):
         return ones, 1.0
-    values, vectors = np.linalg.eigh(whitener @ x @ whitener.conj().T)
-    boundary = _boundary(values[-1])
-    gammas = _uniform_optimum(a, x, whitener, boundary, whitener.conj().T @ vectors[:, -1])
-    if gammas is not None:
-        return gammas, float(gammas.prod())
+    boundary = _uniform_boundary(x, whitener)
+    if n <= 2:
+        gammas = np.full(n, boundary * (1.0 - UNIFORM_SHORTFALL / n))
+        if _gap(a, x, whitener, gammas)[0] <= GAP_TOL:
+            return gammas, float(gammas.prod())
 
     g = np.full(n, math.sqrt(boundary / 2.0))
     gradient, hessian = _log_det_terms(whitener, x, g)

@@ -100,7 +100,7 @@ class FixedReducingSet:
             raise ValueError(f"a fixed reducing set needs equal local dimensions, got {dims}")
         deviations = marginal_deviations([marginals(state) for state in states])
         worst = int(np.argmax(deviations))
-        if deviations[worst] > MARGINAL_TOL:
+        if not deviations[worst] <= MARGINAL_TOL:
             raise ValueError(
                 f"family is not fixed reducing: state {worst} deviates from the "
                 f"common marginals by {deviations[worst]:.3e}"
@@ -155,16 +155,6 @@ def build_distinct_spectrum(
     return build_general_spectrum(spectrum, blocks)
 
 
-def _multiplicities(spectrum: np.ndarray) -> list[int]:
-    counts = [1]
-    for previous, value in zip(spectrum[:-1], spectrum[1:]):
-        if value == previous:
-            counts[-1] += 1
-        else:
-            counts.append(1)
-    return counts
-
-
 def build_general_spectrum(
     alphas: Sequence[float], block_unitaries: Sequence[Sequence]
 ) -> FixedReducingSet:
@@ -183,11 +173,13 @@ def build_general_spectrum(
         raise ValueError("alphas must be a nonempty sequence")
     if np.any(spectrum < 0):
         raise ValueError("alphas must be non-negative")
-    if abs(float(spectrum.sum()) - 1.0) > NORM_TOL:
+    # written so that a NaN alpha fails the check
+    if not abs(float(spectrum.sum()) - 1.0) <= NORM_TOL:
         raise ValueError(f"alphas must sum to 1, got {float(spectrum.sum())!r}")
     if np.any(np.diff(spectrum) > 0):
         raise ValueError("alphas must be sorted in non-increasing order")
-    sizes = _multiplicities(spectrum)
+    # the eigenspace sizes, largest eigenvalue first
+    sizes = np.unique(spectrum, return_counts=True)[1][::-1].tolist()
     starts = np.cumsum([0, *sizes[:-1]])
     states = []
     for k, blocks in enumerate(block_unitaries):
@@ -225,9 +217,9 @@ def targets_with_overlap(d: int, c: complex) -> FixedReducingSet:
     """Two flat-spectrum states with prescribed overlap <Psi_1|Psi_2> = c.
 
     The second member applies a diagonal phase unitary V with
-    trace(V)/d = c: for even d the phases come in d/2 conjugate pairs
-    arg(c) +/- arccos|c|, for odd d one phase sits at arg(c) and the rest
-    form conjugate pairs arg(c) +/- arccos((d|c| - 1)/(d - 1)).
+    trace(V)/d = c: every phase starts at arg(c), and after the first
+    phase for odd d the rest form conjugate pairs arg(c) +/- spread, with
+    spread = arccos|c| for even d and arccos((d|c| - 1)/(d - 1)) for odd d.
     """
     if d < 2:
         raise ValueError("need dimension at least 2")
@@ -237,14 +229,10 @@ def targets_with_overlap(d: int, c: complex) -> FixedReducingSet:
         raise ValueError(f"|c| = {magnitude!r} exceeds 1")
     magnitude = min(magnitude, 1.0)
     arg = float(np.angle(c)) if magnitude > 0 else 0.0
-    phases = np.empty(d)
-    if d % 2 == 0:
-        spread = float(np.arccos(magnitude))
-        phases[0::2] = arg + spread
-        phases[1::2] = arg - spread
-    else:
-        spread = float(np.arccos((d * magnitude - 1.0) / (d - 1.0)))
-        phases[0] = arg
-        phases[1::2] = arg + spread
-        phases[2::2] = arg - spread
+    odd = d % 2
+    # (d|c|) / d is not |c| bit for bit, so even d keeps its own formula
+    spread = float(np.arccos((d * magnitude - 1.0) / (d - 1.0) if odd else magnitude))
+    phases = np.full(d, arg)
+    phases[odd::2] += spread
+    phases[odd + 1::2] -= spread
     return build_uniform_spectrum(d, [np.eye(d), np.diag(np.exp(1j * phases))])

@@ -132,7 +132,11 @@ class MultipartiteState:
 
     def __post_init__(self):
         amps = _frozen_complex_vector(self.amplitudes)
-        dims = (amps.size,) if self.dims is None else tuple(int(d) for d in self.dims)
+        dims = (amps.size,) if self.dims is None else tuple(self.dims)
+        # int() would truncate 2.7 to 2, read "2" and take True for 1
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
+            raise ValueError(f"subsystem dimensions must be integers, got {dims!r}")
+        dims = tuple(int(d) for d in dims)
         if not dims or any(d <= 0 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
         if math.prod(dims) != amps.size:

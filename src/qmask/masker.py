@@ -174,13 +174,15 @@ def build_probabilistic(
 
     Writes A = gram(inputs) and X = gram(targets). The failure branches
     sit on one fixed product state of A (x) B spread over the n failure
-    probe states, with the rows of the Hermitian square root of conj(M),
-    M = A - sqrt(Gamma) X sqrt(Gamma), as coefficients: their Gram matrix
-    is M, so the outputs share the prepared inputs' Gram matrix and a
-    connecting unitary exists. That root is the only feasibility gate:
-    ``hermitian_sqrt`` rejects an M with an eigenvalue below the rounding
-    floor (``hilbert.psd_verdict``) as infeasible efficiencies, and a root
-    whose rows miss the branch weights leaves outputs that
+    probe states: the failure block is F = sqrt(M), the Hermitian square
+    root of M = A - sqrt(Gamma) X sqrt(Gamma), whose column k holds input
+    k's coefficients. F^dagger F = M is the matching equation
+    A = sqrt(Gamma) X sqrt(Gamma) + F^dagger F, so the outputs share the
+    prepared inputs' Gram matrix and a connecting unitary exists. That root
+    is the only feasibility gate: ``hermitian_sqrt`` rejects an M with an
+    eigenvalue below the rounding floor (``hilbert.psd_verdict``) as
+    infeasible efficiencies, and a root whose columns miss the branch
+    weights leaves outputs that
     ``unitary_completion``'s column-norm and Gram gates reject. An
     input with efficiency 1 gets the branch of weight M_kk, zero up to
     rounding and input precision. With every efficiency 1 there is no
@@ -214,11 +216,11 @@ def build_probabilistic(
     outputs = _successes(targets, efficiencies, probe_dim)
     if probe_dim > 1:
         try:
-            coefficients = hermitian_sqrt(np.conj(residual))
+            failures = hermitian_sqrt(residual)
         except ValueError as exc:
             raise ValueError(f"infeasible efficiencies: residual {exc}") from exc
         # the failure branches |0>_A |0>_B |P_k>, k = 1..n: rows 1..n
-        outputs[1:probe_dim] += coefficients.T
+        outputs[1:probe_dim] += failures
 
     unitary = unitary_completion(_prepared(family, 0, probe_dim), outputs)
     return Masker(family, 0, targets, efficiencies, unitary)

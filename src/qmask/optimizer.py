@@ -98,25 +98,20 @@ def _admissible(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> bool:
     return psd_verdict(np.linalg.eigvalsh(_residual(a, x, values)))[0]
 
 
-def _ratio_squared(numerator: float, denominator: float) -> float:
-    if denominator == 0.0:
-        return 1.0 if numerator == 0.0 else math.inf
-    return (numerator / denominator) ** 2
-
-
 def max_prob_two(s: float, t: float) -> tuple[float, tuple[float, float]]:
     """Best success probability for two inputs, with the optimal efficiencies.
 
-    Evaluates min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2) using the
-    conventions x/0 = infinity for x > 0 and 0/0 = 1, and returns equal
-    efficiencies gamma_1 = gamma_2 = sqrt(prob), which attain the bound.
+    Evaluates min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2, 1) and
+    returns equal efficiencies gamma_1 = gamma_2 = sqrt(prob), which attain
+    the bound. Only 1 - t can vanish: at t = 1 the first ratio is taken as
+    infinite, and the second, ((1 + s) / 2)^2 <= 1, decides.
     """
     for name, value in (("s", s), ("t", t)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     prob = float(min(
-        _ratio_squared(1.0 - s, 1.0 - t),
-        _ratio_squared(1.0 + s, 1.0 + t),
+        ((1.0 - s) / (1.0 - t)) ** 2 if t < 1.0 else math.inf,
+        ((1.0 + s) / (1.0 + t)) ** 2,
         1.0,
     ))
     root = math.sqrt(prob)
@@ -153,10 +148,13 @@ def uniform_feasibility_boundary(A, X_P) -> float:
 def _dual_factor(whitener: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     """C with C^dagger C = (A - G X G)^-1, or None when g is not strictly feasible.
 
-    Factors the whitened residual R' = I - (N G) X (N G)^dagger = L L^dagger
-    by Cholesky, so C = L^-1 N; a failed factorization means R' is not
-    positive definite.
+    Strictly feasible means every g_i > 0 and a whitened residual
+    R' = I - (N G) X (N G)^dagger that factors by Cholesky as L L^dagger,
+    so C = L^-1 N; a failed factorization means R' is not positive definite.
+    This is the barrier's one test of a point, and ``certify``'s.
     """
+    if not g.min() > 0.0:
+        return None
     m = whitener * g
     try:
         factor = np.linalg.cholesky(np.eye(g.size) - m @ x @ m.conj().T)
@@ -205,9 +203,9 @@ def _dual_bound(a: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray) -> f
 def _gap(
     a: np.ndarray, x: np.ndarray, whitener: np.ndarray, values: np.ndarray
 ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
-    """``certify``'s (gap, dual point) at positive efficiencies.
+    """``certify``'s (gap, dual point) at efficiencies in [0, 1].
 
-    (inf, None) when they are not strictly feasible.
+    (inf, None) when they are not strictly feasible, a zero efficiency included.
     """
     g = np.sqrt(values)
     c = _dual_factor(whitener, x, g)
@@ -261,8 +259,6 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     a, x, values = _solve_inputs(A, X_P, gammas)
     if np.all(values == 1.0):
         return 0.0, None
-    if not np.all(values > 0.0):
-        return math.inf, None
     return _gap(a, x, _whitener(a), values)
 
 
@@ -301,13 +297,14 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     above GAP_TOL. Before its rounding allowance
     ``certify``'s gap at g is 2 sum_i log((2 + mean(u)) / u_i), about
     4n / mean(u) plus that spread, which a small lambda does not bound
-    where the log-det Hessian dominates the barrier's. Every step is
-    halved until g > 0 and the residual passes a Cholesky factorization;
-    the solve ends at the last g that passed once the halved step falls
-    below eps g, where it no longer moves g, or once NEWTON_STEP_LIMIT,
-    which counts every halving too, is spent. So the returned efficiencies
-    are strictly feasible however the solve ends, and ``certify`` bounds
-    their distance from the global optimum.
+    where the log-det Hessian dominates the barrier's. Every step, a
+    Newton step or a tangent, is halved in one loop until ``_dual_factor``
+    accepts g + step: every g_i > 0 and the residual passes a Cholesky
+    factorization. The solve ends at the last g that passed once the
+    halved step falls below eps g, where it no longer moves g, or once
+    NEWTON_STEP_LIMIT, which counts every halving too, is spent. So the
+    returned efficiencies are strictly feasible however the solve ends, and
+    ``certify`` bounds their distance from the global optimum.
 
     A and X_P pass ``_solve_inputs``, as at every entry, and a singular A
     is rejected.
@@ -357,8 +354,6 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
             step = (t - t / BARRIER_GROWTH) * np.linalg.solve(newton, 1.0 / g)
             t *= BARRIER_GROWTH
             previous = math.inf
-            while (g + step).min() <= 0.0:
-                step = step / 2.0
         # rounding, or the tangent's reach, can leave the feasible set; below
         # eps g a halved step no longer moves g
         terms = _log_det_terms(whitener, x, g + step)

@@ -166,6 +166,29 @@ class TestVerifyFixedReducing:
         assert "state 1: marginal deviation 5.000e-01" in out
         assert "FAIL" in out
 
+    def test_tolerance_flag_sets_the_test(self, tmp_path, capsys):
+        # both states are bipartite but their marginals differ by 1e-6
+        path = write_state_set(tmp_path / "near.json", (2, 2), [
+            np.array([1, 0, 0, 1]) / np.sqrt(2),
+            np.array([np.sqrt(0.5 + 1e-6), 0, 0, np.sqrt(0.5 - 1e-6)]),
+        ])
+        assert main(["verify-fixed-reducing", path]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert main(["verify-fixed-reducing", path, "--tol", "1e-5"]) == 0
+        assert "PASS (max deviation 1.000e-06, tolerance 1.0e-05)" in capsys.readouterr().out
+
+    def test_single_subsystem_set_is_input_error(self, basis_pair_file, capsys):
+        assert main(["verify-fixed-reducing", basis_pair_file]) == 2
+        assert "need exactly 2 subsystems for marginal checks, got 1" in capsys.readouterr().err
+
+    def test_integer_too_large_for_an_amplitude_names_field(self, tmp_path, capsys):
+        # numpy keeps an integer of 2^64 or more as an object, never as an amplitude
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dims": [2, 2], "states": [
+            [[2**64, 0], [0, 0], [0, 0], [0, 0]]]}))
+        assert main(["verify-fixed-reducing", str(path)]) == 2
+        assert "holds an integer far too large for an amplitude" in capsys.readouterr().err
+
     def test_truncated_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "truncated.json"
         path.write_text('{"dims": [2, 2], "sta')
@@ -461,6 +484,14 @@ class TestMaskProb:
         assert code == 2
         assert "dims" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, options", [
+        ("mask-prob", ["--target-overlap", "0", "--gammas", "0.1,0.1"]),
+        ("mask-det", []),
+    ], ids=["mask-prob", "mask-det"])
+    def test_bipartite_inputs_are_input_error(self, bell_file, capsys, command, options):
+        assert main([command, bell_file, *options]) == 2
+        assert "masker inputs live on a single subsystem, got 2" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_bad_index_is_input_error(self, basis_pair_file, tmp_path, capsys):
@@ -543,6 +574,10 @@ class TestFigure1:
         ("--tol", "nan", "finite and non-negative"),
         ("--tol", "inf", "finite and non-negative"),
         ("--tol", "-1", "finite and non-negative"),
+        ("--steps", "2.5", "expected an integer"),
+        ("--s-values", "half", "expected a number"),
+        ("--gammas", "0.1,x", "comma-separated numbers"),
+        ("--target-overlap", "x", "expected a number"),
     ])
     def test_out_of_range_argument_is_input_error(
         self, flag, value, message, overlap_pair_file, capsys

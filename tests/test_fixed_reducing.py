@@ -79,6 +79,14 @@ class TestVerify:
         with pytest.raises(ValueError, match="fixed reducing: state 2 deviates .* 5.000e-01"):
             FixedReducingSet(family)
 
+    def test_marginals_need_two_subsystems(self):
+        with pytest.raises(ValueError, match=r"^state is not bipartite: dims \(4,\)$"):
+            marginals(MultipartiteState(np.eye(4)[0], (4,)))
+
+    def test_unequal_local_dimensions_rejected(self):
+        with pytest.raises(ValueError, match=r"needs equal local dimensions, got \(2, 3\)$"):
+            FixedReducingSet([MultipartiteState(np.eye(6)[0], (2, 3))])
+
     def test_from_states_rejects_bad_family(self):
         family = [bell_family()[0], MultipartiteState(np.array([1, 0, 0, 0]) * 1.0, (2, 2))]
         with pytest.raises(ValueError, match="fixed reducing"):
@@ -86,6 +94,11 @@ class TestVerify:
 
 
 class TestUniformSpectrum:
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_a_dimension_below_one(self, d):
+        with pytest.raises(ValueError, match="^dimension must be positive$"):
+            build_uniform_spectrum(d, [])
+
     def test_d2_identity_and_swap_give_bell_pair(self):
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         family = build_uniform_spectrum(2, [np.eye(2), swap])
@@ -138,6 +151,10 @@ class TestDistinctSpectrum:
         family = build_distinct_spectrum([0.6, 0.4], [[0.1, 0.2], [0.1, 0.2]])
         assert fidelity(family.states[0], family.states[1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_a_phase_row_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^phase_rows\[1\] has shape \(3,\), expected \(2,\)$"):
+            build_distinct_spectrum([0.6, 0.4], [[0.0, 0.0], [0.0, 0.0, 0.0]])
+
     def test_rejects_repeated_or_nonpositive(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
             build_distinct_spectrum([0.5, 0.5], [[0.0, 0.0]])
@@ -174,6 +191,29 @@ class TestGeneralSpectrum:
             rho_a, rho_b = marginals_by_hand(state)
             assert np.allclose(rho_a, np.diag([0.5, 0.25, 0.25]), atol=1e-12)
             assert np.allclose(rho_b, np.diag([0.5, 0.25, 0.25]), atol=1e-12)
+
+    @pytest.mark.parametrize("alphas, message", [
+        ([], "^alphas must be a nonempty sequence$"),
+        ([[0.5, 0.5]], "^alphas must be a nonempty sequence$"),
+        ([1.2, -0.2], "^alphas must be non-negative$"),
+        ([0.5, 0.4], "^alphas must sum to 1, got 0.9$"),
+        ([0.4, 0.6], "^alphas must be sorted in non-increasing order$"),
+    ], ids=["empty", "nested", "negative", "sum", "increasing"])
+    def test_rejects_a_malformed_spectrum(self, alphas, message):
+        with pytest.raises(ValueError, match=message):
+            build_general_spectrum(alphas, [[np.eye(2)]])
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("build", [
+        lambda alphas: build_general_spectrum(alphas, [[np.eye(1)] * 3]),
+        lambda alphas: build_distinct_spectrum(alphas, [np.zeros(3)]),
+    ], ids=["general", "distinct"])
+    def test_nan_alpha_fails_the_spectrum_checks(self, build, position):
+        # NaN passes every ordered comparison; the sum check is written to catch it
+        alphas = [0.5, 0.3, 0.2]
+        alphas[position] = np.nan
+        with pytest.raises(ValueError, match="^alphas must sum to 1, got nan$"):
+            build(alphas)
 
     def test_block_structure_mismatch_rejected(self):
         with pytest.raises(ValueError, match="blocks"):
@@ -260,6 +300,10 @@ class TestTargetsWithOverlap:
     def test_unit_overlap_gives_equal_states(self):
         family = targets_with_overlap(3, 1.0)
         assert fidelity(family.states[0], family.states[1]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_dimension_one(self):
+        with pytest.raises(ValueError, match="^need dimension at least 2$"):
+            targets_with_overlap(1, 0.5)
 
     def test_rejects_magnitude_above_one(self):
         for c in (1.5, float("nan")):

@@ -50,6 +50,22 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="dims"):
             MultipartiteState(np.array([1, 0, 0]) / 1.0, (2, 2))
 
+    @pytest.mark.parametrize("dims", [(2.7, 2.2), (2.0, 2.0), ("2", "2"), (True, 4),
+                                      (np.float64(2), 2), (np.bool_(True), 4)])
+    def test_dims_must_be_integers(self, dims):
+        # int() would read these as (2, 2) or (1, 4)
+        with pytest.raises(ValueError, match="^subsystem dimensions must be integers"):
+            MultipartiteState(np.eye(4)[0], dims)
+
+    @pytest.mark.parametrize("dims", [(4, 0), (-2, -2)])
+    def test_dims_must_be_positive(self, dims):
+        with pytest.raises(ValueError, match="^subsystem dimensions must be positive"):
+            MultipartiteState(np.eye(4)[0], dims)
+
+    def test_numpy_integer_dims_are_python_ints(self):
+        state = MultipartiteState(np.eye(4)[0], (np.int64(2), np.int32(2)))
+        assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+
     def test_amplitudes_are_immutable(self):
         state = basis_state(2, 0)
         with pytest.raises(ValueError):
@@ -292,6 +308,11 @@ class TestPsdCheck:
         with pytest.raises(ValueError, match="Hermitian"):
             psd_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="^matrix must be a nonempty square matrix"):
+            psd_check(np.ones(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         # a non-finite entry makes the Hermitian residual NaN, which must fail the check
@@ -330,6 +351,17 @@ class TestOverlapHelpers:
     def test_overlap_conjugation(self, rng):
         u, v = random_state(3, rng), random_state(3, rng)
         assert overlap(u, v) == pytest.approx(np.conj(overlap(v, u)))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: basis_state(2, 2), "^basis index 2 outside dimension 2$"),
+        (lambda: basis_state(2, -1), "^basis index -1 outside dimension 2$"),
+        (lambda: overlap(basis_state(2, 0), basis_state(3, 0)),
+         "^states have different dimensions: 2 vs 3$"),
+        (lambda: gram([]), "^state list is empty$"),
+    ], ids=["basis-above", "basis-negative", "overlap-dimensions", "gram-empty"])
+    def test_argument_outside_its_domain_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_fidelity_phase_insensitive(self, rng):
         u = random_state(4, rng)

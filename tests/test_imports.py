@@ -1,6 +1,6 @@
-"""Stand-ins for a linter's unused-import, dead-code and unused-option rules, and for a rule
-that keeps the optimizer's input checks in one function, built on the standard library's
-``ast``."""
+"""Stand-ins for a linter's unused-import, dead-code and unused-option rules, for a rule
+that keeps the optimizer's input checks in one function and for one that keeps tolerance
+guards NaN-safe, built on the standard library's ``ast``."""
 
 import ast
 from pathlib import Path
@@ -258,6 +258,43 @@ def test_scanner_finds_a_second_input_policy():
 def test_optimizer_checks_its_inputs_in_one_place():
     source = (ROOT / "src" / "qmask" / "optimizer.py").read_text(encoding="utf-8")
     assert input_policy_faults(source) == []
+
+
+# names of the thresholds a guard compares against: NORM_TOL, VERIFY_CEILING, floor, tolerance
+TOLERANCE_SUFFIXES = ("_TOL", "CEILING", "floor", "tolerance")
+
+
+def nan_blind_guards(source: str) -> list[str]:
+    """Lines of each ``if`` whose body raises and whose test is a bare comparison with a
+    tolerance: ``if error > TOL: raise`` lets a NaN error through, ``if not error <= TOL``
+    does not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and any(isinstance(statement, ast.Raise) for statement in node.body)):
+            continue
+        operands = [node.test.left, *node.test.comparators]
+        names = [getattr(operand, "id", getattr(operand, "attr", "")) for operand in operands]
+        if any(name.endswith(TOLERANCE_SUFFIXES) for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_scanner_finds_nan_blind_guards():
+    source = ("def check(error, floor, limits):\n"
+              "    if error > NORM_TOL:\n        raise ValueError(error)\n"
+              "    if not error <= NORM_TOL:\n        raise ValueError(error)\n"
+              "    if limits.tolerance < error:\n        raise ValueError(error)\n"
+              "    if error > floor:\n        return False\n"
+              "    if error > 1e-9:\n        raise ValueError(error)\n"
+              "    if abs(error) >= VERIFY_CEILING:\n        log(error)\n        raise ValueError\n")
+    assert nan_blind_guards(source) == ["line 2", "line 6", "line 12"]
+
+
+def test_tolerance_guards_let_no_nan_through():
+    found = {path.name: faults for path in sorted((ROOT / "src" / "qmask").glob("*.py"))
+             if (faults := nan_blind_guards(path.read_text(encoding="utf-8")))}
+    assert found == {}
 
 
 def test_scanner_finds_unused_imports():

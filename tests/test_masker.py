@@ -21,6 +21,7 @@ from qmask.hilbert import (
     basis_state,
     fidelity,
     gram,
+    hermitian_sqrt,
 )
 from qmask.masker import (
     build_deterministic,
@@ -183,6 +184,21 @@ class TestBuildProbabilistic:
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [bad, 0.1])
 
+    @pytest.mark.parametrize("targets", [cyclic_targets(1, 2), cyclic_targets(2, 3)],
+                             ids=["other-n", "other-d"])
+    def test_targets_of_another_family_rejected(self, targets):
+        with pytest.raises(ValueError, match="^targets do not match the input family's size"):
+            build_probabilistic(overlap_pair(), targets, [0.1, 0.1])
+
+    def test_failure_block_is_the_residual_root(self):
+        # F = sqrt(M) on the probe states |0>_A |0>_B |P_k>, rows 1..n, and nothing elsewhere:
+        # F^dagger F = M is the matching equation
+        inputs, targets, gammas = overlap_pair(), targets_with_overlap(2, 0.3), [0.2, 0.3]
+        branches = failure_branches(build_probabilistic(inputs, targets, gammas))
+        root = hermitian_sqrt(residual_matrix(gram(inputs), gram(targets.states), gammas))
+        assert np.max(np.abs(branches[1:3] - root)) <= 1e-12
+        assert np.max(np.abs(np.delete(branches, [1, 2], axis=0))) <= 1e-12
+
     def test_efficiency_count_checked_with_the_residual(self):
         # the residual's own check decides the count, with the optimizer's message
         with pytest.raises(ValueError, match=r"^need 2 efficiencies, got 3$"):
@@ -258,6 +274,23 @@ class TestSimulate:
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         with pytest.raises(TypeError, match="Operator"):
             dataclasses.replace(masker, unitary=dense(masker.unitary))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("targets", cyclic_targets(1, 2), "^targets do not match the input family$"),
+        ("targets", cyclic_targets(2, 3), "^targets do not match the input family$"),
+        ("gammas", [1.0], r"^efficiencies must be n values in \(0, 1\]$"),
+        ("gammas", [0.0, 1.0], r"^efficiencies must be n values in \(0, 1\]$"),
+        ("gammas", [1.5, 1.0], r"^efficiencies must be n values in \(0, 1\]$"),
+        ("unitary", Operator(np.eye(5), np.eye(5)), "^unitary must act on dimension 4 or 12$"),
+        ("gammas", [0.5, 1.0], "^a masker without a probe needs unit efficiencies$"),
+        ("unitary", Operator(np.eye(4), np.diag([1.0, 1.0, 1.0, 2.0])),
+         "^masker operator is not unitary$"),
+    ], ids=["targets-other-n", "targets-other-d", "gammas-shape", "gammas-zero",
+            "gammas-above-one", "unitary-dimension", "probe-free-below-one", "not-unitary"])
+    def test_inconsistent_fields_rejected(self, field, value, message):
+        masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(masker, **{field: value})
 
     @pytest.mark.parametrize("index", [-1, 2, True, 0.0])
     def test_ancilla_index_must_be_a_basis_index(self, index):

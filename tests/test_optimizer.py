@@ -23,6 +23,7 @@ from qmask.optimizer import (
     GAP_TOL,
     UNIFORM_SHORTFALL,
     _admissible,
+    _dual_factor,
     _log_det_terms,
     _solve_inputs,
     _whitener,
@@ -108,6 +109,10 @@ class TestSuccessProbability:
             success_probability((np.nan, 0.5))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             feasible(np.eye(2), np.eye(2), (np.nan, 0.5))
+
+    def test_rejects_no_efficiency(self):
+        with pytest.raises(ValueError, match="^need at least one efficiency$"):
+            success_probability([])
 
 
 class TestFeasible:
@@ -197,6 +202,13 @@ class TestMaxProbTwo:
             for t in (0.0, 0.5, 0.8):
                 prob, (g1, g2) = max_prob_two(s, t)
                 assert g1 * g2 == pytest.approx(prob, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.999, 1.0])
+    def test_unit_target_overlap(self, s):
+        # 1 - t vanishes, so the second ratio ((1 + s) / 2)^2 decides, 1 at s = 1
+        prob, gammas = max_prob_two(s, 1.0)
+        assert prob == ((1.0 + s) / 2.0) ** 2
+        assert gammas == (np.sqrt(prob), np.sqrt(prob))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="s"):
@@ -465,6 +477,17 @@ class TestMaximizeCertified:
             assert np.max(np.abs(column - hessian[:, i])) <= 1e-6 * np.max(np.abs(hessian))
         assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-9 * np.max(np.abs(hessian)))
 
+    def test_strict_feasibility_needs_positive_g(self):
+        # the residual I - G X G is the same at g and at -g, and positive definite here;
+        # a negative g_i is still no point of the barrier's domain
+        a, x = two_state_matrices(0.0, 0.5)
+        whitener = _whitener(a)
+        g = np.array([-0.5, 0.5])
+        np.linalg.cholesky(np.eye(2) - np.outer(g, g) * x)
+        assert _dual_factor(whitener, x, g) is None
+        assert _log_det_terms(whitener, x, g) is None
+        assert _dual_factor(whitener, x, np.abs(g)) is not None
+
     @pytest.mark.parametrize("n, d, seed, ascent", COORDINATE_ASCENT)
     def test_never_below_coordinate_ascent(self, n, d, seed, ascent):
         inputs, targets = frozen_instance(n, d, seed)
@@ -609,6 +632,7 @@ class TestMaximizeCertified:
         assert certify(a, x, (1.0, 1.0)) == (0.0, None)
         # beyond the boundary gamma <= 1/2, and at gamma = 0, nothing is certified
         assert certify(a, x, (0.9, 0.9)) == (np.inf, None)
+        # no barrier point has g_i = 0: _dual_factor alone rejects it
         assert certify(a, x, (0.0, 0.3)) == (np.inf, None)
         with pytest.raises(ValueError, match="need 2 efficiencies"):
             certify(a, x, (0.1, 0.1, 0.1))

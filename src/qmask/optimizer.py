@@ -14,8 +14,13 @@ complement, A - G X G >= 0 with G = diag(g) is the linear matrix
 inequality [[A, G X^(1/2)], [X^(1/2) G, I]] >= 0, and log prod(gamma) =
 2 sum_i log g_i is concave: a max-det problem (Boyd and Vandenberghe,
 Convex Optimization, ch. 11). ``maximize_general`` solves it with a log
-barrier; ``certify`` and ``dual_bound`` bound the distance of any point from
-the optimum through Lagrange duality. Each public function of (A, X_P)
+barrier, after a cheaper try where one is certified: the uniform point for
+one or two inputs, and for three or more Newton's method on the boundary
+lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I), which converges
+quadratically where that eigenvalue is simple (Overton, SIAM J. Optim.
+2(1), 1992). ``certify`` and ``dual_bound`` bound the distance of any point
+from the optimum through Lagrange duality, and ``certify``'s gap alone
+decides whether a try's point is returned. Each public function of (A, X_P)
 checks them through ``_solve_inputs``.
 """
 
@@ -43,6 +48,9 @@ NEWTON_STEP_LIMIT = 500
 # The residual's least whitened eigenvalue, UNIFORM_SHORTFALL / n, is then as large
 # as at the barrier's optimum, and certify's gap is about 2n UNIFORM_SHORTFALL
 UNIFORM_SHORTFALL = 1e-10
+# lambda_max evaluations one boundary Newton try makes at most, its start's and every
+# step halving's included, as NEWTON_STEP_LIMIT counts them
+_BOUNDARY_EVALUATIONS = 14
 
 
 def _gammas_array(gammas) -> np.ndarray:
@@ -262,6 +270,95 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     return _gap(a, x, _whitener(a), values)
 
 
+def _top_terms(whitener: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """L = log lambda_max(N G X G N^dagger) at g = exp(y), with its gradient and Hessian in y.
+
+    One eigh, of H = M X M^dagger with M = N G. None unless the top eigenvalue
+    lambda is positive and simple, the next one more than 1 % below it. With
+    eigenvectors u_k of H, z_k = N^dagger u_k, w = z_top and V = X G Z,
+    perturbation theory gives d lambda / d g_i = 2 Re(conj(w_i) V_i,top) and
+    d2 lambda / d g_i d g_j = 2 Re(conj(w_i) X_ij w_j)
+    + 2 Re sum_{k != top} p_ik conj(p_jk) / (lambda - lambda_k), with
+    p_ik = conj(w_i) V_ik + conj(V_i,top) z_ik. Here they are taken in y, with
+    G Z = M^dagger U in place of Z, and divided by lambda.
+    """
+    g = np.exp(y)
+    m = whitener * g
+    m_dagger = m.conj().T
+    values, vectors = np.linalg.eigh(m @ x @ m_dagger)
+    top = values[-1]
+    if not (0.0 < top and values[-2] < 0.99 * top):
+        return None
+    z = m_dagger @ vectors
+    v = x @ z
+    w, vw = z[:, -1].conj(), v[:, -1].conj()
+    p = w[:, None] * v[:, :-1]
+    p += vw[:, None] * z[:, :-1]
+    scale = 2.0 / top
+    gradient = scale * (w * v[:, -1]).real
+    hessian = (p / (top - values[:-1])) @ p.conj().T
+    hessian += w[:, None] * x * w.conj()
+    hessian = scale * hessian.real
+    hessian.flat[::g.size + 1] += gradient
+    hessian -= np.outer(gradient, gradient)
+    return math.log(top), gradient, hessian
+
+
+@np.errstate(all="raise", under="ignore")
+def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
+    """The optimum of three or more inputs by Newton's method on the boundary, or None.
+
+    On the boundary lambda_max(N G X G N^dagger) = 1, log Prob is
+    2 (sum_i y_i - (n / 2) L) with y = log g and L = log lambda_max, and that
+    expression is invariant under g -> c g, as lambda_max is homogeneous of
+    degree 2 in g. Newton's method maximizes f(y) = sum_i y_i - (n / 2) L - L^2 / 2,
+    whose last term fixes the scale at L = 0, from the uniform boundary point.
+    Steps are damped as the barrier's are while the squared decrement exceeds
+    1e-2, and halved until f does not fall. Where lambda_max is simple at the
+    optimum it converges quadratically (Overton, SIAM J. Optim. 2(1), 1992).
+    It stops once the squared decrement is at most 1e-15 n, where rounding
+    hides f's progress, and returns g^2 (1 - UNIFORM_SHORTFALL / n) / lambda_max,
+    scaled onto the boundary as the uniform trial is. It declines, returning
+    None, when the top two eigenvalues come within 1 %, when the decrement is
+    not positive, when an evaluation fails or overflows, or once
+    _BOUNDARY_EVALUATIONS evaluations are spent.
+    """
+    n = x.shape[0]
+    try:
+        terms = _top_terms(whitener, x, np.zeros(n))
+        if terms is None:
+            return None
+        # the uniform boundary point, where L = 0; L's derivatives do not change with scale
+        log_top, gradient, hessian = terms
+        y = np.full(n, -log_top / 2.0)
+        log_top, value, evaluations = 0.0, float(y.sum()), 1
+        while True:
+            weight = n / 2.0 + log_top
+            f_gradient = 1.0 - weight * gradient
+            delta = np.linalg.solve(-weight * hessian - np.outer(gradient, gradient), -f_gradient)
+            decrement2 = float(f_gradient @ delta)
+            if not decrement2 > 0.0:
+                return None
+            if decrement2 <= 1e-15 * n:
+                return np.minimum(np.exp(2.0 * y - log_top) * (1.0 - UNIFORM_SHORTFALL / n), 1.0)
+            step = delta / (1.0 + math.sqrt(decrement2)) if decrement2 > 1e-2 else delta
+            while True:
+                if evaluations == _BOUNDARY_EVALUATIONS:
+                    return None
+                evaluations += 1
+                terms = _top_terms(whitener, x, y + step)
+                if terms is None:
+                    return None
+                trial = float((y + step).sum()) - (n / 2.0 + terms[0] / 2.0) * terms[0]
+                if trial >= value:
+                    break
+                step = step / 2.0
+            y, value = y + step, trial
+            log_top, gradient, hessian = terms
+    except (np.linalg.LinAlgError, FloatingPointError):
+        return None
+
+
 def _spread(u: np.ndarray) -> float:
     """Second-order excess of ``certify``'s gap at g over 2n / t: sum_i (u_i / mean(u) - 1)^2.
 
@@ -274,15 +371,24 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     """Globally optimal efficiencies for any number of inputs, within the certified gap.
 
     Returns (gammas, prob). If gamma = 1 is admissible it is the optimum.
-    Otherwise one eigensolve of N X N^dagger (N A N^dagger = I) gives the
-    uniform boundary c*. One or two inputs have an optimum with equal
-    efficiencies (the swap maps A and X to their conjugates), so there every
-    gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last stage
-    would end, is returned without a barrier solve when ``certify``'s gap
-    there, about 2n UNIFORM_SHORTFALL plus its rounding allowance, is at most
-    GAP_TOL: the certificate alone decides, and ill-conditioned pairs whose
-    rounding allowance exceeds GAP_TOL go to the barrier, as every larger
-    problem does. The log-barrier method minimizes
+    Otherwise a try comes first, and its point is returned without a barrier
+    solve when ``certify``'s gap there, about 2n UNIFORM_SHORTFALL plus its
+    rounding allowance, is at most GAP_TOL: the certificate alone decides,
+    and ill-conditioned problems whose rounding allowance exceeds GAP_TOL go
+    to the barrier. One or two inputs have an optimum with equal
+    efficiencies (the swap maps A and X to their conjugates), so their try is
+    every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last
+    stage would end, with the uniform boundary c* from one eigensolve of
+    N X N^dagger (N A N^dagger = I). Three or more inputs try Newton's method
+    on the boundary (``_boundary_newton``): from the uniform boundary point
+    it maximizes sum_i y_i - (n / 2) L - L^2 / 2 over y = log g, with
+    L = log lambda_max(N G X G N^dagger), and scales its point onto the
+    boundary as the uniform one is. It declines when the top two eigenvalues
+    come within 1 %, when the Newton decrement is not positive, when an
+    evaluation fails or overflows, or after _BOUNDARY_EVALUATIONS = 14
+    evaluations, one eigh each, step halvings included. Every solve whose
+    try is not returned runs the barrier from scratch, with c* as above.
+    The log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
     from half the uniform boundary at t = 1. Each stage centres by damped
     Newton steps of length 1 / (1 + lambda), with lambda the Newton
@@ -304,7 +410,11 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     halved step falls below eps g, where it no longer moves g, or once
     NEWTON_STEP_LIMIT, which counts every halving too, is spent. So the
     returned efficiencies are strictly feasible however the solve ends, and
-    ``certify`` bounds their distance from the global optimum.
+    ``certify`` bounds their distance from the global optimum. A stage before
+    the last whose squared decrement reads zero or negative, which only
+    rounding produces, ends the solve at the last point that passed its
+    centring test, as a tangent step from an uncentred point can reach points
+    no dual certifies.
 
     A and X_P pass ``_solve_inputs``, as at every entry, and a singular A
     is rejected.
@@ -318,17 +428,23 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     # gamma = 1 from it gave Prob 0.99999966 where gamma = 1 is admissible
     if _admissible(a, x, ones):
         return ones, 1.0
-    boundary = _uniform_boundary(x, whitener)
     if n <= 2:
+        boundary = _uniform_boundary(x, whitener)
         gammas = np.full(n, boundary * (1.0 - UNIFORM_SHORTFALL / n))
-        if _gap(a, x, whitener, gammas)[0] <= GAP_TOL:
-            return gammas, float(gammas.prod())
+    else:
+        # only the barrier's start needs c*
+        boundary, gammas = None, _boundary_newton(x, whitener)
+    if gammas is not None and _gap(a, x, whitener, gammas)[0] <= GAP_TOL:
+        return gammas, float(gammas.prod())
+    if boundary is None:
+        boundary = _uniform_boundary(x, whitener)
 
     g = np.full(n, math.sqrt(boundary / 2.0))
     gradient, hessian = _log_det_terms(whitener, x, g)
     t = 1.0
     systems = 0
     previous = math.inf  # decrement2 of the stage's preceding centring test
+    centred = g  # the point of the last stage that passed its centring test
     eps = np.finfo(float).eps
     # the terms are halves, and so are the barrier's gradient and Newton matrix
     # below: scaling by 2 is exact, so each step and decrement is as unhalved
@@ -349,7 +465,13 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
             step = delta / (1.0 + math.sqrt(decrement2))
         elif last or systems == NEWTON_STEP_LIMIT:
             break
+        elif not decrement2 > 0.0:
+            # before the last stage this is rounding, not centring, and a tangent from
+            # here can reach points no dual certifies: end at the last centred point
+            g = centred
+            break
         else:
+            centred = g
             systems += 1
             step = (t - t / BARRIER_GROWTH) * np.linalg.solve(newton, 1.0 / g)
             t *= BARRIER_GROWTH

@@ -14,7 +14,7 @@ from helpers import (
     random_independent,
     random_state,
 )
-from qmask.hilbert import MultipartiteState, gram, rounding_floor
+from qmask.hilbert import MultipartiteState, StateVector, basis_state, gram, rounding_floor
 from qmask.fixed_reducing import cyclic_targets, from_states
 from qmask.masker import build_probabilistic, verify_masking
 from qmask import optimizer
@@ -22,10 +22,13 @@ from qmask.optimizer import (
     DEFAULT_S_VALUES,
     GAP_TOL,
     UNIFORM_SHORTFALL,
+    _BOUNDARY_EVALUATIONS,
     _admissible,
+    _boundary_newton,
     _dual_factor,
     _log_det_terms,
     _solve_inputs,
+    _top_terms,
     _whitener,
     certify,
     dual_bound,
@@ -422,12 +425,13 @@ class TestSymmetricOptimum:
 
 @contextmanager
 def counted_factorizations():
-    """Calls inside the block, by name: ``_log_det_terms`` (one Cholesky each) and the
-    eigensolvers ``eigh`` and ``eigvalsh``."""
+    """Calls inside the block, by name: ``_log_det_terms`` (one Cholesky each), the
+    boundary Newton try's ``_top_terms`` (one eigh each) and the eigensolvers ``eigh``
+    and ``eigvalsh``."""
     calls = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in ((optimizer, "_log_det_terms"), (np.linalg, "eigh"),
-                             (np.linalg, "eigvalsh")):
+        for module, name in ((optimizer, "_log_det_terms"), (optimizer, "_top_terms"),
+                             (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -440,6 +444,14 @@ def counted_factorizations():
 def factorizations():
     with counted_factorizations() as calls:
         yield calls
+
+
+@contextmanager
+def barrier_only():
+    """Inside the block the boundary Newton try declines, so every n >= 3 solve runs the barrier."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_boundary_newton", lambda *args: None)
+        yield
 
 
 @st.composite
@@ -501,7 +513,8 @@ class TestMaximizeCertified:
         assert dual_bound(a, x, dual) - np.log(prob) == pytest.approx(gap, abs=1e-12)
 
     def test_newton_step_budget(self, factorizations):
-        # one factorization at the start and one per damped Newton or tangent step:
+        # the barrier's own budget, with the boundary Newton try declining: one
+        # factorization at the start and one per damped Newton or tangent step;
         # with t growing 100-fold per stage, loose centring before the last stage
         # and a tangent step between stages, the solves on this list took 14 to 27,
         # 17 in the median; the budget leaves room for other BLAS builds
@@ -509,17 +522,18 @@ class TestMaximizeCertified:
         for n, d, seed, _ in COORDINATE_ASCENT:
             inputs, targets = frozen_instance(n, d, seed)
             factorizations.clear()
-            maximize_general(gram(inputs), gram(targets))
+            with barrier_only():
+                maximize_general(gram(inputs), gram(targets))
             steps.append(factorizations["_log_det_terms"])
         assert max(steps) <= 32
         assert np.median(steps) <= 20
 
     @pytest.mark.parametrize("limit", range(1, 9))
     def test_step_limit_keeps_a_feasible_point(self, monkeypatch, limit):
-        # a solve cut short still returns a strictly feasible point, and certify
-        # still bounds its distance from the optimum, if only loosely; on this
-        # instance the cut at 5 systems lands right after the first tangent step,
-        # and at 4 and 8 the tangent's own system would pass the limit
+        # a barrier solve cut short still returns a strictly feasible point, and
+        # certify still bounds its distance from the optimum, if only loosely; on
+        # this instance the cut at 5 systems lands right after the first tangent
+        # step, and at 4 and 8 the tangent's own system would pass the limit
         inputs, targets = frozen_instance(4, 4, 1)
         a, x = gram(inputs), gram(targets)
         _, best = maximize_general(a, x)
@@ -529,6 +543,7 @@ class TestMaximizeCertified:
             solves.append(None)
             return _original(*args)
 
+        monkeypatch.setattr(optimizer, "_boundary_newton", lambda *args: None)
         monkeypatch.setattr(optimizer, "NEWTON_STEP_LIMIT", limit)
         monkeypatch.setattr(np.linalg, "solve", counted)
         gammas, prob = maximize_general(a, x)
@@ -537,20 +552,24 @@ class TestMaximizeCertified:
         assert prob < best
         assert certify(a, x, gammas)[0] >= np.log(best / prob)
 
-    # at t = 1 - r (1 - s); the examples are the worst solve of each shape in 600
-    # such corners, which factored 17 644, 18 657 and 18 399 systems when the
-    # step halvings ran outside the limit
+    # at t = 1 - r (1 - s); the first three examples are the worst solve of each
+    # shape in 600 such corners, which factored 17 644, 18 657 and 18 399 systems
+    # when the step halvings ran outside the limit; in the last two a stage before
+    # the last read a negative decrement, and the solve tangent-stepped on to a
+    # point no dual certified (gap inf) until it ended at the last centred point
     @given(corner=tied_corners(), seed=st.integers(0, 2**32 - 1),
            shape=st.sampled_from([(2, 2), (3, 2), (3, 3)]))
     @example(corner=(0.9999999999964083, 0.9999999999957594), seed=372, shape=(2, 2))
     @example(corner=(0.9999999999968734, 0.9999999999961405), seed=268, shape=(3, 2))
     @example(corner=(0.9999999999974581, 0.999999999997127), seed=44, shape=(3, 3))
+    @example(corner=(0.9999999999748811, 0.9999999999663778), seed=2430296, shape=(2, 2))
+    @example(corner=(0.9999999987999421, 0.9999999987253851), seed=2529116075, shape=(3, 2))
     @settings(max_examples=60, deadline=None)
     def test_corner_solve_factors_within_the_step_limit(self, corner, seed, shape):
         (s, t), (d, n) = corner, shape
         inputs, targets = overlap_family(s, t, seed, d=d, n=n)
         a, x = gram(inputs), gram(targets.states)
-        with counted_factorizations() as factorizations:
+        with counted_factorizations() as factorizations, barrier_only():
             gammas, _ = maximize_general(a, x)
         # the start's factorization, then at most one per counted system
         assert factorizations["_log_det_terms"] <= optimizer.NEWTON_STEP_LIMIT + 1
@@ -652,7 +671,8 @@ class TestMaximizeCertified:
 class TestUniformShortcut:
     """For one or two inputs ``maximize_general`` returns the uniform point
     c* (1 - UNIFORM_SHORTFALL / n) without a barrier solve when ``certify``'s gap there is
-    within GAP_TOL; every other problem runs the barrier."""
+    within GAP_TOL; three or more inputs try the boundary Newton solve instead, and
+    every problem neither returns runs the barrier."""
 
     @staticmethod
     def solve(a, x):
@@ -684,11 +704,13 @@ class TestUniformShortcut:
     @example(seed=1033, n=12, extra=2)  # cond(A) = 1.9e5
     @settings(max_examples=80, deadline=None)
     def test_circulant_families_run_the_barrier(self, seed, n, extra):
-        # the optimum is c*^n, with equal efficiencies, but the trial covers one or two
-        # inputs only: the barrier reaches c*^n within certify's gap
+        # the optimum is c*^n, with equal efficiencies, but the uniform trial covers one
+        # or two inputs only: where the boundary Newton try declines, the barrier runs
+        # and reaches c*^n within certify's gap
         inputs, targets = circulant_family(n, n + extra, np.random.default_rng(seed))
         a, x = gram(inputs), gram(targets.states)
-        gammas, prob, calls = self.solve(a, x)
+        with barrier_only():
+            gammas, prob, calls = self.solve(a, x)
         assert calls["_log_det_terms"] > 0
         true_gap = n * np.log(uniform_feasibility_boundary(a, x)) - np.log(prob)
         floor = rounding_floor(n, np.linalg.cond(a))
@@ -702,10 +724,14 @@ class TestUniformShortcut:
     @example(seed=0, n=3, extra=0)
     @settings(max_examples=60, deadline=None)
     def test_asymmetric_pairs_never_take_it(self, seed, n, extra):
+        # three or more inputs go to the boundary Newton try, whose point returns only
+        # when certified, and to the barrier where it is not
         rng = np.random.default_rng(seed)
         a = gram(random_independent(n, n + extra, rng))
         x = gram([random_state(n + extra, rng) for _ in range(n)])
-        assert self.solve(a, x)[2]["_log_det_terms"] > 0
+        gammas, _, calls = self.solve(a, x)
+        assert calls["_top_terms"] > 0
+        assert calls["_log_det_terms"] > 0 or certify(a, x, gammas)[0] <= GAP_TOL
 
     def test_corner_falls_through_to_the_barrier(self):
         # at s = 1 - 1e-9 (cond(A) = 2e9) certify's rounding allowance, about 2.8e-5,
@@ -731,18 +757,24 @@ class TestUniformShortcut:
         assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
 
     @pytest.mark.parametrize("case, expected", [
-        ("saturated", (1, 1)), ("uniform", (1, 2)), ("barrier", (1, 2))])
+        ("saturated", (1, 1)), ("uniform", (1, 2)), ("barrier", (1, 2)), ("newton", (1, 1))])
     def test_each_solve_decomposes_three_matrices_at_most(self, factorizations, case, expected):
-        # A's whitener (eigh) and the gamma = 1 test (eigvalsh); past that test, the
-        # uniform boundary's eigvalsh of N X N^dagger, and no other eigensolve
-        if case == "barrier":
-            inputs, targets = frozen_instance(4, 4, 1)
+        # A's whitener (eigh) and the gamma = 1 test (eigvalsh); past that test, for one
+        # or two inputs the uniform boundary's eigvalsh of N X N^dagger; for three or
+        # more, one eigh per evaluation of the boundary Newton try, within its budget,
+        # and the uniform boundary's eigvalsh only where the barrier then runs. The
+        # barrier case declines on a double top eigenvalue, the newton case is accepted
+        if case in ("barrier", "newton"):
+            inputs, targets = frozen_instance(4, 4, 22 if case == "barrier" else 1)
             a, x = gram(inputs), gram(targets)
         else:
             a, x = two_state_matrices(0.4, 0.4 if case == "saturated" else 0.0)
         factorizations.clear()
         maximize_general(a, x)
-        assert (factorizations["eigh"], factorizations["eigvalsh"]) == expected
+        evaluations = factorizations["_top_terms"]
+        assert evaluations <= _BOUNDARY_EVALUATIONS
+        assert (evaluations > 0) == (case in ("barrier", "newton"))
+        assert (factorizations["eigh"] - evaluations, factorizations["eigvalsh"]) == expected
         assert (factorizations["_log_det_terms"] > 0) == (case == "barrier")
 
     @given(
@@ -763,12 +795,124 @@ class TestUniformShortcut:
             if barrier:
                 patch.setattr(optimizer, "_gap", lambda *args: (np.inf, None))
             gammas, prob = maximize_general(a, x)
-        assert (calls["_log_det_terms"] > 0) == (barrier or n > 2)
+        # the uniform trial covers n <= 2 only; from n = 3 the boundary Newton try runs
+        assert (calls["_top_terms"] > 0) == (n > 2)
+        if barrier or n <= 2:
+            assert (calls["_log_det_terms"] > 0) == barrier
         true_gap = n * np.log(uniform_feasibility_boundary(a, x)) - np.log(prob)
         # c* itself is computed, so each comparison holds up to its rounding
         floor = rounding_floor(n, np.linalg.cond(a))
         assert certify(a, x, gammas)[0] >= true_gap - floor
         assert true_gap >= -floor
+
+
+def faulting_pairs():
+    """Gram pairs whose boundary Newton try fails inside: a third input and target
+    orthogonal to the rest leave lambda_max flat in y_3, so the Newton step overflows
+    exp(y) (the two overlap pairs, as tests/test_tolerance.py's corners draw them) or
+    the Newton matrix is singular (the cyclic pair)."""
+    for t in (1.0 - 2.0 * (1.0 - 0.9), 1.0):
+        inputs, targets = overlap_family(0.9, t, 0, d=3, n=3)
+        yield pytest.param(gram(inputs), gram(targets.states), id=f"overlap-t={t:g}")
+    inputs = [basis_state(3, 0), StateVector(np.array([0.6, 0.8, 0.0])), basis_state(3, 2)]
+    yield pytest.param(gram(inputs), gram(cyclic_targets(3, 3).states), id="cyclic")
+
+
+class TestBoundaryNewton:
+    """For three or more inputs ``maximize_general`` first tries Newton's method on the
+    boundary lambda_max(N G X G N^dagger) = 1 and returns its point when ``certify``'s
+    gap there is within GAP_TOL; otherwise the barrier runs from scratch."""
+
+    def test_top_eigenvalue_derivatives_match_central_differences(self, rng):
+        n = 5
+        a = gram(random_independent(n, n, rng))
+        x = gram(flat_targets(n, n, rng))
+        whitener = _whitener(a)
+        y = rng.uniform(-0.5, 0.5, n)
+
+        def log_top(values):
+            m = whitener * np.exp(values)
+            return np.log(np.linalg.eigvalsh(m @ x @ m.conj().T)[-1])
+
+        value, gradient, hessian = _top_terms(whitener, x, y)
+        assert value == pytest.approx(log_top(y), abs=1e-14)
+        # L(y + c) = L(y) + 2c, so the gradient sums to 2 and the Hessian's rows to 0
+        assert gradient.sum() == pytest.approx(2.0, abs=1e-12)
+        assert np.max(np.abs(hessian.sum(axis=1))) <= 1e-12
+        step = 1e-5
+        for i in range(n):
+            shift = np.zeros(n)
+            shift[i] = step
+            difference = (log_top(y + shift) - log_top(y - shift)) / (2 * step)
+            assert difference == pytest.approx(gradient[i], abs=1e-9)
+            column = (_top_terms(whitener, x, y + shift)[1]
+                      - _top_terms(whitener, x, y - shift)[1]) / (2 * step)
+            assert np.max(np.abs(column - hessian[:, i])) <= 1e-8
+        assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * np.max(np.abs(hessian)))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=8),
+        extra=st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_accepted_points_are_certified(self, seed, n, extra):
+        rng = np.random.default_rng(seed)
+        a = gram(random_independent(n, n + extra, rng))
+        x = gram(flat_targets(n, n + extra, rng))
+        tried = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_boundary_newton",
+                          lambda *args: tried.append(_boundary_newton(*args)) or tried[-1])
+            gammas, prob = maximize_general(a, x)
+        assume(tried[0] is not None and gammas is tried[0])
+        gap = certify(a, x, gammas)[0]
+        assert 0.0 <= gap <= GAP_TOL
+        with barrier_only():
+            barrier_prob = maximize_general(a, x)[1]
+        assert np.log(prob) >= np.log(barrier_prob) - gap
+
+    def test_double_top_eigenvalue_falls_back_to_the_barriers_bytes(self, factorizations):
+        # at this shape's optimum the whitened residual I - N G X G N^dagger has two
+        # eigenvalues near 0, so lambda_max is double there and not smooth: the try
+        # declines once the top two come within 1 %, and the barrier runs from scratch
+        inputs, targets = frozen_instance(4, 4, 22)
+        a, x = gram(inputs), gram(targets)
+        gammas, prob = maximize_general(a, x)
+        assert 1 < factorizations["_top_terms"] < _BOUNDARY_EVALUATIONS
+        assert factorizations["_log_det_terms"] > 0
+        m = _whitener(a) * np.sqrt(gammas)
+        assert np.linalg.eigvalsh(np.eye(4) - m @ x @ m.conj().T)[1] <= 1e-8
+        with barrier_only():
+            barrier_gammas, barrier_prob = maximize_general(a, x)
+        assert gammas.tobytes() == barrier_gammas.tobytes() and prob == barrier_prob
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, x", faulting_pairs())
+    def test_failed_evaluations_fall_back_to_the_barrier(self, a, x):
+        a, x, _ = _solve_inputs(a, x)
+        assert _boundary_newton(x, _whitener(a)) is None
+        gammas, prob = maximize_general(a, x)
+        with barrier_only():
+            barrier_gammas, barrier_prob = maximize_general(a, x)
+        assert gammas.tobytes() == barrier_gammas.tobytes() and prob == barrier_prob
+        assert feasible(a, x, gammas)[0]
+        assert np.isfinite(certify(a, x, gammas)[0])
+
+    def test_evaluation_budget(self, factorizations):
+        # one evaluation at the start and one per step or step halving: on this list the
+        # try returned a certified point on 19 of 20 instances, after 5 to 10
+        # evaluations, 6 in the median; the bounds leave room for other BLAS builds
+        evaluations = []
+        for n, d, seed, _ in COORDINATE_ASCENT:
+            inputs, targets = frozen_instance(n, d, seed)
+            factorizations.clear()
+            maximize_general(gram(inputs), gram(targets))
+            if factorizations["_log_det_terms"] == 0:
+                evaluations.append(factorizations["_top_terms"])
+        assert len(evaluations) >= 18
+        assert np.median(evaluations) <= 7
+        assert max(evaluations) <= 12
 
 
 class TestProbabilityCurves:

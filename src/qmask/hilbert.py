@@ -62,6 +62,7 @@ VERIFY_CEILING = 1e-2
 # c in c * size * eps * scale: the rounding of a size-term sum or a size x size
 # eigensolve, with room for the rounding of the Gram entries it starts from
 ROUNDING_FACTOR = 16
+_EPS = float(np.finfo(float).eps)
 
 
 def rounding_floor(size: int, scale: float = 1.0) -> float:
@@ -70,7 +71,7 @@ def rounding_floor(size: int, scale: float = 1.0) -> float:
     Data in qmask are unit vectors, probabilities and their Gram entries, so
     ``scale`` is never taken below 1: a residual cancelling to 1e-17 came from O(1) numbers.
     """
-    return ROUNDING_FACTOR * size * float(np.finfo(float).eps) * max(scale, 1.0)
+    return ROUNDING_FACTOR * size * _EPS * max(scale, 1.0)
 
 
 def precision_floor(size: int) -> float:
@@ -242,7 +243,8 @@ def partial_trace(state: MultipartiteState, keep: int) -> np.ndarray:
     """
     if not 0 <= keep < len(state.dims):
         raise ValueError(f"subsystem index {keep} outside a state with dims {state.dims}")
-    rows = np.moveaxis(state.amplitudes.reshape(state.dims), keep, 0).reshape(state.dims[keep], -1)
+    axes = (keep, *range(keep), *range(keep + 1, len(state.dims)))
+    rows = state.amplitudes.reshape(state.dims).transpose(axes).reshape(state.dims[keep], -1)
     # np.dot rounds as np.tensordot, which calls it; @ takes another complex kernel
     return np.dot(rows, rows.conj().T)
 

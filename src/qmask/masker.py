@@ -203,7 +203,12 @@ def build_probabilistic(
     if not np.all((efficiencies > rounding_floor(n)) & (efficiencies <= 1)):
         raise ValueError(f"efficiencies must lie in (0, 1], above the rounding floor "
                          f"{rounding_floor(n):.1e}, got {efficiencies.tolist()}")
-    residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
+    # the probe only carries failure branches, and only they need the residual
+    probe_dim = n + 1 if np.any(efficiencies < 1.0) else 1
+    if probe_dim > 1:
+        residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
+    elif efficiencies.size != n:
+        raise ValueError(f"need {n} efficiencies, got {efficiencies.size}")
     values, _ = nonsingular_spectrum(a, "inputs' Gram matrix")
     tolerance = verification_tolerance(values, float(np.min(efficiencies)))
     if not tolerance <= VERIFY_CEILING:
@@ -211,8 +216,6 @@ def build_probabilistic(
                          f"a masker could be verified only to {tolerance:.3e}, above the "
                          f"ceiling {VERIFY_CEILING:.0e}")
 
-    # the probe only carries failure branches
-    probe_dim = n + 1 if np.any(efficiencies < 1.0) else 1
     outputs = _successes(targets, efficiencies, probe_dim)
     if probe_dim > 1:
         try:

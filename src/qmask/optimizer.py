@@ -18,7 +18,10 @@ barrier, after a cheaper try where one is certified: the uniform point for
 one or two inputs, and for three or more Newton's method on the boundary
 lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I), which converges
 quadratically where that eigenvalue is simple (Overton, SIAM J. Optim.
-2(1), 1992). ``certify`` and ``dual_bound`` bound the distance of any point
+2(1), 1992). It starts near the optimum of the trace relaxation, where
+tr(N G X G N^dagger) replaces lambda_max, which matrix balancing approaches
+(Knight, Ruiz and Ucar, SIAM J. Matrix Anal. Appl. 35(3), 2014) and which is
+exact when that matrix has rank one. ``certify`` and ``dual_bound`` bound the distance of any point
 from the optimum through Lagrange duality, and ``certify``'s gap alone
 decides whether a try's point is returned. Each public function of (A, X_P)
 checks them through ``_solve_inputs``.
@@ -312,25 +315,48 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
     2 (sum_i y_i - (n / 2) L) with y = log g and L = log lambda_max, and that
     expression is invariant under g -> c g, as lambda_max is homogeneous of
     degree 2 in g. Newton's method maximizes f(y) = sum_i y_i - (n / 2) L - L^2 / 2,
-    whose last term fixes the scale at L = 0, from the uniform boundary point.
+    whose last term fixes the scale at L = 0. It starts on the boundary, near
+    the optimum of the trace relaxation: the most balanced of the uniform g
+    and four balancing steps g <- sqrt(g / K g) towards equal g_i (K g)_i,
+    K = Re(X o (N^dagger N)^T), so that g' K g = tr(N G X G N^dagger),
+    stopping at the first K g that is not positive and finite.
     Steps are damped as the barrier's are while the squared decrement exceeds
     1e-2, and halved until f does not fall. Where lambda_max is simple at the
     optimum it converges quadratically (Overton, SIAM J. Optim. 2(1), 1992).
-    It stops once the squared decrement is at most 1e-15 n, where rounding
-    hides f's progress, and returns g^2 (1 - UNIFORM_SHORTFALL / n) / lambda_max,
-    scaled onto the boundary as the uniform trial is. It declines, returning
-    None, when the top two eigenvalues come within 1 %, when the decrement is
-    not positive, when an evaluation fails or overflows, or once
-    _BOUNDARY_EVALUATIONS evaluations are spent.
+    Once the squared decrement is at most 1e-6 it takes the full Newton step
+    without evaluating there, and returns g^2 (1 - UNIFORM_SHORTFALL / n) / lambda_max
+    at the new g, scaled onto the boundary as the uniform trial is by one
+    eigvalsh. It declines, returning None, when the top two eigenvalues come
+    within 1 %, when the decrement is not positive, when an evaluation fails
+    or overflows, or once _BOUNDARY_EVALUATIONS evaluations are spent.
     """
     n = x.shape[0]
     try:
-        terms = _top_terms(whitener, x, np.zeros(n))
+        # g' K g = tr(N G X G N^dagger) >= lambda_max, so the g that maximizes
+        # sum_i log g_i on g' K g = 1, where every g_i (K g)_i is equal, is the optimum
+        # where N G X G N^dagger has rank one. Balancing approaches it (Knight, Ruiz and
+        # Ucar, SIAM J. Matrix Anal. Appl. 35(3), 2014), but negative entries of K can
+        # make it diverge: keep the most balanced g
+        k = (x * (whitener.conj().T @ whitener).T).real
+        g = start = np.ones(n)
+        least = math.inf
+        for _ in range(5):
+            kg = k @ g
+            # g > 0, so the balance g_i (K g)_i has the signs of K g
+            balance = g * kg
+            low, high = balance.min(), balance.max()
+            if not (low > 0.0 and high < math.inf):
+                break
+            if high / low < least:
+                least, start = high / low, g
+            g = np.sqrt(g / kg)
+        y = np.log(start)
+        terms = _top_terms(whitener, x, y)
         if terms is None:
             return None
-        # the uniform boundary point, where L = 0; L's derivatives do not change with scale
+        # scaled onto the boundary, where L = 0; L's derivatives do not change with scale
         log_top, gradient, hessian = terms
-        y = np.full(n, -log_top / 2.0)
+        y = y - log_top / 2.0
         log_top, value, evaluations = 0.0, float(y.sum()), 1
         while True:
             weight = n / 2.0 + log_top
@@ -339,8 +365,15 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
             decrement2 = float(f_gradient @ delta)
             if not decrement2 > 0.0:
                 return None
-            if decrement2 <= 1e-15 * n:
-                return np.minimum(np.exp(2.0 * y - log_top) * (1.0 - UNIFORM_SHORTFALL / n), 1.0)
+            if decrement2 <= 1e-6:
+                # the full step is predicted to end within rounding of the optimum:
+                # scale it onto the boundary with one eigvalsh, not a full evaluation
+                g = np.exp(y + delta)
+                m = whitener * g
+                top = float(np.linalg.eigvalsh(m @ x @ m.conj().T)[-1])
+                if not top > 0.0:
+                    return None
+                return np.minimum(g * g / top * (1.0 - UNIFORM_SHORTFALL / n), 1.0)
             step = delta / (1.0 + math.sqrt(decrement2)) if decrement2 > 1e-2 else delta
             while True:
                 if evaluations == _BOUNDARY_EVALUATIONS:
@@ -380,9 +413,11 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last
     stage would end, with the uniform boundary c* from one eigensolve of
     N X N^dagger (N A N^dagger = I). Three or more inputs try Newton's method
-    on the boundary (``_boundary_newton``): from the uniform boundary point
-    it maximizes sum_i y_i - (n / 2) L - L^2 / 2 over y = log g, with
-    L = log lambda_max(N G X G N^dagger), and scales its point onto the
+    on the boundary (``_boundary_newton``): from near the optimum of the
+    trace relaxation, by a few balancing steps, it maximizes
+    sum_i y_i - (n / 2) L - L^2 / 2 over y = log g, with
+    L = log lambda_max(N G X G N^dagger), ends with one full Newton step once
+    the squared decrement is at most 1e-6, and scales that point onto the
     boundary as the uniform one is. It declines when the top two eigenvalues
     come within 1 %, when the Newton decrement is not positive, when an
     evaluation fails or overflows, or after _BOUNDARY_EVALUATIONS = 14

@@ -204,6 +204,16 @@ class TestBuildProbabilistic:
         with pytest.raises(ValueError, match=r"^need 2 efficiencies, got 3$"):
             build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [0.1, 0.1, 0.1])
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_unit_efficiency_count_checked_without_a_residual(self, monkeypatch, count):
+        # with every efficiency 1 there is no probe, so neither the targets' Gram matrix
+        # nor the residual is formed, and the count is checked with the same message
+        inputs = [basis_state(2, 0), basis_state(2, 1)]
+        monkeypatch.setattr(masker_module.optimizer, "residual_matrix", None)
+        assert build_probabilistic(inputs, cyclic_targets(2, 2), np.ones(2)).probe_dim == 1
+        with pytest.raises(ValueError, match=rf"^need 2 efficiencies, got {count}$"):
+            build_probabilistic(inputs, cyclic_targets(2, 2), np.ones(count))
+
     def test_unit_efficiency_with_residual_rejected(self):
         with pytest.raises(ValueError, match="residual"):
             build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [1.0, 0.1])

@@ -176,6 +176,8 @@ def _cmd_mask_prob(args) -> int:
 def _cmd_simulate(args) -> int:
     m = load_masker(args.masker)
     if args.state is not None:
+        if not 0 <= args.state < m.n:
+            raise FileFormatError(f"--state: index {args.state} outside range 0..{m.n - 1}")
         outcome = masking.simulate(m, args.state)
         print(f"state {args.state}:")
         print(f"success probability: {_format(outcome.success_probability)}")
@@ -277,7 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileFormatError, OSError, IndexError) as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

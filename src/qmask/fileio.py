@@ -10,14 +10,19 @@ A masker file carries ``"version": 2`` and the two arrays of its
 ``hilbert.Operator``, U = I - Q Q^dagger + Q W Q^dagger: ``span_basis``
 is Q (D rows of k pairs, k <= 2n), an orthonormal basis of the only
 subspace U moves, and ``unitary`` is W (k x k), U written in that basis.
-The file grows as O(D n) rather than O(D^2). Files without a version
+The file grows as O(D n) rather than O(D^2). A probabilistic masker
+also stores ``probe_dim`` p, equal to ``dims[2]``, so D = d^2 p. Maskers
+are built with p = 2, but the reader takes any p >= 2: files written
+with the n + 1 probe states of earlier versions load through the same
+code, and the weight checks below decide them. Files without a version
 (version 1) have no ``span_basis``: their ``unitary`` is the dense
 D x D matrix, which is the operator with Q = I. They load as such, Q
 formed only once that matrix has parsed as D x D, and are written back
 as version 2 with k = D, which the reader accepts as well. On load
-each state must pass the state type's own norm check, Q be orthonormal,
-W unitary, the targets fixed reducing, every failure branch weight
-equal to 1 - gamma_k and every success weight gamma_k; any failure is a
+JSON's non-standard NaN and Infinity are rejected, each state must pass
+the state type's own norm check, Q be orthonormal, W unitary, the
+targets fixed reducing, every failure branch weight equal to
+1 - gamma_k and every success weight gamma_k; any failure is a
 ``FileFormatError`` naming the field.
 
 Loading converts each array of pairs with one numpy call and checks its
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -64,8 +70,9 @@ def _first_fault(data, field: str, shape: tuple[int, ...]) -> None:
     """Raise FileFormatError at the first entry of ``data`` that breaks ``shape`` [re, im] pairs."""
     if not shape:
         _require(isinstance(data, list) and len(data) == 2
-                 and all(type(part) in (int, float) for part in data),
-                 field, f"expected a two-element [re, im] number pair, got {data!r}")
+                 and all(type(part) is int or (type(part) is float and math.isfinite(part))
+                         for part in data),
+                 field, f"expected a two-element [re, im] pair of finite numbers, got {data!r}")
         return
     _require(isinstance(data, list) and len(data) == shape[0], field,
              f"expected a list of {shape[0]} entries")
@@ -83,7 +90,9 @@ def _complex_array(data, field: str, shape: tuple[int, ...]) -> np.ndarray:
         pairs = np.asarray(data)
     except ValueError:  # ragged nesting
         pairs = None
-    if pairs is not None and pairs.shape == (*shape, 2) and pairs.dtype.kind in "if":
+    # a number beyond the float range, such as 1e400, parses as inf
+    if (pairs is not None and pairs.shape == (*shape, 2) and pairs.dtype.kind in "if"
+            and np.isfinite(pairs).all()):
         leaves = data
         for _ in shape:
             leaves = itertools.chain.from_iterable(leaves)
@@ -105,10 +114,14 @@ def _dims_from_json(data, field: str) -> tuple[int, ...]:
     return tuple(data)
 
 
+def _reject_constant(name: str):
+    raise FileFormatError(f"field 'document': {name} is not a JSON number")
+
+
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=_reject_constant)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FileFormatError(f"field 'document': {path} is not valid JSON ({exc})") from exc
     _require(isinstance(document, dict), "document", "top level must be a JSON object")
@@ -135,7 +148,7 @@ def state_set_from_json(
     states = []
     for i, raw in enumerate(raw_states):
         name = f"{prefix}states[{i}]"
-        vector = _complex_array(raw, name, (int(np.prod(dims)),))
+        vector = _complex_array(raw, name, (math.prod(dims),))
         if renormalize:
             with np.errstate(all="ignore"):  # a norm not finite: the state's check reports it
                 norm = float(np.linalg.norm(vector))
@@ -220,6 +233,10 @@ def masker_from_json(document: dict):
              f"a {kind} masker acts on {expected_subsystems} subsystems, got {len(dims)}")
     _require(dims[0] == dims[1], "dims", f"local dimensions must match, got {dims}")
     d = dims[0]
+    if kind == "probabilistic":
+        probe_dim = document.get("probe_dim")
+        _require(type(probe_dim) is int and 2 <= probe_dim == dims[2], "probe_dim",
+                 f"expected dims[2] = {dims[2]}, an integer of at least 2, got {probe_dim!r}")
 
     inputs = state_set_from_json(document.get("inputs"), "inputs")
     _require(inputs[0].dims == (d,), "inputs.dims", f"expected [{d}], got {list(inputs[0].dims)}")
@@ -238,15 +255,11 @@ def masker_from_json(document: dict):
     _require(type(ancilla_index) is int and 0 <= ancilla_index < d, "ancilla_index",
              f"expected an integer in [0, {d - 1}], got {ancilla_index!r}")
 
-    unitary = _unitary_from_json(document, int(np.prod(dims)), n)
+    unitary = _unitary_from_json(document, math.prod(dims), n)
 
     if kind == "deterministic":
         gammas = np.ones(n)
     else:
-        probe_dim = document.get("probe_dim")
-        _require(type(probe_dim) is int and probe_dim == n + 1, "probe_dim",
-                 f"expected {n + 1}, got {probe_dim!r}")
-        _require(dims[2] == probe_dim, "dims", f"probe subsystem must have dimension {probe_dim}")
         raw_gammas = document.get("gammas")
         _require(
             isinstance(raw_gammas, list) and len(raw_gammas) == n

@@ -10,6 +10,10 @@ completes the masking with per-input success probability gamma_k. The
 efficiencies are admissible exactly when the residual matrix
 A - sqrt(Gamma) X sqrt(Gamma) built from the input and target Gram
 matrices is positive semidefinite; it is the failure branches' Gram matrix.
+Post-selection reads one bit, so the builder's probe has two states
+whatever n: |P_0> carries every success branch and |P_1> every failure
+branch, failure branch k spread over the first n basis states of
+A (x) B (n <= d <= d^2), and D = 2 d^2.
 
 One ``Masker`` type and one builder cover both cases. The probe exists
 only to carry failure branches, so ``build_probabilistic`` adds one only
@@ -45,12 +49,13 @@ class Masker:
     """Unitary masking each input, a state on A alone, with efficiency gamma_k.
 
     The ancilla on B starts in the basis state ``ancilla_index``. The
-    probe dimension is read off the unitary. A unitary on A (x) B
-    (dimension d^2) means no probe, and every gamma_k must be 1: the
-    deterministic masker. A unitary on A (x) B (x) P (dimension
-    d^2 (n + 1)) means a probe whose basis state 0 carries every success
-    branch and is the rank-one post-selection outcome; basis states 1..n
-    carry the failure branches. A dense D x D unitary U is the factored
+    probe dimension p is read off the unitary, of dimension d^2 p. With
+    p = 1 there is no probe, and every gamma_k must be 1: the
+    deterministic masker. With p >= 2 the probe's basis state 0 carries
+    every success branch and is the rank-one post-selection outcome; the
+    other p - 1 states carry the failure branches. The builder uses p = 2;
+    any p >= 2 is accepted, so files written with the n + 1 probe states
+    of earlier versions still load. A dense D x D unitary U is the factored
     form with Q = I: ``Operator(np.eye(D), U)``.
     """
 
@@ -75,8 +80,8 @@ class Masker:
         gammas = np.array(self.gammas, dtype=float)
         if gammas.shape != (n,) or not np.all((gammas > 0) & (gammas <= 1)):
             raise ValueError("efficiencies must be n values in (0, 1]")
-        if self.unitary.dim not in (d * d, d * d * (n + 1)):
-            raise ValueError(f"unitary must act on dimension {d * d} or {d * d * (n + 1)}")
+        if self.unitary.dim % (d * d):
+            raise ValueError(f"unitary dimension {self.unitary.dim} is not a multiple of {d * d}")
         if self.unitary.dim == d * d and np.any(gammas < 1):
             raise ValueError("a masker without a probe needs unit efficiencies")
         if not self.unitary.is_unitary():
@@ -173,8 +178,8 @@ def build_probabilistic(
     """Masker for a linearly independent family with efficiencies ``gammas``.
 
     Writes A = gram(inputs) and X = gram(targets). The failure branches
-    sit on one fixed product state of A (x) B spread over the n failure
-    probe states: the failure block is F = sqrt(M), the Hermitian square
+    sit on the failure probe state |P_1>, over the first n basis states
+    of A (x) B: the failure block is F = sqrt(M), the Hermitian square
     root of M = A - sqrt(Gamma) X sqrt(Gamma), whose column k holds input
     k's coefficients. F^dagger F = M is the matching equation
     A = sqrt(Gamma) X sqrt(Gamma) + F^dagger F, so the outputs share the
@@ -204,7 +209,7 @@ def build_probabilistic(
         raise ValueError(f"efficiencies must lie in (0, 1], above the rounding floor "
                          f"{rounding_floor(n):.1e}, got {efficiencies.tolist()}")
     # the probe only carries failure branches, and only they need the residual
-    probe_dim = n + 1 if np.any(efficiencies < 1.0) else 1
+    probe_dim = 2 if np.any(efficiencies < 1.0) else 1
     if probe_dim > 1:
         residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
     elif efficiencies.size != n:
@@ -222,8 +227,8 @@ def build_probabilistic(
             failures = hermitian_sqrt(residual)
         except ValueError as exc:
             raise ValueError(f"infeasible efficiencies: residual {exc}") from exc
-        # the failure branches |0>_A |0>_B |P_k>, k = 1..n: rows 1..n
-        outputs[1:probe_dim] += failures
+        # failure block row i on |i>_AB |P_1>, row 2i + 1; its n <= d rows fit in d^2
+        outputs[1:2 * n:2] += failures
 
     unitary = unitary_completion(_prepared(family, 0, probe_dim), outputs)
     return Masker(family, 0, targets, efficiencies, unitary)

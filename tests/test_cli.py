@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,10 @@ from qmask.optimizer import max_prob_two
 INV2 = 1.0 / np.sqrt(2)
 # floats whose repr round trip is easy to break: signed zero, subnormal, near overflow, inexact sum
 AWKWARD = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2]
+# a (d, n) = (3, 2) masker written with a probe of n + 1 = 3 states, before the two-state
+# probe, and what `simulate` printed for it then
+LEGACY_MASKER = Path(__file__).parent / "data" / "masker-3-2-probe-3.json"
+LEGACY_SIMULATE = Path(__file__).parent / "data" / "masker-3-2-probe-3.simulate.txt"
 
 
 def complex_array(real, imag):
@@ -228,14 +233,41 @@ class TestMaskDet:
         assert main(["mask-det", path]) == 0
         assert "verification: PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("entry", ["Infinity", "1e200"])
-    def test_renormalize_of_a_norm_not_finite_names_field(self, tmp_path, capsys, entry):
+    def test_renormalize_of_a_norm_not_finite_names_field(self, tmp_path, capsys):
         # 1e200 squared overflows, so the norm is inf and the scaled vector 0
         path = tmp_path / "huge.json"
-        path.write_text('{"dims":[2],"states":[[[%s,0],[0,0]],[[0,0],[1,0]]]}' % entry)
+        path.write_text('{"dims":[2],"states":[[[1e200,0],[0,0]],[[0,0],[1,0]]]}')
         assert main(["mask-det", str(path), "--renormalize"]) == 2
         err = capsys.readouterr().err
         assert "field 'states[0]'" in err and "renormalize" not in err
+
+    @pytest.mark.parametrize("renormalize", [[], ["--renormalize"]], ids=["plain", "renormalize"])
+    @pytest.mark.parametrize("entry, message", [
+        ("NaN", "field 'document': NaN is not a JSON number"),
+        ("Infinity", "field 'document': Infinity is not a JSON number"),
+        ("-Infinity", "field 'document': -Infinity is not a JSON number"),
+        # a number beyond the float range parses as inf
+        ("1e400", "field 'states[0][0]': expected a two-element [re, im] pair of finite numbers"),
+    ], ids=["nan", "infinity", "minus-infinity", "overflow"])
+    def test_amplitude_not_finite_is_input_error(
+        self, tmp_path, capsys, entry, message, renormalize
+    ):
+        path = tmp_path / "states.json"
+        path.write_text('{"dims":[2],"states":[[[%s,0],[0,0]],[[0,0],[1,0]]]}' % entry)
+        with warnings.catch_warnings():
+            # a numpy RuntimeWarning would print to stderr beside the error
+            warnings.simplefilter("error")
+            assert main(["mask-det", str(path), *renormalize]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "renormalize" not in err
+
+    def test_dims_whose_product_passes_64_bits_name_the_length(self, tmp_path, capsys):
+        # a 64-bit product of these dims wraps around to 0
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [4294967296, 4294967296], "states": [[[1, 0]]]}')
+        assert main(["mask-det", str(path)]) == 2
+        assert f"field 'states[0]': expected a list of {2 ** 64} entries" in capsys.readouterr().err
 
     def test_orthonormal_basis_written_to_twelve_digits(self, tmp_path, capsys, rng):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -494,12 +526,13 @@ class TestMaskProb:
 
 
 class TestSimulate:
-    def test_bad_index_is_input_error(self, basis_pair_file, tmp_path, capsys):
+    @pytest.mark.parametrize("index", ["99", "2", "-1"])
+    def test_bad_index_is_input_error(self, basis_pair_file, tmp_path, capsys, index):
         masker_path = tmp_path / "masker.json"
         assert main(["mask-det", basis_pair_file, "--out", str(masker_path)]) == 0
         capsys.readouterr()
-        assert main(["simulate", str(masker_path), "--state", "99"]) == 2
-        assert "99" in capsys.readouterr().err
+        assert main(["simulate", str(masker_path), "--state", index]) == 2
+        assert capsys.readouterr().err == f"error: --state: index {index} outside range 0..1\n"
 
     def test_marginal_deviation_matches_verify_masking(self, tmp_path, capsys):
         path = tmp_path / "masker.json"
@@ -520,7 +553,7 @@ class TestSimulate:
 
         monkeypatch.setattr(Operator, "apply", counted)
         assert main(["simulate", str(path)]) == 0
-        assert calls == [(9 * 4, 3)]
+        assert calls == [(9 * 2, 3)]
 
 
 @pytest.mark.parametrize("command", ["simulate", "mask-det", "verify-fixed-reducing"])
@@ -829,8 +862,8 @@ class TestMaskerFiles:
         ("ancilla_index", -1, "ancilla_index"),
         ("ancilla_index", 0.0, "ancilla_index"),
         ("ancilla_index", True, "ancilla_index"),
-        ("probe_dim", 2, "probe_dim"),
-        ("probe_dim", 4, "probe_dim"),
+        ("probe_dim", 1, "probe_dim"),
+        ("probe_dim", 3, "probe_dim"),
         ("probe_dim", "3", "probe_dim"),
         ("probe_dim", 3.0, "probe_dim"),
         ("gammas", None, "gammas"),
@@ -909,14 +942,34 @@ class TestMaskerFiles:
             tilted = (np.eye(d) + 0.2 * np.roll(np.eye(d), 1, axis=1))[:n]
             inputs = [StateVector(row / np.linalg.norm(row)) for row in tilted]
             masker = build_probabilistic(inputs, cyclic_targets(n, d), np.full(n, 0.05))
-            assert masker.unitary.dim == d * d * (n + 1)
+            assert masker.unitary.dim == 2 * d * d
             path = tmp_path / f"masker-{d}-{n}.json"
             save_masker(masker, path)
             return path.stat().st_size
 
-        # (d, n) = (8, 5) is D = 384; at n = 4, D grows 4x from (4, 4) to (8, 4)
+        # (d, n) = (8, 5) is D = 128; at n = 4, D grows 4x from (4, 4) to (8, 4)
         assert size(8, 5) < 200_000
         assert size(8, 4) / size(4, 4) < 1.5 * 4
+
+    def test_file_with_the_earlier_probe_simulates_as_written(self, capsys):
+        assert json.loads(LEGACY_MASKER.read_text())["probe_dim"] == 3
+        assert main(["simulate", str(LEGACY_MASKER)]) == 0
+        assert capsys.readouterr().out == LEGACY_SIMULATE.read_text()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda document: document.__setitem__("probe_dim", 2), "field 'probe_dim'"),
+        (lambda document: document["dims"].__setitem__(2, 2), "dims[2] = 2"),
+        (lambda document: document.__setitem__("span_basis", document["span_basis"][:18]),
+         "field 'span_basis'"),
+    ], ids=["probe_dim", "dims", "span_basis-rows"])
+    def test_probe_sizes_that_disagree_are_input_error(self, tmp_path, capsys, edit, named):
+        # probe_dim, dims[2] and the operator's D / d^2 are 3 in the file; each edit changes one
+        document = json.loads(LEGACY_MASKER.read_text())
+        edit(document)
+        path = tmp_path / "masker.json"
+        rewrite(path, document)
+        assert main(["simulate", str(path)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_indented_file_from_earlier_versions_loads(self, tmp_path):
         masker = build_probabilistic(

@@ -111,7 +111,7 @@ class TestBuildProbabilistic:
         # residual [[0, 0], [0, 0.64]]: input 0 saturates, input 1 keeps a failure branch
         inputs = [basis_state(2, 0), StateVector(np.array([0.3, np.sqrt(0.91)]))]
         masker = build_probabilistic(inputs, targets_with_overlap(2, 0.5), [1.0, 0.36])
-        assert masker.probe_dim == 3
+        assert masker.probe_dim == 2
         report = verify_masking(masker)
         assert report.passed
         path = tmp_path / "masker.json"
@@ -176,7 +176,7 @@ class TestBuildProbabilistic:
         counted(np.linalg, "eigvalsh")
         counted(np.linalg, "qr")
         masker = build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [0.1, 0.1])
-        assert masker.probe_dim == 3
+        assert masker.probe_dim == 2
         assert calls == {"hermitian_sqrt": 1, "eigvalsh": 0, "qr": 0}
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, np.nan])
@@ -191,13 +191,13 @@ class TestBuildProbabilistic:
             build_probabilistic(overlap_pair(), targets, [0.1, 0.1])
 
     def test_failure_block_is_the_residual_root(self):
-        # F = sqrt(M) on the probe states |0>_A |0>_B |P_k>, rows 1..n, and nothing elsewhere:
+        # F = sqrt(M) on |i>_AB |P_1>, rows 2i + 1 for i < n, and nothing elsewhere:
         # F^dagger F = M is the matching equation
         inputs, targets, gammas = overlap_pair(), targets_with_overlap(2, 0.3), [0.2, 0.3]
         branches = failure_branches(build_probabilistic(inputs, targets, gammas))
         root = hermitian_sqrt(residual_matrix(gram(inputs), gram(targets.states), gammas))
-        assert np.max(np.abs(branches[1:3] - root)) <= 1e-12
-        assert np.max(np.abs(np.delete(branches, [1, 2], axis=0))) <= 1e-12
+        assert np.max(np.abs(branches[1:4:2] - root)) <= 1e-12
+        assert np.max(np.abs(np.delete(branches, [1, 3], axis=0))) <= 1e-12
 
     def test_efficiency_count_checked_with_the_residual(self):
         # the residual's own check decides the count, with the optimizer's message
@@ -235,6 +235,15 @@ class TestBuildProbabilistic:
             reconstructed = np.outer(root_g, root_g) * x + branches.conj().T @ branches
             assert np.max(np.abs(reconstructed - a)) <= 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_probe_has_two_states_for_every_n(self, rng, d):
+        for n in range(1, d + 1):
+            inputs, targets = random_independent(n, d, rng), cyclic_targets(n, d)
+            boundary = uniform_feasibility_boundary(gram(inputs), gram(targets.states))
+            masker = build_probabilistic(inputs, targets, np.full(n, boundary / 2))
+            assert masker.probe_dim == 2 and masker.unitary.dim == 2 * d * d
+            assert verify_masking(masker).passed
+
     def test_failure_branches_recoverable_from_unitary(self, rng, tmp_path):
         inputs = random_independent(2, 3, rng)
         targets = cyclic_targets(2, 3)
@@ -245,7 +254,7 @@ class TestBuildProbabilistic:
         path = tmp_path / "masker.json"
         save_masker(masker, path)
         built, loaded = failure_branches(masker), failure_branches(load_masker(path))
-        assert built.shape == loaded.shape == (3 * 3 * 3, 2)
+        assert built.shape == loaded.shape == (2 * 3 * 3, 2)
         assert np.max(np.abs(built - loaded)) <= 1e-9
 
 
@@ -291,7 +300,7 @@ class TestSimulate:
         ("gammas", [1.0], r"^efficiencies must be n values in \(0, 1\]$"),
         ("gammas", [0.0, 1.0], r"^efficiencies must be n values in \(0, 1\]$"),
         ("gammas", [1.5, 1.0], r"^efficiencies must be n values in \(0, 1\]$"),
-        ("unitary", Operator(np.eye(5), np.eye(5)), "^unitary must act on dimension 4 or 12$"),
+        ("unitary", Operator(np.eye(5), np.eye(5)), "^unitary dimension 5 is not a multiple of 4$"),
         ("gammas", [0.5, 1.0], "^a masker without a probe needs unit efficiencies$"),
         ("unitary", Operator(np.eye(4), np.diag([1.0, 1.0, 1.0, 2.0])),
          "^masker operator is not unitary$"),
@@ -329,7 +338,7 @@ class TestSimulate:
         masker = build_probabilistic(inputs, targets, [0.05, 0.05])
         ancilla = basis_state(3, masker.ancilla_index).amplitudes
         prepared = np.column_stack([
-            np.kron(np.kron(a.amplitudes, ancilla), basis_state(3, 0).amplitudes) for a in inputs
+            np.kron(np.kron(a.amplitudes, ancilla), basis_state(2, 0).amplitudes) for a in inputs
         ])
         evolved = masker.unitary.apply(prepared)
         assert np.array_equal(evolved, masker.evolved)

@@ -598,7 +598,7 @@ class TestMaximizeCertified:
         inputs, targets = frozen_instance(n, d, seed)
         gammas, _ = maximize_general(gram(inputs), gram(targets))
         masker = build_probabilistic(inputs, from_states(targets), gammas)
-        assert masker.dim ** 2 * (n + 1) <= 100
+        assert masker.unitary.dim == 2 * d * d <= 100
         assert verify_masking(masker).passed
 
     @pytest.mark.parametrize("s, t", TWO_INPUT_POINTS)

@@ -18,12 +18,14 @@ barrier, after a cheaper try where one is certified: the uniform point for
 one or two inputs, and for three or more Newton's method on the boundary
 lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I), which converges
 quadratically where that eigenvalue is simple (Overton, SIAM J. Optim.
-2(1), 1992). It starts near the optimum of the trace relaxation, where
+2(1), 1992), and, where the top two eigenvalues coalesce, on the pair of
+them with a matrix multiplier (Overton and Womersley, SIAM J. Matrix Anal.
+Appl. 16(3), 1995). It starts near the optimum of the trace relaxation, where
 tr(N G X G N^dagger) replaces lambda_max, which matrix balancing approaches
 (Knight, Ruiz and Ucar, SIAM J. Matrix Anal. Appl. 35(3), 2014) and which is
-exact when that matrix has rank one. ``certify`` and ``dual_bound`` bound the distance of any point
-from the optimum through Lagrange duality, and ``certify``'s gap alone
-decides whether a try's point is returned. Each public function of (A, X_P)
+exact when that matrix has rank one. ``certify`` and ``dual_bound`` bound the
+distance of any point from the optimum through Lagrange duality, and
+``certify``'s gap alone decides whether a try's point is returned. Each public function of (A, X_P)
 checks them through ``_solve_inputs``.
 """
 
@@ -273,38 +275,121 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     return _gap(a, x, _whitener(a), values)
 
 
-def _top_terms(whitener: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """L = log lambda_max(N G X G N^dagger) at g = exp(y), with its gradient and Hessian in y.
+def _eigensystem(whitener: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """One evaluation of the boundary Newton try: one eigh of H = M X M^dagger, M = N G, g = exp(y).
 
-    One eigh, of H = M X M^dagger with M = N G. None unless the top eigenvalue
-    lambda is positive and simple, the next one more than 1 % below it. With
-    eigenvectors u_k of H, z_k = N^dagger u_k, w = z_top and V = X G Z,
-    perturbation theory gives d lambda / d g_i = 2 Re(conj(w_i) V_i,top) and
-    d2 lambda / d g_i d g_j = 2 Re(conj(w_i) X_ij w_j)
-    + 2 Re sum_{k != top} p_ik conj(p_jk) / (lambda - lambda_k), with
-    p_ik = conj(w_i) V_ik + conj(V_i,top) z_ik. Here they are taken in y, with
-    G Z = M^dagger U in place of Z, and divided by lambda.
+    Returns H's eigenvalues in ascending order, its eigenvectors U, Z = M^dagger U
+    and V = X Z.
     """
-    g = np.exp(y)
-    m = whitener * g
+    m = whitener * np.exp(y)
     m_dagger = m.conj().T
     values, vectors = np.linalg.eigh(m @ x @ m_dagger)
-    top = values[-1]
-    if not (0.0 < top and values[-2] < 0.99 * top):
-        return None
     z = m_dagger @ vectors
-    v = x @ z
-    w, vw = z[:, -1].conj(), v[:, -1].conj()
-    p = w[:, None] * v[:, :-1]
-    p += vw[:, None] * z[:, :-1]
-    scale = 2.0 / top
-    gradient = scale * (w * v[:, -1]).real
-    hessian = (p / (top - values[:-1])) @ p.conj().T
-    hessian += w[:, None] * x * w.conj()
-    hessian = scale * hessian.real
-    hessian.flat[::g.size + 1] += gradient
-    hessian -= np.outer(gradient, gradient)
+    return values, vectors, z, x @ z
+
+
+def _pair_terms(x: np.ndarray, eigensystem, r: int, a: int, b: int):
+    """Perturbation terms of the pair (a, b), a <= b, of H's top r eigenvectors u_0..u_(r-1).
+
+    Returns half the Jacobian entry, (J_i)_ab / 2 with (J_i)_ab = u_a^dagger (dH / dy_i) u_b
+    = conj(z_ia) v_ib + conj(v_ia) z_ib over i (Re(conj(z_ia) v_ia) where a = b), and the n x n matrix
+    T_ab = sum_k p_a,ik conj(p_b,jk) D_abk + X_ij conj(z_ia) z_jb, with
+    p_a,ik = u_a^dagger (dH / dy_i) u_k = conj(z_ia) v_ik + conj(v_ia) z_ik over the
+    eigenvectors k outside the cluster and
+    D_abk = (1 / (lambda_a - lambda_k) + 1 / (lambda_b - lambda_k)) / 2: the rotation
+    of the eigenvectors, by second-order perturbation theory of the invariant
+    subspace, smooth in y while lambda_r > lambda_(r+1). ``_cluster_terms`` sums
+    these over the pairs; ``_top_terms`` is its one pair at r = 1.
+    """
+    values, _, z, v = eigensystem
+    z_a, v_a = z[:, a - r].conj(), v[:, a - r].conj()
+    coupling = z_a[:, None] * v[:, :-r]
+    coupling += v_a[:, None] * z[:, :-r]
+    if a == b:
+        half_jacobian = (z_a * v[:, a - r]).real
+        term = (coupling / (values[a - r] - values[:-r])) @ coupling.conj().T
+    else:
+        half_jacobian = 0.5 * (z_a * v[:, b - r] + v_a * z[:, b - r])
+        other = z[:, b - r].conj()[:, None] * v[:, :-r] + v[:, b - r].conj()[:, None] * z[:, :-r]
+        inverse_gaps = 0.5 / (values[a - r] - values[:-r]) + 0.5 / (values[b - r] - values[:-r])
+        term = (coupling * inverse_gaps) @ other.conj().T
+    term += z_a[:, None] * x * z[:, b - r]
+    return half_jacobian, term
+
+
+def _cluster_terms(x: np.ndarray, eigensystem, weights: np.ndarray):
+    """Derivatives in y = log g of <W, U^dagger H U>, U the eigenvectors of H's top r eigenvalues.
+
+    W = ``weights`` is r x r Hermitian, written in the basis U. Returns the
+    Jacobian J_i = U^dagger (dH / dy_i) U as an n x r x r stack, the gradient
+    tr(W J_i) and the Hessian delta_ij tr(W J_i) + 2 Re F_ij with
+    F = sum_ab W_ba T_ab (``_pair_terms``). F is Hermitian, as T_ba = T_ab^dagger,
+    so each pair a < b is taken once, with its transpose. With W = I these are
+    the derivatives of the sum of the top r eigenvalues.
+    """
+    n, r = x.shape[0], weights.shape[0]
+    jacobian = np.empty((n, r, r), dtype=complex)
+    gradient = hessian = 0.0
+    for a in range(r):
+        for b in range(a, r):
+            half_jacobian, term = _pair_terms(x, eigensystem, r, a, b)
+            jacobian[:, a, b] = 2.0 * half_jacobian
+            jacobian[:, b, a] = jacobian[:, a, b].conj()
+            gradient_part = (weights[b, a] * jacobian[:, a, b]).real
+            hessian_part = 2.0 * (weights[b, a] * term).real
+            if a != b:
+                # the pair (b, a) adds the conjugates: W_ab (J_i)_ba and W_ab T_ba
+                gradient_part = 2.0 * gradient_part
+                hessian_part = hessian_part + hessian_part.T
+            gradient = gradient + gradient_part
+            hessian = hessian + hessian_part
+    hessian.flat[::n + 1] += gradient
+    return jacobian, gradient, hessian
+
+
+def _top_terms(x: np.ndarray, eigensystem):
+    """L = log lambda_max(N G X G N^dagger), with its gradient and Hessian in y.
+
+    The r = 1 case of ``_cluster_terms``, its one pair (``_pair_terms``) with
+    W = 1 / lambda_max, lambda_max > 0: the gradient (d lambda / dy) / lambda, and
+    the Hessian (d2 lambda / dy2) / lambda less the gradient's outer square.
+    """
+    top = eigensystem[0][-1]
+    half_jacobian, term = _pair_terms(x, eigensystem, 1, 0, 0)
+    gradient = (2.0 / top) * half_jacobian
+    hessian = (2.0 / top) * term.real
+    hessian.flat[::gradient.size + 1] += gradient
+    hessian -= gradient[:, None] * gradient
     return math.log(top), gradient, hessian
+
+
+def _cluster_step(x: np.ndarray, eigensystem, weights: np.ndarray):
+    """The Newton step in y on the cluster of H's top r eigenvalues, with its multiplier.
+
+    Solves the (n + r^2) system of the linearized equations
+    U^dagger H U = I - eps W^-1, eps = lambda_max(W) UNIFORM_SHORTFALL / n, and
+    tr(W' J_i) = 2 Re(G X G N^dagger U W' U^dagger N)_ii = 1 for every i, whose
+    matrix is [[K, P], [P', 0]] with K the Hessian of <W, U^dagger H U>. A Hermitian
+    r x r matrix J has the real coordinates Re J + Im J, and W' those of S with
+    W' = (S + S') / 2 + i (S - S') / 2, so that tr(W' J) = sum_ab S_ab (Re J + Im J)_ab;
+    P holds the J_i's coordinates. Returns the step and W', in the basis U.
+    """
+    values = eigensystem[0]
+    n, r = values.size, weights.shape[0]
+    jacobian, _, hessian = _cluster_terms(x, eigensystem, weights)
+    size = n + r * r
+    system = np.zeros((size, size))
+    system[:n, :n] = hessian
+    system[:n, n:] = (jacobian.real + jacobian.imag).reshape(n, r * r)
+    system[n:, :n] = system[:n, n:].T
+    spectrum, basis = np.linalg.eigh(weights)
+    target = (basis * (-spectrum[-1] * UNIFORM_SHORTFALL / n / spectrum)) @ basis.conj().T
+    target.flat[::r + 1] += 1.0 - values[-r:]
+    rhs = np.ones(size)
+    rhs[n:] = (target.real + target.imag).reshape(-1)
+    solution = np.linalg.solve(system, rhs)
+    s = solution[n:].reshape(r, r)
+    return solution[:n], 0.5 * ((1.0 + 1.0j) * s + (1.0 - 1.0j) * s.T)
 
 
 @np.errstate(all="raise", under="ignore")
@@ -323,12 +408,35 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
     Steps are damped as the barrier's are while the squared decrement exceeds
     1e-2, and halved until f does not fall. Where lambda_max is simple at the
     optimum it converges quadratically (Overton, SIAM J. Optim. 2(1), 1992).
-    Once the squared decrement is at most 1e-6 it takes the full Newton step
-    without evaluating there, and returns g^2 (1 - UNIFORM_SHORTFALL / n) / lambda_max
-    at the new g, scaled onto the boundary as the uniform trial is by one
-    eigvalsh. It declines, returning None, when the top two eigenvalues come
-    within 1 %, when the decrement is not positive, when an evaluation fails
-    or overflows, or once _BOUNDARY_EVALUATIONS evaluations are spent.
+
+    Where the top two eigenvalues coalesce lambda_max is not smooth, and with four
+    or more inputs the try hands off to Newton's method on the cluster of the top
+    r = 2 (Overton and Womersley, SIAM J. Matrix Anal. Appl. 16(3), 1995): at an
+    evaluated point whose top two are within 1 %, or where they are within 15 % and
+    their first-order values along the next step come within 1 %. Its unknowns are
+    y and an r x r Hermitian multiplier W in the basis U of the cluster's
+    eigenvectors; each evaluation solves one (n + r^2) system (``_cluster_step``),
+    and its r^2 equations need n >= r^2 unknowns. W starts at n / (2 tr U^dagger H U) I
+    and is carried to the next evaluation's basis U' as R^dagger W R, R = U^dagger U',
+    across the free rotation eigh gives U'. When the step's multiplier has an
+    eigenvalue that is not positive, the optimum's top eigenvalue is simple: r drops
+    to 1 and the Newton step on f goes on from that point, which may not hand off
+    again. Cluster steps are halved until f does not fall.
+
+    Once the squared decrement is at most 1e-6, or a cluster step is at most 1e-8 in
+    every y_i, it takes the full step without evaluating there, and returns
+    g^2 (1 - UNIFORM_SHORTFALL / n) / lambda_max at the new g, scaled onto the
+    boundary as the uniform trial is by one eigvalsh. A cluster step aims at the
+    interior point whose whitened residual on the cluster, I - U^dagger H U, is
+    eps W^-1 with least eigenvalue UNIFORM_SHORTFALL / n, so that scaling moves it by
+    rounding only: the certificate's dual point there is W, as the barrier's is on
+    its central path. At r = 1 that point is the scaled one. A cluster step must
+    start within about 1e-8 of its target, as the residual on the cluster, about
+    1e-11, must be right to its rounding; a simple top eigenvalue needs only its
+    scale. The try declines, returning None, when the top two eigenvalues come
+    within 1 % with fewer than four inputs, when the decrement is not positive, when
+    an evaluation or a solve fails or overflows, or once _BOUNDARY_EVALUATIONS
+    evaluations are spent.
     """
     n = x.shape[0]
     try:
@@ -340,33 +448,75 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
         k = (x * (whitener.conj().T @ whitener).T).real
         g = start = np.ones(n)
         least = math.inf
-        for _ in range(5):
+        for balancing in range(5):
+            if balancing:
+                g = np.sqrt(g / kg)
             kg = k @ g
             # g > 0, so the balance g_i (K g)_i has the signs of K g
             balance = g * kg
-            low, high = balance.min(), balance.max()
+            low, high = np.minimum.reduce(balance), np.maximum.reduce(balance)
             if not (low > 0.0 and high < math.inf):
                 break
             if high / low < least:
                 least, start = high / low, g
-            g = np.sqrt(g / kg)
         y = np.log(start)
-        terms = _top_terms(whitener, x, y)
-        if terms is None:
+        eigensystem = _eigensystem(whitener, x, y)
+        values = eigensystem[0]
+        if not values[-1] > 0.0:
             return None
-        # scaled onto the boundary, where L = 0; L's derivatives do not change with scale
-        log_top, gradient, hessian = terms
-        y = y - log_top / 2.0
-        log_top, value, evaluations = 0.0, float(y.sum()), 1
+        # r = 1 takes Newton steps on f, r = 2 cluster steps; dropped: r fell back to 1
+        # at this point, which may not hand off again before the next step
+        r, dropped, evaluations = 1, False, 1
+        coalesced = values[-2] >= 0.99 * values[-1]
+        if coalesced:
+            log_top = math.log(values[-1])
+            value = float(y.sum()) - (n / 2.0 + log_top / 2.0) * log_top
+        else:
+            # scaled onto the boundary, where L = 0; L's derivatives do not change with scale
+            log_top, gradient, hessian = _top_terms(x, eigensystem)
+            y = y - log_top / 2.0
+            log_top, value = 0.0, float(y.sum())
         while True:
-            weight = n / 2.0 + log_top
-            f_gradient = 1.0 - weight * gradient
-            delta = np.linalg.solve(-weight * hessian - np.outer(gradient, gradient), -f_gradient)
-            decrement2 = float(f_gradient @ delta)
-            if not decrement2 > 0.0:
-                return None
-            if decrement2 <= 1e-6:
-                # the full step is predicted to end within rounding of the optimum:
+            if coalesced:
+                # the cluster step's r^2 = 4 equations need as many unknowns
+                if n < 4:
+                    return None
+                # tr(W sum_i J_i) = 2 tr(W U^dagger H U) = n, as at the optimum
+                r, coalesced = 2, False
+                weights = np.eye(2) * (n / (2.0 * eigensystem[0][-2:].sum()))
+            if r == 1:
+                weight = n / 2.0 + log_top
+                # minus f's gradient, so that delta solves (f's Hessian) delta = -(its gradient)
+                descent = weight * gradient - 1.0
+                delta = np.linalg.solve(-weight * hessian - gradient[:, None] * gradient, descent)
+                decrement2 = -float(descent @ delta)
+                if not decrement2 > 0.0:
+                    return None
+                done = decrement2 <= 1e-6
+                step = delta / (1.0 + math.sqrt(decrement2)) if decrement2 > 1e-2 else delta
+                # where the top two are within 15 %, their values to first order along the
+                # step: lambda_k + (d lambda_k / dy) step, d lambda_k / dy_i = 2 Re(conj(z_ik) v_ik)
+                values, _, z, v = eigensystem
+                if n >= 4 and not (done or dropped) and values[-2] >= 0.85 * values[-1]:
+                    coalesced = (values[-2] + 2.0 * np.vdot(z[:, -2], v[:, -2] * step).real
+                                 >= 0.99 * values[-1] * (1.0 + gradient @ step))
+                    if coalesced:
+                        if evaluations == 1:
+                            # the start's eigensystem, at g before its scaling onto the boundary
+                            root = math.sqrt(values[-1])
+                            eigensystem = (values / values[-1], eigensystem[1], z / root, v / root)
+                        continue
+            else:
+                delta, multiplier = _cluster_step(x, eigensystem, weights)
+                if not np.linalg.eigvalsh(multiplier)[0] > 0.0:
+                    # the optimum's top eigenvalue is simple: back to the Newton step on f
+                    r, dropped = 1, True
+                    log_top, gradient, hessian = _top_terms(x, eigensystem)
+                    continue
+                done = np.abs(delta).max() <= 1e-8
+                step = delta
+            if done:
+                # the full step is predicted to end within rounding of its target:
                 # scale it onto the boundary with one eigvalsh, not a full evaluation
                 g = np.exp(y + delta)
                 m = whitener * g
@@ -374,20 +524,28 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 if not top > 0.0:
                     return None
                 return np.minimum(g * g / top * (1.0 - UNIFORM_SHORTFALL / n), 1.0)
-            step = delta / (1.0 + math.sqrt(decrement2)) if decrement2 > 1e-2 else delta
             while True:
                 if evaluations == _BOUNDARY_EVALUATIONS:
                     return None
                 evaluations += 1
-                terms = _top_terms(whitener, x, y + step)
-                if terms is None:
+                trial_y = y + step
+                trial_system = _eigensystem(whitener, x, trial_y)
+                values = trial_system[0]
+                if not values[-1] > 0.0:
                     return None
-                trial = float((y + step).sum()) - (n / 2.0 + terms[0] / 2.0) * terms[0]
-                if trial >= value:
+                log_trial = math.log(values[-1])
+                trial = float(trial_y.sum()) - (n / 2.0 + log_trial / 2.0) * log_trial
+                coalesced = r == 1 and values[-2] >= 0.99 * values[-1]
+                if coalesced or trial >= value:
                     break
                 step = step / 2.0
-            y, value = y + step, trial
-            log_top, gradient, hessian = terms
+            if r > 1:
+                # W from the old cluster basis U to the new one U': R^dagger W R, R = U^dagger U'
+                rotation = eigensystem[1][:, -r:].conj().T @ trial_system[1][:, -r:]
+                weights = rotation.conj().T @ multiplier @ rotation
+            y, value, eigensystem, dropped = trial_y, trial, trial_system, False
+            if not (r > 1 or coalesced):
+                log_top, gradient, hessian = _top_terms(x, eigensystem)
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
 
@@ -418,10 +576,15 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     sum_i y_i - (n / 2) L - L^2 / 2 over y = log g, with
     L = log lambda_max(N G X G N^dagger), ends with one full Newton step once
     the squared decrement is at most 1e-6, and scales that point onto the
-    boundary as the uniform one is. It declines when the top two eigenvalues
-    come within 1 %, when the Newton decrement is not positive, when an
-    evaluation fails or overflows, or after _BOUNDARY_EVALUATIONS = 14
-    evaluations, one eigh each, step halvings included. Every solve whose
+    boundary as the uniform one is. Where the top two eigenvalues coalesce,
+    with four or more inputs, it goes on with Newton steps on the pair of them
+    and an r x r multiplier W (r = 2), each one (n + r^2) linear system, and
+    returns the interior point whose whitened residual on the pair is
+    proportional to W^-1, with least eigenvalue UNIFORM_SHORTFALL / n. It
+    declines when the top two come within 1 % with fewer than four inputs,
+    when the Newton decrement is not positive, when an evaluation or a solve
+    fails or overflows, or after _BOUNDARY_EVALUATIONS = 14 evaluations, one
+    eigh each, step halvings included. Every solve whose
     try is not returned runs the barrier from scratch, with c* as above.
     The log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting

@@ -1026,6 +1026,23 @@ def test_cli_import_loads_no_scipy():
     assert completed.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_only_what_numpy_argparse_and_json_load():
+    # every CLI process pays for each module it imports (logging alone costs a few
+    # milliseconds), so qmask.cli adds its own modules and three small standard ones
+    code = "import sys, {}; print(' '.join(sorted(sys.modules)))"
+    loaded = []
+    for imports in ("numpy, argparse, json", "qmask.cli"):
+        completed = python("-c", code.format(imports))
+        assert completed.returncode == 0, completed.stderr
+        loaded.append(set(completed.stdout.split()))
+    base, cli = loaded
+    extra = {name for name in cli - base
+             if name not in ("__future__", "copy", "dataclasses")
+             and name.split(".")[0] != "qmask"}
+    assert extra == set()
+    assert "qmask.cli" in cli
+
+
 class TestProcessEntry:
     def test_process_prints_what_main_prints(self, overlap_pair_file, tmp_path, capsys,
                                              monkeypatch):

@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,9 @@ from qmask.optimizer import (
     _BOUNDARY_EVALUATIONS,
     _admissible,
     _boundary_newton,
+    _cluster_terms,
     _dual_factor,
+    _eigensystem,
     _gap,
     _log_det_terms,
     _solve_inputs,
@@ -89,6 +94,18 @@ def frozen_instance(n, d, seed):
     rng = np.random.default_rng(seed)
     inputs = random_independent(n, d, rng)
     return inputs, flat_targets(n, d, rng)
+
+
+def benchmark_instances():
+    """The benchmark's instance generator, loaded from its file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    # its dataclass looks the module up by name while the file runs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, spec.name, instances)
+        spec.loader.exec_module(instances)
+    return instances
 
 
 def two_state_matrices(s, t):
@@ -427,12 +444,13 @@ class TestSymmetricOptimum:
 @contextmanager
 def counted_factorizations():
     """Calls inside the block, by name: ``_log_det_terms`` (one Cholesky each), the
-    boundary Newton try's ``_top_terms`` (one eigh each) and the eigensolvers ``eigh``
-    and ``eigvalsh``."""
+    boundary Newton try's evaluations ``_eigensystem`` (one eigh each) and cluster steps
+    ``_cluster_step``, and the eigensolvers ``eigh`` and ``eigvalsh``."""
     calls = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in ((optimizer, "_log_det_terms"), (optimizer, "_top_terms"),
-                             (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        for module, name in ((optimizer, "_log_det_terms"), (optimizer, "_eigensystem"),
+                             (optimizer, "_cluster_step"), (np.linalg, "eigh"),
+                             (np.linalg, "eigvalsh")):
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -732,7 +750,7 @@ class TestUniformShortcut:
         a = gram(random_independent(n, n + extra, rng))
         x = gram([random_state(n + extra, rng) for _ in range(n)])
         gammas, _, calls = self.solve(a, x)
-        assert calls["_top_terms"] > 0
+        assert calls["_eigensystem"] > 0
         assert calls["_log_det_terms"] > 0 or certify(a, x, gammas)[0] <= GAP_TOL
 
     def test_corner_falls_through_to_the_barrier(self):
@@ -759,25 +777,36 @@ class TestUniformShortcut:
         assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
 
     @pytest.mark.parametrize("case, expected", [
-        ("saturated", (1, 1)), ("uniform", (1, 2)), ("barrier", (1, 2)), ("newton", (1, 2))])
+        ("saturated", (1, 1)), ("uniform", (1, 2)), ("barrier", (1, 2)), ("newton", (1, 2)),
+        ("cluster", (1, 2))])
     def test_each_solve_decomposes_three_matrices_at_most(self, factorizations, case, expected):
         # A's whitener (eigh) and the gamma = 1 test (eigvalsh); past that test, for one
         # or two inputs the uniform boundary's eigvalsh of N X N^dagger; for three or
         # more, one eigh per evaluation of the boundary Newton try, within its budget,
         # then either the eigvalsh that scales its predicted last step onto the boundary
-        # or, where the barrier runs, the uniform boundary's eigvalsh. The barrier case
-        # declines on a double top eigenvalue, the newton case is accepted
-        if case in ("barrier", "newton"):
-            inputs, targets = frozen_instance(4, 4, 22 if case == "barrier" else 1)
+        # or, where the barrier runs, the uniform boundary's eigvalsh. Each cluster step
+        # also decomposes two r x r multipliers (an eigh and an eigvalsh), not an n x n
+        # matrix.
+        # The barrier case is an asymmetric three-input pair whose try declines at its
+        # first Newton decrement (-67); the newton case is accepted at a simple top
+        # eigenvalue, and the cluster case at a double one
+        if case == "barrier":
+            rng = np.random.default_rng(189)
+            a = gram(random_independent(3, 4, rng))
+            x = gram([random_state(4, rng) for _ in range(3)])
+        elif case in ("newton", "cluster"):
+            inputs, targets = frozen_instance(4, 4, 1 if case == "newton" else 22)
             a, x = gram(inputs), gram(targets)
         else:
             a, x = two_state_matrices(0.4, 0.4 if case == "saturated" else 0.0)
         factorizations.clear()
         maximize_general(a, x)
-        evaluations = factorizations["_top_terms"]
+        evaluations, cluster_steps = factorizations["_eigensystem"], factorizations["_cluster_step"]
         assert evaluations <= _BOUNDARY_EVALUATIONS
-        assert (evaluations > 0) == (case in ("barrier", "newton"))
-        assert (factorizations["eigh"] - evaluations, factorizations["eigvalsh"]) == expected
+        assert (evaluations > 0) == (case in ("barrier", "newton", "cluster"))
+        assert (cluster_steps > 0) == (case == "cluster")
+        assert (factorizations["eigh"] - evaluations - cluster_steps,
+                factorizations["eigvalsh"] - cluster_steps) == expected
         assert (factorizations["_log_det_terms"] > 0) == (case == "barrier")
 
     @given(
@@ -799,7 +828,7 @@ class TestUniformShortcut:
                 patch.setattr(optimizer, "_gap", lambda *args: (np.inf, None))
             gammas, prob = maximize_general(a, x)
         # the uniform trial covers n <= 2 only; from n = 3 the boundary Newton try runs
-        assert (calls["_top_terms"] > 0) == (n > 2)
+        assert (calls["_eigensystem"] > 0) == (n > 2)
         if barrier or n <= 2:
             assert (calls["_log_det_terms"] > 0) == barrier
         true_gap = n * np.log(uniform_feasibility_boundary(a, x)) - np.log(prob)
@@ -853,7 +882,7 @@ class TestBoundaryNewton:
             m = whitener * np.exp(values)
             return np.log(np.linalg.eigvalsh(m @ x @ m.conj().T)[-1])
 
-        value, gradient, hessian = _top_terms(whitener, x, y)
+        value, gradient, hessian = _top_terms(x, _eigensystem(whitener, x, y))
         assert value == pytest.approx(log_top(y), abs=1e-14)
         # L(y + c) = L(y) + 2c, so the gradient sums to 2 and the Hessian's rows to 0
         assert gradient.sum() == pytest.approx(2.0, abs=1e-12)
@@ -864,18 +893,99 @@ class TestBoundaryNewton:
             shift[i] = step
             difference = (log_top(y + shift) - log_top(y - shift)) / (2 * step)
             assert difference == pytest.approx(gradient[i], abs=1e-9)
-            column = (_top_terms(whitener, x, y + shift)[1]
-                      - _top_terms(whitener, x, y - shift)[1]) / (2 * step)
+            column = (_top_terms(x, _eigensystem(whitener, x, y + shift))[1]
+                      - _top_terms(x, _eigensystem(whitener, x, y - shift))[1]) / (2 * step)
             assert np.max(np.abs(column - hessian[:, i])) <= 1e-8
         assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * np.max(np.abs(hessian)))
 
+    def test_top_two_eigenvalue_sum_derivatives_match_central_differences(self, rng):
+        # with W = I the cluster terms at r = 2 are the derivatives of lambda_1 + lambda_2,
+        # smooth where lambda_2 > lambda_3; the eigenvector-rotation term couples the
+        # cluster to the rest of the spectrum only
+        n = 6
+        a = gram(random_independent(n, n, rng))
+        x = gram(flat_targets(n, n, rng))
+        whitener = _whitener(a)
+        y = rng.uniform(-0.5, 0.5, n)
+
+        def top_two(values):
+            m = whitener * np.exp(values)
+            return np.linalg.eigvalsh(m @ x @ m.conj().T)[-2:].sum()
+
+        eigensystem = _eigensystem(whitener, x, y)
+        assert eigensystem[0][-2] > 1.05 * eigensystem[0][-3]
+        jacobian, gradient, hessian = _cluster_terms(x, eigensystem, np.eye(2))
+        assert jacobian.shape == (n, 2, 2)
+        assert np.allclose(np.trace(jacobian, axis1=1, axis2=2).real, gradient, rtol=1e-12)
+        assert np.max(np.abs(jacobian - jacobian.conj().transpose(0, 2, 1))) <= 1e-14
+        # sum_i dH / dy_i = 2H, so the gradient sums to twice the value, the Hessian's
+        # rows to twice the gradient
+        assert gradient.sum() == pytest.approx(2.0 * top_two(y), rel=1e-12)
+        assert np.max(np.abs(hessian.sum(axis=1) - 2.0 * gradient)) <= 1e-12 * top_two(y)
+        # the sum is not scaled to 1 as L is, so the differences are compared relative to it
+        scale = top_two(y)
+        step = 1e-5
+        for i in range(n):
+            shift = np.zeros(n)
+            shift[i] = step
+            difference = (top_two(y + shift) - top_two(y - shift)) / (2 * step)
+            assert difference == pytest.approx(gradient[i], abs=1e-9 * scale)
+            column = (_cluster_terms(x, _eigensystem(whitener, x, y + shift), np.eye(2))[1]
+                      - _cluster_terms(x, _eigensystem(whitener, x, y - shift), np.eye(2))[1]
+                      ) / (2 * step)
+            assert np.max(np.abs(column - hessian[:, i])) <= 1e-8 * scale
+        assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * np.max(np.abs(hessian)))
+
+    def test_cluster_hessian_is_that_of_the_canonical_cluster_block(self, rng):
+        # for any Hermitian W the cluster terms are the derivatives of <W, B(y)>, with
+        # B(y) = S^-1 U0^dagger P H P U0 S^-1 the top two's block in the basis carried
+        # from U0 without rotation inside the cluster: P projects on the cluster at y
+        # and S = (U0^dagger P U0)^(1/2). This checks the off-diagonal pairs, which
+        # W = I leaves out
+        n = 6
+        a = gram(random_independent(n, n, rng))
+        x = gram(flat_targets(n, n, rng))
+        whitener = _whitener(a)
+        y0 = rng.uniform(-0.5, 0.5, n)
+        weights = np.array([[1.3, 0.4 - 0.7j], [0.4 + 0.7j, 0.6]])
+        base = _eigensystem(whitener, x, y0)[1][:, -2:]
+
+        def carried(y):
+            m = whitener * np.exp(y)
+            h = m @ x @ m.conj().T
+            vectors = np.linalg.eigh(h)[1][:, -2:]
+            projected = base.conj().T @ vectors
+            values, rotation = np.linalg.eigh(projected @ projected.conj().T)
+            root_inverse = (rotation / np.sqrt(values)) @ rotation.conj().T
+            block = projected @ vectors.conj().T @ h @ vectors @ projected.conj().T
+            return np.trace(weights @ root_inverse @ block @ root_inverse).real
+
+        eigensystem = _eigensystem(whitener, x, y0)
+        assert eigensystem[0][-2] > 1.05 * eigensystem[0][-3]
+        _, gradient, hessian = _cluster_terms(x, eigensystem, weights)
+        scale = abs(carried(y0))
+        step = 1e-4
+        for i in range(n):
+            shift = np.zeros(n)
+            shift[i] = step
+            difference = (carried(y0 + shift) - carried(y0 - shift)) / (2 * step)
+            assert difference == pytest.approx(gradient[i], abs=1e-7 * scale)
+            for j in range(n):
+                other = np.zeros(n)
+                other[j] = step
+                second = (carried(y0 + shift + other) - carried(y0 + shift - other)
+                          - carried(y0 - shift + other) + carried(y0 - shift - other)) / (4 * step**2)
+                assert second == pytest.approx(hessian[i, j], abs=1e-5 * scale)
+
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n=st.integers(min_value=3, max_value=8),
+        n=st.integers(min_value=3, max_value=12),
         extra=st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=40, deadline=None)
     def test_accepted_points_are_certified(self, seed, n, extra):
+        # from n of about 12 on the top eigenvalue is often double at the optimum, where
+        # the cluster step returns the point
         rng = np.random.default_rng(seed)
         a = gram(random_independent(n, n + extra, rng))
         x = gram(flat_targets(n, n + extra, rng))
@@ -908,17 +1018,59 @@ class TestBoundaryNewton:
         assert gammas is not None
         assert _gap(a, x, whitener, gammas)[0] <= GAP_TOL
 
-    def test_double_top_eigenvalue_falls_back_to_the_barriers_bytes(self, factorizations):
+    def test_double_top_eigenvalue_is_returned_by_the_cluster_step(self, factorizations):
         # at this shape's optimum the whitened residual I - N G X G N^dagger has two
-        # eigenvalues near 0, so lambda_max is double there and not smooth: the try
-        # declines once the top two come within 1 %, and the barrier runs from scratch
+        # eigenvalues near 0, so lambda_max is double there and not smooth: once the top
+        # two come within 1 % the try goes on with Newton steps on the pair, and its
+        # point is certified without a barrier solve
         inputs, targets = frozen_instance(4, 4, 22)
         a, x = gram(inputs), gram(targets)
         gammas, prob = maximize_general(a, x)
-        assert 1 < factorizations["_top_terms"] < _BOUNDARY_EVALUATIONS
-        assert factorizations["_log_det_terms"] > 0
+        assert factorizations["_cluster_step"] > 0
+        assert factorizations["_eigensystem"] <= _BOUNDARY_EVALUATIONS
+        assert factorizations["_log_det_terms"] == 0
         m = _whitener(a) * np.sqrt(gammas)
         assert np.linalg.eigvalsh(np.eye(4) - m @ x @ m.conj().T)[1] <= 1e-8
+        gap = certify(a, x, gammas)[0]
+        assert 0.0 <= gap <= GAP_TOL
+        with barrier_only():
+            barrier_prob = maximize_general(a, x)[1]
+        assert np.log(prob) >= np.log(barrier_prob) - gap
+
+    def test_sweeps_double_top_eigenvalue_shape_is_returned(self, factorizations):
+        # the benchmark's optimize-sweep shape 52 (n = 8), whose top eigenvalue is double
+        # at the optimum; the sweep places it by unitaries, which keep its Gram pair
+        inputs, targets = benchmark_instances().random_shape(8, 8, 3)
+        a, x = gram([StateVector(row) for row in inputs]), gram([StateVector(row) for row in targets])
+        gammas, prob = maximize_general(a, x)
+        assert factorizations["_cluster_step"] > 0
+        assert factorizations["_log_det_terms"] == 0
+        m = _whitener(a) * np.sqrt(gammas)
+        assert np.linalg.eigvalsh(np.eye(8) - m @ x @ m.conj().T)[1] <= 1e-8
+        gap = certify(a, x, gammas)[0]
+        assert 0.0 <= gap <= GAP_TOL
+        with barrier_only():
+            barrier_prob = maximize_general(a, x)[1]
+        assert np.log(prob) >= np.log(barrier_prob) - gap
+
+    @pytest.mark.parametrize("case", ["corner", "near-double"])
+    def test_declined_try_falls_back_to_the_barriers_bytes(self, factorizations, case):
+        # a try that evaluates and declines leaves no trace in the result. The three-input
+        # corner declines once its top two eigenvalues come within 1 %, as a cluster step
+        # needs four inputs or more; the benchmark's simulate-reuse shape 0 has a simple
+        # top eigenvalue at its optimum with lambda_2 / lambda_1 = 0.991, where the pair's
+        # multiplier turns indefinite, and its try spends the budget
+        if case == "corner":
+            inputs, targets = overlap_family(0.99, 0.999, 0, d=3, n=3)
+            a, x = gram(inputs), gram(targets.states)
+        else:
+            inputs, targets = benchmark_instances().random_shape(5, 8, 0)
+            a = gram([StateVector(row) for row in inputs])
+            x = gram([StateVector(row) for row in targets])
+        gammas, prob = maximize_general(a, x)
+        assert 1 < factorizations["_eigensystem"] <= _BOUNDARY_EVALUATIONS
+        assert (factorizations["_cluster_step"] > 0) == (case == "near-double")
+        assert factorizations["_log_det_terms"] > 0
         with barrier_only():
             barrier_gammas, barrier_prob = maximize_general(a, x)
         assert gammas.tobytes() == barrier_gammas.tobytes() and prob == barrier_prob
@@ -947,7 +1099,7 @@ class TestBoundaryNewton:
             factorizations.clear()
             maximize_general(gram(inputs), gram(targets))
             if factorizations["_log_det_terms"] == 0:
-                evaluations.append(factorizations["_top_terms"])
+                evaluations.append(factorizations["_eigensystem"])
         assert len(evaluations) >= 18
         assert np.median(evaluations) <= 4
         assert max(evaluations) <= 7
@@ -971,7 +1123,7 @@ class TestBoundaryNewton:
             gammas, _ = maximize_general(a, x)
         assert tried[0] is not None and gammas is tried[0]
         assert 0.0 <= certify(a, x, gammas)[0] <= GAP_TOL
-        assert calls["_top_terms"] <= 3
+        assert calls["_eigensystem"] <= 3
 
 
 class TestProbabilityCurves:

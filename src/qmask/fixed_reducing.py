@@ -19,7 +19,6 @@ for the check here, for ``masker.verify_masking`` and for the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from .hilbert import (
     MARGINAL_TOL,
     NORM_TOL,
+    Immutable,
     MultipartiteState,
     partial_trace,
     square_matrix,
@@ -83,8 +83,7 @@ def _state_from_b_unitary(alphas: np.ndarray, v: np.ndarray) -> MultipartiteStat
     return MultipartiteState(matrix.reshape(-1), (alphas.size, alphas.size))
 
 
-@dataclass(frozen=True)
-class FixedReducingSet:
+class FixedReducingSet(Immutable):
     """Bipartite state family with index-independent marginals.
 
     Every member's marginals must match the first member's to within
@@ -93,8 +92,8 @@ class FixedReducingSet:
 
     states: tuple[MultipartiteState, ...]
 
-    def __post_init__(self):
-        states = tuple(self.states)
+    def __init__(self, states: Sequence[MultipartiteState]):
+        states = tuple(states)
         dims = _family_dims(states)
         if dims[0] != dims[1]:
             raise ValueError(f"a fixed reducing set needs equal local dimensions, got {dims}")
@@ -105,7 +104,7 @@ class FixedReducingSet:
                 f"family is not fixed reducing: state {worst} deviates from the "
                 f"common marginals by {deviations[worst]:.3e}"
             )
-        object.__setattr__(self, "states", states)
+        vars(self).update(states=states)
 
     @property
     def n(self) -> int:

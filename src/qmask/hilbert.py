@@ -1,7 +1,10 @@
 """Complex linear algebra for finite-dimensional pure states, and qmask's tolerance policy.
 
 Value types (states, operators) are immutable after construction and
-validated against their defining invariants. There is one pure-state
+validated against their defining invariants. They are plain classes on
+``Immutable``, which refuses every attribute assignment and deletion
+after ``__init__``; unlike dataclasses they generate no code at import,
+which a CLI process would pay for on every run. There is one pure-state
 type, ``MultipartiteState``: a normalized amplitude vector with its
 subsystem dimensions (one subsystem unless given); ``StateVector`` names
 the same class, and ``partial_trace`` addresses a subsystem by its
@@ -43,7 +46,6 @@ This module also sets every numerical threshold in qmask, in three classes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -124,16 +126,35 @@ def _check_normalized(amps: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: |norm - 1| = {err:.3e}")
 
 
-@dataclass(frozen=True)
-class MultipartiteState:
+class Immutable:
+    """Base of qmask's value types: ``__init__`` sets the fields through ``vars(self)``,
+    and assigning or deleting an attribute afterwards raises AttributeError.
+
+    ``functools.cached_property`` writes to the instance dictionary directly, so
+    cached values still work. The fields are the class annotations, which ``repr``
+    lists as a dataclass's would; equality and hashing are by identity.
+    """
+
+    def _refuse(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: attribute {name!r} "
+                             "cannot be assigned or deleted")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__name__}({fields})"
+
+
+class MultipartiteState(Immutable):
     """Normalized pure state on a tensor product of subsystems (one by default)."""
 
     amplitudes: np.ndarray
-    dims: tuple[int, ...] | None = None
+    dims: tuple[int, ...]
 
-    def __post_init__(self):
-        amps = _frozen_complex_vector(self.amplitudes)
-        dims = (amps.size,) if self.dims is None else tuple(self.dims)
+    def __init__(self, amplitudes, dims: Sequence[int] | None = None):
+        amps = _frozen_complex_vector(amplitudes)
+        dims = (amps.size,) if dims is None else tuple(dims)
         # int() would truncate 2.7 to 2, read "2" and take True for 1
         if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
             raise ValueError(f"subsystem dimensions must be integers, got {dims!r}")
@@ -145,8 +166,7 @@ class MultipartiteState:
                 f"product of dims {dims} does not match amplitude length {amps.size}"
             )
         _check_normalized(amps)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", dims)
+        vars(self).update(amplitudes=amps, dims=dims)
 
     @property
     def dim(self) -> int:
@@ -156,8 +176,7 @@ class MultipartiteState:
 StateVector = MultipartiteState
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(Immutable):
     """Unitary U = I - Q Q^dagger + Q W Q^dagger on dimension D.
 
     The k orthonormal columns of Q (``span_basis``, D x k) span the only
@@ -172,12 +191,12 @@ class Operator:
     span_basis: np.ndarray
     span_unitary: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, span_basis, span_unitary):
         # one memory layout, so built and reloaded maskers round identically
-        basis = np.array(self.span_basis, dtype=complex, order="C")
+        basis = np.array(span_basis, dtype=complex, order="C")
         if basis.ndim != 2 or not 0 < basis.shape[1] <= basis.shape[0]:
             raise ValueError(f"span basis must be a D x k matrix with 0 < k <= D, got {basis.shape}")
-        unitary = square_matrix(self.span_unitary, "span unitary").copy()
+        unitary = square_matrix(span_unitary, "span unitary").copy()
         if unitary.shape[0] != basis.shape[1]:
             raise ValueError(
                 f"span unitary has dimension {unitary.shape[0]}, "
@@ -185,8 +204,7 @@ class Operator:
             )
         basis.setflags(write=False)
         unitary.setflags(write=False)
-        object.__setattr__(self, "span_basis", basis)
-        object.__setattr__(self, "span_unitary", unitary)
+        vars(self).update(span_basis=basis, span_unitary=unitary)
 
     @property
     def dim(self) -> int:

@@ -25,27 +25,28 @@ index of B; prepared inputs, success and failure branches are D x n
 frames, one column per input. ``failure_branches`` derives the failure
 frame F from the unitary: A = sqrt(Gamma) X sqrt(Gamma) + F^dagger F.
 The unitary is a ``hilbert.Operator`` in factored form, so nothing here
-forms a D x D matrix.
+forms a D x D matrix. ``Masker`` is an immutable value type
+(``hilbert.Immutable``) that checks its fields in ``__init__``;
+``MaskingOutcome`` and ``MaskingReport`` are named tuples, so two reports
+compare equal field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations, marginals
-from .hilbert import VERIFY_CEILING, MultipartiteState, Operator, StateVector
+from .hilbert import VERIFY_CEILING, Immutable, MultipartiteState, Operator, StateVector
 from .hilbert import fidelity, gram, hermitian_sqrt, nonsingular_spectrum
 from .hilbert import precision_floor, rounding_floor
 from .hilbert import unitary_completion, verification_tolerance
 
 
-@dataclass(frozen=True)
-class Masker:
+class Masker(Immutable):
     """Unitary masking each input, a state on A alone, with efficiency gamma_k.
 
     The ancilla on B starts in the basis state ``ancilla_index``. The
@@ -65,30 +66,31 @@ class Masker:
     gammas: np.ndarray
     unitary: Operator
 
-    def __post_init__(self):
-        if not isinstance(self.unitary, Operator):
-            raise TypeError(f"Masker.unitary is a {type(self.unitary).__name__}, not an Operator")
-        inputs = tuple(self.inputs)
+    def __init__(self, inputs: Sequence[StateVector], ancilla_index: int,
+                 targets: FixedReducingSet, gammas, unitary: Operator):
+        if not isinstance(unitary, Operator):
+            raise TypeError(f"Masker.unitary is a {type(unitary).__name__}, not an Operator")
+        inputs = tuple(inputs)
         if not inputs or any(a.dims != (inputs[0].dim,) for a in inputs):
             raise ValueError("inputs must be nonempty and share one subsystem of one dimension")
         d, n = inputs[0].dim, len(inputs)
-        if not (type(self.ancilla_index) is int and 0 <= self.ancilla_index < d):
+        if not (type(ancilla_index) is int and 0 <= ancilla_index < d):
             raise ValueError(f"ancilla index must be an integer in [0, {d}), "
-                             f"got {self.ancilla_index!r}")
-        if self.targets.dim != d or self.targets.n != n:
+                             f"got {ancilla_index!r}")
+        if targets.dim != d or targets.n != n:
             raise ValueError("targets do not match the input family")
-        gammas = np.array(self.gammas, dtype=float)
+        gammas = np.array(gammas, dtype=float)
         if gammas.shape != (n,) or not np.all((gammas > 0) & (gammas <= 1)):
             raise ValueError("efficiencies must be n values in (0, 1]")
-        if self.unitary.dim % (d * d):
-            raise ValueError(f"unitary dimension {self.unitary.dim} is not a multiple of {d * d}")
-        if self.unitary.dim == d * d and np.any(gammas < 1):
+        if unitary.dim % (d * d):
+            raise ValueError(f"unitary dimension {unitary.dim} is not a multiple of {d * d}")
+        if unitary.dim == d * d and np.any(gammas < 1):
             raise ValueError("a masker without a probe needs unit efficiencies")
-        if not self.unitary.is_unitary():
+        if not unitary.is_unitary():
             raise ValueError("masker operator is not unitary")
         gammas.setflags(write=False)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "gammas", gammas)
+        vars(self).update(inputs=inputs, ancilla_index=ancilla_index, targets=targets,
+                          gammas=gammas, unitary=unitary)
 
     @property
     def n(self) -> int:
@@ -110,8 +112,7 @@ class Masker:
         return outputs
 
 
-@dataclass(frozen=True)
-class MaskingOutcome:
+class MaskingOutcome(NamedTuple):
     """Result of masking one input and post-selecting the probe."""
 
     success_probability: float
@@ -121,8 +122,7 @@ class MaskingOutcome:
     marginal_B: np.ndarray
 
 
-@dataclass(frozen=True)
-class MaskingReport:
+class MaskingReport(NamedTuple):
     """What verification judges over all of a masker's inputs, the tolerance and the verdict."""
 
     passed: bool

@@ -421,7 +421,10 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
     across the free rotation eigh gives U'. When the step's multiplier has an
     eigenvalue that is not positive, the optimum's top eigenvalue is simple: r drops
     to 1 and the Newton step on f goes on from that point, which may not hand off
-    again. Cluster steps are halved until f does not fall.
+    again before the next step. Once a multiplier that was positive definite has
+    turned indefinite, the try hands off no more: a trial whose top two are within
+    1 % is then taken only where f does not fall. Cluster steps are halved until f
+    does not fall.
 
     Once the squared decrement is at most 1e-6, or a cluster step is at most 1e-8 in
     every y_i, it takes the full step without evaluating there, and returns
@@ -434,7 +437,8 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
     start within about 1e-8 of its target, as the residual on the cluster, about
     1e-11, must be right to its rounding; a simple top eigenvalue needs only its
     scale. The try declines, returning None, when the top two eigenvalues come
-    within 1 % with fewer than four inputs, when the decrement is not positive, when
+    within 1 % with fewer than four inputs, or at a trial where f falls after a
+    multiplier turned indefinite, when the decrement is not positive, when
     an evaluation or a solve fails or overflows, or once _BOUNDARY_EVALUATIONS
     evaluations are spent.
     """
@@ -465,8 +469,10 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
         if not values[-1] > 0.0:
             return None
         # r = 1 takes Newton steps on f, r = 2 cluster steps; dropped: r fell back to 1
-        # at this point, which may not hand off again before the next step
-        r, dropped, evaluations = 1, False, 1
+        # at this point, which may not hand off again before the next step; positive: a
+        # cluster step's multiplier has been positive definite, so back at r = 1 it has
+        # turned indefinite since, and the try hands off no more
+        r, dropped, positive, evaluations = 1, False, False, 1
         coalesced = values[-2] >= 0.99 * values[-1]
         if coalesced:
             log_top = math.log(values[-1])
@@ -497,7 +503,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 # where the top two are within 15 %, their values to first order along the
                 # step: lambda_k + (d lambda_k / dy) step, d lambda_k / dy_i = 2 Re(conj(z_ik) v_ik)
                 values, _, z, v = eigensystem
-                if n >= 4 and not (done or dropped) and values[-2] >= 0.85 * values[-1]:
+                if n >= 4 and not (done or dropped or positive) and values[-2] >= 0.85 * values[-1]:
                     coalesced = (values[-2] + 2.0 * np.vdot(z[:, -2], v[:, -2] * step).real
                                  >= 0.99 * values[-1] * (1.0 + gradient @ step))
                     if coalesced:
@@ -513,6 +519,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                     r, dropped = 1, True
                     log_top, gradient, hessian = _top_terms(x, eigensystem)
                     continue
+                positive = True
                 done = np.abs(delta).max() <= 1e-8
                 step = delta
             if done:
@@ -536,6 +543,11 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 log_trial = math.log(values[-1])
                 trial = float(trial_y.sum()) - (n / 2.0 + log_trial / 2.0) * log_trial
                 coalesced = r == 1 and values[-2] >= 0.99 * values[-1]
+                if coalesced and positive:
+                    # no second hand-off: a trial within 1 % is taken only where f rises
+                    if not trial >= value:
+                        return None
+                    coalesced = False
                 if coalesced or trial >= value:
                     break
                 step = step / 2.0

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -492,7 +491,8 @@ class TestMaskProb:
             # the identity is unitary, so the masker is well formed, but it masks nothing
             built = build(*args, **kwargs)
             identity = np.eye(built.unitary.dim)
-            return dataclasses.replace(built, unitary=Operator(identity, identity))
+            return Masker(built.inputs, built.ancilla_index, built.targets, built.gammas,
+                          Operator(identity, identity))
 
         monkeypatch.setattr(masking, "build_probabilistic", broken_build)
         out_path = tmp_path / "masker.json"
@@ -710,7 +710,8 @@ class TestMaskerFiles:
                         unitary_completion(prepared, built.evolved))
         report = verify_masking(masker)
         assert report.passed
-        assert not verify_masking(dataclasses.replace(masker, ancilla_index=0)).passed
+        assert not verify_masking(
+            Masker(masker.inputs, 0, masker.targets, masker.gammas, masker.unitary)).passed
         path = tmp_path / "masker.json"
         save_masker(masker, path)
         assert json.loads(path.read_text())["ancilla_index"] == 1
@@ -1028,7 +1029,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_loads_only_what_numpy_argparse_and_json_load():
     # every CLI process pays for each module it imports (logging alone costs a few
-    # milliseconds), so qmask.cli adds its own modules and three small standard ones
+    # milliseconds, dataclasses and the code it generates about 8), so qmask.cli adds
+    # its own modules and __future__
     code = "import sys, {}; print(' '.join(sorted(sys.modules)))"
     loaded = []
     for imports in ("numpy, argparse, json", "qmask.cli"):
@@ -1037,13 +1039,59 @@ def test_cli_import_loads_only_what_numpy_argparse_and_json_load():
         loaded.append(set(completed.stdout.split()))
     base, cli = loaded
     extra = {name for name in cli - base
-             if name not in ("__future__", "copy", "dataclasses")
+             if name != "__future__"
              and name.split(".")[0] != "qmask"}
     assert extra == set()
     assert "qmask.cli" in cli
 
 
+def test_package_import_loads_no_numpy_and_resolves_every_name():
+    # a bare import qmask leaves numpy to __main__.run, after it turned the collector off
+    package = Path(qmask.__file__).parent
+    submodules = sorted(path.stem for path in package.glob("*.py") if not path.stem.startswith("_"))
+    code = ("import sys, qmask; print('numpy' in sys.modules); "
+            f"names = qmask.__all__ + {submodules!r}; "
+            "print([name for name in names if not hasattr(qmask, name)]); "
+            "print(sorted(set(names) - set(dir(qmask)))); "
+            f"print(all(getattr(qmask, m) is sys.modules['qmask.' + m] for m in {submodules!r})); "
+            "print(hasattr(qmask, 'no_such_name'))")
+    completed = python("-c", code)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split("\n")[:5] == ["False", "[]", "[]", "True", "False"]
+
+
+def test_cli_import_loads_every_module_the_benchmark_traces():
+    # the benchmark's recorder reads sys.modules for each traced module right after
+    # importing qmask.cli, so a module cli imported lazily would fail every traced child
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    code = ("import importlib.util, sys; "
+            f"spec = importlib.util.spec_from_file_location('perfbench_spans', {str(path)!r}); "
+            "spans = importlib.util.module_from_spec(spec); spec.loader.exec_module(spans); "
+            "import qmask.cli; "
+            "print(sorted({m for m, _ in spans.TRACED_FUNCTIONS.values()} - set(sys.modules))); "
+            "spans.Recorder().install(0)")
+    completed = python("-c", code)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
+
+
 class TestProcessEntry:
+    def test_run_turns_the_collector_off_before_numpy_loads(self, overlap_pair_file, tmp_path):
+        # the imports' allocations would trigger dozens of collections that find no garbage
+        out = str(tmp_path / "masker.json")
+        assert main(["mask-prob", overlap_pair_file, "--target-overlap", "0", "--maximize",
+                     "--out", out]) == 0
+        code = ("import gc, sys; from qmask.__main__ import run; "
+                "collections = []; "
+                "gc.callbacks.append(lambda phase, info: collections.append(phase)); "
+                "numpy_loaded = 'numpy' in sys.modules; "
+                f"sys.argv = ['qmask', 'simulate', {out!r}]; code = run(); "
+                "print(numpy_loaded, len(collections), gc.isenabled(), "
+                "gc.get_freeze_count() > 0, code)")
+        completed = python("-c", code)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.splitlines()[-1] == "False 0 False True 0"
+
     def test_process_prints_what_main_prints(self, overlap_pair_file, tmp_path, capsys,
                                              monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1194,5 +1242,5 @@ def test_benchmark_library_reads_resolve():
     assert module_reads and report_reads
     for module, attribute in sorted(module_reads):
         assert hasattr(importlib.import_module(f"qmask.{module}"), attribute), (module, attribute)
-    fields = {field.name for field in dataclasses.fields(masking.MaskingReport)}
+    fields = set(masking.MaskingReport._fields)
     assert report_reads <= fields, report_reads - fields

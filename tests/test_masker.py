@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import numpy as np
@@ -24,6 +23,7 @@ from qmask.hilbert import (
     hermitian_sqrt,
 )
 from qmask.masker import (
+    Masker,
     build_deterministic,
     build_probabilistic,
     failure_branches,
@@ -292,7 +292,8 @@ class TestSimulate:
     def test_unitary_must_be_factored(self):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         with pytest.raises(TypeError, match="Operator"):
-            dataclasses.replace(masker, unitary=dense(masker.unitary))
+            Masker(masker.inputs, masker.ancilla_index, masker.targets, masker.gammas,
+                   dense(masker.unitary))
 
     @pytest.mark.parametrize("field, value, message", [
         ("targets", cyclic_targets(1, 2), "^targets do not match the input family$"),
@@ -308,21 +309,23 @@ class TestSimulate:
             "gammas-above-one", "unitary-dimension", "probe-free-below-one", "not-unitary"])
     def test_inconsistent_fields_rejected(self, field, value, message):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
+        fields = {"inputs": masker.inputs, "ancilla_index": masker.ancilla_index,
+                  "targets": masker.targets, "gammas": masker.gammas, "unitary": masker.unitary}
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(masker, **{field: value})
+            Masker(**{**fields, field: value})
 
     @pytest.mark.parametrize("index", [-1, 2, True, 0.0])
     def test_ancilla_index_must_be_a_basis_index(self, index):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         with pytest.raises(ValueError, match=r"ancilla index must be an integer in \[0, 2\)"):
-            dataclasses.replace(masker, ancilla_index=index)
+            Masker(masker.inputs, index, masker.targets, masker.gammas, masker.unitary)
 
     def test_inputs_must_live_on_one_subsystem(self):
         # a masker file stores its inputs with dims [d], so a bipartite input could not reload
         masker = build_deterministic([basis_state(4, 0), basis_state(4, 1)])
         split = tuple(MultipartiteState(a.amplitudes, (2, 2)) for a in masker.inputs)
         with pytest.raises(ValueError, match="one subsystem"):
-            dataclasses.replace(masker, inputs=split)
+            Masker(split, masker.ancilla_index, masker.targets, masker.gammas, masker.unitary)
 
     def test_index_out_of_range(self):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
@@ -385,7 +388,40 @@ class TestVerifyMasking:
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         noise = 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         left, _, right = np.linalg.svd(dense(masker.unitary) + noise)
-        broken = dataclasses.replace(masker, unitary=Operator(np.eye(4), left @ right))
+        broken = Masker(masker.inputs, masker.ancilla_index, masker.targets, masker.gammas,
+                        Operator(np.eye(4), left @ right))
         report = verify_masking(broken)
         assert not report.passed
         assert min(report.fidelities) < 1 - 1e-8
+
+
+def value_types():
+    """One value of each of qmask's six value types, by type name."""
+    masker = build_probabilistic([basis_state(2, 0), StateVector(np.array([0.6, 0.8]))],
+                                 cyclic_targets(2, 2), [0.2, 0.2])
+    values = [masker, masker.inputs[0], masker.unitary, masker.targets,
+              simulate(masker, 0), verify_masking(masker)]
+    return {type(value).__name__: value for value in values}
+
+
+@pytest.mark.parametrize("name", ["Masker", "MultipartiteState", "Operator", "FixedReducingSet",
+                                  "MaskingOutcome", "MaskingReport"])
+def test_value_types_refuse_assignment_and_deletion(name):
+    # each field is set once, at construction
+    value = value_types()[name]
+    fields = type(value).__annotations__
+    assert fields
+    for field in fields:
+        kept = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, kept)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is kept
+    with pytest.raises(AttributeError):
+        value.unknown_field = 0
+
+
+def test_value_types_list_their_fields_in_repr():
+    for name, value in value_types().items():
+        assert repr(value).startswith(f"{name}({next(iter(type(value).__annotations__))}="), name

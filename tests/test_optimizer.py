@@ -1059,7 +1059,9 @@ class TestBoundaryNewton:
         # corner declines once its top two eigenvalues come within 1 %, as a cluster step
         # needs four inputs or more; the benchmark's simulate-reuse shape 0 has a simple
         # top eigenvalue at its optimum with lambda_2 / lambda_1 = 0.991, where the pair's
-        # multiplier turns indefinite, and its try spends the budget
+        # multiplier turns indefinite after one positive definite step. Its try then hands
+        # off no more and declines at the first trial within 1 % where f falls, after 12
+        # evaluations and 2 pair steps, short of the budget of 14
         if case == "corner":
             inputs, targets = overlap_family(0.99, 0.999, 0, d=3, n=3)
             a, x = gram(inputs), gram(targets.states)
@@ -1070,10 +1072,24 @@ class TestBoundaryNewton:
         gammas, prob = maximize_general(a, x)
         assert 1 < factorizations["_eigensystem"] <= _BOUNDARY_EVALUATIONS
         assert (factorizations["_cluster_step"] > 0) == (case == "near-double")
+        if case == "near-double":
+            assert (factorizations["_eigensystem"], factorizations["_cluster_step"]) == (12, 2)
         assert factorizations["_log_det_terms"] > 0
         with barrier_only():
             barrier_gammas, barrier_prob = maximize_general(a, x)
         assert gammas.tobytes() == barrier_gammas.tobytes() and prob == barrier_prob
+
+    def test_multiplier_indefinite_from_its_first_step_leaves_hand_offs_open(self, factorizations):
+        # the benchmark's cli-pipeline shape 1 hands off twice where the top two are only
+        # 14 % and 8 % apart, and each time the first multiplier is already indefinite: no
+        # positive definite multiplier turned, so the second hand-off is still taken and the
+        # try returns
+        inputs, targets = benchmark_instances().random_shape(4, 6, 1)
+        a = gram([StateVector(row) for row in inputs])
+        x = gram([StateVector(row) for row in targets])
+        maximize_general(a, x)
+        assert (factorizations["_eigensystem"], factorizations["_cluster_step"]) == (8, 2)
+        assert factorizations["_log_det_terms"] == 0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a, x", faulting_pairs())

@@ -5,7 +5,6 @@ Every gate is a rounding floor scaled to its problem (``hilbert.rounding_floor``
 so the library builds exactly the maskers its own verifier accepts.
 """
 
-import dataclasses
 import re
 
 import numpy as np
@@ -83,7 +82,9 @@ def test_verification_rejects_a_masker_claiming_twice_its_efficiencies():
     built = build_probabilistic(inputs, targets, gammas)
     assert verify_masking(built).passed
     # an absolute |p - gamma| <= 1e-8 passes this: gamma is about 1e-9
-    assert not verify_masking(dataclasses.replace(built, gammas=2 * built.gammas)).passed
+    assert not verify_masking(
+        Masker(built.inputs, built.ancilla_index, built.targets, 2 * built.gammas,
+               built.unitary)).passed
 
 
 def test_verification_fails_for_linearly_dependent_inputs():
@@ -118,7 +119,9 @@ def test_verification_fails_beyond_the_tolerance_ceiling():
     assert min(report.fidelities) > 1.0 - 1e-6
     assert report.tolerance > VERIFY_CEILING
     assert not report.passed
-    assert not verify_masking(dataclasses.replace(built, gammas=2 * built.gammas)).passed
+    assert not verify_masking(
+        Masker(built.inputs, built.ancilla_index, built.targets, 2 * built.gammas,
+               built.unitary)).passed
 
 
 def test_unit_efficiencies_whose_gram_gap_is_amplified_are_rejected():

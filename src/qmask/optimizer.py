@@ -15,17 +15,11 @@ inequality [[A, G X^(1/2)], [X^(1/2) G, I]] >= 0, and log prod(gamma) =
 2 sum_i log g_i is concave: a max-det problem (Boyd and Vandenberghe,
 Convex Optimization, ch. 11). ``maximize_general`` solves it with a log
 barrier, after a cheaper try where one is certified: the uniform point for
-one or two inputs, and for three or more Newton's method on the boundary
-lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I), which converges
-quadratically where that eigenvalue is simple (Overton, SIAM J. Optim.
-2(1), 1992), and, where the top two eigenvalues coalesce, on the pair of
-them with a matrix multiplier (Overton and Womersley, SIAM J. Matrix Anal.
-Appl. 16(3), 1995). It starts near the optimum of the trace relaxation, where
-tr(N G X G N^dagger) replaces lambda_max, which matrix balancing approaches
-(Knight, Ruiz and Ucar, SIAM J. Matrix Anal. Appl. 35(3), 2014) and which is
-exact when that matrix has rank one. ``certify`` and ``dual_bound`` bound the
-distance of any point from the optimum through Lagrange duality, and
-``certify``'s gap alone decides whether a try's point is returned. Each public function of (A, X_P)
+one or two inputs, and for three or more ``_boundary_newton``, Newton's
+method on the boundary lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I).
+``certify`` and ``dual_bound`` bound the distance of any point from the
+optimum through Lagrange duality, and ``certify``'s gap alone decides
+whether a try's point is returned. Each public function of (A, X_P)
 checks them through ``_solve_inputs``.
 """
 
@@ -464,24 +458,21 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
             if high / low < least:
                 least, start = high / low, g
         y = np.log(start)
-        eigensystem = _eigensystem(whitener, x, y)
-        values = eigensystem[0]
+        values, vectors, z, v = _eigensystem(whitener, x, y)
         if not values[-1] > 0.0:
             return None
+        # scaled onto the boundary, where L = 0: g -> g / sqrt(lambda_max) divides H by
+        # lambda_max, and Z and V by its square root
+        root = math.sqrt(values[-1])
+        y = y - math.log(values[-1]) / 2.0
+        eigensystem = (values / values[-1], vectors, z / root, v / root)
+        value = float(y.sum())
         # r = 1 takes Newton steps on f, r = 2 cluster steps; dropped: r fell back to 1
         # at this point, which may not hand off again before the next step; positive: a
         # cluster step's multiplier has been positive definite, so back at r = 1 it has
         # turned indefinite since, and the try hands off no more
         r, dropped, positive, evaluations = 1, False, False, 1
         coalesced = values[-2] >= 0.99 * values[-1]
-        if coalesced:
-            log_top = math.log(values[-1])
-            value = float(y.sum()) - (n / 2.0 + log_top / 2.0) * log_top
-        else:
-            # scaled onto the boundary, where L = 0; L's derivatives do not change with scale
-            log_top, gradient, hessian = _top_terms(x, eigensystem)
-            y = y - log_top / 2.0
-            log_top, value = 0.0, float(y.sum())
         while True:
             if coalesced:
                 # the cluster step's r^2 = 4 equations need as many unknowns
@@ -491,6 +482,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 r, coalesced = 2, False
                 weights = np.eye(2) * (n / (2.0 * eigensystem[0][-2:].sum()))
             if r == 1:
+                log_top, gradient, hessian = _top_terms(x, eigensystem)
                 weight = n / 2.0 + log_top
                 # minus f's gradient, so that delta solves (f's Hessian) delta = -(its gradient)
                 descent = weight * gradient - 1.0
@@ -507,17 +499,12 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                     coalesced = (values[-2] + 2.0 * np.vdot(z[:, -2], v[:, -2] * step).real
                                  >= 0.99 * values[-1] * (1.0 + gradient @ step))
                     if coalesced:
-                        if evaluations == 1:
-                            # the start's eigensystem, at g before its scaling onto the boundary
-                            root = math.sqrt(values[-1])
-                            eigensystem = (values / values[-1], eigensystem[1], z / root, v / root)
                         continue
             else:
                 delta, multiplier = _cluster_step(x, eigensystem, weights)
                 if not np.linalg.eigvalsh(multiplier)[0] > 0.0:
                     # the optimum's top eigenvalue is simple: back to the Newton step on f
                     r, dropped = 1, True
-                    log_top, gradient, hessian = _top_terms(x, eigensystem)
                     continue
                 positive = True
                 done = np.abs(delta).max() <= 1e-8
@@ -556,8 +543,6 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 rotation = eigensystem[1][:, -r:].conj().T @ trial_system[1][:, -r:]
                 weights = rotation.conj().T @ multiplier @ rotation
             y, value, eigensystem, dropped = trial_y, trial, trial_system, False
-            if not (r > 1 or coalesced):
-                log_top, gradient, hessian = _top_terms(x, eigensystem)
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
 
@@ -583,21 +568,9 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last
     stage would end, with the uniform boundary c* from one eigensolve of
     N X N^dagger (N A N^dagger = I). Three or more inputs try Newton's method
-    on the boundary (``_boundary_newton``): from near the optimum of the
-    trace relaxation, by a few balancing steps, it maximizes
-    sum_i y_i - (n / 2) L - L^2 / 2 over y = log g, with
-    L = log lambda_max(N G X G N^dagger), ends with one full Newton step once
-    the squared decrement is at most 1e-6, and scales that point onto the
-    boundary as the uniform one is. Where the top two eigenvalues coalesce,
-    with four or more inputs, it goes on with Newton steps on the pair of them
-    and an r x r multiplier W (r = 2), each one (n + r^2) linear system, and
-    returns the interior point whose whitened residual on the pair is
-    proportional to W^-1, with least eigenvalue UNIFORM_SHORTFALL / n. It
-    declines when the top two come within 1 % with fewer than four inputs,
-    when the Newton decrement is not positive, when an evaluation or a solve
-    fails or overflows, or after _BOUNDARY_EVALUATIONS = 14 evaluations, one
-    eigh each, step halvings included. Every solve whose
-    try is not returned runs the barrier from scratch, with c* as above.
+    on the boundary lambda_max(N G X G N^dagger) = 1, which
+    ``_boundary_newton`` describes. Every solve whose try is not returned
+    runs the barrier from scratch, with c* as above.
     The log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
     from half the uniform boundary at t = 1. Each stage centres by damped

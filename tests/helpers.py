@@ -12,15 +12,19 @@ from qmask.hilbert import StateVector, gram, rounding_floor
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def haar_unitary(d, rng):
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+def haar_unitary(d, rng, real=False):
+    """Haar-random d x d unitary, or orthogonal matrix where ``real``."""
+    if real:
+        z = rng.standard_normal((d, d))
+    else:
+        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    # fix column phases so the distribution is Haar
+    # fix column phases (signs where real) so the distribution is Haar
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_state(d, rng):
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+def random_state(d, rng, real=False):
+    z = rng.standard_normal(d) if real else rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return StateVector(z / np.linalg.norm(z))
 
 
@@ -29,10 +33,10 @@ def random_orthonormal(n, d, rng):
     return [StateVector(u[:, i]) for i in range(n)]
 
 
-def random_independent(n, d, rng, min_gram_eig=1e-3):
-    """Random family that is linearly independent with a solid margin."""
+def random_independent(n, d, rng, min_gram_eig=1e-3, real=False):
+    """Random family that is linearly independent with a solid margin, real-valued where ``real``."""
     while True:
-        states = [random_state(d, rng) for _ in range(n)]
+        states = [random_state(d, rng, real) for _ in range(n)]
         if np.linalg.eigvalsh(gram(states))[0] > min_gram_eig:
             return states
 

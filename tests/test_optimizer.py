@@ -1,7 +1,7 @@
 import importlib.util
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +84,12 @@ TWO_INPUT_POINTS = (
 )
 
 
-def flat_targets(n, d, rng):
-    """States (1/sqrt d) sum_i |i> (x) V_k|i> with Haar V_k: both marginals are I/d."""
-    return [MultipartiteState(haar_unitary(d, rng).T.reshape(-1) / np.sqrt(d), (d, d))
+def flat_targets(n, d, rng, real=False):
+    """States (1/sqrt d) sum_i |i> (x) V_k|i> with Haar V_k: both marginals are I/d.
+
+    Where ``real`` the V_k are Haar orthogonal, and the states real-valued.
+    """
+    return [MultipartiteState(haar_unitary(d, rng, real).T.reshape(-1) / np.sqrt(d), (d, d))
             for _ in range(n)]
 
 
@@ -717,20 +720,25 @@ class TestUniformShortcut:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=3, max_value=16),
         extra=st.integers(min_value=0, max_value=2),
+        barrier=st.booleans(),
     )
-    @example(seed=0, n=3, extra=0)
-    @example(seed=1, n=16, extra=2)
-    @example(seed=1033, n=12, extra=2)  # cond(A) = 1.9e5
+    @example(seed=0, n=3, extra=0, barrier=True)
+    @example(seed=1, n=16, extra=2, barrier=True)
+    @example(seed=1033, n=12, extra=2, barrier=True)  # cond(A) = 1.9e5
+    # these two start with their top two eigenvalues within 1 %
+    @example(seed=1, n=6, extra=0, barrier=False)
+    @example(seed=3, n=16, extra=1, barrier=False)
     @settings(max_examples=80, deadline=None)
-    def test_circulant_families_run_the_barrier(self, seed, n, extra):
+    def test_circulant_families_run_the_barrier(self, seed, n, extra, barrier):
         # the optimum is c*^n, with equal efficiencies, but the uniform trial covers one
-        # or two inputs only: where the boundary Newton try declines, the barrier runs
-        # and reaches c*^n within certify's gap
+        # or two inputs only: the boundary Newton try, or the barrier where the try
+        # declines or is made to, reaches c*^n within certify's gap
         inputs, targets = circulant_family(n, n + extra, np.random.default_rng(seed))
         a, x = gram(inputs), gram(targets.states)
-        with barrier_only():
+        with barrier_only() if barrier else nullcontext():
             gammas, prob, calls = self.solve(a, x)
-        assert calls["_log_det_terms"] > 0
+        if barrier:
+            assert calls["_log_det_terms"] > 0
         true_gap = n * np.log(uniform_feasibility_boundary(a, x)) - np.log(prob)
         floor = rounding_floor(n, np.linalg.cond(a))
         assert -floor <= true_gap <= certify(a, x, gammas)[0] + floor
@@ -871,49 +879,80 @@ class TestBoundaryNewton:
     boundary lambda_max(N G X G N^dagger) = 1 and returns its point when ``certify``'s
     gap there is within GAP_TOL; otherwise the barrier runs from scratch."""
 
-    def test_top_eigenvalue_derivatives_match_central_differences(self, rng):
-        n = 5
-        a = gram(random_independent(n, n, rng))
-        x = gram(flat_targets(n, n, rng))
-        whitener = _whitener(a)
-        y = rng.uniform(-0.5, 0.5, n)
+    @staticmethod
+    def draw_point(seed, n, real):
+        """A Gram pair of n inputs against flat targets, real-valued where ``real``, its
+        whitener and a point y."""
+        rng = np.random.default_rng(seed)
+        a = gram(random_independent(n, n, rng, real=real))
+        x = gram(flat_targets(n, n, rng, real))
+        return x, _whitener(a), rng.uniform(-0.5, 0.5, n)
+
+    @staticmethod
+    def central_difference(function, y, i, step=1e-4):
+        """d function / dy_i at y by the five-point stencil, accurate to O(step^4): at
+        n = 3 on real pairs the two-point one's O(step^2) error reached 1.8e-9."""
+        shift = np.zeros(y.size)
+        shift[i] = step
+        return (8.0 * (function(y + shift) - function(y - shift))
+                - (function(y + 2 * shift) - function(y - 2 * shift))) / (12.0 * step)
+
+    # the derivatives are smooth where the eigenvalues differentiated stay apart from
+    # the next one down; the draws keep them at least 5 % apart
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=12),
+        real=st.booleans(),
+    )
+    @example(seed=20250810, n=5, real=False)
+    @example(seed=0, n=12, real=True)
+    @settings(max_examples=30, deadline=None)
+    def test_top_eigenvalue_derivatives_match_central_differences(self, seed, n, real):
+        x, whitener, y = self.draw_point(seed, n, real)
 
         def log_top(values):
             m = whitener * np.exp(values)
             return np.log(np.linalg.eigvalsh(m @ x @ m.conj().T)[-1])
 
-        value, gradient, hessian = _top_terms(x, _eigensystem(whitener, x, y))
+        def top_gradient(values):
+            return _top_terms(x, _eigensystem(whitener, x, values))[1]
+
+        eigensystem = _eigensystem(whitener, x, y)
+        assume(eigensystem[0][-2] <= 0.95 * eigensystem[0][-1])
+        value, gradient, hessian = _top_terms(x, eigensystem)
         assert value == pytest.approx(log_top(y), abs=1e-14)
         # L(y + c) = L(y) + 2c, so the gradient sums to 2 and the Hessian's rows to 0
         assert gradient.sum() == pytest.approx(2.0, abs=1e-12)
         assert np.max(np.abs(hessian.sum(axis=1))) <= 1e-12
-        step = 1e-5
         for i in range(n):
-            shift = np.zeros(n)
-            shift[i] = step
-            difference = (log_top(y + shift) - log_top(y - shift)) / (2 * step)
-            assert difference == pytest.approx(gradient[i], abs=1e-9)
-            column = (_top_terms(x, _eigensystem(whitener, x, y + shift))[1]
-                      - _top_terms(x, _eigensystem(whitener, x, y - shift))[1]) / (2 * step)
+            assert self.central_difference(log_top, y, i) == pytest.approx(gradient[i], abs=1e-9)
+            column = self.central_difference(top_gradient, y, i)
             assert np.max(np.abs(column - hessian[:, i])) <= 1e-8
         assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * np.max(np.abs(hessian)))
 
-    def test_top_two_eigenvalue_sum_derivatives_match_central_differences(self, rng):
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=12),
+        real=st.booleans(),
+    )
+    @example(seed=20250810, n=6, real=False)
+    @example(seed=1, n=12, real=True)
+    @settings(max_examples=30, deadline=None)
+    def test_top_two_eigenvalue_sum_derivatives_match_central_differences(self, seed, n, real):
         # with W = I the cluster terms at r = 2 are the derivatives of lambda_1 + lambda_2,
         # smooth where lambda_2 > lambda_3; the eigenvector-rotation term couples the
         # cluster to the rest of the spectrum only
-        n = 6
-        a = gram(random_independent(n, n, rng))
-        x = gram(flat_targets(n, n, rng))
-        whitener = _whitener(a)
-        y = rng.uniform(-0.5, 0.5, n)
+        x, whitener, y = self.draw_point(seed, n, real)
 
         def top_two(values):
             m = whitener * np.exp(values)
             return np.linalg.eigvalsh(m @ x @ m.conj().T)[-2:].sum()
 
+        def two_gradient(values):
+            return _cluster_terms(x, _eigensystem(whitener, x, values), np.eye(2))[1]
+
         eigensystem = _eigensystem(whitener, x, y)
-        assert eigensystem[0][-2] > 1.05 * eigensystem[0][-3]
+        assume(eigensystem[0][-3] <= 0.95 * eigensystem[0][-2])
         jacobian, gradient, hessian = _cluster_terms(x, eigensystem, np.eye(2))
         assert jacobian.shape == (n, 2, 2)
         assert np.allclose(np.trace(jacobian, axis1=1, axis2=2).real, gradient, rtol=1e-12)
@@ -924,29 +963,21 @@ class TestBoundaryNewton:
         assert np.max(np.abs(hessian.sum(axis=1) - 2.0 * gradient)) <= 1e-12 * top_two(y)
         # the sum is not scaled to 1 as L is, so the differences are compared relative to it
         scale = top_two(y)
-        step = 1e-5
         for i in range(n):
-            shift = np.zeros(n)
-            shift[i] = step
-            difference = (top_two(y + shift) - top_two(y - shift)) / (2 * step)
+            difference = self.central_difference(top_two, y, i)
             assert difference == pytest.approx(gradient[i], abs=1e-9 * scale)
-            column = (_cluster_terms(x, _eigensystem(whitener, x, y + shift), np.eye(2))[1]
-                      - _cluster_terms(x, _eigensystem(whitener, x, y - shift), np.eye(2))[1]
-                      ) / (2 * step)
+            column = self.central_difference(two_gradient, y, i)
             assert np.max(np.abs(column - hessian[:, i])) <= 1e-8 * scale
         assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * np.max(np.abs(hessian)))
 
-    def test_cluster_hessian_is_that_of_the_canonical_cluster_block(self, rng):
+    def test_cluster_hessian_is_that_of_the_canonical_cluster_block(self):
         # for any Hermitian W the cluster terms are the derivatives of <W, B(y)>, with
         # B(y) = S^-1 U0^dagger P H P U0 S^-1 the top two's block in the basis carried
         # from U0 without rotation inside the cluster: P projects on the cluster at y
         # and S = (U0^dagger P U0)^(1/2). This checks the off-diagonal pairs, which
         # W = I leaves out
         n = 6
-        a = gram(random_independent(n, n, rng))
-        x = gram(flat_targets(n, n, rng))
-        whitener = _whitener(a)
-        y0 = rng.uniform(-0.5, 0.5, n)
+        x, whitener, y0 = self.draw_point(20250810, n, False)
         weights = np.array([[1.3, 0.4 - 0.7j], [0.4 + 0.7j, 0.6]])
         base = _eigensystem(whitener, x, y0)[1][:, -2:]
 
@@ -981,14 +1012,16 @@ class TestBoundaryNewton:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=3, max_value=12),
         extra=st.integers(min_value=0, max_value=2),
+        real=st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_accepted_points_are_certified(self, seed, n, extra):
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_points_are_certified(self, seed, n, extra, real):
         # from n of about 12 on the top eigenvalue is often double at the optimum, where
-        # the cluster step returns the point
+        # the cluster step returns the point; real draws give real Gram pairs, whose
+        # top eigenvalue is double at the optimum of most shapes
         rng = np.random.default_rng(seed)
-        a = gram(random_independent(n, n + extra, rng))
-        x = gram(flat_targets(n, n + extra, rng))
+        a = gram(random_independent(n, n + extra, rng, real=real))
+        x = gram(flat_targets(n, n + extra, rng, real))
         tried = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(optimizer, "_boundary_newton",

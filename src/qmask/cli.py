@@ -18,52 +18,19 @@ from .fixed_reducing import MARGINAL_TOL
 from .hilbert import gram
 
 
-def _efficiencies(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-    if not all(0.0 < g <= 1.0 for g in values):
-        raise argparse.ArgumentTypeError(f"efficiencies must lie in (0, 1], got {text!r}")
-    return values
+def _argument(parse, expected: str, rule, must: str):
+    """An argparse type: ``parse`` the text, else "expected ..."; then ``rule``, else ``must``."""
 
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from exc
+        if not rule(value):
+            raise argparse.ArgumentTypeError(f"{must}, got {text!r}")
+        return value
 
-def _number(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
-
-
-def _tolerance(text: str) -> float:
-    value = _number(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
-    return value
-
-
-def _overlap_magnitude(text: str) -> float:
-    value = _number(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"overlap magnitude must lie in [0, 1], got {text!r}")
-    return value
-
-
-def _target_overlap(text: str) -> float:
-    value = _number(text)
-    if not abs(value) <= 1.0:
-        raise argparse.ArgumentTypeError(f"target overlap must lie in [-1, 1], got {text!r}")
-    return value
-
-
-def _grid_points(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"number of grid points must be non-negative, got {value}")
-    return value
+    return convert
 
 
 def _format(value: float) -> str:
@@ -157,16 +124,12 @@ def _cmd_mask_prob(args) -> int:
 
     a = gram(inputs)
     x = gram(targets.states)
-    if args.maximize:
-        gammas, prob = optimizer.maximize_general(a, x)
-    else:
-        gammas = np.asarray(args.gammas, dtype=float)
-        prob = optimizer.success_probability(gammas)
+    gammas = optimizer.maximize_general(a, x)[0] if args.maximize else args.gammas
     _, margin = optimizer.feasible(a, x, gammas)
 
     m = masking.build_probabilistic(inputs, targets, gammas)
     print("gammas:", " ".join(_format(g) for g in gammas))
-    print(f"Prob(M): {_format(prob)}")
+    print(f"Prob(M): {_format(optimizer.success_probability(gammas))}")
     if args.maximize:
         print(f"optimality gap (certified): {optimizer.certify(a, x, gammas)[0]:.1e}")
     print(f"feasibility margin (min eigenvalue): {_format(margin)}")
@@ -218,42 +181,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build, verify, and simulate quantum information maskers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags several subcommands share, each declared once
+    renormalize = argparse.ArgumentParser(add_help=False)
+    renormalize.add_argument("--renormalize", action="store_true",
+                             help="repair unnormalized input vectors instead of rejecting them")
+    builder = argparse.ArgumentParser(add_help=False, parents=[renormalize])
+    builder.add_argument("input", help="state-set JSON file with one subsystem")
+    builder.add_argument("--dim", type=int, default=None,
+                         help="expected dimension of the input space")
+    builder.add_argument("--out", default=None, help="path for the masker JSON file")
 
-    p = sub.add_parser("verify-fixed-reducing",
+    p = sub.add_parser("verify-fixed-reducing", parents=[renormalize],
                        help="check that a bipartite state set has index-independent marginals")
     p.add_argument("input", help="state-set JSON file with two subsystems")
-    p.add_argument("--tol", type=_tolerance, default=MARGINAL_TOL,
+    p.add_argument("--tol", default=MARGINAL_TOL,
+                   type=_argument(float, "a number", lambda v: math.isfinite(v) and v >= 0.0,
+                                  "tolerance must be finite and non-negative"),
                    help="entrywise marginal tolerance (default %(default)g)")
-    p.add_argument("--renormalize", action="store_true",
-                   help="repair unnormalized input vectors instead of rejecting them")
     p.set_defaults(handler=_cmd_verify_fixed_reducing)
 
-    p = sub.add_parser("mask-det", help="build a deterministic masker for orthonormal states")
-    p.add_argument("input", help="state-set JSON file with one subsystem")
-    p.add_argument("--dim", type=int, default=None, help="expected dimension of the input space")
-    p.add_argument("--out", default=None, help="path for the masker JSON file")
-    p.add_argument("--renormalize", action="store_true",
-                   help="repair unnormalized input vectors instead of rejecting them")
+    p = sub.add_parser("mask-det", parents=[builder],
+                       help="build a deterministic masker for orthonormal states")
     p.set_defaults(handler=_cmd_mask_det)
 
-    p = sub.add_parser("mask-prob",
+    p = sub.add_parser("mask-prob", parents=[builder],
                        help="build a probabilistic masker for linearly independent states")
-    p.add_argument("input", help="state-set JSON file with one subsystem")
-    p.add_argument("--dim", type=int, default=None, help="expected dimension of the input space")
     target_group = p.add_mutually_exclusive_group(required=True)
     target_group.add_argument("--targets", default=None,
                               help="state-set JSON file of bipartite target states")
-    target_group.add_argument("--target-overlap", type=_target_overlap, default=None,
+    target_group.add_argument("--target-overlap", default=None,
+                              type=_argument(float, "a number", lambda v: abs(v) <= 1.0,
+                                             "target overlap must lie in [-1, 1]"),
                               help="build two targets with this mutual overlap")
     gamma_group = p.add_mutually_exclusive_group(required=True)
-    gamma_group.add_argument("--gammas", type=_efficiencies, default=None,
+    gamma_group.add_argument("--gammas", default=None,
+                             type=_argument(lambda text: [float(g) for g in text.split(",") if g],
+                                            "comma-separated numbers",
+                                            lambda values: all(0.0 < g <= 1.0 for g in values),
+                                            "efficiencies must lie in (0, 1]"),
                              help="comma-separated efficiencies, one per input")
     gamma_group.add_argument("--maximize", action="store_true",
                              help="maximize the success probability first and print the "
                                   "certified optimality gap")
-    p.add_argument("--out", default=None, help="path for the masker JSON file")
-    p.add_argument("--renormalize", action="store_true",
-                   help="repair unnormalized input vectors instead of rejecting them")
     p.set_defaults(handler=_cmd_mask_prob)
 
     p = sub.add_parser("simulate", help="run a saved masker and report the outcomes")
@@ -264,10 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure1",
                        help="emit CSV of the maximum success probability versus target overlap")
-    p.add_argument("--s-values", type=_overlap_magnitude, nargs="+",
-                   default=list(optimizer.DEFAULT_S_VALUES),
+    p.add_argument("--s-values", nargs="+", default=list(optimizer.DEFAULT_S_VALUES),
+                   type=_argument(float, "a number", lambda v: 0.0 <= v <= 1.0,
+                                  "overlap magnitude must lie in [0, 1]"),
                    help="input overlap magnitudes, one curve each (default %(default)s)")
-    p.add_argument("--steps", type=_grid_points, default=101,
+    p.add_argument("--steps", default=101,
+                   type=_argument(int, "an integer", lambda v: v >= 0,
+                                  "number of grid points must be non-negative"),
                    help="number of target-overlap grid points (default %(default)s)")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(handler=_cmd_figure1)

@@ -204,16 +204,14 @@ def build_probabilistic(
     if targets.n != n or targets.dim != d:
         raise ValueError("targets do not match the input family's size and dimension")
     efficiencies = np.asarray(gammas, dtype=float).reshape(-1)
+    if efficiencies.size != n:
+        raise ValueError(f"need {n} efficiencies, got {efficiencies.size}")
     # a success branch of norm within rounding of zero carries no post-selected state
     if not np.all((efficiencies > rounding_floor(n)) & (efficiencies <= 1)):
         raise ValueError(f"efficiencies must lie in (0, 1], above the rounding floor "
                          f"{rounding_floor(n):.1e}, got {efficiencies.tolist()}")
     # the probe only carries failure branches, and only they need the residual
     probe_dim = 2 if np.any(efficiencies < 1.0) else 1
-    if probe_dim > 1:
-        residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
-    elif efficiencies.size != n:
-        raise ValueError(f"need {n} efficiencies, got {efficiencies.size}")
     values, _ = nonsingular_spectrum(a, "inputs' Gram matrix")
     tolerance = verification_tolerance(values, float(np.min(efficiencies)))
     if not tolerance <= VERIFY_CEILING:
@@ -223,6 +221,7 @@ def build_probabilistic(
 
     outputs = _successes(targets, efficiencies, probe_dim)
     if probe_dim > 1:
+        residual = optimizer.residual_matrix(a, gram(targets.states), efficiencies)
         try:
             failures = hermitian_sqrt(residual)
         except ValueError as exc:

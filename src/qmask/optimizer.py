@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .hilbert import hermitian_matrix, nonsingular_spectrum, psd_check, psd_verdict
+from .hilbert import hermitian_matrix, nonsingular_spectrum, precision_floor, psd_check, psd_verdict
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # factor by which the barrier weight t grows between centring stages; a tangent
@@ -74,16 +74,27 @@ def _residual(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _solve_inputs(A, X_P, gammas=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The one check of a masking problem, made by every public function of (A, X_P).
 
-    Returns the Hermitian parts of A and X_P, finite and of one square shape
-    (an error names the faulty one), and n efficiencies in [0, 1] or None.
+    Returns the Hermitian parts of A and X_P, finite and of one square shape,
+    with every diagonal entry 1 to within ``precision_floor(n)``: Gram matrices
+    of unit states (an error names the faulty one). Then the residual's
+    diagonal, 1 - gamma_i, caps each feasible gamma_i at 1, and two inputs have
+    an equal-efficiency optimum. Also returns n efficiencies in [0, 1] or None.
     """
     a = hermitian_matrix(A, "A")
     x = hermitian_matrix(X_P, "X_P")
     if a.shape != x.shape:
         raise ValueError(f"matrix sizes differ: A is {a.shape}, X_P is {x.shape}")
+    n = a.shape[0]
+    floor = precision_floor(n)
+    off = np.abs(np.concatenate((a.diagonal(), x.diagonal())) - 1.0)
+    if not off.max() <= floor:
+        k = int(np.argmax(off > floor))
+        raise ValueError(f"{('A', 'X_P')[k // n]} is not the Gram matrix of unit states: "
+                         f"diagonal entry {k % n} is off 1 by {off[k]:.3e}, above the "
+                         f"precision floor {floor:.1e}")
     values = None if gammas is None else _gammas_array(gammas)
-    if values is not None and values.size != a.shape[0]:
-        raise ValueError(f"need {a.shape[0]} efficiencies, got {values.size}")
+    if values is not None and values.size != n:
+        raise ValueError(f"need {n} efficiencies, got {values.size}")
     return a, x, values
 
 
@@ -564,12 +575,12 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     rounding allowance, is at most GAP_TOL: the certificate alone decides,
     and ill-conditioned problems whose rounding allowance exceeds GAP_TOL go
     to the barrier. One or two inputs have an optimum with equal
-    efficiencies (the swap maps A and X to their conjugates), so their try is
-    every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last
-    stage would end, with the uniform boundary c* from one eigensolve of
-    N X N^dagger (N A N^dagger = I). Three or more inputs try Newton's method
-    on the boundary lambda_max(N G X G N^dagger) = 1, which
-    ``_boundary_newton`` describes. Every solve whose try is not returned
+    efficiencies (with unit diagonals the swap maps A and X to their
+    conjugates), so their try is every gamma_i = c* (1 - UNIFORM_SHORTFALL / n),
+    where the barrier's last stage would end, with the uniform boundary c*
+    from one eigensolve of N X N^dagger (N A N^dagger = I). Three or more
+    inputs try Newton's method on the boundary lambda_max(N G X G N^dagger) = 1,
+    which ``_boundary_newton`` describes. Every solve whose try is not returned
     runs the barrier from scratch, with c* as above.
     The log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
@@ -599,8 +610,9 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     centring test, as a tangent step from an uncentred point can reach points
     no dual certifies.
 
-    A and X_P pass ``_solve_inputs``, as at every entry, and a singular A
-    is rejected.
+    A and X_P pass ``_solve_inputs``, as at every entry: Gram matrices of unit
+    states, whose unit diagonal caps each feasible gamma_i at 1, so the barrier,
+    which ignores that cap, solves the capped problem. A singular A is rejected.
     """
     a, x, _ = _solve_inputs(A, X_P)
     n = a.shape[0]

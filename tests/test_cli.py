@@ -630,6 +630,90 @@ class TestFigure1:
         assert flag in err and message in err
 
 
+MASK_DET_BASIS = """\
+deterministic masker: 2 states, dimension 2
+success probabilities: 1 1
+fidelities: 1 1
+max marginal deviation: *
+verification: PASS (tolerance 1.0e-08, probabilities relative to gamma)
+"""
+FIGURE1_GRID = """\
+s,t,prob_max
+0,0,1
+0,0.5,0.444444444444
+0,1,0.25
+0.5,0,0.25
+0.5,0.5,1
+0.5,1,0.5625
+"""
+# a fixed run of every subcommand and every argument rule: (argv, exit code, stdout),
+# with stdout None where its digits depend on BLAS rounding; {dir} holds ``pinned_files``
+CLI_PINS = [
+    ("verify-fixed-reducing {dir}/bell.json", 0, None),
+    ("verify-fixed-reducing {dir}/product.json", 1, None),
+    ("verify-fixed-reducing {dir}/basis.json", 2, ""),
+    ("verify-fixed-reducing {dir}/bell.json --tol 1e-5 --renormalize", 0, None),
+    ("mask-det {dir}/basis.json", 0, MASK_DET_BASIS),
+    ("mask-det {dir}/basis.json --dim 2 --renormalize", 0, MASK_DET_BASIS),
+    ("mask-det {dir}/pair.json", 1, ""),
+    ("mask-det {dir}/basis.json --dim 3", 2, ""),
+    ("mask-prob {dir}/pair.json --target-overlap 0 --maximize", 0, None),
+    ("mask-prob {dir}/pair.json --targets {dir}/bell.json --gammas 0.1,0.1 --out {dir}/m.json",
+     0, None),
+    ("mask-prob {dir}/pair.json --target-overlap 0 --gammas 0.9,0.9", 1, ""),
+    ("mask-prob {dir}/pair.json --target-overlap 0 --gammas 0.5", 2, ""),
+    ("mask-prob {dir}/pair.json --dim 3 --target-overlap 0 --maximize", 2, ""),
+    ("simulate {dir}/masker.json", 0, None),
+    ("simulate {dir}/masker.json --state 1", 0, None),
+    ("simulate {dir}/masker.json --state 2", 2, ""),
+    ("figure1 --s-values 0 0.5 --steps 3", 0, FIGURE1_GRID),
+    ("figure1 --steps 0", 0, "s,t,prob_max\n"),
+    ("figure1 --out {dir}", 2, ""),
+    # argparse's rejections: stdout stays empty
+    ("", 2, ""),
+    ("mask-prob {dir}/pair.json --maximize", 2, ""),
+    ("mask-prob {dir}/pair.json --target-overlap 0 --maximize --gammas 0.1,0.1", 2, ""),
+    ("verify-fixed-reducing {dir}/bell.json --tol -1", 2, ""),
+    ("verify-fixed-reducing {dir}/bell.json --tol x", 2, ""),
+    ("mask-det {dir}/basis.json --dim x", 2, ""),
+    ("mask-prob {dir}/pair.json --target-overlap 0 --gammas 1.5,0.1", 2, ""),
+    ("mask-prob {dir}/pair.json --target-overlap 0 --gammas 0.1,x", 2, ""),
+    ("mask-prob {dir}/pair.json --gammas 0.1,0.1 --target-overlap 2", 2, ""),
+    ("mask-prob {dir}/pair.json --gammas 0.1,0.1 --target-overlap x", 2, ""),
+    ("simulate {dir}/masker.json --state x", 2, ""),
+    ("figure1 --s-values 1.5", 2, ""),
+    ("figure1 --s-values half", 2, ""),
+    ("figure1 --steps -1", 2, ""),
+    ("figure1 --steps 2.5", 2, ""),
+]
+
+
+@pytest.fixture
+def pinned_files(tmp_path):
+    write_state_set(tmp_path / "bell.json", (2, 2),
+                    [np.array([1, 0, 0, 1]) / np.sqrt(2), np.array([0, 1, 1, 0]) / np.sqrt(2)])
+    write_state_set(tmp_path / "product.json", (2, 2),
+                    [np.array([1, 0, 0, 1]) / np.sqrt(2), np.array([1, 0, 0, 0])])
+    write_state_set(tmp_path / "basis.json", (2,), [[1, 0], [0, 1]])
+    write_state_set(tmp_path / "pair.json", (2,), [[1, 0], [INV2, INV2]])
+    save_masker(build_deterministic([basis_state(2, 0), basis_state(2, 1)]),
+                tmp_path / "masker.json")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code, stdout", CLI_PINS, ids=[pin[0] for pin in CLI_PINS])
+def test_pinned_invocation(pinned_files, capsys, argv, code, stdout):
+    try:
+        exited = main(argv.format(dir=pinned_files).split())
+    except SystemExit as exc:
+        exited = exc.code
+    assert exited == code
+    if stdout is not None:
+        # the deviation of the masker's marginals is rounding dust
+        out = re.sub(r"(max marginal deviation: )\S+", r"\1*", capsys.readouterr().out)
+        assert out == stdout
+
+
 class TestMaskerFiles:
     def test_round_trip_preserves_verification_report(self, tmp_path, rng):
         inputs = [basis_state(2, 0), StateVector(np.array([INV2, INV2]))]
@@ -1142,6 +1226,12 @@ def test_exports_resolve_without_duplicates():
     assert len(set(qmask.__all__)) == len(qmask.__all__)
     for name in qmask.__all__:
         getattr(qmask, name)
+
+
+def test_dir_lists_every_export_and_submodule():
+    package = Path(qmask.__file__).parent
+    submodules = {path.stem for path in package.glob("*.py") if not path.stem.startswith("_")}
+    assert {*qmask.__all__, *submodules} <= set(dir(qmask))
 
 
 def benchmark_spans():

@@ -183,6 +183,11 @@ class TestFeasible:
         # a non-finite entry makes the Hermitian residual NaN
         (np.full((2, 2), np.nan), np.eye(2), "^A is not Hermitian: residual nan"),
         (np.eye(2), np.diag([1.0, np.inf]), "^X_P is not Hermitian: residual nan"),
+        # the barrier ignores the cap gamma_i <= 1 that a unit diagonal sets, and on this
+        # pair it returned gamma = (0.9235, 1) with certified gap 5.6
+        (np.array([[1.0, 0.5], [0.5, 2.0]]), np.array([[1.0, 0.3], [0.3, 1.0]]),
+         "^A is not the Gram matrix of unit states: diagonal entry 1 is off 1 by 1.000e"),
+        (np.eye(2), np.diag([1.0, 0.5]), "^X_P is not the Gram matrix of unit states"),
     ])
     def test_solve_names_the_faulty_matrix(self, solve, a, x, message):
         with pytest.raises(ValueError, match=message):
@@ -298,16 +303,13 @@ class TestMaximizeGeneral:
         assert np.allclose(gammas, 1.0)
         assert prob == 1.0
 
-    def test_single_input(self, factorizations):
-        # gamma = 1 is admissible for one unit state; against a 1 x 1 target Gram of 2
-        # the uniform point, the only direction, is returned without a barrier solve,
-        # UNIFORM_SHORTFALL inside the boundary gamma = 1 / 2
+    def test_single_input(self):
+        # gamma = 1 is admissible for one unit state, and a 1 x 1 Gram matrix of a unit
+        # state is [[1]]
         gammas, prob = maximize_general([[1.0]], [[1.0]])
         assert gammas.tolist() == [1.0] and prob == 1.0
-        gammas, prob = maximize_general([[1.0]], [[2.0]])
-        assert factorizations["_log_det_terms"] == 0
-        assert prob == pytest.approx(0.5 * (1.0 - UNIFORM_SHORTFALL), rel=1e-15)
-        assert 0.0 <= certify([[1.0]], [[2.0]], gammas)[0] <= 1e-6
+        with pytest.raises(ValueError, match="^X_P is not the Gram matrix of unit states"):
+            maximize_general([[1.0]], [[2.0]])
 
     def test_three_state_instance_beats_coarse_grid(self, rng):
         inputs = random_independent(3, 3, rng)
@@ -391,7 +393,8 @@ class TestUniformBoundary:
             assert not feasible(a, x, np.full(n, boundary * (1.0 + 1e-6)))[0]
 
     def test_capped_at_one(self):
-        assert uniform_feasibility_boundary(np.eye(2), np.diag([1.0, 0.5])) == 1.0
+        with pytest.raises(ValueError, match="^X_P is not the Gram matrix of unit states"):
+            uniform_feasibility_boundary(np.eye(2), np.diag([1.0, 0.5]))
         assert uniform_feasibility_boundary(*two_state_matrices(0.4, 0.4)) == pytest.approx(1.0)
         # A - c X has the eigenvalues (1 - c) +- (0.4 - 0.2 c)
         assert uniform_feasibility_boundary(*two_state_matrices(0.4, 0.2)) == pytest.approx(0.75)

@@ -268,7 +268,7 @@ def masker_from_json(document: dict):
             f"expected {n} numbers",
         )
         gammas = np.asarray(raw_gammas, dtype=float)
-        _require(bool(np.all(gammas > 0)) and bool(np.all(gammas <= 1)), "gammas",
+        _require(bool((gammas > 0).all()) and bool((gammas <= 1).all()), "gammas",
                  "efficiencies must lie in (0, 1]")
     m = masking.Masker(inputs, ancilla_index, targets, gammas, unitary)
     # the only check that the efficiencies and targets belong to the unitary

@@ -58,7 +58,7 @@ def marginal_deviations(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[
     """
     ref_a, ref_b = pairs[0]
     return [
-        max(float(np.max(np.abs(rho_a - ref_a))), float(np.max(np.abs(rho_b - ref_b))))
+        max(float(np.abs(rho_a - ref_a).max()), float(np.abs(rho_b - ref_b).max()))
         for rho_a, rho_b in pairs
     ]
 
@@ -140,9 +140,9 @@ def build_distinct_spectrum(
     diagonal phases, one row of phases per family member.
     """
     spectrum = np.array(alphas, dtype=float)
-    if np.any(spectrum <= 0):
+    if (spectrum <= 0).any():
         raise ValueError("alphas must all be positive")
-    if np.any(np.diff(spectrum) >= 0):
+    if (np.diff(spectrum) >= 0).any():
         raise ValueError("alphas must be strictly decreasing (all eigenvalues distinct)")
     d = spectrum.size
     blocks = []
@@ -170,12 +170,12 @@ def build_general_spectrum(
     spectrum = np.array(alphas, dtype=float)
     if spectrum.ndim != 1 or spectrum.size == 0:
         raise ValueError("alphas must be a nonempty sequence")
-    if np.any(spectrum < 0):
+    if (spectrum < 0).any():
         raise ValueError("alphas must be non-negative")
     # written so that a NaN alpha fails the check
     if not abs(float(spectrum.sum()) - 1.0) <= NORM_TOL:
         raise ValueError(f"alphas must sum to 1, got {float(spectrum.sum())!r}")
-    if np.any(np.diff(spectrum) > 0):
+    if (np.diff(spectrum) > 0).any():
         raise ValueError("alphas must be sorted in non-increasing order")
     # the eigenspace sizes, largest eigenvalue first
     sizes = np.unique(spectrum, return_counts=True)[1][::-1].tolist()

@@ -12,6 +12,10 @@ index. Every operation is a pure function returning new values, so
 everything here is safe to call concurrently. Gram matrices and reduced
 density matrices are plain Hermitian arrays; a family of n states on
 which ``unitary_completion`` acts is a plain D x n array, its frame.
+Reductions here and across qmask are array methods and broadcasts
+(``np.abs(x).max()``, ``g[:, None] * g``), as numpy's module-level
+wrappers (``np.max``, ``np.outer``) add about 1.4 us of dispatch per call
+on the n <= 8 arrays the solver handles, more than their arithmetic.
 ``Operator`` is a unitary stored by its action on a small subspace: an
 orthonormal basis Q of that subspace and the k x k matrix W it applies
 there, both plain arrays; it acts through ``apply``, and a dense U is
@@ -115,7 +119,7 @@ def hermitian_matrix(matrix, name: str) -> np.ndarray:
 
 def unitarity_residual(matrix: np.ndarray) -> float:
     """max |U^dagger U - I| entrywise, zero exactly for a unitary (or isometric) U."""
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
+    return float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1])).max())
 
 
 def _check_normalized(amps: np.ndarray) -> None:
@@ -231,13 +235,13 @@ class Operator(Immutable):
         return vectors + basis @ (self.span_unitary @ coordinates - coordinates)
 
 
-def basis_state(dim: int, index: int) -> StateVector:
+def basis_state(dim: int, index: int) -> MultipartiteState:
     """Computational basis vector |index> in dimension ``dim``."""
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps)
+    return MultipartiteState(amps)
 
 
 def overlap(u: MultipartiteState, v: MultipartiteState) -> complex:
@@ -281,7 +285,7 @@ def gram(states: Sequence[MultipartiteState]) -> np.ndarray:
 
 def spectrum_floor(values: np.ndarray) -> float:
     """Rounding floor of the eigenvalues or singular values of one decomposition."""
-    return rounding_floor(values.size, float(np.max(np.abs(values))))
+    return rounding_floor(values.size, float(np.abs(values).max()))
 
 
 def nonsingular_spectrum(gram_matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +373,7 @@ def unitary_completion(inputs: np.ndarray, outputs: np.ndarray) -> Operator:
     _check_normalized(np.hstack([src, dst]))
     gram_in = src.conj().T @ src
     gram_out = dst.conj().T @ dst
-    mismatch = float(np.max(np.abs(gram_in - gram_out)))
+    mismatch = float(np.abs(gram_in - gram_out).max())
     floor = precision_floor(src.shape[0])
     if not mismatch <= floor:
         raise ValueError(
@@ -383,7 +387,7 @@ def unitary_completion(inputs: np.ndarray, outputs: np.ndarray) -> Operator:
     frame_in = src @ weights
     frame_out = dst @ weights
     # the Gram mismatch whitened: how far the output frame is from orthonormal
-    drift = float(np.max(np.abs(weights.conj().T @ gram_out @ weights - np.eye(weights.shape[1]))))
+    drift = float(np.abs(weights.conj().T @ gram_out @ weights - np.eye(weights.shape[1])).max())
     tolerance = verification_tolerance(eigvals[kept])
     if not drift <= tolerance:
         raise ValueError(

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations, marginals
-from .hilbert import VERIFY_CEILING, Immutable, MultipartiteState, Operator, StateVector
+from .hilbert import VERIFY_CEILING, Immutable, MultipartiteState, Operator
 from .hilbert import fidelity, gram, hermitian_sqrt, nonsingular_spectrum
 from .hilbert import precision_floor, rounding_floor
 from .hilbert import unitary_completion, verification_tolerance
@@ -60,13 +60,13 @@ class Masker(Immutable):
     form with Q = I: ``Operator(np.eye(D), U)``.
     """
 
-    inputs: tuple[StateVector, ...]
+    inputs: tuple[MultipartiteState, ...]
     ancilla_index: int
     targets: FixedReducingSet
     gammas: np.ndarray
     unitary: Operator
 
-    def __init__(self, inputs: Sequence[StateVector], ancilla_index: int,
+    def __init__(self, inputs: Sequence[MultipartiteState], ancilla_index: int,
                  targets: FixedReducingSet, gammas, unitary: Operator):
         if not isinstance(unitary, Operator):
             raise TypeError(f"Masker.unitary is a {type(unitary).__name__}, not an Operator")
@@ -80,11 +80,11 @@ class Masker(Immutable):
         if targets.dim != d or targets.n != n:
             raise ValueError("targets do not match the input family")
         gammas = np.array(gammas, dtype=float)
-        if gammas.shape != (n,) or not np.all((gammas > 0) & (gammas <= 1)):
+        if gammas.shape != (n,) or not ((gammas > 0) & (gammas <= 1)).all():
             raise ValueError("efficiencies must be n values in (0, 1]")
         if unitary.dim % (d * d):
             raise ValueError(f"unitary dimension {unitary.dim} is not a multiple of {d * d}")
-        if unitary.dim == d * d and np.any(gammas < 1):
+        if unitary.dim == d * d and (gammas < 1).any():
             raise ValueError("a masker without a probe needs unit efficiencies")
         if not unitary.is_unitary():
             raise ValueError("masker operator is not unitary")
@@ -132,7 +132,8 @@ class MaskingReport(NamedTuple):
     tolerance: float
 
 
-def _prepared(inputs: Sequence[StateVector], ancilla_index: int, probe_dim: int) -> np.ndarray:
+def _prepared(inputs: Sequence[MultipartiteState], ancilla_index: int,
+              probe_dim: int) -> np.ndarray:
     """The D x n frame of prepared inputs |a_k>_A |b>_B |P_0>_P; |b>|P_0> is one basis vector."""
     states = np.column_stack([a.amplitudes for a in inputs])
     d = states.shape[0]
@@ -151,7 +152,7 @@ def _successes(targets: FixedReducingSet, gammas: np.ndarray, probe_dim: int) ->
     return np.sqrt(gammas) * frame
 
 
-def build_deterministic(inputs: Sequence[StateVector]) -> Masker:
+def build_deterministic(inputs: Sequence[MultipartiteState]) -> Masker:
     """Probe-free masker of a mutually orthogonal family into ``cyclic_targets(n, d)``.
 
     Checks that at most d inputs are mutually orthogonal; the rest is
@@ -164,7 +165,7 @@ def build_deterministic(inputs: Sequence[StateVector]) -> Masker:
     n, d = len(family), family[0].dim
     if n > d:
         raise ValueError(f"cannot mask {n} states in dimension {d}")
-    worst = float(np.max(np.abs(g - np.diag(np.diag(g)))))
+    worst = float(np.abs(g - np.diag(g.diagonal())).max())
     floor = precision_floor(d)
     if not worst <= floor:
         raise ValueError(f"inputs are not mutually orthogonal: max off-diagonal Gram entry "
@@ -173,7 +174,7 @@ def build_deterministic(inputs: Sequence[StateVector]) -> Masker:
 
 
 def build_probabilistic(
-    inputs: Sequence[StateVector], targets: FixedReducingSet, gammas: Sequence[float]
+    inputs: Sequence[MultipartiteState], targets: FixedReducingSet, gammas: Sequence[float]
 ) -> Masker:
     """Masker for a linearly independent family with efficiencies ``gammas``.
 
@@ -207,13 +208,13 @@ def build_probabilistic(
     if efficiencies.size != n:
         raise ValueError(f"need {n} efficiencies, got {efficiencies.size}")
     # a success branch of norm within rounding of zero carries no post-selected state
-    if not np.all((efficiencies > rounding_floor(n)) & (efficiencies <= 1)):
+    if not ((efficiencies > rounding_floor(n)) & (efficiencies <= 1)).all():
         raise ValueError(f"efficiencies must lie in (0, 1], above the rounding floor "
                          f"{rounding_floor(n):.1e}, got {efficiencies.tolist()}")
     # the probe only carries failure branches, and only they need the residual
-    probe_dim = 2 if np.any(efficiencies < 1.0) else 1
+    probe_dim = 2 if (efficiencies < 1.0).any() else 1
     values, _ = nonsingular_spectrum(a, "inputs' Gram matrix")
-    tolerance = verification_tolerance(values, float(np.min(efficiencies)))
+    tolerance = verification_tolerance(values, float(efficiencies.min()))
     if not tolerance <= VERIFY_CEILING:
         raise ValueError(f"inputs' Gram matrix has condition number {values[-1] / values[0]:.3e}: "
                          f"a masker could be verified only to {tolerance:.3e}, above the "
@@ -252,15 +253,15 @@ def failure_branches(masker: Masker) -> np.ndarray:
     # 2 sqrt(gamma') |sqrt(gamma') - sqrt(gamma)| vanishes with gamma'
     successes = masker.evolved.reshape(d * d, probe_dim, n)[:, 0, :]
     checks = (
-        ("failure branch weight", np.sum(np.abs(branches) ** 2, axis=0), "1 - gamma",
+        ("failure branch weight", (np.abs(branches) ** 2).sum(axis=0), "1 - gamma",
          1.0 - masker.gammas),
-        ("success weight", np.sum(np.abs(successes) ** 2, axis=0), "gamma", masker.gammas),
+        ("success weight", (np.abs(successes) ** 2).sum(axis=0), "gamma", masker.gammas),
     )
     floor = precision_floor(branches.shape[0])
     # written so that a NaN gap counts as off
     off = ~np.array([np.abs(value - expected) <= floor for _, value, _, expected in checks])
-    if np.any(off):
-        k = int(np.argmax(np.any(off, axis=0)))
+    if off.any():
+        k = int(off.any(axis=0).argmax())
         name, value, reference, expected = checks[int(np.argmax(off[:, k]))]
         raise ValueError(
             f"input {k}: {name} {value[k]:.6e} differs from {reference} = {expected[k]:.6e} "

@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .hilbert import hermitian_matrix, nonsingular_spectrum, precision_floor, psd_check, psd_verdict
+from .hilbert import _EPS, hermitian_matrix, nonsingular_spectrum, precision_floor, psd_check
+from .hilbert import psd_verdict
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # factor by which the barrier weight t grows between centring stages; a tangent
@@ -56,19 +57,19 @@ def _gammas_array(gammas) -> np.ndarray:
     values = np.asarray(gammas, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("need at least one efficiency")
-    if not np.all((values >= 0.0) & (values <= 1.0)):
+    if not ((values >= 0.0) & (values <= 1.0)).all():
         raise ValueError("efficiencies must lie in [0, 1]")
     return values
 
 
 def success_probability(gammas) -> float:
     """Product of the efficiencies."""
-    return float(np.prod(_gammas_array(gammas)))
+    return float(_gammas_array(gammas).prod())
 
 
 def _residual(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
     root = np.sqrt(values)
-    return a - np.outer(root, root) * x
+    return a - root[:, None] * root * x
 
 
 def _solve_inputs(A, X_P, gammas=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -206,16 +207,17 @@ def _dual_bound(a: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray) -> f
     n = g.size
     # first-order bound on the evaluation's rounding, through |C|, |A| and |X|:
     # sums of up to n^2 terms, each a few complex products deep
-    slack = 2.0 * (n + 2) ** 2 * np.finfo(float).eps
-    c_abs, x_abs, outer = np.abs(c), np.abs(x), np.outer(g, g)
+    slack = 2.0 * (n + 2) ** 2 * _EPS
+    c_abs, x_abs, outer = np.abs(c), np.abs(x), g[:, None] * g
     cg = c * g
-    r = np.einsum("ki,ki->i", c.conj(), cg @ x).real
-    r_low = r - slack * np.einsum("ki,ki->i", c_abs, np.abs(cg) @ x_abs)
-    if not np.all(r_low > 0.0):
+    r = (c.conj() * (cg @ x)).sum(axis=0).real
+    r_low = r - slack * (c_abs * (np.abs(cg) @ x_abs)).sum(axis=0)
+    # written so that a NaN r_low certifies nothing
+    if not r_low.min() > 0.0:
         return math.inf
-    trace = n + np.einsum("ij,ij->", c @ (a + outer * x), c.conj()).real
-    trace_high = trace + slack * (n + np.sum((c_abs @ (np.abs(a) + np.abs(outer) * x_abs)) * c_abs))
-    return 2.0 * float(np.sum(np.log(trace_high / (2.0 * n * r_low))))
+    trace = n + np.vdot(c, c @ (a + outer * x)).real
+    trace_high = trace + slack * (n + ((c_abs @ (np.abs(a) + np.abs(outer) * x_abs)) * c_abs).sum())
+    return 2.0 * float(np.log(trace_high / (2.0 * n * r_low)).sum())
 
 
 def _gap(
@@ -229,7 +231,7 @@ def _gap(
     c = _dual_factor(whitener, x, g)
     if c is None:
         return math.inf, None
-    return _dual_bound(a, x, c, g) - float(np.sum(np.log(values))), (c, g)
+    return _dual_bound(a, x, c, g) - float(np.log(values).sum()), (c, g)
 
 
 def dual_bound(A, X_P, dual) -> float:
@@ -255,7 +257,7 @@ def dual_bound(A, X_P, dual) -> float:
     h = np.asarray(dual[1], dtype=float).reshape(-1)
     if c.shape != (n, n) or h.shape != (n,):
         raise ValueError(f"dual point must be an {n} x {n} matrix and {n} reals")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(h))):
+    if not (np.isfinite(c).all() and np.isfinite(h).all()):
         raise ValueError("dual point must be finite")
     return _dual_bound(a, x, c, h)
 
@@ -275,7 +277,7 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     no dual point. O(n^3).
     """
     a, x, values = _solve_inputs(A, X_P, gammas)
-    if np.all(values == 1.0):
+    if (values == 1.0).all():
         return 0.0, None
     return _gap(a, x, _whitener(a), values)
 
@@ -640,7 +642,6 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     systems = 0
     previous = math.inf  # decrement2 of the stage's preceding centring test
     centred = g  # the point of the last stage that passed its centring test
-    eps = np.finfo(float).eps
     # the terms are halves, and so are the barrier's gradient and Newton matrix
     # below: scaling by 2 is exact, so each step and decrement is as unhalved
     while systems < NEWTON_STEP_LIMIT:
@@ -674,7 +675,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
         # rounding, or the tangent's reach, can leave the feasible set; below
         # eps g a halved step no longer moves g
         terms = _log_det_terms(whitener, x, g + step)
-        while terms is None and systems < NEWTON_STEP_LIMIT and (abs(step) >= eps * g).any():
+        while terms is None and systems < NEWTON_STEP_LIMIT and (abs(step) >= _EPS * g).any():
             systems += 1
             step = step / 2.0
             terms = _log_det_terms(whitener, x, g + step)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from qmask.fixed_reducing import marginal_deviations, marginals
-from qmask.hilbert import StateVector, gram, rounding_floor
+from qmask.hilbert import MultipartiteState, gram, rounding_floor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,12 +25,12 @@ def haar_unitary(d, rng, real=False):
 
 def random_state(d, rng, real=False):
     z = rng.standard_normal(d) if real else rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return StateVector(z / np.linalg.norm(z))
+    return MultipartiteState(z / np.linalg.norm(z))
 
 
 def random_orthonormal(n, d, rng):
     u = haar_unitary(d, rng)
-    return [StateVector(u[:, i]) for i in range(n)]
+    return [MultipartiteState(u[:, i]) for i in range(n)]
 
 
 def random_independent(n, d, rng, min_gram_eig=1e-3, real=False):
@@ -102,13 +102,12 @@ def circulant_family(n, d, rng):
     the optimum is c*^n with c* = ``uniform_feasibility_boundary(A, X)``.
     """
     from qmask.fixed_reducing import FixedReducingSet
-    from qmask.hilbert import MultipartiteState
 
     omega = np.exp(2j * np.pi / n)
     v = omega ** (np.arange(d) % n)
     w = omega ** rng.integers(0, n, d)
     a_0 = random_state(d, rng).amplitudes
-    inputs = [StateVector(v ** k * a_0) for k in range(n)]
+    inputs = [MultipartiteState(v ** k * a_0) for k in range(n)]
     targets = FixedReducingSet(
         [MultipartiteState(np.diag(w ** k).reshape(-1) / np.sqrt(d), (d, d)) for k in range(n)])
     return inputs, targets
@@ -125,7 +124,6 @@ def overlap_family(s, t, seed, d=2, n=2):
     rounding the rotation adds.
     """
     from qmask.fixed_reducing import cyclic_targets, from_states, targets_with_overlap
-    from qmask.hilbert import MultipartiteState
 
     rng = np.random.default_rng(seed)
     shape = np.zeros((n, d), dtype=complex)
@@ -133,7 +131,7 @@ def overlap_family(s, t, seed, d=2, n=2):
     shape[1, :2] = s, np.sqrt(1.0 - s * s)
     if n == 3:
         shape[2, 2] = 1.0
-    inputs = [StateVector(row) for row in shape @ haar_unitary(d, rng).T]
+    inputs = [MultipartiteState(row) for row in shape @ haar_unitary(d, rng).T]
     members = [*targets_with_overlap(d, t).states, cyclic_targets(2, d).states[1]]
     w_a, w_b = haar_unitary(d, rng), haar_unitary(d, rng)
     targets = from_states([

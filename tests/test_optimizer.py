@@ -1127,6 +1127,24 @@ class TestBoundaryNewton:
         assert (factorizations["_eigensystem"], factorizations["_cluster_step"]) == (8, 2)
         assert factorizations["_log_det_terms"] == 0
 
+    def test_real_pair_with_a_singular_pair_step_falls_back_to_the_barrier(self, factorizations):
+        # draw 0 of the real n = 6 sample: real inputs near the basis and real Gaussian
+        # targets. Its top two eigenvalues coalesce and the try hands off to the pair step,
+        # whose (n + 4) system is singular for a real Gram pair: the solve raises
+        # LinAlgError, the try declines, and the barrier's point is certified
+        n = d = 6
+        rng = np.random.default_rng([7, n, n, 0, 1])
+        noise = rng.standard_normal((n, d))
+        targets = rng.standard_normal((n, d * d))
+        rows = np.eye(n, d) + 0.5 * noise / np.sqrt(d)
+        a = gram([MultipartiteState(row / np.linalg.norm(row)) for row in rows])
+        x = gram([MultipartiteState(row / np.linalg.norm(row)) for row in targets])
+        gammas, _ = maximize_general(a, x)
+        assert factorizations["_cluster_step"] == 1
+        assert factorizations["_log_det_terms"] > 0
+        assert certify(a, x, gammas)[0] <= GAP_TOL
+        assert feasible(a, x, gammas)[0]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a, x", faulting_pairs())
     def test_failed_evaluations_fall_back_to_the_barrier(self, a, x):

@@ -18,12 +18,13 @@ code, and the weight checks below decide them. Files without a version
 (version 1) have no ``span_basis``: their ``unitary`` is the dense
 D x D matrix, which is the operator with Q = I. They load as such, Q
 formed only once that matrix has parsed as D x D, and are written back
-as version 2 with k = D, which the reader accepts as well. On load
-JSON's non-standard NaN and Infinity are rejected, each state must pass
-the state type's own norm check, Q be orthonormal, W unitary, the
-targets fixed reducing, every failure branch weight equal to
-1 - gamma_k and every success weight gamma_k; any failure is a
-``FileFormatError`` naming the field.
+as version 2 with k = D, which the reader accepts as well. B starts in
+|0>: every file stores ``"ancilla_index": 0`` for earlier readers, and
+the reader takes no other value. On load JSON's non-standard NaN and
+Infinity are rejected, each state must pass the state type's own norm
+check, Q be orthonormal, W unitary, the targets fixed reducing, every
+failure branch weight equal to 1 - gamma_k and every success weight
+gamma_k; any failure is a ``FileFormatError`` naming the field.
 
 Loading converts each array of pairs with one numpy call and checks its
 shape, its numeric type and that it holds no JSON booleans. Only when
@@ -186,7 +187,7 @@ def masker_to_json(m) -> dict:
         "unitary": _pairs_to_json(m.unitary.span_unitary),
         "targets": state_set_to_json(m.targets.states),
         "inputs": state_set_to_json(m.inputs),
-        "ancilla_index": m.ancilla_index,
+        "ancilla_index": 0,
     }
     if m.probe_dim > 1:
         document["kind"] = "probabilistic"
@@ -252,8 +253,8 @@ def masker_from_json(document: dict):
         raise FileFormatError(f"field 'targets': {exc}") from exc
 
     ancilla_index = document.get("ancilla_index")
-    _require(type(ancilla_index) is int and 0 <= ancilla_index < d, "ancilla_index",
-             f"expected an integer in [0, {d - 1}], got {ancilla_index!r}")
+    _require(type(ancilla_index) is int and ancilla_index == 0, "ancilla_index",
+             f"the ancilla starts in |0>: expected 0, got {ancilla_index!r}")
 
     unitary = _unitary_from_json(document, math.prod(dims), n)
 
@@ -270,7 +271,7 @@ def masker_from_json(document: dict):
         gammas = np.asarray(raw_gammas, dtype=float)
         _require(bool((gammas > 0).all()) and bool((gammas <= 1).all()), "gammas",
                  "efficiencies must lie in (0, 1]")
-    m = masking.Masker(inputs, ancilla_index, targets, gammas, unitary)
+    m = masking.Masker(inputs, targets, gammas, unitary)
     # the only check that the efficiencies and targets belong to the unitary
     try:
         masking.failure_branches(m)

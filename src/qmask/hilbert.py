@@ -288,13 +288,14 @@ def spectrum_floor(values: np.ndarray) -> float:
     return rounding_floor(values.size, float(np.abs(values).max()))
 
 
-def nonsingular_spectrum(gram_matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+def nonsingular_spectrum(gram_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Gram matrix; ValueError unless every eigenvalue clears the floor."""
     values, vectors = np.linalg.eigh(gram_matrix)
     floor = spectrum_floor(values)
     if not values[0] > floor:
-        raise ValueError(f"{name} is singular: min eigenvalue {values[0]:.3e} is within the "
-                         f"rounding floor {floor:.1e} of zero: the states are linearly dependent")
+        raise ValueError(f"inputs' Gram matrix is singular: min eigenvalue {values[0]:.3e} "
+                         f"is within the rounding floor {floor:.1e} of zero: the states are "
+                         f"linearly dependent")
     return values, vectors
 
 

@@ -20,10 +20,11 @@ only to carry failure branches, so ``build_probabilistic`` adds one only
 when some gamma_k < 1. A mutually orthogonal family admits the
 deterministic masker: no probe, a unitary on A (x) B alone and every
 gamma_k = 1; ``build_deterministic`` checks that hypothesis and calls
-``build_probabilistic`` with unit efficiencies. The ancilla is a basis
-index of B; prepared inputs, success and failure branches are D x n
-frames, one column per input. ``failure_branches`` derives the failure
-frame F from the unitary: A = sqrt(Gamma) X sqrt(Gamma) + F^dagger F.
+``build_probabilistic`` with unit efficiencies. The ancilla on B always
+starts in |0>, the paper's fixed blank state |b>. Prepared inputs,
+success and failure branches are D x n frames, one column per input.
+``failure_branches`` derives the failure frame F from the unitary:
+A = sqrt(Gamma) X sqrt(Gamma) + F^dagger F.
 The unitary is a ``hilbert.Operator`` in factored form, so nothing here
 forms a D x D matrix. ``Masker`` is an immutable value type
 (``hilbert.Immutable``) that checks its fields in ``__init__``;
@@ -49,34 +50,30 @@ from .hilbert import unitary_completion, verification_tolerance
 class Masker(Immutable):
     """Unitary masking each input, a state on A alone, with efficiency gamma_k.
 
-    The ancilla on B starts in the basis state ``ancilla_index``. The
-    probe dimension p is read off the unitary, of dimension d^2 p. With
-    p = 1 there is no probe, and every gamma_k must be 1: the
-    deterministic masker. With p >= 2 the probe's basis state 0 carries
-    every success branch and is the rank-one post-selection outcome; the
-    other p - 1 states carry the failure branches. The builder uses p = 2;
-    any p >= 2 is accepted, so files written with the n + 1 probe states
-    of earlier versions still load. A dense D x D unitary U is the factored
-    form with Q = I: ``Operator(np.eye(D), U)``.
+    The ancilla on B starts in |0>. The probe dimension p is read off the
+    unitary, of dimension d^2 p. With p = 1 there is no probe, and every
+    gamma_k must be 1: the deterministic masker. With p >= 2 the probe's
+    basis state 0 carries every success branch and is the rank-one
+    post-selection outcome; the other p - 1 states carry the failure
+    branches. The builder uses p = 2; any p >= 2 is accepted, so files
+    written with the n + 1 probe states of earlier versions still load. A
+    dense D x D unitary U is the factored form with Q = I:
+    ``Operator(np.eye(D), U)``.
     """
 
     inputs: tuple[MultipartiteState, ...]
-    ancilla_index: int
     targets: FixedReducingSet
     gammas: np.ndarray
     unitary: Operator
 
-    def __init__(self, inputs: Sequence[MultipartiteState], ancilla_index: int,
-                 targets: FixedReducingSet, gammas, unitary: Operator):
+    def __init__(self, inputs: Sequence[MultipartiteState], targets: FixedReducingSet,
+                 gammas, unitary: Operator):
         if not isinstance(unitary, Operator):
             raise TypeError(f"Masker.unitary is a {type(unitary).__name__}, not an Operator")
         inputs = tuple(inputs)
         if not inputs or any(a.dims != (inputs[0].dim,) for a in inputs):
             raise ValueError("inputs must be nonempty and share one subsystem of one dimension")
         d, n = inputs[0].dim, len(inputs)
-        if not (type(ancilla_index) is int and 0 <= ancilla_index < d):
-            raise ValueError(f"ancilla index must be an integer in [0, {d}), "
-                             f"got {ancilla_index!r}")
         if targets.dim != d or targets.n != n:
             raise ValueError("targets do not match the input family")
         gammas = np.array(gammas, dtype=float)
@@ -89,8 +86,7 @@ class Masker(Immutable):
         if not unitary.is_unitary():
             raise ValueError("masker operator is not unitary")
         gammas.setflags(write=False)
-        vars(self).update(inputs=inputs, ancilla_index=ancilla_index, targets=targets,
-                          gammas=gammas, unitary=unitary)
+        vars(self).update(inputs=inputs, targets=targets, gammas=gammas, unitary=unitary)
 
     @property
     def n(self) -> int:
@@ -106,8 +102,8 @@ class Masker(Immutable):
 
     @cached_property
     def evolved(self) -> np.ndarray:
-        """U applied to every prepared input at once: column k is U |a_k>|b>|P_0>."""
-        outputs = self.unitary.apply(_prepared(self.inputs, self.ancilla_index, self.probe_dim))
+        """U applied to every prepared input at once: column k is U |a_k>|0>|P_0>."""
+        outputs = self.unitary.apply(_prepared(self.inputs, self.probe_dim))
         outputs.setflags(write=False)
         return outputs
 
@@ -132,14 +128,13 @@ class MaskingReport(NamedTuple):
     tolerance: float
 
 
-def _prepared(inputs: Sequence[MultipartiteState], ancilla_index: int,
-              probe_dim: int) -> np.ndarray:
-    """The D x n frame of prepared inputs |a_k>_A |b>_B |P_0>_P; |b>|P_0> is one basis vector."""
+def _prepared(inputs: Sequence[MultipartiteState], probe_dim: int) -> np.ndarray:
+    """The D x n frame of prepared inputs |a_k>_A |0>_B |P_0>_P."""
     states = np.column_stack([a.amplitudes for a in inputs])
     d = states.shape[0]
     frame = np.zeros((d * d * probe_dim, states.shape[1]), dtype=complex)
-    # row i d P + b P is |i>_A |b>_B |P_0>
-    frame[ancilla_index * probe_dim::d * probe_dim] = states
+    # row i d P is |i>_A |0>_B |P_0>
+    frame[::d * probe_dim] = states
     return frame
 
 
@@ -196,8 +191,7 @@ def build_probabilistic(
     of ``unitary_completion``. Inputs so ill-conditioned that
     ``verify_masking``'s tolerance for them would exceed VERIFY_CEILING
     are rejected before any of that work: no masker of theirs could pass.
-    The ancilla on B starts in |0>. Each rejection names its gate, the
-    margin and the floor it was compared with.
+    Each rejection names its gate, the margin and the floor it was held to.
     """
     family = tuple(inputs)
     a = gram(family)
@@ -213,7 +207,7 @@ def build_probabilistic(
                          f"{rounding_floor(n):.1e}, got {efficiencies.tolist()}")
     # the probe only carries failure branches, and only they need the residual
     probe_dim = 2 if (efficiencies < 1.0).any() else 1
-    values, _ = nonsingular_spectrum(a, "inputs' Gram matrix")
+    values, _ = nonsingular_spectrum(a)
     tolerance = verification_tolerance(values, float(efficiencies.min()))
     if not tolerance <= VERIFY_CEILING:
         raise ValueError(f"inputs' Gram matrix has condition number {values[-1] / values[0]:.3e}: "
@@ -230,8 +224,8 @@ def build_probabilistic(
         # failure block row i on |i>_AB |P_1>, row 2i + 1; its n <= d rows fit in d^2
         outputs[1:2 * n:2] += failures
 
-    unitary = unitary_completion(_prepared(family, 0, probe_dim), outputs)
-    return Masker(family, 0, targets, efficiencies, unitary)
+    unitary = unitary_completion(_prepared(family, probe_dim), outputs)
+    return Masker(family, targets, efficiencies, unitary)
 
 
 def failure_branches(masker: Masker) -> np.ndarray:

@@ -139,7 +139,7 @@ def max_prob_two(s: float, t: float) -> tuple[float, tuple[float, float]]:
 
 def _whitener(a: np.ndarray) -> np.ndarray:
     """N with N A N^dagger = I, from A's eigendecomposition; rejects a singular A."""
-    values, vectors = nonsingular_spectrum(a, "inputs' Gram matrix")
+    values, vectors = nonsingular_spectrum(a)
     return (vectors / np.sqrt(values)).conj().T
 
 
@@ -472,8 +472,6 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 least, start = high / low, g
         y = np.log(start)
         values, vectors, z, v = _eigensystem(whitener, x, y)
-        if not values[-1] > 0.0:
-            return None
         # scaled onto the boundary, where L = 0: g -> g / sqrt(lambda_max) divides H by
         # lambda_max, and Z and V by its square root
         root = math.sqrt(values[-1])
@@ -528,8 +526,6 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 g = np.exp(y + delta)
                 m = whitener * g
                 top = float(np.linalg.eigvalsh(m @ x @ m.conj().T)[-1])
-                if not top > 0.0:
-                    return None
                 return np.minimum(g * g / top * (1.0 - UNIFORM_SHORTFALL / n), 1.0)
             while True:
                 if evaluations == _BOUNDARY_EVALUATIONS:
@@ -538,8 +534,6 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 trial_y = y + step
                 trial_system = _eigensystem(whitener, x, trial_y)
                 values = trial_system[0]
-                if not values[-1] > 0.0:
-                    return None
                 log_trial = math.log(values[-1])
                 trial = float(trial_y.sum()) - (n / 2.0 + log_trial / 2.0) * log_trial
                 coalesced = r == 1 and values[-2] >= 0.99 * values[-1]
@@ -626,17 +620,13 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     if _admissible(a, x, ones):
         return ones, 1.0
     if n <= 2:
-        boundary = _uniform_boundary(x, whitener)
-        gammas = np.full(n, boundary * (1.0 - UNIFORM_SHORTFALL / n))
+        gammas = np.full(n, _uniform_boundary(x, whitener) * (1.0 - UNIFORM_SHORTFALL / n))
     else:
-        # only the barrier's start needs c*
-        boundary, gammas = None, _boundary_newton(x, whitener)
+        gammas = _boundary_newton(x, whitener)
     if gammas is not None and _gap(a, x, whitener, gammas)[0] <= GAP_TOL:
         return gammas, float(gammas.prod())
-    if boundary is None:
-        boundary = _uniform_boundary(x, whitener)
 
-    g = np.full(n, math.sqrt(boundary / 2.0))
+    g = np.full(n, math.sqrt(_uniform_boundary(x, whitener) / 2.0))
     gradient, hessian = _log_det_terms(whitener, x, g)
     t = 1.0
     systems = 0

@@ -20,19 +20,21 @@ from qmask import fileio, masker as masking
 from qmask.cli import main
 from qmask.fileio import load_masker, load_state_set, masker_to_json, save_masker, state_set_to_json
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap
-from qmask.hilbert import (
-    NORM_TOL, MultipartiteState, Operator, StateVector, basis_state, unitary_completion,
-)
+from qmask.hilbert import NORM_TOL, MultipartiteState, Operator, StateVector, basis_state
 from qmask.masker import Masker, build_deterministic, build_probabilistic, verify_masking
 from qmask.optimizer import max_prob_two
 
 INV2 = 1.0 / np.sqrt(2)
 # floats whose repr round trip is easy to break: signed zero, subnormal, near overflow, inexact sum
 AWKWARD = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2]
+DATA = Path(__file__).parent / "data"
 # a (d, n) = (3, 2) masker written with a probe of n + 1 = 3 states, before the two-state
 # probe, and what `simulate` printed for it then
-LEGACY_MASKER = Path(__file__).parent / "data" / "masker-3-2-probe-3.json"
-LEGACY_SIMULATE = Path(__file__).parent / "data" / "masker-3-2-probe-3.simulate.txt"
+LEGACY_MASKER = DATA / "masker-3-2-probe-3.json"
+LEGACY_SIMULATE = DATA / "masker-3-2-probe-3.simulate.txt"
+# (d, n) = (3, 3) maskers in the current format, each with what `simulate` prints for it:
+# one deterministic, of the Fourier basis, and one with the two-state probe at the optimum
+CURRENT_MASKERS = ["masker-3-3-deterministic", "masker-3-3-probe-2"]
 
 
 def complex_array(real, imag):
@@ -491,8 +493,7 @@ class TestMaskProb:
             # the identity is unitary, so the masker is well formed, but it masks nothing
             built = build(*args, **kwargs)
             identity = np.eye(built.unitary.dim)
-            return Masker(built.inputs, built.ancilla_index, built.targets, built.gammas,
-                          Operator(identity, identity))
+            return Masker(built.inputs, built.targets, built.gammas, Operator(identity, identity))
 
         monkeypatch.setattr(masking, "build_probabilistic", broken_build)
         out_path = tmp_path / "masker.json"
@@ -785,34 +786,16 @@ class TestMaskerFiles:
         assert "field 'inputs.states[0]': state is not normalized" in err
         assert "renormalize" not in err
 
-    def test_ancilla_index_reaches_the_evolution(self, tmp_path, capsys):
-        built = overlap_pair_masker()
-        # the built masker's outputs, reached from inputs prepared with |1>_B |P_0>_P
-        start = basis_state(2 * built.probe_dim, built.probe_dim).amplitudes
-        prepared = np.column_stack([np.kron(a.amplitudes, start) for a in built.inputs])
-        masker = Masker(built.inputs, 1, built.targets, built.gammas,
-                        unitary_completion(prepared, built.evolved))
-        report = verify_masking(masker)
-        assert report.passed
-        assert not verify_masking(
-            Masker(masker.inputs, 0, masker.targets, masker.gammas, masker.unitary)).passed
-        path = tmp_path / "masker.json"
-        save_masker(masker, path)
-        assert json.loads(path.read_text())["ancilla_index"] == 1
-        loaded = load_masker(path)
-        assert loaded.ancilla_index == 1 and verify_masking(loaded) == report
-        assert main(["simulate", str(path)]) == 0
-        printed = capsys.readouterr().out
-        for k, probability in enumerate(report.success_probabilities):
-            assert f"state {k}: success probability {probability:.12g}," in printed
-
     def test_edited_ancilla_index_is_input_error(self, tmp_path, capsys):
-        path, document = saved(tmp_path, overlap_pair_masker(), "factored")
-        assert document["ancilla_index"] == 0
-        document["ancilla_index"] = 1
-        rewrite(path, document)
-        assert main(["simulate", str(path)]) == 2
-        assert "field 'gammas'" in capsys.readouterr().err
+        # no failure branch of a deterministic masker could disagree with the edit
+        for masker in (overlap_pair_masker(), load_masker(DATA / "masker-3-3-deterministic.json")):
+            path, document = saved(tmp_path, masker, "factored")
+            assert document["ancilla_index"] == 0
+            document["ancilla_index"] = 1
+            rewrite(path, document)
+            assert main(["simulate", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "field 'ancilla_index': the ancilla starts in |0>: expected 0, got 1" in err
 
     def test_corrupt_kind_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1040,6 +1023,16 @@ class TestMaskerFiles:
         assert json.loads(LEGACY_MASKER.read_text())["probe_dim"] == 3
         assert main(["simulate", str(LEGACY_MASKER)]) == 0
         assert capsys.readouterr().out == LEGACY_SIMULATE.read_text()
+
+    @pytest.mark.parametrize("name", CURRENT_MASKERS)
+    def test_current_file_round_trips_its_bytes_and_simulates_as_written(
+        self, tmp_path, capsys, name
+    ):
+        path, copy = DATA / f"{name}.json", tmp_path / "masker.json"
+        save_masker(load_masker(path), copy)
+        assert copy.read_bytes() == path.read_bytes()
+        assert main(["simulate", str(path)]) == 0
+        assert capsys.readouterr().out == (DATA / f"{name}.simulate.txt").read_text()
 
     @pytest.mark.parametrize("edit, named", [
         (lambda document: document.__setitem__("probe_dim", 2), "field 'probe_dim'"),

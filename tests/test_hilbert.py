@@ -146,16 +146,16 @@ class TestGram:
 
 class TestLinearIndependence:
     def test_basis_pair(self):
-        values, _ = nonsingular_spectrum(gram([basis_state(2, 0), basis_state(2, 1)]), "A")
+        values, _ = nonsingular_spectrum(gram([basis_state(2, 0), basis_state(2, 1)]))
         assert np.allclose(values, [1.0, 1.0])
 
     def test_repeated_state(self):
-        with pytest.raises(ValueError, match="A is singular.*linearly dependent"):
-            nonsingular_spectrum(gram([basis_state(2, 0), basis_state(2, 0)]), "A")
+        with pytest.raises(ValueError, match="^inputs' Gram matrix is singular.*dependent"):
+            nonsingular_spectrum(gram([basis_state(2, 0), basis_state(2, 0)]))
 
     def test_non_parallel_pair(self):
         states = [basis_state(2, 0), StateVector(np.array([1, 1]) / np.sqrt(2))]
-        values, _ = nonsingular_spectrum(gram(states), "A")
+        values, _ = nonsingular_spectrum(gram(states))
         assert np.allclose(values, [1 - INV2, 1 + INV2])
 
 

@@ -1,9 +1,10 @@
 """Stand-ins for a linter's unused-import, dead-code and unused-option rules, for a rule
 that keeps the optimizer's input checks in one function, for one that keeps tolerance
-guards NaN-safe and for one that keeps reductions array methods, built on the standard
-library's ``ast``."""
+guards NaN-safe, for one that keeps reductions array methods and for one that finds a
+parameter every caller sets alike, built on the standard library's ``ast``."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import qmask
@@ -216,6 +217,82 @@ def test_every_default_is_set_by_some_caller():
     # a keyword that every caller leaves at its default is not an option
     library, readers = pipeline_sources()
     assert unset_defaults(library, readers) == []
+
+
+def signatures(sources: list[str]) -> dict[str, list[str]]:
+    """The parameters a call can set, in positional order, of each function or class defined
+    once in ``sources``: a class's are its ``__init__``'s, and a method's omit ``self``."""
+    found, definitions = {}, defaultdict(int)
+    for source in sources:
+        tree = ast.parse(source)
+        owners = {item: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = node in owners and not static
+            name = owners[node] if bound and node.name == "__init__" else node.name
+            arguments = [*node.args.posonlyargs, *node.args.args][bound:] + node.args.kwonlyargs
+            found[name] = [argument.arg for argument in arguments]
+            definitions[name] += 1
+    return {name: parameters for name, parameters in found.items() if definitions[name] == 1}
+
+
+def literal_source(node: ast.expr | None) -> str | None:
+    """The source of ``node`` where it is a literal, else None."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return ast.unparse(node)
+
+
+def uniform_arguments(sources: list[str]) -> list[str]:
+    """``function(parameter) = literal`` for each parameter that two or more calls in
+    ``sources`` of a function defined there all set to one literal, by position or keyword."""
+    parameters = signatures(sources)
+    passed = defaultdict(list)
+    for source in sources:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name not in parameters:
+                continue
+            # a starred argument or a **mapping may set any parameter
+            opaque = (any(isinstance(argument, ast.Starred) for argument in call.args)
+                      or any(keyword.arg is None for keyword in call.keywords))
+            given = dict(zip(parameters[name], call.args))
+            given.update((keyword.arg, keyword.value) for keyword in call.keywords)
+            for parameter in parameters[name]:
+                value = None if opaque else literal_source(given.get(parameter))
+                passed[name, parameter].append(value)
+    return sorted(f"{name}({parameter}) = {values[0]}"
+                  for (name, parameter), values in passed.items()
+                  if len(values) > 1 and values[0] is not None and len(set(values)) == 1)
+
+
+def test_scanner_finds_uniform_arguments():
+    definitions = ("def scale(values, factor, *, label='x'):\n    return values\n"
+                   "class Box:\n    def __init__(self, size, fill):\n        self.size = size\n"
+                   "    def grow(self, by):\n        return by\n"
+                   "    @staticmethod\n    def make(size, fill):\n        return size, fill\n"
+                   "def once(flag):\n    return flag\n")
+    callers = ("import a\na.scale(x, 2, label='y')\nscale(y, factor=2, label='y')\n"
+               "Box(3, 0)\nBox(size=4, fill=0)\nbox.grow(1)\nbox.grow(1.0)\n"
+               "Box.make(1, True)\nBox.make(1, 1)\nonce(True)\n")
+    assert uniform_arguments([definitions, callers]) == [
+        "Box(fill) = 0", "make(size) = 1", "scale(factor) = 2", "scale(label) = 'y'"]
+    assert uniform_arguments([definitions, callers, "scale(z, **options)\n"]) == [
+        "Box(fill) = 0", "make(size) = 1"]
+
+
+def test_no_parameter_is_set_alike_by_every_caller():
+    # a value every caller passes is a constant, not a parameter
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "qmask").glob("*.py"))]
+    assert uniform_arguments(sources) == []
 
 
 def input_policy_faults(source: str) -> list[str]:

@@ -292,8 +292,7 @@ class TestSimulate:
     def test_unitary_must_be_factored(self):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         with pytest.raises(TypeError, match="Operator"):
-            Masker(masker.inputs, masker.ancilla_index, masker.targets, masker.gammas,
-                   dense(masker.unitary))
+            Masker(masker.inputs, masker.targets, masker.gammas, dense(masker.unitary))
 
     @pytest.mark.parametrize("field, value, message", [
         ("targets", cyclic_targets(1, 2), "^targets do not match the input family$"),
@@ -309,23 +308,17 @@ class TestSimulate:
             "gammas-above-one", "unitary-dimension", "probe-free-below-one", "not-unitary"])
     def test_inconsistent_fields_rejected(self, field, value, message):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
-        fields = {"inputs": masker.inputs, "ancilla_index": masker.ancilla_index,
-                  "targets": masker.targets, "gammas": masker.gammas, "unitary": masker.unitary}
+        fields = {"inputs": masker.inputs, "targets": masker.targets, "gammas": masker.gammas,
+                  "unitary": masker.unitary}
         with pytest.raises(ValueError, match=message):
             Masker(**{**fields, field: value})
-
-    @pytest.mark.parametrize("index", [-1, 2, True, 0.0])
-    def test_ancilla_index_must_be_a_basis_index(self, index):
-        masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
-        with pytest.raises(ValueError, match=r"ancilla index must be an integer in \[0, 2\)"):
-            Masker(masker.inputs, index, masker.targets, masker.gammas, masker.unitary)
 
     def test_inputs_must_live_on_one_subsystem(self):
         # a masker file stores its inputs with dims [d], so a bipartite input could not reload
         masker = build_deterministic([basis_state(4, 0), basis_state(4, 1)])
         split = tuple(MultipartiteState(a.amplitudes, (2, 2)) for a in masker.inputs)
         with pytest.raises(ValueError, match="one subsystem"):
-            Masker(split, masker.ancilla_index, masker.targets, masker.gammas, masker.unitary)
+            Masker(split, masker.targets, masker.gammas, masker.unitary)
 
     def test_index_out_of_range(self):
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
@@ -339,7 +332,7 @@ class TestSimulate:
         inputs = random_independent(2, 3, rng)
         targets = cyclic_targets(2, 3)
         masker = build_probabilistic(inputs, targets, [0.05, 0.05])
-        ancilla = basis_state(3, masker.ancilla_index).amplitudes
+        ancilla = basis_state(3, 0).amplitudes
         prepared = np.column_stack([
             np.kron(np.kron(a.amplitudes, ancilla), basis_state(2, 0).amplitudes) for a in inputs
         ])
@@ -388,7 +381,7 @@ class TestVerifyMasking:
         masker = build_deterministic([basis_state(2, 0), basis_state(2, 1)])
         noise = 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         left, _, right = np.linalg.svd(dense(masker.unitary) + noise)
-        broken = Masker(masker.inputs, masker.ancilla_index, masker.targets, masker.gammas,
+        broken = Masker(masker.inputs, masker.targets, masker.gammas,
                         Operator(np.eye(4), left @ right))
         report = verify_masking(broken)
         assert not report.passed

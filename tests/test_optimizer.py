@@ -479,6 +479,20 @@ def barrier_only():
         yield
 
 
+def formula_gap(a, x, gammas):
+    """``certify``'s gap without its rounding allowance, which scales with machine epsilon."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_EPS", 0.0)
+        return certify(a, x, gammas)[0]
+
+
+def gaussian_pair(n, k):
+    """Draw k of the large-n sample: Gaussian n x n inputs and n x n^2 targets, rows normalized."""
+    rng = np.random.default_rng([11, n, k])
+    rows = [rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) for m in (n, n * n)]
+    return [gram([MultipartiteState(row / np.linalg.norm(row)) for row in r]) for r in rows]
+
+
 @st.composite
 def tied_corners(draw):
     """(s, t) with 1 - s = 10^-U(6, 11.6) and 1 - t = r (1 - s), r in [0.5, 2]."""
@@ -774,6 +788,30 @@ class TestUniformShortcut:
         assert calls["_log_det_terms"] > 0
         assert feasible(a, x, gammas)[0]
         assert np.isfinite(certify(a, x, gammas)[0])
+
+    @pytest.mark.parametrize("case, prob_tol", [("two-inputs", 1e-14), ("n=32", 1e-11)])
+    def test_try_declined_for_its_rounding_allowance_alone_is_solved_again(self, case, prob_tol):
+        # two regimes where the try's point is strictly feasible and its formula gap within
+        # GAP_TOL, but certify's rounding allowance (about 2.8e-5 at cond(A) = 2e9, 1.9e-7
+        # at n = 32) is not, so the barrier runs again. It returns the same Prob (bit-equal
+        # with two inputs, 1.5e-12 apart in log at n = 32) and a certified gap within 0.2 %
+        # of the try's. The first is optimize-sweep's grid point (1 - 1e-9, 0)
+        if case == "two-inputs":
+            inputs, targets = overlap_family(1.0 - 1e-9, 0.0, 1)
+            a, x = gram(inputs), gram(targets.states)
+        else:
+            a, x = gaussian_pair(32, 0)
+        tried = []
+        with pytest.MonkeyPatch.context() as patch:
+            # the solve's one _gap call judges the try's point
+            patch.setattr(optimizer, "_gap", lambda *args: tried.append(args[3]) or _gap(*args))
+            gammas, prob, calls = self.solve(a, x)
+        (trial,) = tried
+        assert (calls["_eigensystem"] > 0) == (case == "n=32")
+        assert calls["_log_det_terms"] > 0
+        assert formula_gap(a, x, trial) <= GAP_TOL < certify(a, x, trial)[0]
+        assert np.log(prob) == pytest.approx(np.log(trial).sum(), abs=prob_tol)
+        assert certify(a, x, gammas)[0] == pytest.approx(certify(a, x, trial)[0], rel=1e-2)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.sampled_from([2, 3]))
     @example(seed=0, d=2)
@@ -1114,6 +1152,18 @@ class TestBoundaryNewton:
         with barrier_only():
             barrier_gammas, barrier_prob = maximize_general(a, x)
         assert gammas.tobytes() == barrier_gammas.tobytes() and prob == barrier_prob
+
+    def test_three_inputs_starting_at_a_double_top_eigenvalue_decline_at_once(self, factorizations):
+        # orthonormal inputs (N = I, so balancing keeps g = 1) and targets of pairwise overlap
+        # -0.4: H = X at the start, whose top eigenvalue 1.4 is double, and a pair step needs
+        # four inputs or more. The barrier then finds the symmetric optimum, every gamma 1 / 1.4
+        x = np.full((3, 3), -0.4)
+        np.fill_diagonal(x, 1.0)
+        assert _boundary_newton(x, np.eye(3)) is None
+        assert factorizations["_eigensystem"] == 1
+        gammas, prob = maximize_general(np.eye(3), x)
+        assert factorizations["_log_det_terms"] > 0
+        assert 0.0 <= 3.0 * np.log(1.0 / 1.4) - np.log(prob) <= certify(np.eye(3), x, gammas)[0]
 
     def test_multiplier_indefinite_from_its_first_step_leaves_hand_offs_open(self, factorizations):
         # the benchmark's cli-pipeline shape 1 hands off twice where the top two are only

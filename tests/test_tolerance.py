@@ -83,15 +83,14 @@ def test_verification_rejects_a_masker_claiming_twice_its_efficiencies():
     assert verify_masking(built).passed
     # an absolute |p - gamma| <= 1e-8 passes this: gamma is about 1e-9
     assert not verify_masking(
-        Masker(built.inputs, built.ancilla_index, built.targets, 2 * built.gammas,
-               built.unitary)).passed
+        Masker(built.inputs, built.targets, 2 * built.gammas, built.unitary)).passed
 
 
 def test_verification_fails_for_linearly_dependent_inputs():
     # the identity maps |0>|0> to a target of fidelity 1/2: no tolerance may let it pass
     same = (basis_state(2, 0), basis_state(2, 0))
     identity = Operator(np.eye(4), np.eye(4))
-    report = verify_masking(Masker(same, 0, cyclic_targets(2, 2), [1.0, 1.0], identity))
+    report = verify_masking(Masker(same, cyclic_targets(2, 2), [1.0, 1.0], identity))
     assert report.tolerance == np.inf
     assert not report.passed
 
@@ -114,14 +113,13 @@ def test_verification_fails_beyond_the_tolerance_ceiling():
         failure = np.kron(basis_state(4, 0).amplitudes, np.concatenate([[0.0], coefficients[k]]))
         outputs.append(np.sqrt(gammas[k]) * np.kron(target.amplitudes, start) + failure)
     unitary = unitary_completion(np.column_stack(prepared), np.column_stack(outputs))
-    built = Masker(inputs, 0, targets, gammas, unitary)
+    built = Masker(inputs, targets, gammas, unitary)
     report = verify_masking(built)
     assert min(report.fidelities) > 1.0 - 1e-6
     assert report.tolerance > VERIFY_CEILING
     assert not report.passed
     assert not verify_masking(
-        Masker(built.inputs, built.ancilla_index, built.targets, 2 * built.gammas,
-               built.unitary)).passed
+        Masker(built.inputs, built.targets, 2 * built.gammas, built.unitary)).passed
 
 
 def test_unit_efficiencies_whose_gram_gap_is_amplified_are_rejected():
@@ -237,7 +235,7 @@ def test_no_family_conditioned_below_1e12_is_called_singular(s, t, seed, shape):
     inputs, targets, _ = corner_family(s, t, seed, shape)
     a, x = grams(inputs, targets)
     assert np.linalg.cond(a) < 1e12
-    nonsingular_spectrum(a, "inputs' Gram matrix")
+    nonsingular_spectrum(a)
     uniform_feasibility_boundary(a, x)
     gammas, _ = maximize_general(a, x)
     build_probabilistic(inputs, targets, gammas)

@@ -18,9 +18,10 @@ barrier, after a cheaper try where one is certified: the uniform point for
 one or two inputs, and for three or more ``_boundary_newton``, Newton's
 method on the boundary lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I).
 ``certify`` and ``dual_bound`` bound the distance of any point from the
-optimum through Lagrange duality, and ``certify``'s gap alone decides
-whether a try's point is returned. Each public function of (A, X_P)
-checks them through ``_solve_inputs``.
+optimum through Lagrange duality; the duality formula's gap, before
+``certify``'s rounding allowance, decides whether a try's point is
+returned. Each public function of (A, X_P) checks them through
+``_solve_inputs``.
 """
 
 from __future__ import annotations
@@ -109,12 +110,13 @@ def feasible(A, X_P, gammas) -> tuple[bool, float]:
     return psd_check(residual_matrix(A, X_P, gammas))
 
 
-def _admissible(a: np.ndarray, x: np.ndarray, values: np.ndarray) -> bool:
-    """``feasible(a, x, values)[0]`` for inputs ``_solve_inputs`` has checked.
+def _admissible(a: np.ndarray, x: np.ndarray) -> bool:
+    """``feasible(a, x, ones)[0]`` for inputs ``_solve_inputs`` has checked: gamma = 1.
 
-    One n x n eigensolve of the residual, nothing else.
+    One n x n eigensolve of A - X, which is the residual at gamma = 1 bit for
+    bit (sqrt(1) = 1 and 1 X = X), nothing else.
     """
-    return psd_verdict(np.linalg.eigvalsh(_residual(a, x, values)))[0]
+    return psd_verdict(np.linalg.eigvalsh(a - x))[0]
 
 
 def max_prob_two(s: float, t: float) -> tuple[float, tuple[float, float]]:
@@ -203,35 +205,56 @@ def _log_det_terms(whitener: np.ndarray, x: np.ndarray, g: np.ndarray):
     return bs.diagonal().real, hessian.real
 
 
+def _dual_terms(a: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray):
+    """r_i = Re(S G X)_ii and tr(S A) + n + tr(G S G X), S = C^dagger C, G = diag(g).
+
+    ``dual_bound``'s expression is 2 sum_i log(trace / (2n r_i)) in these terms.
+    """
+    r = (c.conj() * ((c * g) @ x)).sum(axis=0).real
+    trace = g.size + np.vdot(c, c @ (a + g[:, None] * g * x)).real
+    return r, trace
+
+
+def _log_bound(r: np.ndarray, trace: float) -> float:
+    """2 sum_i log(trace / (2n r_i)), infinite unless every r_i is positive."""
+    # written so that a NaN r certifies nothing
+    if not r.min() > 0.0:
+        return math.inf
+    return 2.0 * float(np.log(trace / (2.0 * r.size * r)).sum())
+
+
+def _formula_bound(a: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray) -> float:
+    """``_dual_bound`` without its rounding allowance: the duality formula alone."""
+    return _log_bound(*_dual_terms(a, x, c, g))
+
+
 def _dual_bound(a: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray) -> float:
     n = g.size
+    r, trace = _dual_terms(a, x, c, g)
     # first-order bound on the evaluation's rounding, through |C|, |A| and |X|:
     # sums of up to n^2 terms, each a few complex products deep
     slack = 2.0 * (n + 2) ** 2 * _EPS
-    c_abs, x_abs, outer = np.abs(c), np.abs(x), g[:, None] * g
-    cg = c * g
-    r = (c.conj() * (cg @ x)).sum(axis=0).real
-    r_low = r - slack * (c_abs * (np.abs(cg) @ x_abs)).sum(axis=0)
-    # written so that a NaN r_low certifies nothing
-    if not r_low.min() > 0.0:
-        return math.inf
-    trace = n + np.vdot(c, c @ (a + outer * x)).real
-    trace_high = trace + slack * (n + ((c_abs @ (np.abs(a) + np.abs(outer) * x_abs)) * c_abs).sum())
-    return 2.0 * float(np.log(trace_high / (2.0 * n * r_low)).sum())
+    c_abs, x_abs = np.abs(c), np.abs(x)
+    r_low = r - slack * (c_abs * (np.abs(c * g) @ x_abs)).sum(axis=0)
+    trace_high = trace + slack * (
+        n + ((c_abs @ (np.abs(a) + np.abs(g[:, None] * g) * x_abs)) * c_abs).sum())
+    return _log_bound(r_low, trace_high)
 
 
 def _gap(
-    a: np.ndarray, x: np.ndarray, whitener: np.ndarray, values: np.ndarray
+    a: np.ndarray, x: np.ndarray, whitener: np.ndarray, values: np.ndarray, bound=_dual_bound
 ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
     """``certify``'s (gap, dual point) at efficiencies in [0, 1].
 
     (inf, None) when they are not strictly feasible, a zero efficiency included.
+    With ``bound=_formula_bound`` the gap is the duality formula's alone, before
+    the rounding allowance.
     """
     g = np.sqrt(values)
     c = _dual_factor(whitener, x, g)
     if c is None:
         return math.inf, None
-    return _dual_bound(a, x, c, g) - float(np.log(values).sum()), (c, g)
+    return bound(a, x, c, g) - float(np.log(values).sum()), (c, g)
 
 
 def dual_bound(A, X_P, dual) -> float:
@@ -270,8 +293,9 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     gap = ``dual_bound(A, X_P, dual) - log prod(gammas)``. The dual point
     is (C, sqrt(gamma)) with C^dagger C = (A - G X G)^-1: the Lagrange
     multiplier that the log barrier pairs with a point on its central
-    path, which is where ``maximize_general`` stops, so its gap there is
-    at most about 2 GAP_TOL plus the rounding allowance. Unit efficiencies
+    path. Where ``maximize_general``'s barrier stops the gap is at most
+    about 2 GAP_TOL plus the rounding allowance, and at a try's returned
+    point the gate's bound plus that allowance. Unit efficiencies
     have gap 0 and no dual point, as no efficiency exceeds 1; other
     efficiencies that are not strictly feasible have an infinite gap and
     no dual point. O(n^3).
@@ -567,17 +591,22 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
 
     Returns (gammas, prob). If gamma = 1 is admissible it is the optimum.
     Otherwise a try comes first, and its point is returned without a barrier
-    solve when ``certify``'s gap there, about 2n UNIFORM_SHORTFALL plus its
-    rounding allowance, is at most GAP_TOL: the certificate alone decides,
-    and ill-conditioned problems whose rounding allowance exceeds GAP_TOL go
-    to the barrier. One or two inputs have an optimum with equal
-    efficiencies (with unit diagonals the swap maps A and X to their
-    conjugates), so their try is every gamma_i = c* (1 - UNIFORM_SHORTFALL / n),
-    where the barrier's last stage would end, with the uniform boundary c*
-    from one eigensolve of N X N^dagger (N A N^dagger = I). Three or more
+    solve when its formula gap, ``certify``'s gap before the rounding
+    allowance, is at most the larger of GAP_TOL and 3n UNIFORM_SHORTFALL
+    (GAP_TOL up to n = 33). At the try's target the formula gap is about
+    2n UNIFORM_SHORTFALL. The allowance, which grows with n and cond(A),
+    bounds the rounding of the bound's own evaluation, which no point can
+    lower: the gate does not compute it, and ``certify`` still adds it.
+    One or two inputs have an optimum with equal efficiencies (with unit
+    diagonals the swap maps A and X to their conjugates), so their try is
+    every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last
+    stage would end, with the uniform boundary c* from one eigensolve of
+    N X N^dagger (N A N^dagger = I). Three or more
     inputs try Newton's method on the boundary lambda_max(N G X G N^dagger) = 1,
     which ``_boundary_newton`` describes. Every solve whose try is not returned
-    runs the barrier from scratch, with c* as above.
+    runs the barrier from scratch, with c* as above. Where the try's point
+    failed the gate, the solve then returns whichever point has the smaller
+    certified gap, the barrier's on a tie.
     The log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
     from half the uniform boundary at t = 1. Each stage centres by damped
@@ -613,17 +642,20 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     a, x, _ = _solve_inputs(A, X_P)
     n = a.shape[0]
     whitener = _whitener(a)
-    ones = np.ones(n)
     # judged on the unwhitened residual, not as lambda_max(N X N^dagger) <= 1: at
     # s = t = 1 - 1e-9 (cond(A) = 2e9) that eigenvalue reads 1 + 3.4e-7, and deciding
     # gamma = 1 from it gave Prob 0.99999966 where gamma = 1 is admissible
-    if _admissible(a, x, ones):
-        return ones, 1.0
+    if _admissible(a, x):
+        return np.ones(n), 1.0
     if n <= 2:
         gammas = np.full(n, _uniform_boundary(x, whitener) * (1.0 - UNIFORM_SHORTFALL / n))
     else:
         gammas = _boundary_newton(x, whitener)
-    if gammas is not None and _gap(a, x, whitener, gammas)[0] <= GAP_TOL:
+    # the try aims at a whitened margin of UNIFORM_SHORTFALL / n, where the formula gap
+    # is about 2n UNIFORM_SHORTFALL: the gate is GAP_TOL up to n = 33, and 1.5 times that
+    # beyond, which passes tries at their target and fails those that stopped short
+    if gammas is not None and (_gap(a, x, whitener, gammas, _formula_bound)[0]
+                               <= max(GAP_TOL, 3.0 * n * UNIFORM_SHORTFALL)):
         return gammas, float(gammas.prod())
 
     g = np.full(n, math.sqrt(_uniform_boundary(x, whitener) / 2.0))
@@ -673,7 +705,10 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
             break
         g = g + step
         gradient, hessian = terms
-    gammas = np.minimum(g * g, 1.0)
+    barrier = np.minimum(g * g, 1.0)
+    # where both methods ran, the point with the smaller certified gap
+    if gammas is None or not _gap(a, x, whitener, gammas)[0] < _gap(a, x, whitener, barrier)[0]:
+        gammas = barrier
     return gammas, float(gammas.prod())
 
 

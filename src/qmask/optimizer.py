@@ -293,9 +293,10 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     gap = ``dual_bound(A, X_P, dual) - log prod(gammas)``. The dual point
     is (C, sqrt(gamma)) with C^dagger C = (A - G X G)^-1: the Lagrange
     multiplier that the log barrier pairs with a point on its central
-    path. Where ``maximize_general``'s barrier stops the gap is at most
-    about 2 GAP_TOL plus the rounding allowance, and at a try's returned
-    point the gate's bound plus that allowance. Unit efficiencies
+    path. Where ``maximize_general``'s barrier stops, centred at its last
+    stage's t, the gap is about 2n / t <= GAP_TOL plus the rounding
+    allowance, and at a try's returned point the gate's bound plus that
+    allowance. Unit efficiencies
     have gap 0 and no dual point, as no efficiency exceeds 1; other
     efficiencies that are not strictly feasible have an infinite gap and
     no dual point. O(n^3).
@@ -578,14 +579,6 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _spread(u: np.ndarray) -> float:
-    """Second-order excess of ``certify``'s gap at g over 2n / t: sum_i (u_i / mean(u) - 1)^2.
-
-    u_i = g_i d(-log det)/dg_i, which is 2t for every i on the central path.
-    """
-    return float(((u / u.mean() - 1.0) ** 2).sum())
-
-
 def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     """Globally optimal efficiencies for any number of inputs, within the certified gap.
 
@@ -614,26 +607,29 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     decrement, until lambda^2 <= 1e-2. Between stages t grows by
     BARRIER_GROWTH, and g moves along the central path's tangent, linear
     in 1 / t: g + (t - t / BARRIER_GROWTH) K^-1 (2 / g), with K the Newton
-    matrix of the centring test. The last stage, where the central path's
-    gap 2n / t is at most GAP_TOL, also centres until u_i =
-    g_i d(-log det)/dg_i, all 2t on the central path, spread by
-    sum_i (u_i / mean(u) - 1)^2 <= GAP_TOL, or until the decrement stops
-    falling: in an ill-conditioned residual rounding can hold the spread
-    above GAP_TOL. Before its rounding allowance
-    ``certify``'s gap at g is 2 sum_i log((2 + mean(u)) / u_i), about
-    4n / mean(u) plus that spread, which a small lambda does not bound
-    where the log-det Hessian dominates the barrier's. Every step, a
+    matrix of the centring test. The last stage, the first where the central
+    path's gap 2n / t is at most GAP_TOL, centres on past lambda^2 <= 1e-2
+    while lambda^2 is positive and still falling, and ends at the first step
+    where it is neither: below 1e-2 it falls quadratically in exact
+    arithmetic, so one that does not fall measures rounding. Every step, a
     Newton step or a tangent, is halved in one loop until ``_dual_factor``
-    accepts g + step: every g_i > 0 and the residual passes a Cholesky
-    factorization. The solve ends at the last g that passed once the
+    accepts g + step: every g_i > 0 and the whitened residual passes a
+    Cholesky factorization. The solve ends at the last g that passed once the
     halved step falls below eps g, where it no longer moves g, or once
-    NEWTON_STEP_LIMIT, which counts every halving too, is spent. So the
-    returned efficiencies are strictly feasible however the solve ends, and
-    ``certify`` bounds their distance from the global optimum. A stage before
+    NEWTON_STEP_LIMIT, which counts every halving too, is spent. A stage before
     the last whose squared decrement reads zero or negative, which only
     rounding produces, ends the solve at the last point that passed its
     centring test, as a tangent step from an uncentred point can reach points
     no dual certifies.
+
+    However the solve ends, a returned gamma other than gamma = 1 is a point
+    whose whitened residual passed a floating-point Cholesky factorization,
+    and ``certify`` bounds its distance from the global optimum. That is a
+    test in floating point, not a proof of feasibility: at ill-conditioned
+    corners the returned gamma can be infeasible in exact arithmetic, as the
+    expected failure ``test_sweep_corner_point_is_exactly_feasible`` in
+    tests/test_optimizer.py records. gamma = 1 is admitted by ``_admissible``'s
+    eigenvalue test, within the rounding floor.
 
     A and X_P pass ``_solve_inputs``, as at every entry: Gram matrices of unit
     states, whose unit diagonal caps each feasible gamma_i at 1, so the barrier,
@@ -678,7 +674,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
         # one that does not fall, or a negative one, measures rounding
         converging = 0.0 < decrement2 < previous
         previous = decrement2
-        if decrement2 > 1e-2 or (last and converging and _spread(g * gradient) > GAP_TOL):
+        if decrement2 > 1e-2 or (last and converging):
             # step' K step < 1 and K >= diag(2t / g^2) keep g + step > 0
             step = delta / (1.0 + math.sqrt(decrement2))
         elif last or systems == NEWTON_STEP_LIMIT:

@@ -1,6 +1,7 @@
 """Shared random-instance generators and reference computations for the test suite."""
 
 import re
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -77,6 +78,42 @@ def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
     if not np.any(feasible_points):
         return 0.0
     return float(np.max(np.where(feasible_points, product, 0.0)))
+
+
+def residual_is_psd(a, x, gammas, shift=0.0):
+    """Whether A - G X G + shift I is positive semidefinite in exact arithmetic.
+
+    g = ``np.sqrt(gammas)`` is taken as floats, as the solver takes it, and every
+    float of A, X (both exactly Hermitian), g and ``shift`` is converted exactly
+    to a ``Fraction``. The residual R is PSD exactly when its real 2n x 2n
+    embedding [[Re R, -Im R], [Im R, Re R]] is, which an LDL^T in rationals
+    decides: a negative pivot, or a zero pivot with a nonzero entry below it,
+    means it is not.
+    """
+    a, x = np.asarray(a, dtype=complex), np.asarray(x, dtype=complex)
+    assert (a == a.conj().T).all() and (x == x.conj().T).all()
+    g = [Fraction(value) for value in np.sqrt(np.asarray(gammas, dtype=float))]
+    n = len(g)
+
+    real, imag = ([[Fraction(part(a[i, j])) - g[i] * g[j] * Fraction(part(x[i, j]))
+                    for j in range(n)] for i in range(n)]
+                  for part in (np.real, np.imag))
+    for i in range(n):
+        real[i][i] += Fraction(shift)
+    m = [real[i] + [-value for value in imag[i]] for i in range(n)]
+    m += [imag[i] + real[i] for i in range(n)]
+    for k in range(2 * n):
+        pivot = m[k][k]
+        if pivot < 0 or (pivot == 0 and any(m[i][k] for i in range(k + 1, 2 * n))):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, 2 * n):
+            factor = m[i][k] / pivot
+            if factor:
+                for j in range(k + 1, 2 * n):
+                    m[i][j] -= factor * m[k][j]
+    return True
 
 
 def max_marginal_deviation(states):

@@ -7,21 +7,22 @@ the masked targets. The overall success probability is the product of
 the efficiencies; for two states its maximum has the closed form
 min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2) in the overlap
 magnitudes s = |<a_1|a_2>| and t = |<Psi_1|Psi_2>|, attained with equal
-efficiencies.
+efficiencies. ``_two_input_bracket`` solves any one or two inputs exactly,
+in integers: ``max_prob_two``, ``maximize_general`` and ``certify`` read
+that quantity from it alone.
 
 For n states the problem is convex in g = sqrt(gamma): by the Schur
 complement, A - G X G >= 0 with G = diag(g) is the linear matrix
 inequality [[A, G X^(1/2)], [X^(1/2) G, I]] >= 0, and log prod(gamma) =
 2 sum_i log g_i is concave: a max-det problem (Boyd and Vandenberghe,
-Convex Optimization, ch. 11). ``maximize_general`` solves it with a log
-barrier, after a cheaper try where one is certified: the uniform point for
-one or two inputs, and for three or more ``_boundary_newton``, Newton's
-method on the boundary lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I).
-``certify`` and ``dual_bound`` bound the distance of any point from the
-optimum through Lagrange duality; the duality formula's gap, before
-``certify``'s rounding allowance, decides whether a try's point is
-returned. Each public function of (A, X_P) checks them through
-``_solve_inputs``.
+Convex Optimization, ch. 11). For three or more inputs ``maximize_general``
+solves it with a log barrier, after a cheaper try where one is certified:
+``_boundary_newton``, Newton's method on the boundary
+lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I). ``certify`` and
+``dual_bound`` bound the distance of any point from the optimum through
+Lagrange duality; the duality formula's gap, before ``certify``'s rounding
+allowance, decides whether a try's point is returned. Each public function
+of (A, X_P) checks them through ``_solve_inputs``.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ GAP_TOL = 1e-8
 # step (its linear solve and the Cholesky test that accepts the step), and one
 # more per tangent step's solve and per step halving's Cholesky test
 NEWTON_STEP_LIMIT = 500
-# relative shortfall of Prob below c*^n at which the uniform optimum of one or two
-# inputs is returned: every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), the central-path
-# point at t = 1 / UNIFORM_SHORTFALL = 1e10, where the barrier's last stage ends.
-# The residual's least whitened eigenvalue, UNIFORM_SHORTFALL / n, is then as large
-# as at the barrier's optimum, and certify's gap is about 2n UNIFORM_SHORTFALL
+# how far inside the boundary the boundary Newton try of three or more inputs ends:
+# its returned g^2 is scaled by 1 - UNIFORM_SHORTFALL / n, where the barrier's last
+# stage, at t = 1 / UNIFORM_SHORTFALL = 1e10, would end. The residual's least whitened
+# eigenvalue, UNIFORM_SHORTFALL / n, is then as large as at the barrier's optimum, and
+# the formula gap is about 2n UNIFORM_SHORTFALL
 UNIFORM_SHORTFALL = 1e-10
 # lambda_max evaluations one boundary Newton try makes at most, its start's and every
 # step halving's included, as NEWTON_STEP_LIMIT counts them
@@ -119,24 +120,127 @@ def _admissible(a: np.ndarray, x: np.ndarray) -> bool:
     return psd_verdict(np.linalg.eigvalsh(a - x))[0]
 
 
+def _pair_entries(a: np.ndarray, x: np.ndarray) -> list[int]:
+    """a_11, a_22, Re a_12, Im a_12, x_11, x_22, Re x_12, Im x_12 exactly, as integers over one 2^k.
+
+    One input stands for the pair diag(a, a), diag(x, x), whose optimal
+    product g_1 g_2 is the one input's gamma.
+    """
+    values = []
+    for m in (a, x):
+        off = complex(m[0, 1]) if m.shape[0] == 2 else 0j
+        values += [m[0, 0].real, m[-1, -1].real, off.real, off.imag]
+    # every denominator is a power of two
+    ratios = [float(value).as_integer_ratio() for value in values]
+    k = max(den.bit_length() for _, den in ratios)
+    return [num << (k - den.bit_length()) for num, den in ratios]
+
+
+def _pair_is_psd(entries: list[int], g_1: float, g_2: float) -> bool:
+    """Whether A - G X G is PSD in exact arithmetic at the floats g_1, g_2 (``_pair_entries``)."""
+    a_11, a_22, a_re, a_im, x_11, x_22, x_re, x_im = entries
+    (p_1, q_1), (p_2, q_2) = g_1.as_integer_ratio(), g_2.as_integer_ratio()
+    # the residual's entries times 2^k q_1^2, 2^k q_2^2 and 2^k q_1 q_2
+    r_11 = a_11 * q_1 * q_1 - p_1 * p_1 * x_11
+    r_22 = a_22 * q_2 * q_2 - p_2 * p_2 * x_22
+    p, q = p_1 * p_2, q_1 * q_2
+    off2 = (a_re * q - p * x_re) ** 2 + (a_im * q - p * x_im) ** 2
+    return r_11 >= 0 and r_22 >= 0 and r_11 * r_22 >= off2
+
+
+def _product_is_feasible(entries: list[int], p: float) -> bool:
+    """Whether some split g_1 g_2 = p leaves A - G X G PSD in exact arithmetic (AM-GM)."""
+    a_11, a_22, a_re, a_im, x_11, x_22, x_re, x_im = entries
+    num, den = p.as_integer_ratio()
+    # a_11 a_22 and p^2 x_11 x_22, and M, times 2^2k den^2
+    d, e = a_11 * a_22 * den * den, num * num * x_11 * x_22
+    m = d + e - (a_re * den - num * x_re) ** 2 - (a_im * den - num * x_im) ** 2
+    return e <= d and m >= 0 and m * m >= 4 * d * e
+
+
+def _two_input_bracket(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Floats (low, high) around the optimum of one or two inputs, both ends proved.
+
+    ``low`` is the largest float gamma <= 1 whose equal efficiencies, with
+    g = sqrt(gamma) rounded as ``residual_matrix`` rounds it, leave A - g^2 X
+    PSD in exact arithmetic (``_pair_is_psd``). With u = g^2 that is
+    a_ii - u x_ii >= 0 and det = alpha u^2 - 2 beta u + c >= 0. The search
+    starts from det's stable smaller root c / (beta + sqrt(beta^2 - alpha c)),
+    its terms computed exactly and rounded once, steps out by doubling
+    multiples of that float's ulp until the answer changes, and bisects.
+
+    ``high`` bounds every feasible product p = g_1 g_2, the cap gamma_i <= 1
+    relaxed, so the best Prob is at most high^2 (high for one input). The
+    best split of p, AM-GM's, leaves the diagonal product
+    (sqrt(a_11 a_22) - p sqrt(x_11 x_22))^2, so some split is feasible exactly
+    when p^2 x_11 x_22 <= a_11 a_22 and M = a_11 a_22 + p^2 x_11 x_22 -
+    |a_12 - p x_12|^2 is at least 2 p sqrt(a_11 a_22 x_11 x_22): M >= 0 and
+    M^2 >= 4 p^2 a_11 a_22 x_11 x_22 (``_product_is_feasible``). The feasible
+    p form an interval from 0, and ``high`` is the first float from low's
+    neighbour up outside it. Integers only, from ``float.as_integer_ratio``.
+    """
+    entries = _pair_entries(a, x)
+    a_11, a_22, a_re, a_im, x_11, x_22, x_re, x_im = entries
+    # det's coefficients times 2^2k, with 2 beta; the root is the same at any scale
+    alpha = x_11 * x_22 - x_re * x_re - x_im * x_im
+    beta2 = a_11 * x_22 + a_22 * x_11 - 2 * (a_re * x_re + a_im * x_im)
+    c = a_11 * a_22 - a_re * a_re - a_im * a_im
+    scale = 1 << 2 * a_11.bit_length()
+    discriminant = (beta2 * beta2 - 4 * alpha * c) / (scale * scale)
+    denominator = beta2 / scale + math.sqrt(max(discriminant, 0.0))
+    # the denominator vanishes only where det has no smaller positive root, as at A = X
+    guess = min(max(2.0 * (c / scale) / denominator, 0.0), 1.0) if denominator > 0.0 else 1.0
+
+    def feasible(gamma: float) -> bool:
+        g = math.sqrt(gamma)
+        return gamma <= 1.0 and _pair_is_psd(entries, g, g)
+
+    low = _largest_passing(feasible, guess)
+    below = _largest_passing(lambda p: p <= low or _product_is_feasible(entries, p), low)
+    return low, math.nextafter(below, math.inf)
+
+
+def _largest_passing(passes, guess: float) -> float:
+    """The largest float that ``passes``, a test that holds from 0 up to a point and fails beyond.
+
+    Steps out from ``guess`` by doubling multiples of its ulp until the answer
+    changes, then bisects; 0 is taken to pass.
+    """
+    low = high = guess
+    step = math.ulp(guess)
+    if passes(guess):
+        high = guess + step
+        while passes(high):
+            low, step = high, 2.0 * step
+            high = low + step
+    else:
+        low = max(guess - step, 0.0)
+        while low > 0.0 and not passes(low):
+            high, step = low, 2.0 * step
+            low = max(high - step, 0.0)
+    while (middle := low + (high - low) / 2.0) not in (low, high):
+        if passes(middle):
+            low = middle
+        else:
+            high = middle
+    return low
+
+
 def max_prob_two(s: float, t: float) -> tuple[float, tuple[float, float]]:
     """Best success probability for two inputs, with the optimal efficiencies.
 
-    Evaluates min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2, 1) and
-    returns equal efficiencies gamma_1 = gamma_2 = sqrt(prob), which attain
-    the bound. Only 1 - t can vanish: at t = 1 the first ratio is taken as
-    infinite, and the second, ((1 + s) / 2)^2 <= 1, decides.
+    ``_two_input_bracket``'s optimum of the real pair A = [[1, s], [s, 1]],
+    X = [[1, t], [t, 1]]: equal efficiencies gamma_1 = gamma_2 = low and
+    Prob = low^2. In exact arithmetic that is the paper's closed form
+    min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2, 1), the smaller root of
+    det and the unit cap; here it is the largest float gamma that is provably
+    feasible, a float or two from the exact optimum.
     """
     for name, value in (("s", s), ("t", t)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    prob = float(min(
-        ((1.0 - s) / (1.0 - t)) ** 2 if t < 1.0 else math.inf,
-        ((1.0 + s) / (1.0 + t)) ** 2,
-        1.0,
-    ))
-    root = math.sqrt(prob)
-    return prob, (root, root)
+    gamma = _two_input_bracket(np.array([[1.0, s], [s, 1.0]]), np.array([[1.0, t], [t, 1.0]]))[0]
+    return gamma * gamma, (gamma, gamma)
 
 
 def _whitener(a: np.ndarray) -> np.ndarray:
@@ -289,22 +393,43 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     """Certified gap of the efficiencies ``gammas``, with the dual point that proves it.
 
     Returns (gap, dual) with log(best Prob) - log prod(gammas) <= gap, so
-    the best success probability is at most prod(gammas) * exp(gap), and
-    gap = ``dual_bound(A, X_P, dual) - log prod(gammas)``. The dual point
-    is (C, sqrt(gamma)) with C^dagger C = (A - G X G)^-1: the Lagrange
-    multiplier that the log barrier pairs with a point on its central
-    path. Where ``maximize_general``'s barrier stops, centred at its last
-    stage's t, the gap is about 2n / t <= GAP_TOL plus the rounding
+    the best success probability is at most prod(gammas) * exp(gap). Unit
+    efficiencies have gap 0 and no dual point, as no efficiency exceeds 1.
+
+    For three or more inputs gap = ``dual_bound(A, X_P, dual) - log prod(gammas)``.
+    The dual point is (C, sqrt(gamma)) with C^dagger C = (A - G X G)^-1: the
+    Lagrange multiplier that the log barrier pairs with a point on its
+    central path. Where ``maximize_general``'s barrier stops, centred at its
+    last stage's t, the gap is about 2n / t <= GAP_TOL plus the rounding
     allowance, and at a try's returned point the gate's bound plus that
-    allowance. Unit efficiencies
-    have gap 0 and no dual point, as no efficiency exceeds 1; other
-    efficiencies that are not strictly feasible have an infinite gap and
-    no dual point. O(n^3).
+    allowance. Efficiencies that are not strictly feasible have an infinite
+    gap and no dual point. O(n^3).
+
+    One or two inputs need no dual point, and ``dual`` is None: the bound is
+    high^n, with ``_two_input_bracket``'s high, so the gap is
+    sum_i log(high / gamma_i), raised by a bound on its own rounding. It is
+    infinite unless every efficiency is positive and the residual at
+    g = sqrt(gamma), rounded to floats, is PSD in exact arithmetic. At
+    ``maximize_general``'s point, with diagonals 1 to rounding, the bracket
+    spans a float or two, and the gap is a few eps; a diagonal off 1 by up to
+    ``precision_floor`` can cap one gamma_i first and widen it to about that.
     """
     a, x, values = _solve_inputs(A, X_P, gammas)
     if (values == 1.0).all():
         return 0.0, None
-    return _gap(a, x, _whitener(a), values)
+    whitener = _whitener(a)
+    if values.size > 2:
+        return _gap(a, x, whitener, values)
+    root = np.sqrt(values)
+    if not (values.min() > 0.0 and _pair_is_psd(_pair_entries(a, x), root[0], root[-1])):
+        return math.inf, None
+    # sum_i log(high / gamma_i), each term from its small relative difference, raised by
+    # a first-order bound on the rounding of that difference, of log1p and of the sum
+    high = _two_input_bracket(a, x)[1]
+    shifts = [(high - value) / value for value in values.tolist()]
+    terms = [math.log1p(shift) for shift in shifts]
+    slack = sum(abs(shift) / (1.0 + shift) + abs(term) for shift, term in zip(shifts, terms))
+    return sum(terms) + 2.0 * _EPS * slack, None
 
 
 def _eigensystem(whitener: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -583,28 +708,29 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     """Globally optimal efficiencies for any number of inputs, within the certified gap.
 
     Returns (gammas, prob). If gamma = 1 is admissible it is the optimum.
-    Otherwise a try comes first, and its point is returned without a barrier
-    solve when its formula gap, ``certify``'s gap before the rounding
+    One or two inputs otherwise have an optimum with equal efficiencies
+    (with unit diagonals the swap maps A and X to their conjugates), and
+    every gamma_i is ``_two_input_bracket``'s low: the largest float whose
+    residual is PSD in exact arithmetic, a float or two below the optimum
+    where the diagonals are 1 to rounding.
+    Three or more inputs try Newton's method on the boundary
+    lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I), which
+    ``_boundary_newton`` describes, and its point is returned without a
+    barrier solve when its formula gap, ``certify``'s gap before the rounding
     allowance, is at most the larger of GAP_TOL and 3n UNIFORM_SHORTFALL
     (GAP_TOL up to n = 33). At the try's target the formula gap is about
     2n UNIFORM_SHORTFALL. The allowance, which grows with n and cond(A),
     bounds the rounding of the bound's own evaluation, which no point can
     lower: the gate does not compute it, and ``certify`` still adds it.
-    One or two inputs have an optimum with equal efficiencies (with unit
-    diagonals the swap maps A and X to their conjugates), so their try is
-    every gamma_i = c* (1 - UNIFORM_SHORTFALL / n), where the barrier's last
-    stage would end, with the uniform boundary c* from one eigensolve of
-    N X N^dagger (N A N^dagger = I). Three or more
-    inputs try Newton's method on the boundary lambda_max(N G X G N^dagger) = 1,
-    which ``_boundary_newton`` describes. Every solve whose try is not returned
-    runs the barrier from scratch, with c* as above. Where the try's point
-    failed the gate, the solve then returns whichever point has the smaller
-    certified gap, the barrier's on a tie.
+    Every solve whose try is not returned runs the barrier from scratch.
+    Where the try's point failed the gate, the solve then returns whichever
+    point has the smaller certified gap, the barrier's on a tie.
     The log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
-    from half the uniform boundary at t = 1. Each stage centres by damped
-    Newton steps of length 1 / (1 + lambda), with lambda the Newton
-    decrement, until lambda^2 <= 1e-2. Between stages t grows by
+    from half the uniform boundary c* (``uniform_feasibility_boundary``) at
+    t = 1. Each stage centres by damped Newton steps of length
+    1 / (1 + lambda), with lambda the Newton decrement, until
+    lambda^2 <= 1e-2. Between stages t grows by
     BARRIER_GROWTH, and g moves along the central path's tangent, linear
     in 1 / t: g + (t - t / BARRIER_GROWTH) K^-1 (2 / g), with K the Newton
     matrix of the centring test. The last stage, the first where the central
@@ -622,13 +748,12 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     centring test, as a tangent step from an uncentred point can reach points
     no dual certifies.
 
-    However the solve ends, a returned gamma other than gamma = 1 is a point
-    whose whitened residual passed a floating-point Cholesky factorization,
-    and ``certify`` bounds its distance from the global optimum. That is a
-    test in floating point, not a proof of feasibility: at ill-conditioned
-    corners the returned gamma can be infeasible in exact arithmetic, as the
-    expected failure ``test_sweep_corner_point_is_exactly_feasible`` in
-    tests/test_optimizer.py records. gamma = 1 is admitted by ``_admissible``'s
+    However a solve of three or more inputs ends, a returned gamma other than
+    gamma = 1 is a point whose whitened residual passed a floating-point
+    Cholesky factorization, and ``certify`` bounds its distance from the
+    global optimum. That is a test in floating point, not a proof of
+    feasibility: at ill-conditioned corners the returned gamma can be
+    infeasible in exact arithmetic. gamma = 1 is admitted by ``_admissible``'s
     eigenvalue test, within the rounding floor.
 
     A and X_P pass ``_solve_inputs``, as at every entry: Gram matrices of unit
@@ -644,9 +769,9 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     if _admissible(a, x):
         return np.ones(n), 1.0
     if n <= 2:
-        gammas = np.full(n, _uniform_boundary(x, whitener) * (1.0 - UNIFORM_SHORTFALL / n))
-    else:
-        gammas = _boundary_newton(x, whitener)
+        gammas = np.full(n, _two_input_bracket(a, x)[0])
+        return gammas, float(gammas.prod())
+    gammas = _boundary_newton(x, whitener)
     # the try aims at a whitened margin of UNIFORM_SHORTFALL / n, where the formula gap
     # is about 2n UNIFORM_SHORTFALL: the gate is GAP_TOL up to n = 33, and 1.5 times that
     # beyond, which passes tries at their target and fails those that stopped short

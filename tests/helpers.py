@@ -116,6 +116,58 @@ def residual_is_psd(a, x, gammas, shift=0.0):
     return True
 
 
+def two_input_optimum(a, x):
+    """The exact bracket (low, high) of a two-input problem, by bisection over floats in rationals.
+
+    ``low`` is the largest float gamma <= 1 at which equal efficiencies, with
+    g = ``np.sqrt(gamma)``, leave A - g^2 X PSD in exact arithmetic. ``high``
+    is the least float above ``low`` at which no split g_1 g_2 = high of the
+    product leaves it PSD: by AM-GM on the actual diagonals, the best split
+    leaves the diagonal product (sqrt(a_11 a_22) - p sqrt(x_11 x_22))^2, so
+    some split works exactly when p^2 x_11 x_22 <= a_11 a_22 and
+    M = a_11 a_22 + p^2 x_11 x_22 - |a_12 - p x_12|^2 satisfies M >= 0 and
+    M^2 >= 4 p^2 a_11 a_22 x_11 x_22. So the best Prob lies in [low^2, high^2].
+    Every float of A and X is converted exactly to a ``Fraction``, and each
+    bisection runs over the bit patterns of nonnegative floats, which are ordered as
+    the floats are.
+    """
+    (a_11, a_12), (_, a_22) = [[Fraction(complex(v).real) for v in row] for row in a]
+    (x_11, x_12), (_, x_22) = [[Fraction(complex(v).real) for v in row] for row in x]
+    a_i, x_i = Fraction(complex(a[0][1]).imag), Fraction(complex(x[0][1]).imag)
+
+    def off_diagonal(p):
+        return (a_12 - p * x_12) ** 2 + (a_i - p * x_i) ** 2
+
+    def equal_split(gamma):
+        u = Fraction(float(np.sqrt(gamma))) ** 2
+        r_11, r_22 = a_11 - u * x_11, a_22 - u * x_22
+        return r_11 >= 0 and r_22 >= 0 and r_11 * r_22 >= off_diagonal(u)
+
+    def some_split(p):
+        d, e = a_11 * a_22, p * p * x_11 * x_22
+        m = d + e - off_diagonal(p)
+        return e <= d and m >= 0 and m * m >= 4 * d * e
+
+    def last(test, low, high):
+        """The last float bit pattern in [low, high) passing ``test``, which passes at low
+        and fails from some point on."""
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if test(to_float(middle)) else (low, middle)
+        return low
+
+    def to_float(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    def to_bits(value):
+        return int(np.float64(value).view(np.int64))
+
+    one = to_bits(1.0)
+    low = one if equal_split(1.0) else last(equal_split, 0, one)
+    above = last(lambda p: p <= to_float(low) or some_split(Fraction(p)), low, to_bits(2.0))
+    return to_float(low), to_float(above + 1)
+
+
 def max_marginal_deviation(states):
     """Largest entrywise gap of any member's marginals from the first member's."""
     return max(marginal_deviations([marginals(state) for state in states]))

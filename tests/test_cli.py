@@ -17,7 +17,7 @@ import pytest
 from helpers import dense
 import qmask
 from qmask import fileio, masker as masking
-from qmask.cli import main
+from qmask.cli import _format, main
 from qmask.fileio import load_masker, load_state_set, masker_to_json, save_masker, state_set_to_json
 from qmask.fixed_reducing import cyclic_targets, targets_with_overlap
 from qmask.hilbert import NORM_TOL, MultipartiteState, Operator, StateVector, basis_state
@@ -713,6 +713,15 @@ def test_pinned_invocation(pinned_files, capsys, argv, code, stdout):
         # the deviation of the masker's marginals is rounding dust
         out = re.sub(r"(max marginal deviation: )\S+", r"\1*", capsys.readouterr().out)
         assert out == stdout
+
+
+def test_pinned_maximize_prints_the_two_input_optimum(pinned_files, capsys):
+    # the pinned maximize run's stdout is BLAS-dependent in its margins, but its Prob(M) is
+    # the exact two-input optimum (1 - 1/sqrt 2)^2 and its certificate a few eps
+    assert main(f"mask-prob {pinned_files}/pair.json --target-overlap 0 --maximize".split()) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^Prob\(M\): (\S+)$", out, re.M)[1] == _format(max_prob_two(INV2, 0.0)[0])
+    assert float(re.search(r"^optimality gap \(certified\): (\S+)$", out, re.M)[1]) <= 1e-15
 
 
 class TestMaskerFiles:

@@ -1,9 +1,11 @@
 """Stand-ins for a linter's unused-import, dead-code and unused-option rules, for a rule
 that keeps the optimizer's input checks in one function, for one that keeps tolerance
-guards NaN-safe, for one that keeps reductions array methods and for one that finds a
-parameter every caller sets alike, built on the standard library's ``ast``."""
+guards NaN-safe, for one that keeps reductions array methods, for one that finds a
+parameter every caller sets alike and for one that keeps the library on the standard
+library and numpy, built on the standard library's ``ast``."""
 
 import ast
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -409,6 +411,33 @@ def test_scanner_finds_wrapper_calls():
 def test_reductions_are_array_methods():
     found = {path.name: calls for path in sorted((ROOT / "src" / "qmask").glob("*.py"))
              if (calls := wrapper_calls(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Each absolute import of a module outside the standard library and numpy, with its line;
+    relative imports stay inside the package."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append((node.lineno, node.module))
+    return [f"line {line}: {name}" for line, name in modules
+            if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+
+
+def test_scanner_finds_foreign_imports():
+    source = ("from __future__ import annotations\nimport math, scipy.linalg\n"
+              "from fractions import Fraction\nimport numpy.linalg as la\n"
+              "from . import hilbert\nfrom .hilbert import gram\n"
+              "def high_precision():\n    from mpmath import mp\n    return mp\n")
+    assert foreign_imports(source) == ["line 2: scipy.linalg", "line 8: mpmath"]
+
+
+def test_library_imports_only_the_standard_library_and_numpy():
+    found = {path.name: imports for path in sorted((ROOT / "src" / "qmask").glob("*.py"))
+             if (imports := foreign_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
 
 

@@ -17,8 +17,9 @@ from helpers import (
     random_independent,
     random_state,
     residual_is_psd,
+    two_input_optimum,
 )
-from qmask.hilbert import MultipartiteState, StateVector, basis_state, gram, rounding_floor
+from qmask.hilbert import _EPS, MultipartiteState, StateVector, basis_state, gram, rounding_floor
 from qmask.fixed_reducing import cyclic_targets, from_states
 from qmask.masker import build_probabilistic, verify_masking
 from qmask import optimizer
@@ -37,6 +38,7 @@ from qmask.optimizer import (
     _log_det_terms,
     _solve_inputs,
     _top_terms,
+    _two_input_bracket,
     _whitener,
     certify,
     dual_bound,
@@ -128,6 +130,12 @@ def sweep_pass(seed):
 
 def two_state_matrices(s, t):
     return np.array([[1.0, s], [s, 1.0]]), np.array([[1.0, t], [t, 1.0]])
+
+
+def paper_formula(s, t):
+    """min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2, 1) in floats, as the paper writes it."""
+    first = ((1.0 - s) / (1.0 - t)) ** 2 if t < 1.0 else np.inf
+    return min(first, ((1.0 + s) / (1.0 + t)) ** 2, 1.0)
 
 
 class TestSuccessProbability:
@@ -249,10 +257,16 @@ class TestMaxProbTwo:
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.999, 1.0])
     def test_unit_target_overlap(self, s):
-        # 1 - t vanishes, so the second ratio ((1 + s) / 2)^2 decides, 1 at s = 1
+        # X is singular at t = 1, so det is linear in u and its one root gamma = (1 + s) / 2
+        # decides, 1 at s = 1: the returned gamma is provably feasible, the next float up
+        # is not, and both sit within a float or two of the root
         prob, gammas = max_prob_two(s, 1.0)
-        assert prob == ((1.0 + s) / 2.0) ** 2
-        assert gammas == (np.sqrt(prob), np.sqrt(prob))
+        gamma = gammas[0]
+        assert gammas == (gamma, gamma) and prob == gamma * gamma
+        assert gamma == pytest.approx((1.0 + s) / 2.0, rel=4 * _EPS, abs=0.0)
+        a, x = two_state_matrices(s, 1.0)
+        assert residual_is_psd(a, x, gammas)
+        assert gamma == 1.0 or not residual_is_psd(a, x, np.nextafter(gammas, 2.0))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="s"):
@@ -305,11 +319,12 @@ class TestGridOracle:
 
 class TestMaximizeGeneral:
     def test_matches_closed_form_for_two_states(self):
+        # the solver and max_prob_two read one quantity, the paper's formula to rounding
         for s, t in TWO_INPUT_POINTS:
             a, x = two_state_matrices(s, t)
             gammas, prob = maximize_general(a, x)
-            closed = max_prob_two(s, t)[0]
-            assert closed * (1.0 - 1e-8) <= prob <= closed, (s, t)
+            assert (prob, tuple(gammas)) == max_prob_two(s, t), (s, t)
+            assert prob == pytest.approx(paper_formula(s, t), rel=1e-14, abs=0.0), (s, t)
             assert feasible(a, x, gammas)[0]
 
     def test_identical_grams_give_unit_efficiencies(self):
@@ -468,12 +483,13 @@ class TestSymmetricOptimum:
 def counted_factorizations():
     """Calls inside the block, by name: ``_log_det_terms`` (one Cholesky each), the
     boundary Newton try's evaluations ``_eigensystem`` (one eigh each) and cluster steps
-    ``_cluster_step``, and the eigensolvers ``eigh`` and ``eigvalsh``."""
+    ``_cluster_step``, the uniform boundary ``_uniform_boundary`` (one eigvalsh), and the
+    eigensolvers ``eigh`` and ``eigvalsh``."""
     calls = Counter()
     with pytest.MonkeyPatch.context() as patch:
         for module, name in ((optimizer, "_log_det_terms"), (optimizer, "_eigensystem"),
-                             (optimizer, "_cluster_step"), (np.linalg, "eigh"),
-                             (np.linalg, "eigvalsh")):
+                             (optimizer, "_cluster_step"), (optimizer, "_uniform_boundary"),
+                             (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -490,12 +506,10 @@ def factorizations():
 
 @contextmanager
 def barrier_only():
-    """Inside the block every solve runs the barrier and returns its point: the boundary
-    Newton try declines, and every gap, ``certify``'s included, reads infinite, so the
-    uniform point of one or two inputs fails the gate and loses to the barrier's."""
+    """Inside the block every solve of three or more inputs runs the barrier and returns its
+    point, as the boundary Newton try declines. One or two inputs never reach the barrier."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "_boundary_newton", lambda *args: None)
-        patch.setattr(optimizer, "_gap", lambda *args: (np.inf, None))
         yield
 
 
@@ -610,22 +624,19 @@ class TestMaximizeCertified:
         assert prob < best
         assert certify(a, x, gammas)[0] >= np.log(best / prob)
 
-    # at t = 1 - r (1 - s); the first three examples are the worst solve of each
-    # shape in 600 such corners, which factored 17 644, 18 657 and 18 399 systems
-    # when the step halvings ran outside the limit; in the last two a stage before
-    # the last read a negative decrement, and the solve tangent-stepped on to a
-    # point no dual certified (gap inf) until it ended at the last centred point
-    @given(corner=tied_corners(), seed=st.integers(0, 2**32 - 1),
-           shape=st.sampled_from([(2, 2), (3, 2), (3, 3)]))
-    @example(corner=(0.9999999999964083, 0.9999999999957594), seed=372, shape=(2, 2))
-    @example(corner=(0.9999999999968734, 0.9999999999961405), seed=268, shape=(3, 2))
-    @example(corner=(0.9999999999974581, 0.999999999997127), seed=44, shape=(3, 3))
-    @example(corner=(0.9999999999748811, 0.9999999999663778), seed=2430296, shape=(2, 2))
-    @example(corner=(0.9999999987999421, 0.9999999987253851), seed=2529116075, shape=(3, 2))
+    # three inputs on a qutrit at t = 1 - r (1 - s); the first example is the worst solve
+    # of 200 such corners, which factored 18 399 systems when the step halvings ran outside
+    # the limit; in the other two (2 of 3000 draws) a stage before the last reads a
+    # negative decrement, and the solve ends at the last centred point, as a tangent step
+    # from there reaches points no dual certifies. Two inputs never reach the barrier
+    @given(corner=tied_corners(), seed=st.integers(0, 2**32 - 1))
+    @example(corner=(0.9999999999974581, 0.999999999997127), seed=44)
+    @example(corner=(0.9999999992721714, 0.9999999992122941), seed=658651313)
+    @example(corner=(0.9999999999958836, 0.999999999992822), seed=1443136099)
     @settings(max_examples=60, deadline=None)
-    def test_corner_solve_factors_within_the_step_limit(self, corner, seed, shape):
-        (s, t), (d, n) = corner, shape
-        inputs, targets = overlap_family(s, t, seed, d=d, n=n)
+    def test_corner_solve_factors_within_the_step_limit(self, corner, seed):
+        s, t = corner
+        inputs, targets = overlap_family(s, t, seed, d=3, n=3)
         a, x = gram(inputs), gram(targets.states)
         with counted_factorizations() as factorizations, barrier_only():
             gammas, _ = maximize_general(a, x)
@@ -636,19 +647,6 @@ class TestMaximizeCertified:
         # certified gap shows the point is strictly feasible
         assert feasible(a, x, gammas)[0]
         assert np.isfinite(certify(a, x, gammas)[0])
-
-    def test_last_stage_stops_at_the_rounding_floor(self):
-        # at 1 - s = 2.7e-12 (cond(A) = 7e11) the last stage's Newton decrement stops
-        # falling at rounding; the solve stops there, at the closed-form optimum, with a
-        # masker that verifies
-        s, t = 0.9999999999972616, 0.9999999999968378
-        inputs, targets = overlap_family(s, t, 2)
-        a, x = gram(inputs), gram(targets.states)
-        gammas, prob = maximize_general(a, x)
-        assert feasible(a, x, gammas)[0]
-        assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
-        # the closed form of the unrotated pair, which the rotation's rounding moves
-        assert prob >= max_prob_two(s, t)[0] * (1.0 - rounding_floor(2, np.linalg.cond(a)))
 
     @pytest.mark.parametrize("k", range(8))
     def test_last_stage_centres_to_its_path_gap(self, k):
@@ -673,31 +671,16 @@ class TestMaximizeCertified:
         assert masker.unitary.dim == 2 * d * d <= 100
         assert verify_masking(masker).passed
 
-    @pytest.mark.parametrize("s, t", TWO_INPUT_POINTS)
-    def test_two_input_certificate(self, s, t):
-        a, x = two_state_matrices(s, t)
-        gammas, prob = maximize_general(a, x)
-        gap, dual = certify(a, x, gammas)
-        # the certified bound covers the closed-form optimum, up to the rounding of exp
-        closed = max_prob_two(s, t)[0]
-        assert prob * np.exp(gap) >= closed * (1.0 - 4.0 * np.finfo(float).eps)
-        if prob == 1.0:
-            assert gap == 0.0 and dual is None
-            return
-        assert 0.0 <= gap
-        # at s = 1 - 1e-9, cond(A) = 2e9 and the certificate's rounding allowance dominates
-        assert gap <= (1e-4 if s > 1.0 - 1e-8 else 1e-6)
-        assert np.log(closed) <= np.log(prob) + gap
-
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n=st.integers(min_value=2, max_value=8),
+        n=st.integers(min_value=3, max_value=8),
         extra=st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=40, deadline=None)
     def test_random_optimum_is_certified(self, seed, n, extra):
         # inputs of condition number at most 1e6 (a Gram of n unit states has
-        # eigenvalues at most n) against random targets in dimension n + extra
+        # eigenvalues at most n) against random targets in dimension n + extra; two inputs
+        # have no dual point (TestTwoInputBracket)
         rng = np.random.default_rng(seed)
         a = gram(random_independent(n, n, rng, min_gram_eig=n * 1e-6))
         x = gram([random_state(n + extra, rng) for _ in range(n)])
@@ -724,8 +707,10 @@ class TestMaximizeCertified:
         assert certify(a, x, (1.0, 1.0)) == (0.0, None)
         # beyond the boundary gamma <= 1/2, and at gamma = 0, nothing is certified
         assert certify(a, x, (0.9, 0.9)) == (np.inf, None)
-        # no barrier point has g_i = 0: _dual_factor alone rejects it
+        # (0, 0.3) is feasible, but log Prob is -inf
         assert certify(a, x, (0.0, 0.3)) == (np.inf, None)
+        # no barrier point of three inputs has g_i = 0: _dual_factor alone rejects it
+        assert certify(np.eye(3), np.eye(3), (0.0, 0.3, 0.3)) == (np.inf, None)
         with pytest.raises(ValueError, match="need 2 efficiencies"):
             certify(a, x, (0.1, 0.1, 0.1))
         with pytest.raises(ValueError, match="^A is not Hermitian"):
@@ -741,32 +726,122 @@ class TestMaximizeCertified:
             dual_bound(np.eye(3), np.eye(3), dual)
 
 
-class TestUniformShortcut:
-    """For one or two inputs ``maximize_general`` returns the uniform point
-    c* (1 - UNIFORM_SHORTFALL / n) without a barrier solve when its formula gap, ``certify``'s
-    gap before the rounding allowance, is within GAP_TOL; three or more inputs try the
-    boundary Newton solve instead. Every other problem runs the barrier, and where a try's
-    point fails the gate the solve returns the better certified of the two points."""
+def counted_solve(a, x):
+    """``maximize_general(a, x)`` and the calls ``counted_factorizations`` counts in it."""
+    with counted_factorizations() as calls:
+        gammas, prob = maximize_general(a, x)
+    return gammas, prob, calls
+
+
+class TestTwoInputBracket:
+    """One or two inputs take ``_two_input_bracket`` alone: equal efficiencies at the largest
+    float whose residual is PSD in exact arithmetic, and a certificate that needs no dual
+    point. ``helpers.two_input_optimum`` is its independent judge."""
 
     @staticmethod
-    def solve(a, x):
-        with counted_factorizations() as calls:
+    def corner_sample():
+        """40 tied corners, drawn as ``tied_corners`` draws them: 1 - s = 10^-U(6, 11.6),
+        1 - t = r (1 - s) with r in [0.5, 2], on a qubit or a qutrit."""
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            gap, r = 10.0 ** -rng.uniform(6.0, 11.6), rng.uniform(0.5, 2.0)
+            d, seed = int(rng.integers(2, 4)), int(rng.integers(0, 2**31))
+            yield 1.0 - gap, 1.0 - r * gap, seed, d
+
+    def test_corners_match_the_exact_oracle(self):
+        for s, t, seed, d in self.corner_sample():
+            inputs, targets = overlap_family(s, t, seed, d=d)
+            a, x, _ = _solve_inputs(gram(inputs), gram(targets.states))
+            low, high = _two_input_bracket(a, x)
+            assert (low, high) == two_input_optimum(a, x), (s, t, seed, d)
             gammas, prob = maximize_general(a, x)
-        return gammas, prob, calls
+            # the largest provably feasible float, and the bracket spans at most two floats
+            assert residual_is_psd(a, x, gammas), (s, t, seed, d)
+            assert (gammas == 1.0).all() or not residual_is_psd(a, x, np.nextafter(gammas, 2.0))
+            if (gammas < 1.0).all():
+                assert gammas.tolist() == [low, low] and prob == low * low
+                assert high <= np.nextafter(np.nextafter(low, 2.0), 2.0)
+            # no dual point, and 2 log(high / low) with its rounding bound: at most 2 ulps,
+            # 4 eps, in log Prob
+            gap, dual = certify(a, x, gammas)
+            assert dual is None and 0.0 <= gap <= 4.5 * _EPS, (s, t, seed, d, gap)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @example(seed=0)
     @example(seed=2**32 - 1)
     @settings(max_examples=150, deadline=None)
-    def test_two_inputs_take_it(self, seed):
+    def test_two_inputs_take_the_exact_routine(self, seed):
+        # no barrier, no boundary try, no uniform boundary: A's whitener and the gamma = 1
+        # test are the solve's only decompositions. The optimum is c*^2 with c* the uniform
+        # boundary, which its own eigensolve computes only to rounding
         rng = np.random.default_rng(seed)
         a = gram(random_independent(2, 3, rng))
         x = gram([random_state(3, rng) for _ in range(2)])
-        gammas, prob, calls = self.solve(a, x)
-        assert calls["_log_det_terms"] == 0
-        assert gammas[0] == gammas[1]
+        gammas, prob, calls = counted_solve(a, x)
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+        assert gammas[0] == gammas[1] and prob == gammas[0] * gammas[1]
         bound = uniform_feasibility_boundary(a, x) ** 2
-        assert bound * (1.0 - 2 * UNIFORM_SHORTFALL) <= prob <= bound
+        floor = rounding_floor(2, np.linalg.cond(a))
+        assert bound * (1.0 - floor) <= prob <= bound * (1.0 + floor)
+
+    @pytest.mark.parametrize("s, t", TWO_INPUT_POINTS)
+    def test_two_input_certificate(self, s, t):
+        # one quantity: the solver's point is max_prob_two's, and its certificate is
+        # 2 log(high / low) plus its rounding bound, with no dual point
+        a, x = two_state_matrices(s, t)
+        gammas, prob = maximize_general(a, x)
+        gap, dual = certify(a, x, gammas)
+        assert dual is None
+        if prob == 1.0:
+            assert gap == 0.0
+            return
+        assert 0.0 < gap <= 4.5 * _EPS
+        low, high = _two_input_bracket(a, x)
+        assert gammas.tolist() == [low, low]
+        assert np.log(paper_formula(s, t)) <= 2.0 * np.log(high) + 1e-14
+
+    def test_corner_at_the_rounding_floor_builds_a_verified_masker(self):
+        # at 1 - s = 2.7e-12 (cond(A) = 7e11) the residual at the optimum is singular up to
+        # rounding, yet the masker verifies
+        s, t = 0.9999999999972616, 0.9999999999968378
+        inputs, targets = overlap_family(s, t, 2)
+        a, x = gram(inputs), gram(targets.states)
+        gammas, prob = maximize_general(a, x)
+        assert feasible(a, x, gammas)[0]
+        assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
+        # the closed form of the unrotated pair, which the rotation's rounding moves
+        bound = max_prob_two(s, t)[0]
+        assert abs(prob / bound - 1.0) <= rounding_floor(2, np.linalg.cond(a))
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.sampled_from([2, 3]))
+    @example(seed=0, d=2)
+    @example(seed=0, d=3)
+    @settings(max_examples=30, deadline=None)
+    def test_optimum_builds_a_verified_masker(self, seed, d):
+        # two inputs against flat targets at any phases
+        rng = np.random.default_rng(seed)
+        inputs, targets = random_independent(2, d, rng), from_states(flat_targets(2, d, rng))
+        gammas, _ = maximize_general(gram(inputs), gram(targets.states))
+        assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
+
+    def test_one_input_is_the_pair_diag_a_diag_x(self):
+        # a unit diagonal off 1 by up to the precision floor can still cap one input's
+        # gamma below 1: the largest float with a - g^2 x >= 0
+        a, x = np.array([[1.0]]), np.array([[1.0 + 2e-10]])
+        gammas, prob = maximize_general(a, x)
+        assert residual_is_psd(a, x, gammas)
+        assert not residual_is_psd(a, x, np.nextafter(gammas, 2.0))
+        assert prob == gammas[0] == pytest.approx(1.0 / (1.0 + 2e-10), rel=4 * _EPS, abs=0.0)
+        gap, dual = certify(a, x, gammas)
+        assert dual is None and 0.0 < gap <= 4.5 * _EPS
+
+
+class TestTryGate:
+    """Three or more inputs first try the boundary Newton solve, whose point is returned
+    without a barrier solve when its formula gap, ``certify``'s gap before the rounding
+    allowance, is within GAP_TOL (from n = 34 on, 3n UNIFORM_SHORTFALL). Every other problem
+    runs the barrier, and where a try's point fails the gate the solve returns the better
+    certified of the two points."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -782,13 +857,12 @@ class TestUniformShortcut:
     @example(seed=3, n=16, extra=1, barrier=False)
     @settings(max_examples=80, deadline=None)
     def test_circulant_families_run_the_barrier(self, seed, n, extra, barrier):
-        # the optimum is c*^n, with equal efficiencies, but the uniform trial covers one
-        # or two inputs only: the boundary Newton try, or the barrier where the try
-        # declines or is made to, reaches c*^n within certify's gap
+        # the optimum is c*^n, with equal efficiencies: the boundary Newton try, or the
+        # barrier where the try declines or is made to, reaches c*^n within certify's gap
         inputs, targets = circulant_family(n, n + extra, np.random.default_rng(seed))
         a, x = gram(inputs), gram(targets.states)
         with barrier_only() if barrier else nullcontext():
-            gammas, prob, calls = self.solve(a, x)
+            gammas, prob, calls = counted_solve(a, x)
         if barrier:
             assert calls["_log_det_terms"] > 0
         true_gap = n * np.log(uniform_feasibility_boundary(a, x)) - np.log(prob)
@@ -803,46 +877,36 @@ class TestUniformShortcut:
     @example(seed=0, n=3, extra=0)
     @example(seed=0, n=6, extra=0)  # the first balancing step meets a negative (K g)_i
     @settings(max_examples=60, deadline=None)
-    def test_asymmetric_pairs_never_take_it(self, seed, n, extra):
+    def test_three_or_more_inputs_take_the_boundary_try(self, seed, n, extra):
         # three or more inputs go to the boundary Newton try, whose point returns only
         # when certified, and to the barrier where it is not
         rng = np.random.default_rng(seed)
         a = gram(random_independent(n, n + extra, rng))
         x = gram([random_state(n + extra, rng) for _ in range(n)])
-        gammas, _, calls = self.solve(a, x)
+        gammas, _, calls = counted_solve(a, x)
         assert calls["_eigensystem"] > 0
         assert calls["_log_det_terms"] > 0 or certify(a, x, gammas)[0] <= GAP_TOL
 
-    @pytest.mark.parametrize("case, prob_tol", [
-        ("corner", 1e-14), ("two-inputs", 1e-14), ("n=32", 1e-11)])
-    def test_try_within_its_formula_gap_is_solved_once(self, case, prob_tol):
-        # three tries whose point is strictly feasible with a formula gap within GAP_TOL, but
-        # whose certified gap is mostly rounding allowance (about 2.8e-5 at s = 1 - 1e-9,
-        # cond(A) = 2e9, and 1.9e-7 at n = 32): the formula gap alone gates the try, so the
-        # point is returned without a barrier solve. The barrier, run alone, returns the
-        # same Prob with a certified gap within 1 % of it. The corner is the pair (s, t) =
-        # (1 - 1e-9, 0) itself, and two-inputs a rotation of it, optimize-sweep's grid point
-        if case == "corner":
-            a, x = two_state_matrices(1.0 - 1e-9, 0.0)
-        elif case == "two-inputs":
-            inputs, targets = overlap_family(1.0 - 1e-9, 0.0, 1)
-            a, x = gram(inputs), gram(targets.states)
-        else:
-            a, x = gaussian_pair(32, 0)
+    def test_try_within_its_formula_gap_is_solved_once(self):
+        # a try whose point is strictly feasible with a formula gap within GAP_TOL, but whose
+        # certified gap is mostly rounding allowance (about 1.9e-7 at n = 32): the formula gap
+        # alone gates the try, so the point is returned without a barrier solve. The barrier,
+        # run alone, returns the same Prob with a certified gap within 1 % of it
+        a, x = gaussian_pair(32, 0)
         tried = []
         with pytest.MonkeyPatch.context() as patch:
             # the solve's one _gap call is the gate's, on the try's point
             patch.setattr(optimizer, "_gap", lambda *args: tried.append(args[3]) or _gap(*args))
-            gammas, prob, calls = self.solve(a, x)
+            gammas, prob, calls = counted_solve(a, x)
         (trial,) = tried
         assert gammas is trial
-        assert (calls["_eigensystem"] > 0) == (case == "n=32")
+        assert calls["_eigensystem"] > 0
         assert calls["_log_det_terms"] == 0
         gap = certify(a, x, gammas)[0]
         assert formula_gap(a, x, gammas) <= GAP_TOL < gap
         with barrier_only():
             barrier_gammas, barrier_prob = maximize_general(a, x)
-        assert np.log(prob) == pytest.approx(np.log(barrier_prob), abs=prob_tol)
+        assert np.log(prob) == pytest.approx(np.log(barrier_prob), abs=1e-11)
         assert gap == pytest.approx(certify(a, x, barrier_gammas)[0], rel=1e-2)
 
     @pytest.mark.parametrize("n, returned", [(32, "barrier"), (64, "try")])
@@ -856,7 +920,7 @@ class TestUniformShortcut:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(optimizer, "_boundary_newton",
                           lambda *args: tried.append(_boundary_newton(*args)) or tried[-1])
-            gammas, _, calls = self.solve(a, x)
+            gammas, _, calls = counted_solve(a, x)
         (trial,) = tried
         assert formula_gap(a, x, trial) > max(GAP_TOL, 3.0 * n * UNIFORM_SHORTFALL)
         assert calls["_log_det_terms"] > 0
@@ -867,51 +931,26 @@ class TestUniformShortcut:
         expected = trial if returned == "try" else barrier_gammas
         assert gammas.tobytes() == expected.tobytes()
 
-    @given(corner=tied_corners(), seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
-    @settings(max_examples=20, deadline=None)
-    def test_corner_certifies_as_tightly_as_the_barrier(self, corner, seed, d):
-        # a two-input corner returns the uniform point when its formula gap is within
-        # GAP_TOL, and otherwise the better certified of the uniform point and the
-        # barrier's. Either way its certified gap is finite, and it exceeds the barrier's
-        # only within GAP_TOL or by the allowance evaluated at another point: by at most
-        # 1.6 % on 5500 such draws
-        inputs, targets = overlap_family(*corner, seed, d=d)
-        a, x = gram(inputs), gram(targets.states)
-        gammas, _ = maximize_general(a, x)
-        with barrier_only():
-            barrier_gammas, _ = maximize_general(a, x)
-        gap = certify(a, x, gammas)[0]
-        assert np.isfinite(gap)
-        assert gap <= max(GAP_TOL, 1.02 * certify(a, x, barrier_gammas)[0])
-
-    def test_benchmark_sweep_is_solved_once(self, factorizations):
-        # the first pass of optimize-sweep at seed 1. Every try is returned, grid point 12,
-        # (1 - 1e-9, 0), on its formula gap alone
-        problems = sweep_pass(1)
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_benchmark_sweep_is_solved_once(self, factorizations, seed):
+        # the first pass of optimize-sweep: every try is returned, and no two-input solve
+        # decomposes anything past A's whitener and the gamma = 1 test
+        problems = sweep_pass(seed)
         assert len(problems) == 56
-        for problem in problems:
+        for index, problem in enumerate(problems):
+            factorizations.clear()
             maximize_general(*problem.gram_pair())
-        assert factorizations["_log_det_terms"] == 0
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.sampled_from([2, 3]))
-    @example(seed=0, d=2)
-    @example(seed=0, d=3)
-    @settings(max_examples=30, deadline=None)
-    def test_shortcut_optimum_builds_a_verified_masker(self, seed, d):
-        # two inputs against flat targets at any phases
-        rng = np.random.default_rng(seed)
-        inputs, targets = random_independent(2, d, rng), from_states(flat_targets(2, d, rng))
-        gammas, _, calls = self.solve(gram(inputs), gram(targets.states))
-        assume(calls["_log_det_terms"] == 0)
-        assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
+            assert factorizations["_log_det_terms"] == 0
+            if index < 14:
+                assert factorizations == {"eigh": 1, "eigvalsh": 1}, index
 
     @pytest.mark.parametrize("case, expected", [
-        ("saturated", (1, 1)), ("uniform", (1, 2)), ("barrier", (1, 2)), ("newton", (1, 2)),
+        ("saturated", (1, 1)), ("two-inputs", (1, 1)), ("barrier", (1, 2)), ("newton", (1, 2)),
         ("cluster", (1, 2))])
     def test_each_solve_decomposes_three_matrices_at_most(self, factorizations, case, expected):
-        # A's whitener (eigh) and the gamma = 1 test (eigvalsh); past that test, for one
-        # or two inputs the uniform boundary's eigvalsh of N X N^dagger; for three or
-        # more, one eigh per evaluation of the boundary Newton try, within its budget,
+        # A's whitener (eigh) and the gamma = 1 test (eigvalsh); past that test, one or two
+        # inputs decompose nothing more, and three or more make
+        # one eigh per evaluation of the boundary Newton try, within its budget,
         # then either the eigvalsh that scales its predicted last step onto the boundary
         # or, where the barrier runs, the uniform boundary's eigvalsh. Each cluster step
         # also decomposes two r x r multipliers (an eigh and an eigvalsh), not an n x n
@@ -949,17 +988,17 @@ class TestUniformShortcut:
     @settings(max_examples=30, deadline=None)
     def test_certificate_bounds_the_true_gap_of_circulant_families(self, seed, n, barrier):
         # the optimum is c*^n, so log c*^n - log Prob is the true gap, on either path:
-        # infinite gaps fail the try's gate and return the barrier's point
+        # infinite gaps fail the try's gate and return the barrier's point; two inputs take
+        # neither
         inputs, targets = circulant_family(n, n, np.random.default_rng(seed))
         a, x = gram(inputs), gram(targets.states)
         with counted_factorizations() as calls, pytest.MonkeyPatch.context() as patch:
             if barrier:
                 patch.setattr(optimizer, "_gap", lambda *args: (np.inf, None))
             gammas, prob = maximize_general(a, x)
-        # the uniform trial covers n <= 2 only; from n = 3 the boundary Newton try runs
         assert (calls["_eigensystem"] > 0) == (n > 2)
         if barrier or n <= 2:
-            assert (calls["_log_det_terms"] > 0) == barrier
+            assert (calls["_log_det_terms"] > 0) == (barrier and n > 2)
         true_gap = n * np.log(uniform_feasibility_boundary(a, x)) - np.log(prob)
         # c* itself is computed, so each comparison holds up to its rounding
         floor = rounding_floor(n, np.linalg.cond(a))
@@ -983,23 +1022,18 @@ class TestExactFeasibility:
                 assert residual_is_psd(a, x, gammas)
         assert checked == {2: 10, **{n: 7 for n in range(3, 9)}}
 
-    @pytest.mark.parametrize("seed", [
-        pytest.param(seed, marks=pytest.mark.xfail(
-            reason="ROADMAP item 20: the two-input corner's returned gamma is exactly "
-                   "infeasible; an exact 2 x 2 solve is to replace the try and the barrier"))
-        if seed in (3, 7, 9, 10) else seed
-        for seed in range(1, 11)])
+    @pytest.mark.parametrize("seed", range(1, 11))
     def test_sweep_corner_point_is_exactly_feasible(self, seed):
-        # grid point 12, (s, t) = (1 - 1e-9, 0), cond(A) = 2e9: every seed returns the uniform
-        # point (seed 3 after a barrier solve whose point certifies worse). It passes the
-        # whitened Cholesky factorization, yet at 4 of these 10 seeds it is infeasible in
-        # exact arithmetic, as c* itself is rounding-bound there
+        # grid point 12, (s, t) = (1 - 1e-9, 0), cond(A) = 2e9, where the uniform boundary c*
+        # from a float eigensolve lies above the exact optimum at seeds 3, 7, 9 and 10: the
+        # returned gamma is the largest float whose residual is PSD in exact arithmetic
         problem = sweep_pass(seed)[12]
         assert (problem.s, problem.t) == pytest.approx((1.0 - 1e-9, 0.0), abs=1e-12)
         a, x, _ = _solve_inputs(*problem.gram_pair())
         gammas, _ = maximize_general(a, x)
         assert (gammas < 1.0).all()
         assert residual_is_psd(a, x, gammas)
+        assert not residual_is_psd(a, x, np.nextafter(gammas, 2.0))
 
     def test_unit_efficiencies_are_admitted_within_the_rounding_floor(self):
         # gamma = 1 is returned where _admissible finds A - X's least eigenvalue at or above

@@ -8,8 +8,8 @@ the efficiencies; for two states its maximum has the closed form
 min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2) in the overlap
 magnitudes s = |<a_1|a_2>| and t = |<Psi_1|Psi_2>|, attained with equal
 efficiencies. ``_two_input_bracket`` solves any one or two inputs exactly,
-in integers: ``max_prob_two``, ``maximize_general`` and ``certify`` read
-that quantity from it alone.
+in integers: ``max_prob_two`` and ``maximize_general`` read that quantity
+from it alone, and ``certify`` its upper end's test.
 
 For n states the problem is convex in g = sqrt(gamma): by the Schur
 complement, A - G X G >= 0 with G = diag(g) is the linear matrix
@@ -406,7 +406,9 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     gap and no dual point. O(n^3).
 
     One or two inputs need no dual point, and ``dual`` is None: the bound is
-    high^n, with ``_two_input_bracket``'s high, so the gap is
+    high^n, with high the first float above sqrt(gamma_1 gamma_2) at which
+    ``_two_input_bracket``'s AM-GM test proves no product g_1 g_2 feasible
+    (the routine's own high at ``maximize_general``'s point), so the gap is
     sum_i log(high / gamma_i), raised by a bound on its own rounding. It is
     infinite unless every efficiency is positive and the residual at
     g = sqrt(gamma), rounded to floats, is PSD in exact arithmetic. At
@@ -420,12 +422,14 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     whitener = _whitener(a)
     if values.size > 2:
         return _gap(a, x, whitener, values)
-    root = np.sqrt(values)
-    if not (values.min() > 0.0 and _pair_is_psd(_pair_entries(a, x), root[0], root[-1])):
+    entries, root = _pair_entries(a, x), np.sqrt(values)
+    if not (values.min() > 0.0 and _pair_is_psd(entries, root[0], root[-1])):
         return math.inf, None
     # sum_i log(high / gamma_i), each term from its small relative difference, raised by
     # a first-order bound on the rounding of that difference, of log1p and of the sum
-    high = _two_input_bracket(a, x)[1]
+    product = math.sqrt(values[0] * values[-1])
+    high = math.nextafter(_largest_passing(
+        lambda p: p <= product or _product_is_feasible(entries, p), product), math.inf)
     shifts = [(high - value) / value for value in values.tolist()]
     terms = [math.log1p(shift) for shift in shifts]
     slack = sum(abs(shift) / (1.0 + shift) + abs(term) for shift, term in zip(shifts, terms))

@@ -116,6 +116,15 @@ def residual_is_psd(a, x, gammas, shift=0.0):
     return True
 
 
+def paper_formula(s, t):
+    """min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2, 1), the paper's two-input optimum.
+
+    In floats for float s, t, as the paper writes it, and exactly for ``Fraction`` s, t.
+    """
+    first = ((1 - s) / (1 - t)) ** 2 if t < 1 else 1
+    return min(first, ((1 + s) / (1 + t)) ** 2, 1)
+
+
 def two_input_optimum(a, x):
     """The exact bracket (low, high) of a two-input problem, by bisection over floats in rationals.
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense
+from helpers import dense, paper_formula
 import qmask
 from qmask import fileio, masker as masking
 from qmask.cli import _format, main
@@ -472,7 +472,7 @@ class TestMaskProb:
     def test_efficiencies_above_the_optimum_exit_one_and_write_nothing(self, tmp_path, capsys):
         s = 1.0 - 1e-9
         path = write_state_set(tmp_path / "close.json", (2,), [[1, 0], [s, np.sqrt(1 - s * s)]])
-        gamma = 1.01 * max_prob_two(s, 0.0)[1][0]
+        gamma = 1.01 * paper_formula(s, 0.0) ** 0.5
         out_path = tmp_path / "masker.json"
         code = main([
             "mask-prob", path, "--target-overlap", "0",

@@ -2,6 +2,7 @@ import importlib.util
 import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import (
     haar_unitary,
     max_prob_grid_oracle,
     overlap_family,
+    paper_formula,
     random_independent,
     random_state,
     residual_is_psd,
@@ -130,12 +132,6 @@ def sweep_pass(seed):
 
 def two_state_matrices(s, t):
     return np.array([[1.0, s], [s, 1.0]]), np.array([[1.0, t], [t, 1.0]])
-
-
-def paper_formula(s, t):
-    """min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2, 1) in floats, as the paper writes it."""
-    first = ((1.0 - s) / (1.0 - t)) ** 2 if t < 1.0 else np.inf
-    return min(first, ((1.0 + s) / (1.0 + t)) ** 2, 1.0)
 
 
 class TestSuccessProbability:
@@ -762,9 +758,12 @@ class TestTwoInputBracket:
                 assert gammas.tolist() == [low, low] and prob == low * low
                 assert high <= np.nextafter(np.nextafter(low, 2.0), 2.0)
             # no dual point, and 2 log(high / low) with its rounding bound: at most 2 ulps,
-            # 4 eps, in log Prob
+            # 4 eps, in log Prob, and at least the oracle's high over each gamma_i
             gap, dual = certify(a, x, gammas)
             assert dual is None and 0.0 <= gap <= 4.5 * _EPS, (s, t, seed, d, gap)
+            if (gammas < 1.0).all():
+                assert gap >= sum(np.log1p((high - g) / g) for g in gammas), (s, t, seed, d)
+                assert np.log(prob) + gap >= 2.0 * np.log(high) - 2.0 * _EPS, (s, t, seed, d)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @example(seed=0)
@@ -796,9 +795,15 @@ class TestTwoInputBracket:
             assert gap == 0.0
             return
         assert 0.0 < gap <= 4.5 * _EPS
-        low, high = _two_input_bracket(a, x)
+        low, high = two_input_optimum(a, x)
         assert gammas.tolist() == [low, low]
-        assert np.log(paper_formula(s, t)) <= 2.0 * np.log(high) + 1e-14
+        # the oracle's high bounds the paper's formula in exact arithmetic, and the gap
+        # reaches it: at least 2 log(high / low), which certify sums term by term
+        assert paper_formula(Fraction(s), Fraction(t)) <= Fraction(high) ** 2
+        assert gap >= 2.0 * np.log1p((high - low) / low)
+        # the certified bound covers the paper's float formula, up to its rounding and log's
+        assert np.log(paper_formula(s, t)) <= np.log(prob) + gap + 4.0 * _EPS
+        assert prob * np.exp(gap) >= paper_formula(s, t) * (1.0 - 4.0 * _EPS)
 
     def test_corner_at_the_rounding_floor_builds_a_verified_masker(self):
         # at 1 - s = 2.7e-12 (cond(A) = 7e11) the residual at the optimum is singular up to
@@ -810,7 +815,7 @@ class TestTwoInputBracket:
         assert feasible(a, x, gammas)[0]
         assert verify_masking(build_probabilistic(inputs, targets, gammas)).passed
         # the closed form of the unrotated pair, which the rotation's rounding moves
-        bound = max_prob_two(s, t)[0]
+        bound = paper_formula(s, t)
         assert abs(prob / bound - 1.0) <= rounding_floor(2, np.linalg.cond(a))
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.sampled_from([2, 3]))

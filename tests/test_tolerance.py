@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import overlap_family
+from helpers import overlap_family, paper_formula
 from qmask.fileio import load_masker, save_masker
 from qmask.fixed_reducing import cyclic_targets, from_states, targets_with_overlap
 from qmask.hilbert import (
@@ -55,7 +55,7 @@ def grams(inputs, targets):
 
 @pytest.mark.parametrize("s, t", corner_cells())
 def test_corner_grid_solves_builds_and_verifies(s, t):
-    bound = max_prob_two(s, t)[0]
+    bound = paper_formula(s, t)
     for seed in SEEDS:
         inputs, targets = overlap_family(s, t, seed)
         a, x = grams(inputs, targets)
@@ -69,7 +69,7 @@ def test_corner_grid_solves_builds_and_verifies(s, t):
 # at t = s the optimum is gamma = 1, so 1 % above it is outside (0, 1]
 @pytest.mark.parametrize("s, t", [cell for cell in corner_cells() if cell.values[1] in (0.0, 0.5)])
 def test_corner_grid_rejects_one_percent_above_the_optimum(s, t):
-    request = np.full(2, 1.01 * max_prob_two(s, t)[1][0])
+    request = np.full(2, 1.01 * paper_formula(s, t) ** 0.5)
     for seed in SEEDS:
         inputs, targets = overlap_family(s, t, seed)
         with pytest.raises(ValueError, match=r"^infeasible efficiencies: .* below the rounding"):
@@ -213,7 +213,7 @@ def test_every_masker_the_builder_returns_verifies(s, t, seed, shape, request, f
 @example(s=0.0, t=0.01, seed=0, shape=(2, 2))
 def test_every_infeasible_request_raises_a_named_error(s, t, seed, shape):
     inputs, targets, t = corner_family(s, t, seed, shape)
-    gamma = 1.01 * max_prob_two(s, t)[1][0]
+    gamma = 1.01 * paper_formula(s, t) ** 0.5
     assume(gamma <= 1.0)
     # equal efficiencies 1 % above the two-input optimum; a third input keeps efficiency 1e-3
     request = [gamma, gamma, 1e-3][:shape[1]]

@@ -7,9 +7,9 @@ the masked targets. The overall success probability is the product of
 the efficiencies; for two states its maximum has the closed form
 min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2) in the overlap
 magnitudes s = |<a_1|a_2>| and t = |<Psi_1|Psi_2>|, attained with equal
-efficiencies. ``_two_input_bracket`` solves any one or two inputs exactly,
-in integers: ``max_prob_two`` and ``maximize_general`` read that quantity
-from it alone, and ``certify`` its upper end's test.
+efficiencies. ``_two_input_low`` solves any one or two inputs exactly, in
+integers: ``max_prob_two`` and ``maximize_general`` read that quantity from
+it alone, and ``certify`` bounds it from above with ``_two_input_high``.
 
 For n states the problem is convex in g = sqrt(gamma): by the Schur
 complement, A - G X G >= 0 with G = diag(g) is the linear matrix
@@ -18,11 +18,12 @@ inequality [[A, G X^(1/2)], [X^(1/2) G, I]] >= 0, and log prod(gamma) =
 Convex Optimization, ch. 11). For three or more inputs ``maximize_general``
 solves it with a log barrier, after a cheaper try where one is certified:
 ``_boundary_newton``, Newton's method on the boundary
-lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I). ``certify`` and
-``dual_bound`` bound the distance of any point from the optimum through
-Lagrange duality; the duality formula's gap, before ``certify``'s rounding
-allowance, decides whether a try's point is returned. Each public function
-of (A, X_P) checks them through ``_solve_inputs``.
+lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I). Both stop at the one
+interior margin UNIFORM_SHORTFALL fixes. ``certify`` and ``dual_bound``
+bound the distance of any point from the optimum through Lagrange duality;
+the duality formula's gap, before ``certify``'s rounding allowance, decides
+whether a try's point is returned. Each public function of (A, X_P) checks
+them through ``_solve_inputs``.
 """
 
 from __future__ import annotations
@@ -38,17 +39,14 @@ DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # factor by which the barrier weight t grows between centring stages; a tangent
 # step along the central path carries each stage's point to the next stage
 BARRIER_GROWTH = 100.0
-# the barrier stops once the central path's gap 2n / t in log Prob is this small
-GAP_TOL = 1e-8
 # n x n systems one solve factors at most past its start: one per damped Newton
 # step (its linear solve and the Cholesky test that accepts the step), and one
 # more per tangent step's solve and per step halving's Cholesky test
 NEWTON_STEP_LIMIT = 500
-# how far inside the boundary the boundary Newton try of three or more inputs ends:
-# its returned g^2 is scaled by 1 - UNIFORM_SHORTFALL / n, where the barrier's last
-# stage, at t = 1 / UNIFORM_SHORTFALL = 1e10, would end. The residual's least whitened
-# eigenvalue, UNIFORM_SHORTFALL / n, is then as large as at the barrier's optimum, and
-# the formula gap is about 2n UNIFORM_SHORTFALL
+# the one interior margin of every solve of three or more inputs. The boundary Newton
+# try scales its returned g^2 by 1 - UNIFORM_SHORTFALL / n, and the barrier's last stage
+# is t = 1 / UNIFORM_SHORTFALL = 1e10: both end where the residual's least whitened
+# eigenvalue is about UNIFORM_SHORTFALL / n and the formula gap about 2n UNIFORM_SHORTFALL
 UNIFORM_SHORTFALL = 1e-10
 # lambda_max evaluations one boundary Newton try makes at most, its start's and every
 # step halving's included, as NEWTON_STEP_LIMIT counts them
@@ -158,26 +156,17 @@ def _product_is_feasible(entries: list[int], p: float) -> bool:
     return e <= d and m >= 0 and m * m >= 4 * d * e
 
 
-def _two_input_bracket(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Floats (low, high) around the optimum of one or two inputs, both ends proved.
+def _two_input_low(a: np.ndarray, x: np.ndarray) -> float:
+    """The optimal equal efficiency of one or two inputs: the largest one proved feasible.
 
-    ``low`` is the largest float gamma <= 1 whose equal efficiencies, with
+    That is the largest float gamma <= 1 whose equal efficiencies, with
     g = sqrt(gamma) rounded as ``residual_matrix`` rounds it, leave A - g^2 X
     PSD in exact arithmetic (``_pair_is_psd``). With u = g^2 that is
     a_ii - u x_ii >= 0 and det = alpha u^2 - 2 beta u + c >= 0. The search
     starts from det's stable smaller root c / (beta + sqrt(beta^2 - alpha c)),
     its terms computed exactly and rounded once, steps out by doubling
     multiples of that float's ulp until the answer changes, and bisects.
-
-    ``high`` bounds every feasible product p = g_1 g_2, the cap gamma_i <= 1
-    relaxed, so the best Prob is at most high^2 (high for one input). The
-    best split of p, AM-GM's, leaves the diagonal product
-    (sqrt(a_11 a_22) - p sqrt(x_11 x_22))^2, so some split is feasible exactly
-    when p^2 x_11 x_22 <= a_11 a_22 and M = a_11 a_22 + p^2 x_11 x_22 -
-    |a_12 - p x_12|^2 is at least 2 p sqrt(a_11 a_22 x_11 x_22): M >= 0 and
-    M^2 >= 4 p^2 a_11 a_22 x_11 x_22 (``_product_is_feasible``). The feasible
-    p form an interval from 0, and ``high`` is the first float from low's
-    neighbour up outside it. Integers only, from ``float.as_integer_ratio``.
+    Integers only, from ``float.as_integer_ratio``.
     """
     entries = _pair_entries(a, x)
     a_11, a_22, a_re, a_im, x_11, x_22, x_re, x_im = entries
@@ -195,9 +184,23 @@ def _two_input_bracket(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
         g = math.sqrt(gamma)
         return gamma <= 1.0 and _pair_is_psd(entries, g, g)
 
-    low = _largest_passing(feasible, guess)
-    below = _largest_passing(lambda p: p <= low or _product_is_feasible(entries, p), low)
-    return low, math.nextafter(below, math.inf)
+    return _largest_passing(feasible, guess)
+
+
+def _two_input_high(entries: list[int], start: float) -> float:
+    """The first float high above ``start`` that bounds every feasible product p = g_1 g_2.
+
+    The cap gamma_i <= 1 is relaxed, so the best Prob of two inputs
+    (``_pair_entries``) is at most high^2 (high for one input). The best split
+    of p, AM-GM's, leaves the diagonal product (sqrt(a_11 a_22) - p sqrt(x_11 x_22))^2,
+    so some split is feasible exactly when p^2 x_11 x_22 <= a_11 a_22 and
+    M = a_11 a_22 + p^2 x_11 x_22 - |a_12 - p x_12|^2 is at least
+    2 p sqrt(a_11 a_22 x_11 x_22): M >= 0 and M^2 >= 4 p^2 a_11 a_22 x_11 x_22
+    (``_product_is_feasible``). The feasible p form an interval from 0; every
+    p <= ``start`` is taken to pass.
+    """
+    return math.nextafter(_largest_passing(
+        lambda p: p <= start or _product_is_feasible(entries, p), start), math.inf)
 
 
 def _largest_passing(passes, guess: float) -> float:
@@ -229,7 +232,7 @@ def _largest_passing(passes, guess: float) -> float:
 def max_prob_two(s: float, t: float) -> tuple[float, tuple[float, float]]:
     """Best success probability for two inputs, with the optimal efficiencies.
 
-    ``_two_input_bracket``'s optimum of the real pair A = [[1, s], [s, 1]],
+    ``_two_input_low``'s optimum of the real pair A = [[1, s], [s, 1]],
     X = [[1, t], [t, 1]]: equal efficiencies gamma_1 = gamma_2 = low and
     Prob = low^2. In exact arithmetic that is the paper's closed form
     min(((1 - s) / (1 - t))^2, ((1 + s) / (1 + t))^2, 1), the smaller root of
@@ -239,7 +242,7 @@ def max_prob_two(s: float, t: float) -> tuple[float, tuple[float, float]]:
     for name, value in (("s", s), ("t", t)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    gamma = _two_input_bracket(np.array([[1.0, s], [s, 1.0]]), np.array([[1.0, t], [t, 1.0]]))[0]
+    gamma = _two_input_low(np.array([[1.0, s], [s, 1.0]]), np.array([[1.0, t], [t, 1.0]]))
     return gamma * gamma, (gamma, gamma)
 
 
@@ -399,17 +402,16 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
     For three or more inputs gap = ``dual_bound(A, X_P, dual) - log prod(gammas)``.
     The dual point is (C, sqrt(gamma)) with C^dagger C = (A - G X G)^-1: the
     Lagrange multiplier that the log barrier pairs with a point on its
-    central path. Where ``maximize_general``'s barrier stops, centred at its
-    last stage's t, the gap is about 2n / t <= GAP_TOL plus the rounding
-    allowance, and at a try's returned point the gate's bound plus that
-    allowance. Efficiencies that are not strictly feasible have an infinite
-    gap and no dual point. O(n^3).
+    central path. At ``maximize_general``'s point, the barrier's centred at
+    its last stage t = 1 / UNIFORM_SHORTFALL or a try's that passed its gate,
+    the gap is about 2n UNIFORM_SHORTFALL plus the rounding allowance.
+    Efficiencies that are not strictly feasible have an infinite gap and no
+    dual point. O(n^3).
 
     One or two inputs need no dual point, and ``dual`` is None: the bound is
     high^n, with high the first float above sqrt(gamma_1 gamma_2) at which
-    ``_two_input_bracket``'s AM-GM test proves no product g_1 g_2 feasible
-    (the routine's own high at ``maximize_general``'s point), so the gap is
-    sum_i log(high / gamma_i), raised by a bound on its own rounding. It is
+    ``_two_input_high``'s AM-GM test proves no product g_1 g_2 feasible, so
+    the gap is sum_i log(high / gamma_i), raised by a bound on its own rounding. It is
     infinite unless every efficiency is positive and the residual at
     g = sqrt(gamma), rounded to floats, is PSD in exact arithmetic. At
     ``maximize_general``'s point, with diagonals 1 to rounding, the bracket
@@ -427,9 +429,7 @@ def certify(A, X_P, gammas) -> tuple[float, tuple[np.ndarray, np.ndarray] | None
         return math.inf, None
     # sum_i log(high / gamma_i), each term from its small relative difference, raised by
     # a first-order bound on the rounding of that difference, of log1p and of the sum
-    product = math.sqrt(values[0] * values[-1])
-    high = math.nextafter(_largest_passing(
-        lambda p: p <= product or _product_is_feasible(entries, p), product), math.inf)
+    high = _two_input_high(entries, math.sqrt(values[0] * values[-1]))
     shifts = [(high - value) / value for value in values.tolist()]
     terms = [math.log1p(shift) for shift in shifts]
     slack = sum(abs(shift) / (1.0 + shift) + abs(term) for shift, term in zip(shifts, terms))
@@ -714,21 +714,19 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     Returns (gammas, prob). If gamma = 1 is admissible it is the optimum.
     One or two inputs otherwise have an optimum with equal efficiencies
     (with unit diagonals the swap maps A and X to their conjugates), and
-    every gamma_i is ``_two_input_bracket``'s low: the largest float whose
+    every gamma_i is ``_two_input_low``'s: the largest float whose
     residual is PSD in exact arithmetic, a float or two below the optimum
     where the diagonals are 1 to rounding.
     Three or more inputs try Newton's method on the boundary
     lambda_max(N G X G N^dagger) = 1 (N A N^dagger = I), which
     ``_boundary_newton`` describes, and its point is returned without a
     barrier solve when its formula gap, ``certify``'s gap before the rounding
-    allowance, is at most the larger of GAP_TOL and 3n UNIFORM_SHORTFALL
-    (GAP_TOL up to n = 33). At the try's target the formula gap is about
-    2n UNIFORM_SHORTFALL. The allowance, which grows with n and cond(A),
-    bounds the rounding of the bound's own evaluation, which no point can
-    lower: the gate does not compute it, and ``certify`` still adds it.
-    Every solve whose try is not returned runs the barrier from scratch.
-    Where the try's point failed the gate, the solve then returns whichever
-    point has the smaller certified gap, the barrier's on a tie.
+    allowance, is at most 3n UNIFORM_SHORTFALL. At the try's target the
+    formula gap is about 2n UNIFORM_SHORTFALL. The allowance, which grows
+    with n and cond(A), bounds the rounding of the bound's own evaluation,
+    which no point can lower: the gate does not compute it, and ``certify``
+    still adds it. Every solve whose try is not returned runs the barrier
+    from scratch and returns the barrier's point.
     The log-barrier method minimizes
     -2t sum_i log g_i - log det(A - G X G) over g = sqrt(gamma), starting
     from half the uniform boundary c* (``uniform_feasibility_boundary``) at
@@ -737,8 +735,9 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     lambda^2 <= 1e-2. Between stages t grows by
     BARRIER_GROWTH, and g moves along the central path's tangent, linear
     in 1 / t: g + (t - t / BARRIER_GROWTH) K^-1 (2 / g), with K the Newton
-    matrix of the centring test. The last stage, the first where the central
-    path's gap 2n / t is at most GAP_TOL, centres on past lambda^2 <= 1e-2
+    matrix of the centring test. The last stage, t = 1 / UNIFORM_SHORTFALL,
+    where the central path's gap 2n / t is the try's target for every n,
+    centres on past lambda^2 <= 1e-2
     while lambda^2 is positive and still falling, and ends at the first step
     where it is neither: below 1e-2 it falls quadratically in exact
     arithmetic, so one that does not fall measures rounding. Every step, a
@@ -773,14 +772,14 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     if _admissible(a, x):
         return np.ones(n), 1.0
     if n <= 2:
-        gammas = np.full(n, _two_input_bracket(a, x)[0])
+        gammas = np.full(n, _two_input_low(a, x))
         return gammas, float(gammas.prod())
     gammas = _boundary_newton(x, whitener)
     # the try aims at a whitened margin of UNIFORM_SHORTFALL / n, where the formula gap
-    # is about 2n UNIFORM_SHORTFALL: the gate is GAP_TOL up to n = 33, and 1.5 times that
-    # beyond, which passes tries at their target and fails those that stopped short
+    # is about 2n UNIFORM_SHORTFALL: 1.5 times that passes tries at their target and
+    # fails those that stopped short
     if gammas is not None and (_gap(a, x, whitener, gammas, _formula_bound)[0]
-                               <= max(GAP_TOL, 3.0 * n * UNIFORM_SHORTFALL)):
+                               <= 3.0 * n * UNIFORM_SHORTFALL):
         return gammas, float(gammas.prod())
 
     g = np.full(n, math.sqrt(_uniform_boundary(x, whitener) / 2.0))
@@ -793,7 +792,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
     # below: scaling by 2 is exact, so each step and decrement is as unhalved
     while systems < NEWTON_STEP_LIMIT:
         systems += 1
-        last = 2.0 * n / t <= GAP_TOL
+        last = t >= 1.0 / UNIFORM_SHORTFALL
         barrier_gradient = gradient - t / g
         newton = hessian  # a fresh array per step, turned into the Newton matrix in place
         newton.flat[::n + 1] += t / (g * g)
@@ -830,10 +829,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
             break
         g = g + step
         gradient, hessian = terms
-    barrier = np.minimum(g * g, 1.0)
-    # where both methods ran, the point with the smaller certified gap
-    if gammas is None or not _gap(a, x, whitener, gammas)[0] < _gap(a, x, whitener, barrier)[0]:
-        gammas = barrier
+    gammas = np.minimum(g * g, 1.0)
     return gammas, float(gammas.prod())
 
 

@@ -11,6 +11,8 @@ from qmask.fixed_reducing import marginal_deviations, marginals
 from qmask.hilbert import MultipartiteState, gram, rounding_floor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# the certified gap in log Prob that tests hold a solve of three or more inputs to
+GAP_TOL = 1e-8
 
 
 def haar_unitary(d, rng, real=False):

@@ -1,8 +1,9 @@
 """Stand-ins for a linter's unused-import, dead-code and unused-option rules, for a rule
 that keeps the optimizer's input checks in one function, for one that keeps tolerance
 guards NaN-safe, for one that keeps reductions array methods, for one that finds a
-parameter every caller sets alike and for one that keeps the library on the standard
-library and numpy, built on the standard library's ``ast``."""
+parameter every caller sets alike, for one that finds a result every caller reads one
+item of and for one that keeps the library on the standard library and numpy, built on
+the standard library's ``ast``."""
 
 import ast
 import sys
@@ -295,6 +296,49 @@ def test_no_parameter_is_set_alike_by_every_caller():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "qmask").glob("*.py"))]
     assert uniform_arguments(sources) == []
+
+
+def uniform_subscripts(sources: list[str]) -> list[str]:
+    """``function(...)[index]`` for each private function defined in ``sources`` that is
+    read there only in calls all subscripted by one literal ``index``."""
+    private = {node.name for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")}
+    indices = defaultdict(list)
+    for source in sources:
+        tree = ast.parse(source)
+        # the index each subscripted call is read at, by the call's function node
+        read_at = {id(node.value.func): literal_source(node.slice) for node in ast.walk(tree)
+                   if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in private and isinstance(getattr(node, "ctx", None), ast.Load):
+                indices[name].append(read_at.get(id(node)))
+    return sorted(f"{name}(...)[{values[0]}]" for name, values in indices.items()
+                  if values[0] is not None and len(set(values)) == 1)
+
+
+def test_scanner_finds_uniform_subscripts():
+    definitions = ("def _pair():\n    return 1, 2\n"
+                   "def _split():\n    return 1, 2\n"
+                   "def _last():\n    return 1, 2\n"
+                   "def _whole():\n    return 1, 2\n"
+                   "def _passed():\n    return 1, 2\n"
+                   "def _sliced():\n    return 1, 2\n")
+    callers = ("a = _pair()[0] + module._pair()[0]\n"
+               "b = _split()[0] + _split()[1]\n"
+               "c = self._last()[-1]\n"
+               "d = _whole()[0]\ne = _whole()\n"
+               "f = _passed()[0]\ng = sorted(values, key=_passed)\n"
+               "h = _sliced()[:1]\n")
+    assert uniform_subscripts([definitions, callers]) == ["_last(...)[-1]", "_pair(...)[0]"]
+
+
+def test_no_private_result_is_read_at_one_index_alone():
+    # a result of which every caller reads one item computes the rest for nobody
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "qmask").glob("*.py"))]
+    assert uniform_subscripts(sources) == []
 
 
 def input_policy_faults(source: str) -> list[str]:

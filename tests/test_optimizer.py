@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GAP_TOL,
     circulant_family,
     haar_unitary,
     max_prob_grid_oracle,
@@ -27,7 +28,6 @@ from qmask.masker import build_probabilistic, verify_masking
 from qmask import optimizer
 from qmask.optimizer import (
     DEFAULT_S_VALUES,
-    GAP_TOL,
     UNIFORM_SHORTFALL,
     _BOUNDARY_EVALUATIONS,
     _admissible,
@@ -38,9 +38,11 @@ from qmask.optimizer import (
     _formula_bound,
     _gap,
     _log_det_terms,
+    _pair_entries,
     _solve_inputs,
     _top_terms,
-    _two_input_bracket,
+    _two_input_high,
+    _two_input_low,
     _whitener,
     certify,
     dual_bound,
@@ -645,17 +647,16 @@ class TestMaximizeCertified:
         assert np.isfinite(certify(a, x, gammas)[0])
 
     @pytest.mark.parametrize("k", range(8))
-    def test_last_stage_centres_to_its_path_gap(self, k):
-        # the last stage, the first t with 2n / t <= GAP_TOL (t = 1e10 at n = 16), centres
-        # while its decrement falls, so the duality formula's gap reads the central path's
-        # 2n / t to within the rounding allowance certify adds to it
-        n = 16
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_last_stage_centres_to_its_path_gap(self, n, k):
+        # the last stage, t = 1 / UNIFORM_SHORTFALL at every n, centres while its decrement
+        # falls, so the duality formula's gap reads the central path's 2n / t to within the
+        # rounding allowance certify adds to it. At n = 64 a last stage at t = 1e12 stalls
+        # in rounding, with formula gaps of 2.8e-5 to 4.6e-4 on five of these draws
         a, x = gaussian_pair(n, k)
         with barrier_only():
             gammas, _ = maximize_general(a, x)
-        t = 1.0
-        while 2.0 * n / t > GAP_TOL:
-            t *= optimizer.BARRIER_GROWTH
+        t = 1.0 / UNIFORM_SHORTFALL
         formula = formula_gap(a, x, gammas)
         assert abs(formula - 2.0 * n / t) <= certify(a, x, gammas)[0] - formula
 
@@ -730,9 +731,10 @@ def counted_solve(a, x):
 
 
 class TestTwoInputBracket:
-    """One or two inputs take ``_two_input_bracket`` alone: equal efficiencies at the largest
-    float whose residual is PSD in exact arithmetic, and a certificate that needs no dual
-    point. ``helpers.two_input_optimum`` is its independent judge."""
+    """One or two inputs take ``_two_input_low`` alone: equal efficiencies at the largest
+    float whose residual is PSD in exact arithmetic, and a certificate from
+    ``_two_input_high`` that needs no dual point. ``helpers.two_input_optimum`` is the
+    independent judge of both ends."""
 
     @staticmethod
     def corner_sample():
@@ -748,9 +750,12 @@ class TestTwoInputBracket:
         for s, t, seed, d in self.corner_sample():
             inputs, targets = overlap_family(s, t, seed, d=d)
             a, x, _ = _solve_inputs(gram(inputs), gram(targets.states))
-            low, high = _two_input_bracket(a, x)
-            assert (low, high) == two_input_optimum(a, x), (s, t, seed, d)
+            low, high = two_input_optimum(a, x)
+            assert _two_input_low(a, x) == low, (s, t, seed, d)
             gammas, prob = maximize_general(a, x)
+            # certify's search of the upper end, from its start at the returned point
+            start = np.sqrt(gammas[0] * gammas[-1])
+            assert _two_input_high(_pair_entries(a, x), start) == high, (s, t, seed, d)
             # the largest provably feasible float, and the bracket spans at most two floats
             assert residual_is_psd(a, x, gammas), (s, t, seed, d)
             assert (gammas == 1.0).all() or not residual_is_psd(a, x, np.nextafter(gammas, 2.0))
@@ -844,9 +849,9 @@ class TestTwoInputBracket:
 class TestTryGate:
     """Three or more inputs first try the boundary Newton solve, whose point is returned
     without a barrier solve when its formula gap, ``certify``'s gap before the rounding
-    allowance, is within GAP_TOL (from n = 34 on, 3n UNIFORM_SHORTFALL). Every other problem
-    runs the barrier, and where a try's point fails the gate the solve returns the better
-    certified of the two points."""
+    allowance, is within 3n UNIFORM_SHORTFALL. Every other problem runs the barrier and
+    returns its point, which its last stage t = 1 / UNIFORM_SHORTFALL centres at the try's
+    own target."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -893,7 +898,7 @@ class TestTryGate:
         assert calls["_log_det_terms"] > 0 or certify(a, x, gammas)[0] <= GAP_TOL
 
     def test_try_within_its_formula_gap_is_solved_once(self):
-        # a try whose point is strictly feasible with a formula gap within GAP_TOL, but whose
+        # a try whose point is strictly feasible with a formula gap within its gate, but whose
         # certified gap is mostly rounding allowance (about 1.9e-7 at n = 32): the formula gap
         # alone gates the try, so the point is returned without a barrier solve. The barrier,
         # run alone, returns the same Prob with a certified gap within 1 % of it
@@ -914,12 +919,11 @@ class TestTryGate:
         assert np.log(prob) == pytest.approx(np.log(barrier_prob), abs=1e-11)
         assert gap == pytest.approx(certify(a, x, barrier_gammas)[0], rel=1e-2)
 
-    @pytest.mark.parametrize("n, returned", [(32, "barrier"), (64, "try")])
-    def test_try_failing_its_formula_gate_returns_the_smaller_certified_gap(self, n, returned):
-        # draw 1 of the large-n sample: at n = 32 the try stops short of its target, with a
-        # formula gap of 1.14e-8 (1.8 times 2n UNIFORM_SHORTFALL), and the barrier's point
-        # certifies lower (4.2e-8 against 4.6e-8); at n = 64 the formula gap is 2.17e-8
-        # (1.7 times), and the try's point certifies 2.0e-6 against the barrier's 3.0e-4
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_try_failing_its_formula_gate_returns_the_barriers_bytes(self, n):
+        # draw 1 of the large-n sample: the try stops short of its target, with a formula
+        # gap of 1.8 (n = 32) and 1.7 (n = 64) times 2n UNIFORM_SHORTFALL, so the barrier
+        # runs, and its point is returned as the barrier-only solve returns it
         a, x = gaussian_pair(n, 1)
         tried = []
         with pytest.MonkeyPatch.context() as patch:
@@ -927,14 +931,11 @@ class TestTryGate:
                           lambda *args: tried.append(_boundary_newton(*args)) or tried[-1])
             gammas, _, calls = counted_solve(a, x)
         (trial,) = tried
-        assert formula_gap(a, x, trial) > max(GAP_TOL, 3.0 * n * UNIFORM_SHORTFALL)
+        assert formula_gap(a, x, trial) > 3.0 * n * UNIFORM_SHORTFALL
         assert calls["_log_det_terms"] > 0
         with barrier_only():
             barrier_gammas, _ = maximize_general(a, x)
-        gaps = {"try": certify(a, x, trial)[0], "barrier": certify(a, x, barrier_gammas)[0]}
-        assert min(gaps, key=gaps.get) == returned
-        expected = trial if returned == "try" else barrier_gammas
-        assert gammas.tobytes() == expected.tobytes()
+        assert gammas.tobytes() == barrier_gammas.tobytes()
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_benchmark_sweep_is_solved_once(self, factorizations, seed):
@@ -1090,8 +1091,7 @@ def rank_one_pair(n, d, rng):
 class TestBoundaryNewton:
     """For three or more inputs ``maximize_general`` first tries Newton's method on the
     boundary lambda_max(N G X G N^dagger) = 1 and returns its point when its formula gap is
-    within GAP_TOL (from n = 34 on, within 3n UNIFORM_SHORTFALL); otherwise the barrier runs
-    from scratch."""
+    within 3n UNIFORM_SHORTFALL; otherwise the barrier runs from scratch."""
 
     @staticmethod
     def draw_point(seed, n, real):
@@ -1448,3 +1448,13 @@ class TestProbabilityCurves:
         rows = [r for r in probability_curves() if r[0] == 0.0]
         assert rows[0][1] == 0.0
         assert rows[0][2] == 1.0
+
+    def test_each_row_searches_one_float(self, monkeypatch):
+        # a row reads the optimum's low end alone, so it searches only that end: one
+        # _largest_passing search per row, 505 for the default table
+        searches = []
+        search = optimizer._largest_passing
+        monkeypatch.setattr(optimizer, "_largest_passing",
+                            lambda *args: searches.append(args) or search(*args))
+        rows = probability_curves()
+        assert len(searches) == len(rows) == len(DEFAULT_S_VALUES) * 101

@@ -42,7 +42,7 @@ import numpy as np
 from . import optimizer
 from .fixed_reducing import FixedReducingSet, cyclic_targets, marginal_deviations, marginals
 from .hilbert import VERIFY_CEILING, Immutable, MultipartiteState, Operator
-from .hilbert import fidelity, gram, hermitian_sqrt, nonsingular_spectrum
+from .hilbert import _eigvalsh, fidelity, gram, hermitian_sqrt, nonsingular_spectrum
 from .hilbert import precision_floor, rounding_floor
 from .hilbert import unitary_completion, verification_tolerance
 
@@ -306,7 +306,7 @@ def verify_masking(masker: Masker) -> MaskingReport:
     marginal_deviation = max(
         marginal_deviations([(o.marginal_A, o.marginal_B) for o in outcomes])
     )
-    tol = verification_tolerance(np.linalg.eigvalsh(gram(masker.inputs)), min(masker.gammas))
+    tol = verification_tolerance(_eigvalsh(gram(masker.inputs)), min(masker.gammas))
     passed = (
         tol <= VERIFY_CEILING
         and marginal_deviation <= tol

@@ -32,8 +32,8 @@ import math
 
 import numpy as np
 
-from .hilbert import _EPS, hermitian_matrix, nonsingular_spectrum, precision_floor, psd_check
-from .hilbert import psd_verdict
+from .hilbert import _EPS, _cholesky, _eigh, _eigvalsh, _inv, _solve, hermitian_matrix
+from .hilbert import nonsingular_spectrum, precision_floor, psd_check, psd_verdict
 
 DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # factor by which the barrier weight t grows between centring stages; a tangent
@@ -115,7 +115,7 @@ def _admissible(a: np.ndarray, x: np.ndarray) -> bool:
     One n x n eigensolve of A - X, which is the residual at gamma = 1 bit for
     bit (sqrt(1) = 1 and 1 X = X), nothing else.
     """
-    return psd_verdict(np.linalg.eigvalsh(a - x))[0]
+    return psd_verdict(_eigvalsh(a - x))[0]
 
 
 def _pair_entries(a: np.ndarray, x: np.ndarray) -> list[int]:
@@ -257,7 +257,7 @@ def _uniform_boundary(x: np.ndarray, whitener: np.ndarray) -> float:
 
     A - c X >= 0 exactly when c lambda_max(N X N^dagger) <= 1.
     """
-    top = float(np.linalg.eigvalsh(whitener @ x @ whitener.conj().T)[-1])
+    top = float(_eigvalsh(whitener @ x @ whitener.conj().T)[-1])
     return 1.0 if top <= 1.0 else 1.0 / top
 
 
@@ -278,17 +278,19 @@ def _dual_factor(whitener: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarr
 
     Strictly feasible means every g_i > 0 and a whitened residual
     R' = I - (N G) X (N G)^dagger that factors by Cholesky as L L^dagger,
-    so C = L^-1 N; a failed factorization means R' is not positive definite.
-    This is the barrier's one test of a point, and ``certify``'s.
+    so C = L^-1 N; a failed factorization, all NaN, means R' is not positive
+    definite. This is the barrier's one test of a point, and ``certify``'s.
     """
     if not g.min() > 0.0:
         return None
     m = whitener * g
-    try:
-        factor = np.linalg.cholesky(np.eye(g.size) - m @ x @ m.conj().T)
-    except np.linalg.LinAlgError:
+    residual = np.eye(g.size) - m @ x @ m.conj().T
+    # the one kernel call whose failure is routine: the barrier halves its steps on it
+    with np.errstate(invalid="ignore"):
+        factor = _cholesky(residual)
+    if math.isnan(factor[0, 0].real):
         return None
-    return np.linalg.inv(factor) @ whitener
+    return _inv(factor) @ whitener
 
 
 def _log_det_terms(whitener: np.ndarray, x: np.ndarray, g: np.ndarray):
@@ -444,7 +446,7 @@ def _eigensystem(whitener: np.ndarray, x: np.ndarray, y: np.ndarray):
     """
     m = whitener * np.exp(y)
     m_dagger = m.conj().T
-    values, vectors = np.linalg.eigh(m @ x @ m_dagger)
+    values, vectors = _eigh(m @ x @ m_dagger)
     z = m_dagger @ vectors
     return values, vectors, z, x @ z
 
@@ -543,12 +545,12 @@ def _cluster_step(x: np.ndarray, eigensystem, weights: np.ndarray):
     system[:n, :n] = hessian
     system[:n, n:] = (jacobian.real + jacobian.imag).reshape(n, r * r)
     system[n:, :n] = system[:n, n:].T
-    spectrum, basis = np.linalg.eigh(weights)
+    spectrum, basis = _eigh(weights)
     target = (basis * (-spectrum[-1] * UNIFORM_SHORTFALL / n / spectrum)) @ basis.conj().T
     target.flat[::r + 1] += 1.0 - values[-r:]
     rhs = np.ones(size)
     rhs[n:] = (target.real + target.imag).reshape(-1)
-    solution = np.linalg.solve(system, rhs)
+    solution = _solve(system, rhs)
     s = solution[n:].reshape(r, r)
     return solution[:n], 0.5 * ((1.0 + 1.0j) * s + (1.0 - 1.0j) * s.T)
 
@@ -651,7 +653,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 weight = n / 2.0 + log_top
                 # minus f's gradient, so that delta solves (f's Hessian) delta = -(its gradient)
                 descent = weight * gradient - 1.0
-                delta = np.linalg.solve(-weight * hessian - gradient[:, None] * gradient, descent)
+                delta = _solve(-weight * hessian - gradient[:, None] * gradient, descent)
                 decrement2 = -float(descent @ delta)
                 if not decrement2 > 0.0:
                     return None
@@ -667,7 +669,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                         continue
             else:
                 delta, multiplier = _cluster_step(x, eigensystem, weights)
-                if not np.linalg.eigvalsh(multiplier)[0] > 0.0:
+                if not _eigvalsh(multiplier)[0] > 0.0:
                     # the optimum's top eigenvalue is simple: back to the Newton step on f
                     r, dropped = 1, True
                     continue
@@ -679,7 +681,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 # scale it onto the boundary with one eigvalsh, not a full evaluation
                 g = np.exp(y + delta)
                 m = whitener * g
-                top = float(np.linalg.eigvalsh(m @ x @ m.conj().T)[-1])
+                top = float(_eigvalsh(m @ x @ m.conj().T)[-1])
                 return np.minimum(g * g / top * (1.0 - UNIFORM_SHORTFALL / n), 1.0)
             while True:
                 if evaluations == _BOUNDARY_EVALUATIONS:
@@ -704,7 +706,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 rotation = eigensystem[1][:, -r:].conj().T @ trial_system[1][:, -r:]
                 weights = rotation.conj().T @ multiplier @ rotation
             y, value, eigensystem, dropped = trial_y, trial, trial_system, False
-    except (np.linalg.LinAlgError, FloatingPointError):
+    except FloatingPointError:
         return None
 
 
@@ -796,7 +798,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
         barrier_gradient = gradient - t / g
         newton = hessian  # a fresh array per step, turned into the Newton matrix in place
         newton.flat[::n + 1] += t / (g * g)
-        delta = np.linalg.solve(newton, -barrier_gradient)
+        delta = _solve(newton, -barrier_gradient)
         decrement2 = -2.0 * float(barrier_gradient @ delta)
         # below 1e-2 the decrement falls quadratically in exact arithmetic, so
         # one that does not fall, or a negative one, measures rounding
@@ -815,7 +817,7 @@ def maximize_general(A, X_P) -> tuple[np.ndarray, float]:
         else:
             centred = g
             systems += 1
-            step = (t - t / BARRIER_GROWTH) * np.linalg.solve(newton, 1.0 / g)
+            step = (t - t / BARRIER_GROWTH) * _solve(newton, 1.0 / g)
             t *= BARRIER_GROWTH
             previous = math.inf
         # rounding, or the tangent's reach, can leave the feasible set; below

@@ -1,6 +1,8 @@
 """Shared random-instance generators and reference computations for the test suite."""
 
+import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from qmask.fixed_reducing import marginal_deviations, marginals
+from qmask import hilbert
 from qmask.hilbert import MultipartiteState, gram, rounding_floor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,6 +45,22 @@ def random_independent(n, d, rng, min_gram_eig=1e-3, real=False):
         states = [random_state(d, rng, real) for _ in range(n)]
         if np.linalg.eigvalsh(gram(states))[0] > min_gram_eig:
             return states
+
+
+def log_prob(gammas):
+    """log prod(gamma_i), summed as sum_i log gamma_i: prod(gamma_i) underflows to 0.0 once it is
+    below the float range, as c*^n is for n = 63 at c* = 7.2e-7."""
+    return math.fsum(np.log(gammas).tolist())
+
+
+def patch_kernel(patch, name, wrap):
+    """Put ``wrap(kernel)`` in place of the LAPACK kernel ``qmask.hilbert.<name>`` in every
+    loaded qmask module that binds it, so that every call of the kernel goes through it."""
+    kernel = getattr(hilbert, name)
+    wrapped = wrap(kernel)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("qmask.") and vars(module).get(name) is kernel:
+            patch.setattr(module, name, wrapped)
 
 
 def frame(states):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, frame, haar_unitary, random_state
+from helpers import circulant_family, dense, frame, haar_unitary, patch_kernel, random_state
+from qmask import hilbert, optimizer
+from qmask.optimizer import _dual_factor
 from qmask.hilbert import (
     NORM_TOL,
     MultipartiteState,
@@ -367,3 +369,111 @@ class TestOverlapHelpers:
         u = random_state(4, rng)
         rotated = StateVector(np.exp(0.7j) * u.amplitudes)
         assert fidelity(u, rotated) == pytest.approx(1.0, abs=1e-12)
+
+
+def kernel_cases():
+    """(kernel, numpy.linalg's function, arguments) for real and complex n x n matrices,
+    n = 1..8 and 64: an indefinite Hermitian one to eigensolve, a positive definite one to
+    factor and a general one to invert, and solves with a vector and a matrix of right-hand
+    sides, and with a real vector against either matrix."""
+    for n in [*range(1, 9), 64]:
+        for kind in ("real", "complex"):
+            rng = np.random.default_rng([n, kind == "complex"])
+
+            def draw(*shape):
+                values = rng.standard_normal(shape)
+                return values + 1j * rng.standard_normal(shape) if kind == "complex" else values
+
+            general = draw(n, n)
+            positive = general @ general.conj().T + n * np.eye(n)
+            hermitian = positive - 1.5 * n * np.eye(n)
+            cases = [
+                ("_eigh", np.linalg.eigh, (hermitian,)),
+                ("_eigvalsh", np.linalg.eigvalsh, (hermitian,)),
+                ("_cholesky", np.linalg.cholesky, (positive,)),
+                ("_inv", np.linalg.inv, (general,)),
+                ("_solve", np.linalg.solve, (general, draw(n))),
+                ("_solve", np.linalg.solve, (general, draw(n, 3))),
+                ("_solve", np.linalg.solve, (positive, draw(n).real)),
+            ]
+            for name, reference, args in cases:
+                shapes = "-".join("x".join(map(str, arg.shape)) for arg in args)
+                yield pytest.param(name, reference, args, id=f"{name}-{kind}-{shapes}")
+
+
+def arrays(result):
+    """A kernel's result as a tuple of arrays: ``_eigh`` returns two, the others one."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+def failing_cases():
+    """(kernel, arguments) on which LAPACK fails: a singular system or matrix to invert, and
+    an indefinite matrix to factor by Cholesky."""
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    yield pytest.param("_solve", (singular, np.ones(2)), id="solve-vector")
+    yield pytest.param("_solve", (singular.astype(complex), np.ones((2, 2))), id="solve-matrix")
+    yield pytest.param("_inv", (singular,), id="inv")
+    yield pytest.param("_cholesky", (np.array([[1.0, 2.0], [2.0, 1.0]]),), id="cholesky")
+
+
+class TestLapackKernels:
+    """The kernels are numpy.linalg's gufuncs without its Python layer: numpy.linalg's
+    results bit for bit, and a LAPACK failure left to the floating-point policy in force."""
+
+    @pytest.mark.parametrize("name, reference, args", kernel_cases())
+    def test_kernel_is_numpy_linalg_bit_for_bit(self, name, reference, args):
+        expected = arrays(reference(*args))
+        result = arrays(getattr(hilbert, name)(*args))
+        assert len(result) == len(expected)
+        for ours, theirs in zip(result, expected):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+            assert np.isfinite(ours).all()
+
+    @pytest.mark.parametrize("name, args", failing_cases())
+    def test_failure_raises_the_invalid_flag_and_never_returns_nan(self, name, args):
+        kernel = getattr(hilbert, name)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            kernel(*args)
+        # numpy's default policy warns, which this suite turns into an error
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            kernel(*args)
+        # only a caller that ignores the flag reads the failure: every entry NaN
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(kernel(*args)).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_indefinite_residual_gives_no_dual_factor_and_no_warning(self, real):
+        # I - G X G with g = 0.9 and a target overlap of 0.9 has the eigenvalue
+        # 1 - 0.81 * 1.9 < 0: the Cholesky test fails, silently
+        x = np.array([[1.0, 0.9], [0.9, 1.0]], dtype=float if real else complex)
+        assert _dual_factor(np.eye(2), x, np.full(2, 0.9)) is None
+        assert _dual_factor(np.eye(2), x, np.full(2, 0.5)) is not None
+
+    def test_solves_read_a_nan_only_where_the_flag_is_ignored(self, monkeypatch):
+        # every kernel call of these solves, certificates and checks, the barrier's
+        # included: a result with a NaN, a failed call, reaches only a caller whose
+        # policy ignores the invalid flag, _dual_factor's Cholesky test
+        failed = []
+
+        def checked(kernel):
+            def call(*args):
+                result = kernel(*args)
+                if any(np.isnan(part).any() for part in arrays(result)):
+                    failed.append(np.geterr()["invalid"])
+                return result
+
+            return call
+
+        for name in ("_eigh", "_eigvalsh", "_solve", "_cholesky", "_inv"):
+            patch_kernel(monkeypatch, name, checked)
+        for n, seed in ((3, 0), (4, 1), (6, 2), (8, 3)):
+            inputs, targets = circulant_family(n, n + 1, np.random.default_rng(seed))
+            a, x = gram(inputs), gram(targets.states)
+            for boundary_newton in (optimizer._boundary_newton, lambda *args: None):
+                monkeypatch.setattr(optimizer, "_boundary_newton", boundary_newton)
+                gammas, _ = optimizer.maximize_general(a, x)
+                assert optimizer.feasible(a, x, gammas)[0]
+                assert optimizer.certify(a, x, gammas)[0] <= 1e-8
+        assert failed and set(failed) == {"ignore"}

@@ -2,8 +2,9 @@
 that keeps the optimizer's input checks in one function, for one that keeps tolerance
 guards NaN-safe, for one that keeps reductions array methods, for one that finds a
 parameter every caller sets alike, for one that finds a result every caller reads one
-item of and for one that keeps the library on the standard library and numpy, built on
-the standard library's ``ast``."""
+item of, for one that keeps the solver's linear algebra on the LAPACK kernels and for one
+that keeps the library on the standard library and numpy, built on the standard library's
+``ast``."""
 
 import ast
 import sys
@@ -455,6 +456,48 @@ def test_scanner_finds_wrapper_calls():
 def test_reductions_are_array_methods():
     found = {path.name: calls for path in sorted((ROOT / "src" / "qmask").glob("*.py"))
              if (calls := wrapper_calls(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+# numpy.linalg's functions that qmask calls through the LAPACK kernels of ``qmask.hilbert``,
+# whose docstring gives what their Python layer costs on the solver's small matrices
+LINALG_KERNELS = {"eigh", "eigvalsh", "solve", "cholesky", "inv"}
+
+
+def linalg_calls(source: str) -> list[str]:
+    """Each call of a function in LINALG_KERNELS through ``np.linalg``, ``numpy.linalg`` or a
+    bare ``linalg``, with its line: ``np.linalg.eigh(h)`` is flagged, ``_eigh(h)``,
+    ``np.linalg.svd(m)`` and ``np.linalg.norm(v)`` are not."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in LINALG_KERNELS):
+            continue
+        owner = node.func.value
+        if isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name):
+            owner_name = f"{owner.value.id}.{owner.attr}"
+        else:
+            owner_name = owner.id if isinstance(owner, ast.Name) else ""
+        if owner_name in ("np.linalg", "numpy.linalg", "linalg"):
+            calls.append((node.lineno, f"{owner_name}.{node.func.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(calls)]
+
+
+def test_scanner_finds_linalg_calls():
+    source = ("import numpy\nimport numpy as np\nfrom numpy import linalg\n"
+              "def solve(h, b, m):\n"
+              "    w, v = np.linalg.eigh(h)\n"
+              "    x = numpy.linalg.solve(h, b) + linalg.inv(h) @ b + _solve(h, b)\n"
+              "    u, s, vh = np.linalg.svd(m)\n"
+              "    return np.linalg.cholesky(h), _eigvalsh(h), np.linalg.norm(b), m.solve(b)\n")
+    assert linalg_calls(source) == [
+        "line 5: np.linalg.eigh", "line 6: linalg.inv", "line 6: numpy.linalg.solve",
+        "line 8: np.linalg.cholesky"]
+
+
+def test_linalg_goes_through_the_kernels():
+    found = {path.name: calls for path in sorted((ROOT / "src" / "qmask").glob("*.py"))
+             if (calls := linalg_calls(path.read_text(encoding="utf-8")))}
     assert found == {}
 
 

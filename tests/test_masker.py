@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     dense,
     max_marginal_deviation,
+    patch_kernel,
     random_independent,
     random_orthonormal,
     random_state,
@@ -163,18 +164,17 @@ class TestBuildProbabilistic:
         # the square root is the feasibility gate, and the completion needs no QR
         calls = {"hermitian_sqrt": 0, "eigvalsh": 0, "qr": 0}
 
-        def counted(owner, name):
-            original = getattr(owner, name)
-
+        def counted(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(owner, name, wrapper)
+            return wrapper
 
-        counted(masker_module, "hermitian_sqrt")
-        counted(np.linalg, "eigvalsh")
-        counted(np.linalg, "qr")
+        monkeypatch.setattr(masker_module, "hermitian_sqrt",
+                            counted("hermitian_sqrt", masker_module.hermitian_sqrt))
+        patch_kernel(monkeypatch, "_eigvalsh", lambda kernel: counted("eigvalsh", kernel))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
         masker = build_probabilistic(overlap_pair(), cyclic_targets(2, 2), [0.1, 0.1])
         assert masker.probe_dim == 2
         assert calls == {"hermitian_sqrt": 1, "eigvalsh": 0, "qr": 0}

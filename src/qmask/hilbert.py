@@ -100,10 +100,11 @@ def precision_floor(size: int) -> float:
     return 4 * NORM_TOL + rounding_floor(size)
 
 
-# LAPACK kernels for float64 and complex128 arrays (the module docstring says why). A failed
-# LAPACK call fills the result with NaN and raises the invalid flag, which numpy.linalg
-# turns into LinAlgError through an np.errstate per call; a kernel leaves the flag to the
-# floating-point policy in force, and a successful call clears every flag LAPACK raised.
+# LAPACK kernels for float64 and complex128 arrays, ``_solve`` for float64 alone (the module
+# docstring says why). A failed LAPACK call fills the result with NaN and raises the invalid
+# flag, which numpy.linalg turns into LinAlgError through an np.errstate per call; a kernel
+# leaves the flag to the floating-point policy in force, and a successful call clears every
+# flag LAPACK raised.
 # Two callers meet failures: ``_boundary_newton`` raises the flag and declines, and
 # ``_dual_factor`` ignores it and reads the NaN. Every other call eigensolves a finite
 # Hermitian matrix, solves a positive definite system or inverts a Cholesky factor.
@@ -122,10 +123,8 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(matrix, rhs)``, for one right-hand side vector or a matrix of them."""
-    gufunc = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
-    complex_ = _complex(matrix) or _complex(rhs)
-    return gufunc(matrix, rhs, signature="DD->D" if complex_ else "dd->d")
+    """``np.linalg.solve(matrix, rhs)`` for a real matrix and one real right-hand side vector."""
+    return _umath_linalg.solve1(matrix, rhs, signature="dd->d")
 
 
 def _cholesky(matrix: np.ndarray) -> np.ndarray:

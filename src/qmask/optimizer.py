@@ -581,29 +581,24 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
     eigenvectors; each evaluation solves one (n + r^2) system (``_cluster_step``),
     and its r^2 equations need n >= r^2 unknowns. W starts at n / (2 tr U^dagger H U) I
     and is carried to the next evaluation's basis U' as R^dagger W R, R = U^dagger U',
-    across the free rotation eigh gives U'. When the step's multiplier has an
-    eigenvalue that is not positive, the optimum's top eigenvalue is simple: r drops
-    to 1 and the Newton step on f goes on from that point, which may not hand off
-    again before the next step. Once a multiplier that was positive definite has
-    turned indefinite, the try hands off no more: a trial whose top two are within
-    1 % is then taken only where f does not fall. Cluster steps are halved until f
-    does not fall.
+    across the free rotation eigh gives U'. The hand-off is one way: r never
+    returns to 1. Cluster steps are halved until f does not fall.
 
     Once the squared decrement is at most 1e-6, or a cluster step is at most 1e-8 in
     every y_i, it takes the full step without evaluating there, and returns
     g^2 (1 - UNIFORM_SHORTFALL / n) / lambda_max at the new g, scaled onto the
-    boundary as the uniform trial is by one eigvalsh. A cluster step aims at the
-    interior point whose whitened residual on the cluster, I - U^dagger H U, is
+    boundary by one eigvalsh. A cluster step aims at the interior point whose
+    whitened residual on the cluster, I - U^dagger H U, is
     eps W^-1 with least eigenvalue UNIFORM_SHORTFALL / n, so that scaling moves it by
     rounding only: the certificate's dual point there is W, as the barrier's is on
     its central path. At r = 1 that point is the scaled one. A cluster step must
     start within about 1e-8 of its target, as the residual on the cluster, about
     1e-11, must be right to its rounding; a simple top eigenvalue needs only its
     scale. The try declines, returning None, when the top two eigenvalues come
-    within 1 % with fewer than four inputs, or at a trial where f falls after a
-    multiplier turned indefinite, when the decrement is not positive, when
-    an evaluation or a solve fails or overflows, or once _BOUNDARY_EVALUATIONS
-    evaluations are spent.
+    within 1 % with fewer than four inputs, at a pair step whose multiplier is not
+    positive definite, when the decrement is not positive, when an evaluation or
+    a solve fails or overflows, or once _BOUNDARY_EVALUATIONS evaluations are
+    spent.
     """
     n = x.shape[0]
     try:
@@ -634,11 +629,8 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
         y = y - math.log(values[-1]) / 2.0
         eigensystem = (values / values[-1], vectors, z / root, v / root)
         value = float(y.sum())
-        # r = 1 takes Newton steps on f, r = 2 cluster steps; dropped: r fell back to 1
-        # at this point, which may not hand off again before the next step; positive: a
-        # cluster step's multiplier has been positive definite, so back at r = 1 it has
-        # turned indefinite since, and the try hands off no more
-        r, dropped, positive, evaluations = 1, False, False, 1
+        # r = 1 takes Newton steps on f, r = 2 cluster steps
+        r, evaluations = 1, 1
         coalesced = values[-2] >= 0.99 * values[-1]
         while True:
             if coalesced:
@@ -662,7 +654,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 # where the top two are within 15 %, their values to first order along the
                 # step: lambda_k + (d lambda_k / dy) step, d lambda_k / dy_i = 2 Re(conj(z_ik) v_ik)
                 values, _, z, v = eigensystem
-                if n >= 4 and not (done or dropped or positive) and values[-2] >= 0.85 * values[-1]:
+                if n >= 4 and not done and values[-2] >= 0.85 * values[-1]:
                     coalesced = (values[-2] + 2.0 * np.vdot(z[:, -2], v[:, -2] * step).real
                                  >= 0.99 * values[-1] * (1.0 + gradient @ step))
                     if coalesced:
@@ -670,10 +662,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
             else:
                 delta, multiplier = _cluster_step(x, eigensystem, weights)
                 if not _eigvalsh(multiplier)[0] > 0.0:
-                    # the optimum's top eigenvalue is simple: back to the Newton step on f
-                    r, dropped = 1, True
-                    continue
-                positive = True
+                    return None
                 done = np.abs(delta).max() <= 1e-8
                 step = delta
             if done:
@@ -693,11 +682,6 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 log_trial = math.log(values[-1])
                 trial = float(trial_y.sum()) - (n / 2.0 + log_trial / 2.0) * log_trial
                 coalesced = r == 1 and values[-2] >= 0.99 * values[-1]
-                if coalesced and positive:
-                    # no second hand-off: a trial within 1 % is taken only where f rises
-                    if not trial >= value:
-                        return None
-                    coalesced = False
                 if coalesced or trial >= value:
                     break
                 step = step / 2.0
@@ -705,7 +689,7 @@ def _boundary_newton(x: np.ndarray, whitener: np.ndarray) -> np.ndarray | None:
                 # W from the old cluster basis U to the new one U': R^dagger W R, R = U^dagger U'
                 rotation = eigensystem[1][:, -r:].conj().T @ trial_system[1][:, -r:]
                 weights = rotation.conj().T @ multiplier @ rotation
-            y, value, eigensystem, dropped = trial_y, trial, trial_system, False
+            y, value, eigensystem = trial_y, trial, trial_system
     except FloatingPointError:
         return None
 

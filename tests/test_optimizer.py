@@ -953,6 +953,23 @@ class TestTryGate:
             if index < 14:
                 assert factorizations == {"eigh": 1, "eigvalsh": 1}, index
 
+    def test_benchmark_sweep_shapes_take_the_try(self, factorizations):
+        # optimize-sweep's 42 Gram pairs of three or more inputs, which every seed places
+        # by unitaries: no solve runs the barrier, and only shape 52, random_shape(8, 8, 3),
+        # takes pair steps
+        instances = benchmark_instances()
+        paired = []
+        for n in range(3, 9):
+            for number in range(7):
+                inputs, targets = instances.random_shape(n, n, number)
+                factorizations.clear()
+                maximize_general(gram([StateVector(row) for row in inputs]),
+                                 gram([StateVector(row) for row in targets]))
+                assert factorizations["_log_det_terms"] == 0, (n, number)
+                if factorizations["_cluster_step"]:
+                    paired.append((n, number))
+        assert paired == [(8, 3)]
+
     @pytest.mark.parametrize("case, expected", [
         ("saturated", (1, 1)), ("two-inputs", (1, 1)), ("barrier", (1, 2)), ("newton", (1, 2)),
         ("cluster", (1, 2))])
@@ -1316,9 +1333,8 @@ class TestBoundaryNewton:
         # evaluations and no cluster step, which is all that is asserted of it. The
         # benchmark's simulate-reuse shape 0 has a simple top eigenvalue at its optimum with
         # lambda_2 / lambda_1 = 0.991, where the pair's multiplier turns indefinite after one
-        # positive definite step. Its try then hands off no more and declines at the first
-        # trial within 1 % where f falls, after 12 evaluations and 2 pair steps, short of
-        # the budget of 14
+        # positive definite step, and the try declines there, after 5 evaluations and 2 pair
+        # steps
         if case == "corner":
             inputs, targets = overlap_family(0.99, 0.999, 0, d=3, n=3)
             a, x = gram(inputs), gram(targets.states)
@@ -1330,7 +1346,7 @@ class TestBoundaryNewton:
         assert 1 < factorizations["_eigensystem"] <= _BOUNDARY_EVALUATIONS
         assert (factorizations["_cluster_step"] > 0) == (case == "near-double")
         if case == "near-double":
-            assert (factorizations["_eigensystem"], factorizations["_cluster_step"]) == (12, 2)
+            assert (factorizations["_eigensystem"], factorizations["_cluster_step"]) == (5, 2)
         assert factorizations["_log_det_terms"] > 0
         with barrier_only():
             barrier_gammas, barrier_prob = maximize_general(a, x)
@@ -1348,17 +1364,51 @@ class TestBoundaryNewton:
         assert factorizations["_log_det_terms"] > 0
         assert 0.0 <= 3.0 * np.log(1.0 / 1.4) - np.log(prob) <= certify(np.eye(3), x, gammas)[0]
 
-    def test_multiplier_indefinite_from_its_first_step_leaves_hand_offs_open(self, factorizations):
-        # the benchmark's cli-pipeline shape 1 hands off twice where the top two are only
-        # 14 % and 8 % apart, and each time the first multiplier is already indefinite: no
-        # positive definite multiplier turned, so the second hand-off is still taken and the
-        # try returns
+    def test_pair_step_with_an_indefinite_multiplier_declines(self, factorizations):
+        # the benchmark's cli-pipeline shape 1 hands off where its top two are 14 % apart,
+        # and its first pair step's multiplier is already indefinite: the try declines, and
+        # the barrier's point is returned
         inputs, targets = benchmark_instances().random_shape(4, 6, 1)
         a = gram([StateVector(row) for row in inputs])
         x = gram([StateVector(row) for row in targets])
-        maximize_general(a, x)
-        assert (factorizations["_eigensystem"], factorizations["_cluster_step"]) == (8, 2)
-        assert factorizations["_log_det_terms"] == 0
+        gammas, _ = maximize_general(a, x)
+        assert factorizations["_cluster_step"] == 1
+        assert factorizations["_log_det_terms"] > 0
+        with barrier_only():
+            barrier_gammas, _ = maximize_general(a, x)
+        assert gammas.tobytes() == barrier_gammas.tobytes()
+        assert certify(a, x, gammas)[0] <= GAP_TOL
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=4, max_value=12),
+        real=st.booleans(),
+    )
+    @example(seed=108, n=5, real=True)  # its one pair step's multiplier is indefinite
+    @example(seed=2, n=12, real=False)  # returned after six pair steps
+    @settings(max_examples=40, deadline=None)
+    def test_hand_off_is_one_way(self, seed, n, real):
+        # once a pair step is taken the try takes no Newton step on f again: it returns
+        # from the pair step or declines, and a try whose point is returned is certified
+        rng = np.random.default_rng(seed)
+        a = gram(random_independent(n, n, rng, real=real))
+        x = gram(flat_targets(n, n, rng, real))
+        order, tried = [], []
+
+        def logged(name):
+            original = getattr(optimizer, name)
+            return lambda *args: order.append(name) or original(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_top_terms", "_cluster_step"):
+                patch.setattr(optimizer, name, logged(name))
+            patch.setattr(optimizer, "_boundary_newton",
+                          lambda *args: tried.append(_boundary_newton(*args)) or tried[-1])
+            gammas, _ = maximize_general(a, x)
+        if "_cluster_step" in order:
+            assert "_top_terms" not in order[order.index("_cluster_step"):]
+        if gammas is tried[0]:
+            assert certify(a, x, gammas)[0] <= GAP_TOL
 
     def test_real_pair_with_a_singular_pair_step_falls_back_to_the_barrier(self, factorizations):
         # draw 0 of the real n = 6 sample: real inputs near the basis and real Gaussian

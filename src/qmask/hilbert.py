@@ -123,7 +123,14 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(matrix, rhs)`` for a real matrix and one real right-hand side vector."""
+    """``np.linalg.solve(matrix, rhs)`` for a real matrix and one real right-hand side vector.
+
+    A complex array fails the signature's cast with a TypeError. A matrix of
+    right-hand sides is a ValueError: solve1 would read its rows as a stack of
+    vectors, and silently so when it is square.
+    """
+    if rhs.ndim != 1:
+        raise ValueError(f"_solve takes one right-hand side vector, not shape {rhs.shape}")
     return _umath_linalg.solve1(matrix, rhs, signature="dd->d")
 
 

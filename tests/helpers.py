@@ -101,15 +101,16 @@ def max_prob_grid_oracle(s: float, t: float, grid_steps: int = 1000) -> float:
     return float(np.max(np.where(feasible_points, product, 0.0)))
 
 
-def residual_is_psd(a, x, gammas, shift=0.0):
-    """Whether A - G X G + shift I is positive semidefinite in exact arithmetic.
+def residual_is_psd(a, x, gammas, shift=0.0, definite=False):
+    """Whether A - G X G + shift I is positive semidefinite, or definite, in exact arithmetic.
 
     g = ``np.sqrt(gammas)`` is taken as floats, as the solver takes it, and every
     float of A, X (both exactly Hermitian), g and ``shift`` is converted exactly
-    to a ``Fraction``. The residual R is PSD exactly when its real 2n x 2n
+    to a ``Fraction``. The residual R is PSD (definite) exactly when its real 2n x 2n
     embedding [[Re R, -Im R], [Im R, Re R]] is, which an LDL^T in rationals
     decides: a negative pivot, or a zero pivot with a nonzero entry below it,
-    means it is not.
+    means it is not semidefinite, and with ``definite`` any zero pivot means it
+    is not definite.
     """
     a, x = np.asarray(a, dtype=complex), np.asarray(x, dtype=complex)
     assert (a == a.conj().T).all() and (x == x.conj().T).all()
@@ -125,7 +126,7 @@ def residual_is_psd(a, x, gammas, shift=0.0):
     m += [imag[i] + real[i] for i in range(n)]
     for k in range(2 * n):
         pivot = m[k][k]
-        if pivot < 0 or (pivot == 0 and any(m[i][k] for i in range(k + 1, 2 * n))):
+        if pivot < 0 or (pivot == 0 and (definite or any(m[i][k] for i in range(k + 1, 2 * n)))):
             return False
         if pivot == 0:
             continue

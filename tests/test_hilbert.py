@@ -371,12 +371,13 @@ class TestOverlapHelpers:
         assert fidelity(u, rotated) == pytest.approx(1.0, abs=1e-12)
 
 
-def kernel_cases():
+def kernel_cases(served=True):
     """(kernel, numpy.linalg's function, arguments) for real and complex n x n matrices,
     n = 1..8 and 64: an indefinite Hermitian one to eigensolve, a positive definite one to
-    factor and a general one to invert, and, as ``_solve`` takes only real systems with one
-    right-hand side, solves of a real vector against the real general and positive
-    definite ones."""
+    factor and a general one to invert, and solves with a vector and a matrix of right-hand
+    sides, and with a real vector against either matrix. ``_solve`` serves only a real
+    matrix with one right-hand side vector; with ``served`` False the cases are the other
+    solves alone."""
     for n in [*range(1, 9), 64]:
         for kind in ("real", "complex"):
             rng = np.random.default_rng([n, kind == "complex"])
@@ -393,10 +394,10 @@ def kernel_cases():
                 ("_eigvalsh", np.linalg.eigvalsh, (hermitian,)),
                 ("_cholesky", np.linalg.cholesky, (positive,)),
                 ("_inv", np.linalg.inv, (general,)),
-            ]
-            if kind == "real":
-                cases += [("_solve", np.linalg.solve, (general, draw(n))),
-                          ("_solve", np.linalg.solve, (positive, draw(n)))]
+            ] if served else []
+            for args in [(general, draw(n)), (general, draw(n, 3)), (positive, draw(n).real)]:
+                if (kind == "real" and args[1].ndim == 1) == served:
+                    cases.append(("_solve", np.linalg.solve, args))
             for name, reference, args in cases:
                 shapes = "-".join("x".join(map(str, arg.shape)) for arg in args)
                 yield pytest.param(name, reference, args, id=f"{name}-{kind}-{shapes}")
@@ -429,6 +430,18 @@ class TestLapackKernels:
             assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
             assert np.array_equal(ours, theirs)
             assert np.isfinite(ours).all()
+
+    @pytest.mark.parametrize("name, reference, args", kernel_cases(served=False))
+    def test_solve_refuses_the_calls_it_does_not_serve(self, name, reference, args):
+        # numpy.linalg solves each; _solve raises rather than answer otherwise, as solve1
+        # would for an n x 3 right-hand side at n = 3, read as three vectors
+        assert np.isfinite(reference(*args)).all()
+        if args[1].ndim != 1:
+            error, message = ValueError, "one right-hand side vector"
+        else:
+            error, message = TypeError, "Cannot cast"
+        with pytest.raises(error, match=message):
+            getattr(hilbert, name)(*args)
 
     @pytest.mark.parametrize("name, args", failing_cases())
     def test_failure_raises_the_invalid_flag_and_never_returns_nan(self, name, args):
